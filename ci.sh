@@ -40,6 +40,11 @@ step "gofmt" check_gofmt
 step "go vet" go vet ./...
 step "doclint" go run ./cmd/doclint ./internal ./cmd
 step "go build" go build ./...
+# The benchmark in pipebench/ is a module of its own, so the root
+# `go build ./...` and `go vet ./...` skip it; vet it against this tree
+# (its go.mod replaces wytiwyg with ../) so an API change here cannot
+# break it silently. GOPROXY=off keeps the step offline.
+step "go vet (pipebench)" env GOFLAGS= GOPROXY=off go -C pipebench vet ./...
 step "go test" go test ./...
 step "go test -race" go test -race -short ./...
 step "wytiwyg lint (benchmark corpus)" sh -c '

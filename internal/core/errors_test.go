@@ -6,8 +6,10 @@ import (
 
 	"wytiwyg/internal/asm"
 	"wytiwyg/internal/core"
+	"wytiwyg/internal/ir"
 	"wytiwyg/internal/irexec"
 	"wytiwyg/internal/machine"
+	"wytiwyg/internal/minicc/gen"
 )
 
 // A binary that faults during tracing surfaces the fault as a lift error:
@@ -72,6 +74,51 @@ main:
 		}
 		if r.ExitCode != want {
 			t.Errorf("input %d: exit = %d, want %d", i, r.ExitCode, want)
+		}
+	}
+}
+
+// The variadic-call refinement applies observations taken during the
+// saved-register refinement's replay, so calling it first is a stage-order
+// error: one clear error naming the order, not one "never observed" error
+// per raw call site. In order, the same stages succeed.
+func TestVarArgsBeforeRegSave(t *testing.T) {
+	src := `
+extern int printf(char *fmt, ...);
+int main() {
+	printf("%d\n", 1);
+	printf("%d %d\n", 2, 3);
+	return 0;
+}`
+	img, err := gen.Build(src, gen.GCC12O3, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.LiftBinary(img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.RefineVarArgs()
+	if err == nil {
+		t.Fatal("RefineVarArgs before RefineRegSave succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "regsave → varargs") ||
+		strings.Contains(msg, "never observed") {
+		t.Errorf("err = %v, want a stage-order error", err)
+	}
+	if err := p.RefineRegSave(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefineVarArgs(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Mod.Funcs {
+		for _, b := range f.Blocks {
+			for _, v := range b.Insts {
+				if v.Op == ir.OpCallExtRaw {
+					t.Errorf("%s: raw variadic call left after varargs: %s", f.Name, v)
+				}
+			}
 		}
 	}
 }

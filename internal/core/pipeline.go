@@ -262,6 +262,9 @@ type Pipeline struct {
 	// RegClasses is the saved-register classification after the first
 	// refinement.
 	RegClasses regsave.Classes
+	// varArgs holds the variadic-call observations of RefineRegSave's
+	// replay until RefineVarArgs applies them (nil before RefineRegSave).
+	varArgs *varargs.Tracer
 	// SPOffsets holds each function's direct stack references after the
 	// stack-reference refinement.
 	SPOffsets map[*ir.Func]stackref.Offsets
@@ -458,9 +461,12 @@ func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
 }
 
 // RefineRegSave runs the saved-register refinement (§4.1): dynamic
-// classification followed by the signature rewrite.
+// classification followed by the signature rewrite. The same replay also
+// collects the variadic-call observations RefineVarArgs applies (see
+// regsaveTracer), so the two refinements share one execution of the
+// inputs.
 func (p *Pipeline) RefineRegSave() error {
-	tr := regsave.NewTracer()
+	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
 	if err := p.runAll(tr); err != nil {
 		return err
 	}
@@ -476,20 +482,54 @@ func (p *Pipeline) RefineRegSave() error {
 	if err := regsave.Apply(p.Mod, p.RegClasses); err != nil {
 		return fmt.Errorf("core: regsave: %w", err)
 	}
+	p.varArgs = tr.va
 	return nil
 }
 
 // RefineVarArgs recovers exact signatures for variadic library call sites
-// (§5.2) and lifts them to explicit arguments.
+// (§5.2) and lifts them to explicit arguments. It applies the observations
+// RefineRegSave's replay collected, so it must run after RefineRegSave.
 func (p *Pipeline) RefineVarArgs() error {
-	tr := varargs.NewTracer()
-	if err := p.runAll(tr); err != nil {
-		return err
+	if p.varArgs == nil {
+		return fmt.Errorf("core: varargs: RefineVarArgs needs the observations of RefineRegSave's replay; " +
+			"run the refinements in order regsave → varargs → stackref → symbolize")
 	}
-	if err := varargs.Apply(p.Mod, tr.Counts); err != nil {
+	if err := varargs.Apply(p.Mod, p.varArgs); err != nil {
 		return fmt.Errorf("core: varargs: %w", err)
 	}
 	return nil
+}
+
+// regsaveTracer observes the saved-register refinement's replay and the
+// variadic-call refinement's at once. regsave.Apply rewrites only internal
+// calls, extracts, parameters and returns: it never touches an
+// OpCallExtRaw value and preserves every executed path, so the variadic
+// observations taken before the rewrite are exactly those a separate
+// replay after it would take. The embedded regsave tracer receives every
+// hook; varargs observes nothing but OpCallExtRaw executions, which is all
+// Exec forwards to it.
+type regsaveTracer struct {
+	*regsave.Tracer
+	va *varargs.Tracer
+}
+
+func (t *regsaveTracer) Bind(ip *irexec.Interp) { t.va.Bind(ip) }
+
+func (t *regsaveTracer) Fork() irexec.Tracer {
+	return &regsaveTracer{t.Tracer.Fork().(*regsave.Tracer), t.va.Fork().(*varargs.Tracer)}
+}
+
+func (t *regsaveTracer) Join(o irexec.Tracer) {
+	ot := o.(*regsaveTracer)
+	t.Tracer.Join(ot.Tracer)
+	t.va.Join(ot.va)
+}
+
+func (t *regsaveTracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	t.Tracer.Exec(fr, v, args, res)
+	if v.Op == ir.OpCallExtRaw {
+		t.va.Exec(fr, v, args, res)
+	}
 }
 
 // degrade replaces a function whose refinement failed with a trap stub: the

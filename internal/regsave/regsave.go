@@ -67,6 +67,7 @@ type symbol struct {
 	reg   isa.Reg
 }
 
+// shadowEntry is one address's saved symbol; a nil sym means absent.
 type shadowEntry struct {
 	epoch uint64
 	sym   *symbol
@@ -83,7 +84,34 @@ type Tracer struct {
 	arg      map[fnReg]bool
 	violated map[fnReg]bool
 	forwards map[fnReg]map[fnReg]bool
-	shadow   map[uint32]shadowEntry
+	shadow   irexec.Shadow[shadowEntry]
+	// syms and recs are the slabs per-activation symbols and per-call
+	// forwarding records are carved from: one allocation per slabSize
+	// objects instead of one per parameter or call.
+	syms []symbol
+	recs []fwdRecord
+}
+
+// slabSize is the number of symbols or records one slab holds.
+const slabSize = 256
+
+// newSymbol returns a fresh symbol carved from the current slab.
+func (t *Tracer) newSymbol(s symbol) *symbol {
+	if len(t.syms) == cap(t.syms) {
+		t.syms = make([]symbol, 0, slabSize)
+	}
+	t.syms = append(t.syms, s)
+	return &t.syms[len(t.syms)-1]
+}
+
+// newRecord returns a zeroed forwarding record carved from the current
+// slab.
+func (t *Tracer) newRecord() *fwdRecord {
+	if len(t.recs) == cap(t.recs) {
+		t.recs = make([]fwdRecord, 0, slabSize)
+	}
+	t.recs = append(t.recs, fwdRecord{})
+	return &t.recs[len(t.recs)-1]
 }
 
 // NewTracer returns an empty analysis.
@@ -92,7 +120,6 @@ func NewTracer() *Tracer {
 		arg:      make(map[fnReg]bool),
 		violated: make(map[fnReg]bool),
 		forwards: make(map[fnReg]map[fnReg]bool),
-		shadow:   make(map[uint32]shadowEntry),
 	}
 }
 
@@ -177,7 +204,7 @@ func (t *Tracer) FnEnter(fr *irexec.Frame) {
 		if p.RegHint == isa.ESP {
 			continue
 		}
-		fr.SetMeta(p, &symbol{epoch: fr.Epoch, fn: fr.Fn, reg: p.RegHint})
+		fr.SetMeta(p, t.newSymbol(symbol{epoch: fr.Epoch, fn: fr.Fn, reg: p.RegHint}))
 	}
 }
 
@@ -210,10 +237,10 @@ func (t *Tracer) inOwnFrame(fr *irexec.Frame, addr uint32) bool {
 	return addr < fr.SP0 && fr.SP0-addr <= frameLimit
 }
 
+// invalidateShadow drops every shadow entry a size-byte store at addr
+// overlaps, including 4-byte entries starting up to 3 bytes below it.
 func (t *Tracer) invalidateShadow(addr uint32, size uint8) {
-	for a := addr - 3; a != addr+uint32(size); a++ {
-		delete(t.shadow, a)
-	}
+	t.shadow.Clear(addr-3, uint32(size)+3)
 }
 
 // Exec observes one executed instruction.
@@ -227,7 +254,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		t.invalidateShadow(addr, v.Size)
 		if s := t.meta(fr, v.Args[1]); s != nil {
 			if t.inOwnFrame(fr, addr) && v.Size == 4 {
-				t.shadow[addr] = shadowEntry{epoch: fr.Epoch, sym: s}
+				t.shadow.Set(addr, shadowEntry{epoch: fr.Epoch, sym: s})
 			} else {
 				t.markArg(s) // written somewhere else
 			}
@@ -236,7 +263,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if s := t.meta(fr, v.Args[0]); s != nil {
 			t.markArg(s)
 		}
-		if e, ok := t.shadow[args[0]]; ok && e.epoch == fr.Epoch && v.Size == 4 {
+		if e := t.shadow.Get(args[0]); e.sym != nil && e.epoch == fr.Epoch && v.Size == 4 {
 			fr.SetMeta(v, e.sym)
 		}
 	case ir.OpCall, ir.OpCallInd:
@@ -251,7 +278,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		} else {
 			callees = []*ir.Func{v.Callee}
 		}
-		rec := &fwdRecord{}
+		rec := t.newRecord()
 		for i := base; i < len(v.Args); i++ {
 			r := isa.Reg(i - base)
 			s := t.meta(fr, v.Args[i])

@@ -64,9 +64,20 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 	if err != nil {
 		return machine.Result{}, err
 	}
-	m.InstrHook = func(pc uint32) { t.Executed[pc] = true }
+	// Coverage goes to a dense bitmap indexed by instruction number and
+	// folds into Executed once the run ends. The machine rejects a
+	// misaligned or out-of-image pc before it calls InstrHook, so the
+	// index is always in range.
+	cov := make([]bool, len(t.Img.Code))
+	m.InstrHook = func(pc uint32) { cov[(pc-isa.CodeBase)/isa.InstrSize] = true }
 	m.Hook = t.AddTransfer
-	if err := m.Run(); err != nil {
+	err = m.Run()
+	for i, hit := range cov {
+		if hit {
+			t.Executed[obj.AddrOf(i)] = true
+		}
+	}
+	if err != nil {
 		return machine.Result{}, fmt.Errorf("tracer: %w", err)
 	}
 	t.Inputs++

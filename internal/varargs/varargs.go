@@ -21,7 +21,8 @@ type Tracer struct {
 	ip *irexec.Interp
 	// Counts is the maximal observed argument count per call site.
 	Counts map[*ir.Value]int
-	// failed records sites whose format string could not be interpreted.
+	// failed records why a site's count could not be derived: its extern
+	// is missing from the database or its format string is unreadable.
 	failed map[*ir.Value]error
 }
 
@@ -104,11 +105,13 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 	}
 }
 
-// Apply rewrites every observed raw call into an explicit-argument call
-// (loads from the emulated stack inserted before the call). Raw sites never
-// observed are left in place only if they are unreachable; reaching one
-// at runtime would mean incomplete coverage, so Apply reports them.
-func Apply(mod *ir.Module, counts map[*ir.Value]int) error {
+// Apply rewrites every raw call the tracer observed into an explicit-argument
+// call (loads from the emulated stack inserted before the call). A raw site
+// without a derived count is an error: when the tracer recorded why the
+// count could not be derived (unknown extern, unreadable format string),
+// that cause is reported; otherwise the site was never observed, which
+// means incomplete coverage.
+func Apply(mod *ir.Module, t *Tracer) error {
 	for _, f := range mod.Funcs {
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Insts); i++ {
@@ -116,8 +119,12 @@ func Apply(mod *ir.Module, counts map[*ir.Value]int) error {
 				if v.Op != ir.OpCallExtRaw {
 					continue
 				}
-				n, ok := counts[v]
+				n, ok := t.Counts[v]
 				if !ok {
+					if err := t.failed[v]; err != nil {
+						return fmt.Errorf("varargs: %s: raw call to %s at %s: %w",
+							f.Name, v.Sym, v, err)
+					}
 					return fmt.Errorf("varargs: %s: raw call to %s at %s never observed",
 						f.Name, v.Sym, v)
 				}

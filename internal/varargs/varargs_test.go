@@ -2,6 +2,7 @@ package varargs_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"wytiwyg/internal/core"
@@ -78,7 +79,7 @@ int main() {
 			t.Errorf("argument count %d not recovered (counts: %v)", want, tr.Counts)
 		}
 	}
-	if err := varargs.Apply(p.Mod, tr.Counts); err != nil {
+	if err := varargs.Apply(p.Mod, tr); err != nil {
 		t.Fatal(err)
 	}
 	rawAfter, extAfter := countRaw(p.Mod)
@@ -107,11 +108,54 @@ int main() {
 	if (input_int(0) > 0) printf("hi %d\n", 1);
 	return 0;
 }`
-	// Lift with coverage of the printf branch, then apply with EMPTY
-	// counts: the raw site was lifted but never observed by this tracer.
+	// Lift with coverage of the printf branch, then apply an EMPTY tracer:
+	// the raw site was lifted but never observed by it.
 	p := liftTo(t, src, []machine.Input{{Ints: []int32{5}}})
-	err := varargs.Apply(p.Mod, map[*ir.Value]int{})
+	err := varargs.Apply(p.Mod, varargs.NewTracer())
 	if err == nil {
 		t.Error("unobserved raw call site accepted")
+	}
+}
+
+// A raw site whose count could not be derived must be rejected with the
+// recorded cause, not as a coverage gap: here the callee is a variadic
+// extern the constraint database does not know.
+func TestUnknownExternReported(t *testing.T) {
+	src := `
+extern int printf(char *fmt, ...);
+int main() {
+	printf("%d\n", 1);
+	return 0;
+}`
+	p := liftTo(t, src, nil)
+	var site *ir.Value
+	var fn *ir.Func
+	for _, f := range p.Mod.Funcs {
+		for _, b := range f.Blocks {
+			for _, v := range b.Insts {
+				if v.Op == ir.OpCallExtRaw {
+					site, fn = v, f
+				}
+			}
+		}
+	}
+	if site == nil {
+		t.Fatal("no raw variadic call site lifted")
+	}
+	site.Sym = "vlog_unknown"
+	ip, err := irexec.New(p.Mod, machine.Input{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := varargs.NewTracer()
+	tr.Bind(ip)
+	tr.Exec(&irexec.Frame{Fn: fn}, site, []uint32{0x1000}, 0)
+	err = varargs.Apply(p.Mod, tr)
+	if err == nil {
+		t.Fatal("raw call to an unknown extern accepted")
+	}
+	if !strings.Contains(err.Error(), `"vlog_unknown" not in database`) ||
+		strings.Contains(err.Error(), "never observed") {
+		t.Errorf("error = %v, want the recorded database miss", err)
 	}
 }

@@ -87,9 +87,11 @@ type Tracer struct {
 	ip   *irexec.Interp
 	offs map[*ir.Func]stackref.Offsets
 
-	res     *Result
-	nextID  int
-	addrMap map[uint32]PointerInfo
+	res    *Result
+	nextID int
+	// addrMap records the pointers stored to memory, by address (a nil
+	// Var means absent).
+	addrMap irexec.Shadow[PointerInfo]
 	// order remembers base-pointer values in StackVar allocation order, so
 	// Join can renumber a forked tracer's variables exactly as a sequential
 	// run would have.
@@ -100,6 +102,23 @@ type Tracer struct {
 	// caller's Exec of the call.
 	pending  []pendingCall
 	lastExit *exitRecord
+
+	// tabs holds each executed function's direct-reference table, built on
+	// first use; lastFn/lastTab memoize the most recent lookup.
+	tabs    map[*ir.Func][]directRef
+	lastFn  *ir.Func
+	lastTab []directRef
+}
+
+// directRef is one slot of a function's direct-reference table, indexed by
+// Value.Slot: whether the value is a direct stack reference, its sp0
+// displacement, and its base-pointer metadata. The metadata is built on the
+// value's first execution (allocating its StackVar exactly when an
+// uncached lookup would) and then shared: no hook mutates a PointerInfo.
+type directRef struct {
+	ok  bool
+	off int32
+	pi  *PointerInfo
 }
 
 type pendingCall struct {
@@ -128,7 +147,7 @@ func NewTracer(offs map[*ir.Func]stackref.Offsets) *Tracer {
 			ByFn:     make(map[*ir.Func][]*StackVar),
 			ArgSlots: make(map[*ir.Func]map[int]bool),
 		},
-		addrMap: make(map[uint32]PointerInfo),
+		tabs: make(map[*ir.Func][]directRef),
 	}
 }
 
@@ -215,15 +234,63 @@ func (t *Tracer) setPI(fr *irexec.Frame, v *ir.Value, p *PointerInfo) {
 // direct returns the base-pointer metadata when v is a direct stack
 // reference of the executing function.
 func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) *PointerInfo {
-	offs := t.offs[fr.Fn]
-	if offs == nil {
+	tab := t.table(fr.Fn)
+	if tab == nil {
 		return nil
 	}
-	c, ok := offs[v]
+	d := &tab[v.Slot()]
+	if !d.ok {
+		return nil
+	}
+	if d.pi == nil {
+		d.pi = &PointerInfo{Var: t.varFor(fr.Fn, v, d.off)}
+	}
+	return d.pi
+}
+
+// table returns f's direct-reference table (nil when f has no direct
+// references). Slots index the layout f executes under; the module must
+// not change while the tracer observes it, which holds for a refinement
+// replay.
+func (t *Tracer) table(f *ir.Func) []directRef {
+	if f == t.lastFn {
+		return t.lastTab
+	}
+	tab, ok := t.tabs[f]
 	if !ok {
+		tab = buildTable(f, t.offs[f])
+		t.tabs[f] = tab
+	}
+	t.lastFn, t.lastTab = f, tab
+	return tab
+}
+
+// buildTable indexes f's live direct references by slot. It walks the
+// function rather than the offsets table, so values removed from f (whose
+// stale slots may collide with live ones) never enter the table.
+func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
+	if len(offs) == 0 {
 		return nil
 	}
-	return &PointerInfo{Var: t.varFor(fr.Fn, v, c), Off: 0}
+	f.EnsureLayout()
+	tab := make([]directRef, f.Layout().NumSlots)
+	add := func(v *ir.Value) {
+		if c, ok := offs[v]; ok {
+			tab[v.Slot()] = directRef{ok: true, off: c}
+		}
+	}
+	for _, p := range f.Params {
+		add(p)
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Phis {
+			add(v)
+		}
+		for _, v := range b.Insts {
+			add(v)
+		}
+	}
+	return tab
 }
 
 // updateBounds implements the deferred-initialization rules of §4.2.4 for
@@ -239,10 +306,10 @@ func (t *Tracer) link(a, b *StackVar) {
 	t.res.Linked = append(t.res.Linked, [2]*StackVar{a, b})
 }
 
+// invalidate drops every recorded pointer a size-byte store at addr
+// overlaps, including 4-byte entries starting up to 3 bytes below it.
 func (t *Tracer) invalidate(addr uint32, size uint8) {
-	for a := addr - 3; a != addr+uint32(size); a++ {
-		delete(t.addrMap, a)
-	}
+	t.addrMap.Clear(addr-3, uint32(size)+3)
 }
 
 // FnEnter binds incoming pointer metadata to parameters; the ESP parameter
@@ -355,7 +422,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if p := t.pi(fr, v.Args[0]); p != nil {
 			t.updateBounds(p, v.Size)
 		}
-		if e, ok := t.addrMap[args[0]]; ok && v.Size == 4 {
+		if e := t.addrMap.Get(args[0]); e.Var != nil && v.Size == 4 {
 			t.setPI(fr, v, &PointerInfo{Var: e.Var, Off: e.Off})
 		}
 	case ir.OpStore:
@@ -365,7 +432,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		}
 		t.invalidate(addr, v.Size)
 		if p := t.pi(fr, v.Args[1]); p != nil && v.Size == 4 {
-			t.addrMap[addr] = *p
+			t.addrMap.Set(addr, *p)
 		}
 	case ir.OpCall, ir.OpCallInd:
 		// The callee has run; attach its returned metadata for extracts.
@@ -473,9 +540,8 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 			if p := argPI(eff.A); p != nil {
 				t.boundRange(p, n)
 			}
-			base := argVal(eff.A)
-			for i := int64(0); i < n; i++ {
-				delete(t.addrMap, base+uint32(i))
+			if n > 0 {
+				t.addrMap.Clear(argVal(eff.A), uint32(n))
 			}
 		case extdb.Copy:
 			var n int64
@@ -493,10 +559,10 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 			}
 			dst, src := argVal(eff.A), argVal(eff.B)
 			for i := int64(0); i+3 < n; i += 4 {
-				if e, ok := t.addrMap[src+uint32(i)]; ok {
-					t.addrMap[dst+uint32(i)] = e
+				if e := t.addrMap.Get(src + uint32(i)); e.Var != nil {
+					t.addrMap.Set(dst+uint32(i), e)
 				} else {
-					delete(t.addrMap, dst+uint32(i))
+					t.addrMap.Clear(dst+uint32(i), 1)
 				}
 			}
 		case extdb.FormatStr:
