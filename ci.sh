@@ -70,6 +70,10 @@ check_bench() {
     go test -bench=. -benchtime=1x -run '^$' \
         ./internal/machine/ ./internal/irexec/ |
         go run ./cmd/benchjson -mode smoke -o /tmp/wytiwyg-bench-smoke.json
+    # The analysis benchmarks only have to keep compiling and running; their
+    # numbers go nowhere.
+    go test -bench='VSAAnalyze|CheckBounds' -benchtime=1x -run '^$' \
+        ./internal/vsa/ ./internal/analysis/ >/dev/null
     go run ./cmd/benchjson -vsa -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -static -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -types -o /tmp/wytiwyg-bench-smoke.json

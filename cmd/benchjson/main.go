@@ -342,6 +342,11 @@ func checkArtifact(path string) error {
 				sec.Program, sec.PromotedTyped, sec.PromotedBaseline)
 		}
 	}
+	for _, sec := range f.VSA {
+		if err := checkVSASection(sec); err != nil {
+			return err
+		}
+	}
 	for _, sec := range f.Guards {
 		if sec.Program == "" || sec.PlainCycles == 0 {
 			return fmt.Errorf("guards section entry missing program or cycles")
@@ -351,6 +356,29 @@ func checkArtifact(path string) error {
 		}
 	}
 	return checkServeSections(f.Serve)
+}
+
+// checkVSASection validates one "vsa" section entry: every function's
+// timing is a min over at least minSamples analyses with the max beside
+// it, and the oracle never loses promotions.
+func checkVSASection(sec VSASection) error {
+	if sec.Program == "" || len(sec.Funcs) == 0 {
+		return fmt.Errorf("vsa section entry missing program or functions")
+	}
+	for _, fn := range sec.Funcs {
+		if fn.Samples < minSamples {
+			return fmt.Errorf("vsa %s/%s: %d samples (<%d)", sec.Program, fn.Func, fn.Samples, minSamples)
+		}
+		if fn.AnalysisMs < 0 || fn.AnalysisMaxMs < fn.AnalysisMs {
+			return fmt.Errorf("vsa %s/%s: min %v ms and max %v ms are inconsistent",
+				sec.Program, fn.Func, fn.AnalysisMs, fn.AnalysisMaxMs)
+		}
+	}
+	if sec.PromotedOracle < sec.PromotedBaseline {
+		return fmt.Errorf("vsa %s: the oracle lost promotions (%d < %d)",
+			sec.Program, sec.PromotedOracle, sec.PromotedBaseline)
+	}
+	return nil
 }
 
 // checkServeSections validates a "serve" section: the warm path must

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
@@ -11,6 +13,7 @@ import (
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
 	"wytiwyg/internal/opt"
+	"wytiwyg/internal/vsa"
 )
 
 // The -vsa mode measures the value-set analysis itself instead of parsing
@@ -18,6 +21,8 @@ import (
 // corpus, and the optimizer's promoted-slot counts with and without the
 // alias oracle. The numbers land in the artifact's "vsa" section next to
 // the interpreter benchmarks so one file tracks both costs and payoffs.
+// Each function's analysis is timed vsaSamples times on the refined
+// module, and the min is the estimate, with the max published beside it.
 
 // vsaPrograms is the corpus slice the -vsa mode measures: the pointer- and
 // dispatch-heavy programs where the alias oracle has work to do.
@@ -72,10 +77,15 @@ func ptrtable() progs.Program {
 // per function is input-independent; only tracing depends on it).
 const vsaScale = 4
 
+// vsaSamples is how many times -vsa times each function's analysis.
+const vsaSamples = minSamples
+
 // VSAFunc is one function's analysis cost.
 type VSAFunc struct {
-	Func       string  `json:"func"`        // function name
-	AnalysisMs float64 `json:"analysis_ms"` // fixpoint wall time
+	Func          string  `json:"func"`            // function name
+	AnalysisMs    float64 `json:"analysis_ms"`     // fixpoint wall time, min over the samples
+	AnalysisMaxMs float64 `json:"analysis_max_ms"` // fixpoint wall time, max over the samples
+	Samples       int     `json:"samples"`         // number of timed analyses
 }
 
 // VSASection is one program's VSA measurements.
@@ -122,17 +132,27 @@ func vsaOne(p progs.Program) (VSASection, error) {
 	if err != nil {
 		return VSASection{}, err
 	}
-	sec := VSASection{
-		Program:          p.Name,
-		PromotedBaseline: countVars(opt.PipelineWith(baseline.Mod, opt.PipelineOpts{})),
-		PromotedOracle:   countVars(opt.PipelineWith(withVSA.Mod, opt.PipelineOpts{Oracle: withVSA.Oracle()})),
-	}
+	sec := VSASection{Program: p.Name}
+	// Time the analyses before the optimizer rewrites the module.
 	for _, st := range withVSA.VSAStats {
+		f := withVSA.Mod.FuncByName(st.Func)
+		if f == nil {
+			return VSASection{}, fmt.Errorf("vsa stat for unknown function %q", st.Func)
+		}
+		lo, hi := time.Duration(math.MaxInt64), time.Duration(0)
+		for i := 0; i < vsaSamples; i++ {
+			d := vsa.Analyze(f).Elapsed
+			lo, hi = min(lo, d), max(hi, d)
+		}
 		sec.Funcs = append(sec.Funcs, VSAFunc{
-			Func:       st.Func,
-			AnalysisMs: round2(st.Elapsed.Seconds() * 1000),
+			Func:          st.Func,
+			AnalysisMs:    round2(lo.Seconds() * 1000),
+			AnalysisMaxMs: round2(hi.Seconds() * 1000),
+			Samples:       vsaSamples,
 		})
 	}
+	sec.PromotedBaseline = countVars(opt.PipelineWith(baseline.Mod, opt.PipelineOpts{}))
+	sec.PromotedOracle = countVars(opt.PipelineWith(withVSA.Mod, opt.PipelineOpts{Oracle: withVSA.Oracle()}))
 	return sec, nil
 }
 

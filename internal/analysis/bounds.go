@@ -32,51 +32,30 @@ func joinVal(a, b absVal) absVal {
 }
 
 // boundsEnv is the engine state: the abstract value of every SSA value
-// computed so far. Missing keys are bottom (not yet evaluated).
-type boundsEnv map[*ir.Value]absVal
-
-func cloneEnv(e boundsEnv) boundsEnv {
-	out := make(boundsEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
+// computed so far. Missing entries are bottom (not yet evaluated).
+type boundsEnv = Env[absVal]
 
 func joinEnv(dst, src boundsEnv) (boundsEnv, bool) {
-	changed := false
-	for k, sv := range src {
-		dv, ok := dst[k]
-		if !ok {
-			dst[k] = sv
-			changed = true
-			continue
-		}
+	return dst, dst.JoinFrom(src, func(dv, sv absVal) (absVal, bool) {
 		nv := joinVal(dv, sv)
-		if nv != dv {
-			dst[k] = nv
-			changed = true
-		}
-	}
-	return dst, changed
+		return nv, nv != dv
+	})
 }
 
 func widenEnv(prev, next boundsEnv) boundsEnv {
-	for k, nv := range next {
-		pv, ok := prev[k]
-		if !ok || pv.base != nv.base {
-			continue
+	next.WidenFrom(prev, func(pv, nv absVal) absVal {
+		if pv.base == nv.base {
+			nv.rng = nv.rng.WidenFrom(pv.rng)
 		}
-		nv.rng = nv.rng.WidenFrom(pv.rng)
-		next[k] = nv
-	}
+		return nv
+	})
 	return next
 }
 
 // evalValue computes the abstract value of v under env.
 func evalValue(v *ir.Value, env boundsEnv) absVal {
 	get := func(a *ir.Value) absVal {
-		if av, ok := env[a]; ok {
+		if av, ok := env.Get(a); ok {
 			return av
 		}
 		return unknown
@@ -190,7 +169,7 @@ func evalValue(v *ir.Value, env boundsEnv) absVal {
 			if a == v {
 				continue
 			}
-			av, ok := env[a]
+			av, ok := env.Get(a)
 			if !ok {
 				continue // bottom: optimistic
 			}
@@ -212,27 +191,29 @@ func evalValue(v *ir.Value, env boundsEnv) absVal {
 // instruction before its effect is recorded.
 func evalBlock(b *ir.Block, env boundsEnv, hook func(v *ir.Value, env boundsEnv)) boundsEnv {
 	for _, v := range b.Phis {
-		env[v] = evalValue(v, env)
+		env.Set(v, evalValue(v, env))
 	}
 	for _, v := range b.Insts {
 		if hook != nil {
 			hook(v, env)
 		}
 		if v.Op.HasResult() {
-			env[v] = evalValue(v, env)
+			env.Set(v, evalValue(v, env))
 		}
 	}
 	return env
 }
 
-// boundsProblem is the interval-analysis instance of the engine.
-func boundsProblem() Problem[boundsEnv] {
+// boundsProblem is the interval-analysis instance of the engine for f.
+func boundsProblem(f *ir.Func) Problem[boundsEnv] {
+	f.EnsureLayout()
+	n := f.Layout().NumSlots
 	return Problem[boundsEnv]{
 		Forward:  true,
-		Boundary: func(f *ir.Func) boundsEnv { return boundsEnv{} },
-		Bottom:   func() boundsEnv { return boundsEnv{} },
+		Boundary: func(*ir.Func) boundsEnv { return NewEnv[absVal](n) },
+		Bottom:   func() boundsEnv { return NewEnv[absVal](n) },
 		Join:     joinEnv,
-		Clone:    cloneEnv,
+		Clone:    boundsEnv.Clone,
 		Transfer: func(b *ir.Block, in boundsEnv) boundsEnv { return evalBlock(b, in, nil) },
 		Widen:    widenEnv,
 	}
@@ -256,14 +237,14 @@ type BoundsStats struct {
 // symbolized stack access that is not provably inside its recovered
 // object.
 func CheckBounds(f *ir.Func, rep *Report) BoundsStats {
-	res := Solve(f, boundsProblem())
+	res := Solve(f, boundsProblem(f))
 	var st BoundsStats
 	for _, b := range f.Blocks {
 		env, ok := res.In[b]
 		if !ok {
 			continue // unreachable
 		}
-		evalBlock(b, cloneEnv(env), func(v *ir.Value, env boundsEnv) {
+		evalBlock(b, env.Clone(), func(v *ir.Value, env boundsEnv) {
 			var addr *ir.Value
 			switch v.Op {
 			case ir.OpLoad, ir.OpStore:
@@ -271,7 +252,7 @@ func CheckBounds(f *ir.Func, rep *Report) BoundsStats {
 			default:
 				return
 			}
-			av, ok := env[addr]
+			av, ok := env.Get(addr)
 			if !ok || av.base == nil {
 				st.Outside++
 				return

@@ -73,52 +73,64 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 		widenAfter = 4
 	}
 
+	// All per-block state is indexed by position in order. sources[i] are
+	// the positions whose post-transfer states feed block i, sinks[i] the
+	// positions to reenqueue when its state changes; edges to unreachable
+	// blocks are dropped (those blocks never produce a state).
 	idx := make(map[*ir.Block]int, len(order))
 	for i, b := range order {
 		idx[b] = i
 	}
-	// sources(b) are the blocks whose post-transfer states feed b;
-	// sinks(b) the blocks to reenqueue when b's state changes.
-	sources := func(b *ir.Block) []*ir.Block {
-		if p.Forward {
-			return b.Preds
+	sources := make([][]int, len(order))
+	sinks := make([][]int, len(order))
+	positions := func(bs []*ir.Block) []int {
+		out := make([]int, 0, len(bs))
+		for _, b := range bs {
+			if j, ok := idx[b]; ok {
+				out = append(out, j)
+			}
 		}
-		return b.Succs
+		return out
 	}
-	sinks := func(b *ir.Block) []*ir.Block {
+	boundary := -1
+	for i, b := range order {
 		if p.Forward {
-			return b.Succs
+			sources[i], sinks[i] = positions(b.Preds), positions(b.Succs)
+			if b == f.Entry() {
+				boundary = i
+			}
+		} else {
+			sources[i], sinks[i] = positions(b.Succs), positions(b.Preds)
 		}
-		return b.Preds
 	}
-	isBoundary := func(b *ir.Block) bool {
+	isBoundary := func(i int) bool {
 		if p.Forward {
-			return b == f.Entry()
+			return i == boundary
 		}
-		return len(b.Succs) == 0
+		return len(order[i].Succs) == 0
 	}
 
-	// pre[b] is the state flowing into the transfer, post[b] the state it
-	// produced. They map onto Result.In/Out according to direction.
-	pre := make(map[*ir.Block]S, len(order))
-	post := make(map[*ir.Block]S, len(order))
-	visited := make(map[*ir.Block]bool, len(order))
-	// grows[b] counts joins that enlarged b's boundary state; it is the
-	// widening clock (see Problem.WidenAfter).
-	grows := make(map[*ir.Block]int, len(order))
+	// pre[i] is the state flowing into the transfer, post[i] the state it
+	// produced (valid once visited[i]). They map onto Result.In/Out
+	// according to direction.
+	pre := make([]S, len(order))
+	post := make([]S, len(order))
+	visited := make([]bool, len(order))
+	// grows[i] counts joins that enlarged block i's boundary state; it is
+	// the widening clock (see Problem.WidenAfter).
+	grows := make([]int, len(order))
 
 	inQueue := make([]bool, len(order))
 	queue := make([]int, 0, len(order))
-	push := func(b *ir.Block) {
-		i, ok := idx[b]
-		if !ok || inQueue[i] {
+	push := func(i int) {
+		if inQueue[i] {
 			return
 		}
 		inQueue[i] = true
 		queue = append(queue, i)
 	}
-	for _, b := range order {
-		push(b)
+	for i := range order {
+		push(i)
 	}
 
 	for len(queue) > 0 {
@@ -128,37 +140,41 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 		b := order[i]
 
 		next := p.Bottom()
-		if isBoundary(b) {
+		if isBoundary(i) {
 			next, _ = p.Join(next, p.Boundary(f))
 		}
-		for _, s := range sources(b) {
-			if out, ok := post[s]; ok {
-				next, _ = p.Join(next, out)
+		for _, s := range sources[i] {
+			if visited[s] {
+				next, _ = p.Join(next, post[s])
 			}
 		}
-		first := !visited[b]
-		if !first {
-			merged, changed := p.Join(p.Clone(pre[b]), next)
+		if visited[i] {
+			merged, changed := p.Join(p.Clone(pre[i]), next)
 			if !changed {
 				continue
 			}
-			grows[b]++
-			if p.Widen != nil && grows[b] > widenAfter {
-				merged = p.Widen(pre[b], merged)
+			grows[i]++
+			if p.Widen != nil && grows[i] > widenAfter {
+				merged = p.Widen(pre[i], merged)
 			}
 			next = merged
 		}
-		visited[b] = true
-		pre[b] = next
-		post[b] = p.Transfer(b, p.Clone(next))
-		for _, s := range sinks(b) {
+		visited[i] = true
+		pre[i] = next
+		post[i] = p.Transfer(b, p.Clone(next))
+		for _, s := range sinks[i] {
 			push(s)
 		}
 	}
 
-	res := Result[S]{In: pre, Out: post}
+	res := Result[S]{In: make(map[*ir.Block]S, len(order)), Out: make(map[*ir.Block]S, len(order))}
+	for i, b := range order {
+		if visited[i] {
+			res.In[b], res.Out[b] = pre[i], post[i]
+		}
+	}
 	if !p.Forward {
-		res.In, res.Out = post, pre
+		res.In, res.Out = res.Out, res.In
 	}
 	return res
 }

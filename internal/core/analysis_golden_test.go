@@ -1,0 +1,87 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"wytiwyg/internal/bench/progs"
+	"wytiwyg/internal/codegen"
+	"wytiwyg/internal/core"
+	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/opt"
+	"wytiwyg/internal/vsa"
+)
+
+// analysisDigest runs the pipeline with every static analysis consumer on
+// (the VSA stage, type recovery and cold-code recovery) and hashes what
+// those analyses decide: the refined fingerprint, the value set of every
+// SSA value of the refined module, the oracle- and type-driven optimizer's
+// promotions and output IR, and the recompiled instruction stream.
+func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) string {
+	t.Helper()
+	img, err := gen.Build(p.Src, prof, p.Name)
+	if err != nil {
+		t.Fatalf("%s/%s: build: %v", p.Name, prof.Name, err)
+	}
+	pl, err := core.LiftBinaryOpts(img, p.Inputs(), core.Options{
+		Jobs: 2, Lint: core.LintWarn, VSA: true, Types: true, StaticRecover: true})
+	if err != nil {
+		t.Fatalf("%s/%s: lift: %v", p.Name, prof.Name, err)
+	}
+	if err := pl.Refine(); err != nil {
+		t.Fatalf("%s/%s: refine: %v", p.Name, prof.Name, err)
+	}
+	var b strings.Builder
+	b.WriteString(fingerprint(pl))
+	for _, f := range pl.Mod.Funcs {
+		r := vsa.Analyze(f)
+		fmt.Fprintf(&b, "vsa %s\n", f.Name)
+		for _, v := range f.Params {
+			fmt.Fprintf(&b, "%s %s\n", v, r.ValueSetOf(v))
+		}
+		for _, blk := range f.Blocks {
+			for _, v := range blk.Phis {
+				fmt.Fprintf(&b, "%s %s\n", v, r.ValueSetOf(v))
+			}
+			for _, v := range blk.Insts {
+				fmt.Fprintf(&b, "%s %s\n", v, r.ValueSetOf(v))
+			}
+		}
+	}
+	promoted := opt.PipelineWith(pl.Mod, opt.PipelineOpts{Oracle: pl.Oracle(), Typed: pl.TypedInfo()})
+	for _, name := range promoted.FuncNames() {
+		fmt.Fprintf(&b, "promoted %s\n", promoted.Frame(name))
+	}
+	fmt.Fprint(&b, pl.Mod)
+	out, err := codegen.Compile(pl.Mod, p.Name+"-rec")
+	if err != nil {
+		t.Fatalf("%s/%s: recompile: %v", p.Name, prof.Name, err)
+	}
+	for _, in := range out.Code {
+		fmt.Fprintf(&b, "%s\n", in.String())
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// The static analyses' decisions are pinned byte for byte, like
+// TestRefineGolden pins the default pipeline: every value set VSA
+// computes, every alias-oracle and typed-partition answer the optimizer
+// acts on (through its promotions, output IR and recompiled code), and
+// the VSA, typerec and cold-recovery stages' effect on the refined
+// output. A representation change to the dataflow engine or to VSA must
+// leave every digest unchanged; a deliberate output change regenerates
+// the file with
+//
+//	go test -run TestAnalysisGolden ./internal/core/ -update-golden
+//
+// and bumps core.PassVersion.
+func TestAnalysisGolden(t *testing.T) {
+	checkGolden(t, "testdata/analysis_golden.txt", []string{
+		"SHA-256 of analysisDigest per corpus program and profile (Options{Jobs: 2,",
+		"Lint: LintWarn, VSA: true, Types: true, StaticRecover: true}); see analysis_golden_test.go.",
+	}, analysisDigest)
+}

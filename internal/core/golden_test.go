@@ -17,9 +17,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/refine_golden.txt from the current pipeline output")
-
-const goldenPath = "testdata/refine_golden.txt"
+	"rewrite the testdata/*_golden.txt digests from the current pipeline output")
 
 // goldenProfiles are the compiler profiles the golden digests cover: the
 // two Table 1 configurations.
@@ -45,10 +43,10 @@ func goldenDigest(t *testing.T, p progs.Program, prof gen.Profile) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// readGolden parses the golden file into "program profile" → digest.
-func readGolden(t *testing.T) map[string]string {
+// readGolden parses a golden file into "program profile" → digest.
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("open golden file (regenerate with -update-golden): %v", err)
 	}
@@ -72,32 +70,29 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// The refinement pipeline's output is pinned byte for byte: the refined
-// IR, recovered layouts, lint report, typed layout and recompiled
-// instruction stream of every corpus program at both Table 1 profiles
-// hash to the digests recorded in testdata/refine_golden.txt. A
-// performance change to any stage must leave every digest unchanged; a
-// deliberate output change regenerates the file with
-//
-//	go test -run TestRefineGolden ./internal/core/ -update-golden
-//
-// and bumps core.PassVersion.
-func TestRefineGolden(t *testing.T) {
+// checkGolden hashes digest's output for every corpus program at both
+// golden profiles and compares it to the digests recorded in path (the
+// first three programs under -short). With -update-golden it rewrites the
+// file instead, under the given header comment lines.
+func checkGolden(t *testing.T, path string, header []string,
+	digest func(t *testing.T, p progs.Program, prof gen.Profile) string) {
+	t.Helper()
 	corpus := progs.All
 	if testing.Short() && !*updateGolden {
 		corpus = corpus[:3]
 	}
 	var want map[string]string
 	if !*updateGolden {
-		want = readGolden(t)
+		want = readGolden(t, path)
 	}
 	var out strings.Builder
-	out.WriteString("# SHA-256 of fingerprintFull per corpus program and profile\n")
-	out.WriteString("# (Options{Lint: LintWarn, Types: true}); see golden_test.go.\n")
+	for _, h := range header {
+		fmt.Fprintf(&out, "# %s\n", h)
+	}
 	for _, p := range corpus {
 		for _, prof := range goldenProfiles {
 			key := p.Name + " " + prof.Name
-			got := goldenDigest(t, p, prof)
+			got := digest(t, p, prof)
 			fmt.Fprintf(&out, "%s %s\n", key, got)
 			if *updateGolden {
 				continue
@@ -110,11 +105,28 @@ func TestRefineGolden(t *testing.T) {
 		}
 	}
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// The refinement pipeline's output is pinned byte for byte: the refined
+// IR, recovered layouts, lint report, typed layout and recompiled
+// instruction stream of every corpus program at both Table 1 profiles
+// hash to the digests recorded in testdata/refine_golden.txt. A
+// performance change to any stage must leave every digest unchanged; a
+// deliberate output change regenerates the file with
+//
+//	go test -run TestRefineGolden ./internal/core/ -update-golden
+//
+// and bumps core.PassVersion.
+func TestRefineGolden(t *testing.T) {
+	checkGolden(t, "testdata/refine_golden.txt", []string{
+		"SHA-256 of fingerprintFull per corpus program and profile",
+		"(Options{Lint: LintWarn, Types: true}); see golden_test.go.",
+	}, goldenDigest)
 }

@@ -23,15 +23,12 @@ type aloc struct {
 // initial value) and the abstract store (nil map = bottom; a missing key
 // in a non-nil map = Top, so joins intersect key sets).
 type state struct {
-	env map[*ir.Value]ValueSet
+	env analysis.Env[ValueSet]
 	mem map[aloc]ValueSet
 }
 
 func cloneState(s state) state {
-	out := state{env: make(map[*ir.Value]ValueSet, len(s.env))}
-	for k, v := range s.env {
-		out.env[k] = v
-	}
+	out := state{env: s.env.Clone()}
 	if s.mem != nil {
 		out.mem = make(map[aloc]ValueSet, len(s.mem))
 		for k, v := range s.mem {
@@ -41,21 +38,14 @@ func cloneState(s state) state {
 	return out
 }
 
+// joinVS joins one entry, reporting whether it grew.
+func joinVS(dv, sv ValueSet) (ValueSet, bool) {
+	nv := dv.Join(sv)
+	return nv, !nv.Eq(dv)
+}
+
 func joinState(dst, src state) (state, bool) {
-	changed := false
-	for k, sv := range src.env {
-		dv, ok := dst.env[k]
-		if !ok {
-			dst.env[k] = sv
-			changed = true
-			continue
-		}
-		nv := dv.Join(sv)
-		if !nv.Eq(dv) {
-			dst.env[k] = nv
-			changed = true
-		}
-	}
+	changed := dst.env.JoinFrom(src.env, joinVS)
 	switch {
 	case src.mem == nil:
 		// Bottom store contributes nothing.
@@ -73,8 +63,7 @@ func joinState(dst, src state) (state, bool) {
 				changed = true
 				continue
 			}
-			nv := dv.Join(sv)
-			if !nv.Eq(dv) {
+			if nv, grew := joinVS(dv, sv); grew {
 				dst.mem[k] = nv
 				changed = true
 			}
@@ -84,11 +73,7 @@ func joinState(dst, src state) (state, bool) {
 }
 
 func widenState(prev, next state) state {
-	for k, nv := range next.env {
-		if pv, ok := prev.env[k]; ok {
-			next.env[k] = nv.WidenFrom(pv)
-		}
-	}
+	next.env.WidenFrom(prev.env, func(pv, nv ValueSet) ValueSet { return nv.WidenFrom(pv) })
 	for k, nv := range next.mem {
 		if pv, ok := prev.mem[k]; ok {
 			next.mem[k] = nv.WidenFrom(pv)
@@ -107,9 +92,9 @@ func accSize(v *ir.Value) int64 {
 }
 
 // evalValue computes the value set of one non-memory instruction.
-func evalValue(v *ir.Value, env map[*ir.Value]ValueSet) ValueSet {
+func evalValue(v *ir.Value, env analysis.Env[ValueSet]) ValueSet {
 	get := func(a *ir.Value) ValueSet {
-		if vs, ok := env[a]; ok {
+		if vs, ok := env.Get(a); ok {
 			return vs
 		}
 		return TopVS
@@ -183,7 +168,7 @@ func evalValue(v *ir.Value, env map[*ir.Value]ValueSet) ValueSet {
 			if a == v {
 				continue
 			}
-			av, ok := env[a]
+			av, ok := env.Get(a)
 			if !ok {
 				continue // bottom: optimistic, resolved by reiteration
 			}
@@ -224,17 +209,18 @@ func evalAnd(a, b ValueSet) ValueSet {
 		if a.IsTop() || a.IsBottom() {
 			return TopVS
 		}
-		out := ValueSet{parts: make(map[Region]SI, len(a.parts))}
-		for r, s := range a.parts {
+		out := make([]part, len(a.parts))
+		for i, p := range a.parts {
+			r, s := p.r, p.s
 			if s.Lo <= analysis.NegInf || s.Hi >= analysis.PosInf || !regionAligned(r, k) {
-				out.parts[r] = TopSI
+				out[i] = part{r, TopSI}
 				continue
 			}
 			lo := s.Lo - mod(s.Lo, k)
 			hi := s.Hi - mod(s.Hi, k)
-			out.parts[r] = SpanSI(lo, hi, k)
+			out[i] = part{r, SpanSI(lo, hi, k)}
 		}
-		return out
+		return ValueSet{parts: out}
 	}
 	return TopVS
 }
@@ -295,7 +281,7 @@ func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Val
 		st.mem = make(map[aloc]ValueSet) // bottom store: treat as all-Top
 	}
 	for _, v := range b.Phis {
-		st.env[v] = evalValue(v, st.env)
+		st.env.Set(v, evalValue(v, st.env))
 	}
 	for _, v := range b.Insts {
 		if hook != nil {
@@ -303,17 +289,17 @@ func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Val
 		}
 		switch v.Op {
 		case ir.OpLoad:
-			st.env[v] = loadCell(st, v)
+			st.env.Set(v, loadCell(st, v))
 		case ir.OpStore:
 			storeCell(st, v)
 		case ir.OpCall, ir.OpCallInd, ir.OpCallExt, ir.OpCallExtRaw:
 			clobberCall(st, esc)
 			if v.Op.HasResult() {
-				st.env[v] = evalValue(v, st.env)
+				st.env.Set(v, evalValue(v, st.env))
 			}
 		default:
 			if v.Op.HasResult() {
-				st.env[v] = evalValue(v, st.env)
+				st.env.Set(v, evalValue(v, st.env))
 			}
 		}
 	}
@@ -323,15 +309,8 @@ func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Val
 // loadCell reads the abstract store: only an address proven to be exactly
 // one non-heap cell yields a tracked value; everything else is Top.
 func loadCell(st state, v *ir.Value) ValueSet {
-	addr, ok := st.env[v.Args[0]]
-	if !ok || addr.top || len(addr.parts) != 1 {
-		return TopVS
-	}
-	for r, s := range addr.parts {
-		off, exact := s.Exact()
-		if !exact || r.Kind == RegHeap {
-			return TopVS
-		}
+	addr, _ := st.env.Get(v.Args[0])
+	if r, off, one := singleCell(addr); one {
 		if val, ok := st.mem[aloc{region: r, off: off, size: accSize(v)}]; ok {
 			return val
 		}
@@ -348,7 +327,7 @@ func loadCell(st state, v *ir.Value) ValueSet {
 // those cells too — and a frame store clobbers numeric cells living at
 // such unproven addresses.
 func storeCell(st state, v *ir.Value) {
-	addr, ok := st.env[v.Args[0]]
+	addr, ok := st.env.Get(v.Args[0])
 	size := accSize(v)
 	if !ok || addr.top || addr.IsBottom() {
 		for k := range st.mem {
@@ -357,7 +336,7 @@ func storeCell(st state, v *ir.Value) {
 		return
 	}
 	val := TopVS
-	if sv, ok := st.env[v.Args[1]]; ok {
+	if sv, ok := st.env.Get(v.Args[1]); ok {
 		val = sv
 	}
 	if r, s, one := singleCell(addr); one {
@@ -385,7 +364,8 @@ func storeCell(st state, v *ir.Value) {
 // must not be less conservative than the oracle.
 func mayClobberCell(addr ValueSet, size int64, k aloc) bool {
 	cell := ConstSI(k.off)
-	for r, s := range addr.parts {
+	for _, p := range addr.parts {
+		r, s := p.r, p.s
 		if r == k.region {
 			if r.Kind == RegHeap || !s.DisjointAccess(size, cell, k.size) {
 				return true
@@ -402,18 +382,12 @@ func mayClobberCell(addr ValueSet, size int64, k aloc) bool {
 // singleCell reports whether addr resolves to exactly one strong-updatable
 // cell: a single non-heap region at an exact offset.
 func singleCell(addr ValueSet) (Region, int64, bool) {
-	if addr.top || len(addr.parts) != 1 {
+	if addr.top || len(addr.parts) != 1 || addr.parts[0].r.Kind == RegHeap {
 		return Region{}, 0, false
 	}
-	for r, s := range addr.parts {
-		if r.Kind == RegHeap {
-			return Region{}, 0, false
-		}
-		if off, exact := s.Exact(); exact {
-			return r, off, true
-		}
-	}
-	return Region{}, 0, false
+	p := addr.parts[0]
+	off, exact := p.s.Exact()
+	return p.r, off, exact
 }
 
 // clobberCall invalidates every cell a callee could write: globals, the
@@ -435,10 +409,14 @@ func clobberCall(st state, esc map[*ir.Value]bool) {
 func Analyze(f *ir.Func) *FuncResult {
 	start := time.Now()
 	esc := analysis.Escapes(f)
+	f.EnsureLayout()
+	n := f.Layout().NumSlots
 	prob := analysis.Problem[state]{
-		Forward:  true,
-		Boundary: func(*ir.Func) state { return state{env: map[*ir.Value]ValueSet{}, mem: map[aloc]ValueSet{}} },
-		Bottom:   func() state { return state{env: map[*ir.Value]ValueSet{}} },
+		Forward: true,
+		Boundary: func(*ir.Func) state {
+			return state{env: analysis.NewEnv[ValueSet](n), mem: map[aloc]ValueSet{}}
+		},
+		Bottom:   func() state { return state{env: analysis.NewEnv[ValueSet](n)} },
 		Join:     joinState,
 		Clone:    cloneState,
 		Transfer: func(b *ir.Block, in state) state { return transfer(b, in, esc, nil) },
@@ -452,12 +430,12 @@ func Analyze(f *ir.Func) *FuncResult {
 			continue
 		}
 		for _, v := range b.Phis {
-			if vs, ok := out.env[v]; ok {
+			if vs, ok := out.env.Get(v); ok {
 				vals[v] = vs
 			}
 		}
 		for _, v := range b.Insts {
-			if vs, ok := out.env[v]; ok && v.Op.HasResult() {
+			if vs, ok := out.env.Get(v); ok && v.Op.HasResult() {
 				vals[v] = vs
 			}
 		}

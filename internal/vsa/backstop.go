@@ -59,7 +59,8 @@ func Backstop(fr *FuncResult, frame *layout.Frame) (*layout.Frame, BackstopStats
 				continue
 			}
 			size := accSize(v)
-			for r, offs := range addr.parts {
+			for _, p := range addr.parts {
+				r, offs := p.r, p.s
 				if r.Kind != RegFrame {
 					continue // numeric and heap targets are off-frame
 				}
