@@ -91,26 +91,6 @@ step "bench smoke" check_bench
 # rate, determinism across worker counts, and the cache-key split.
 step "partial-coverage smoke" go test -run 'TestStaticRecover' -count=1 ./internal/core/
 
-# Streaming smoke: the streaming trace→lift pipeline on a tiny corpus slice.
-# The CLI run checks -stream -j2 end to end (functionality MATCH or the tool
-# exits 1) and diffs its default output against the phase-barriered run —
-# the byte-identity contract, observed at the user-facing surface. The
-# race-detector pass re-runs the scheduling, ordering and backpressure tests
-# (kept small: this box has few cores).
-check_stream() {
-    go build -o /tmp/wytiwyg-ci ./cmd/wytiwyg
-    /tmp/wytiwyg-ci -bench mcf -j 2 >/tmp/wytiwyg-ci-barriered.out
-    /tmp/wytiwyg-ci -bench mcf -stream -j 2 >/tmp/wytiwyg-ci-streamed.out
-    grep -v '^stream:' /tmp/wytiwyg-ci-streamed.out >/tmp/wytiwyg-ci-streamed-cmp.out
-    if ! diff /tmp/wytiwyg-ci-barriered.out /tmp/wytiwyg-ci-streamed-cmp.out; then
-        echo "streaming smoke: -stream output differs from the barriered run" >&2
-        exit 1
-    fi
-    go test -race -run 'TestStreamOverlap|TestStream(Close|Backpressure|WorkerPanic|Prefix)|TestOrderedPipe' \
-        -count=1 ./internal/core/ ./internal/stream/ ./internal/par/
-}
-step "streaming smoke" check_stream
-
 # Serve smoke: the recompilation daemon end to end. Start a daemon on a
 # throwaway unix socket and cache, submit the same binary twice, and check
 # (a) the repeat submission is answered warm from the shared cache, and

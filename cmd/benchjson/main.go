@@ -46,12 +46,6 @@
 // function's analysis cost. The result lands in the artifact's "static"
 // section.
 //
-// With -stream the tool measures the streaming trace→lift pipeline against
-// the phase-barriered one — end-to-end wall clock in both modes, bounded-
-// channel record traffic, and how long refinement overlapped the still-
-// running trace — and merges the result into the artifact's "stream"
-// section (conventionally BENCH_stream.json).
-//
 // With -guards the tool re-measures the sanitizer-overhead ratios (the
 // Table 1 extension): unsanitized vs sanitized vs sanitized-with-VSA-guard-
 // elision cycle counts, merged into the artifact's "guards" section.
@@ -72,7 +66,6 @@
 //	benchjson -types -o BENCH_interp.json
 //	benchjson -static -o BENCH_interp.json
 //	benchjson -guards -o BENCH_interp.json
-//	benchjson -stream -o BENCH_stream.json
 //	benchjson -serve -o BENCH_serve.json
 package main
 
@@ -86,6 +79,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // minSamples is the sample count below which timing ratios are considered
@@ -118,7 +112,6 @@ type File struct {
 	VSA      []VSASection       `json:"vsa,omitempty"`      // value-set analysis measurements
 	Types    []TypeSection      `json:"types,omitempty"`    // type-recovery measurements
 	Static   []StaticSection    `json:"static,omitempty"`   // cold-code recovery measurements
-	Stream   []StreamSection    `json:"stream,omitempty"`   // streaming-pipeline measurements
 	Guards   []GuardSection     `json:"guards,omitempty"`   // sanitizer guard-elision measurements
 	Serve    []ServeSection     `json:"serve,omitempty"`    // recompilation-daemon measurements
 }
@@ -155,7 +148,6 @@ func main() {
 	vsaFlag := flag.Bool("vsa", false, "measure the value-set analysis (cost and promoted slots) instead of reading bench output")
 	typesFlag := flag.Bool("types", false, "measure the type-recovery stage (cost, accuracy, promoted slots) instead of reading bench output")
 	staticFlag := flag.Bool("static", false, "measure static cold-code recovery (candidates, admissions, analysis cost) instead of reading bench output")
-	streamFlag := flag.Bool("stream", false, "measure the streaming pipeline (wall clock, record traffic, trace/refine overlap) instead of reading bench output")
 	guardsFlag := flag.Bool("guards", false, "measure sanitizer overhead with and without VSA guard elision instead of reading bench output")
 	serveFlag := flag.Bool("serve", false, "measure the recompilation daemon (cold vs warm latency, hit rates) instead of reading bench output")
 	flag.Parse()
@@ -183,11 +175,6 @@ func main() {
 		return
 	case *staticFlag:
 		if err := writeStatic(*out); err != nil {
-			fail(err)
-		}
-		return
-	case *streamFlag:
-		if err := writeStream(*out); err != nil {
 			fail(err)
 		}
 		return
@@ -408,6 +395,8 @@ func checkServeSections(secs []ServeSection) error {
 }
 
 func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }
+
+func roundMs(d time.Duration) float64 { return round2(float64(d.Microseconds()) / 1000) }
 
 // writeVSA merges a freshly measured "vsa" section into the artifact,
 // leaving the benchmark sections untouched.

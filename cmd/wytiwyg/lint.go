@@ -50,7 +50,6 @@ func lintMain(args []string) int {
 	vsaFlag := fs.Bool("vsa", false, "add the value-set analysis verifier's findings to the report")
 	typesFlag := fs.Bool("types", false, "add the type-recovery stage's typed-conflict findings to the report")
 	staticFlag := fs.Bool("static-recover", false, "statically recover untraced functions before linting")
-	streamFlag := fs.Bool("stream", false, "stream the trace through the bounded-channel pipeline (byte-identical output)")
 	jobs := fs.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	cacheOn := fs.Bool("cache", false, "memoize refinement results in the on-disk cache")
 	cacheDir := fs.String("cache-dir", "", "cache directory (implies -cache)")
@@ -108,7 +107,7 @@ func lintMain(args []string) int {
 	for _, tgt := range targets {
 		rep, err := lintOne(tgt, prof,
 			core.Options{Jobs: *jobs, Lint: core.LintWarn, Cache: cache, VSA: *vsaFlag,
-				Types: *typesFlag, StaticRecover: *staticFlag, Stream: *streamFlag})
+				Types: *typesFlag, StaticRecover: *staticFlag})
 		if err != nil {
 			fail("%s: %v", tgt.name, err)
 		}

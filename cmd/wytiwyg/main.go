@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wytiwyg -src prog.c [-profile gcc12-O3] [-inputs 3,9] [-emit ir|asm|layout] [-sanitize]
-//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-stream] [-cache] [-timings] [-vsa] [-types]
+//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-cache] [-timings] [-vsa] [-types]
 //	wytiwyg lint [-src prog.c | -bench hmmer | -all] [-json] [-j 8] [-cache] [-vsa] [-types]
 //	wytiwyg types [-src prog.c | -bench hmmer] [-json] [-truth] [-j 8]
 //	wytiwyg serve [-addr unix:/tmp/wytiwyg.sock] [-cache-dir DIR] [-j 8] [-workers 4]
@@ -101,7 +101,6 @@ func main() {
 	emitTypes := flag.String("emit-types", "", "write the compiler's declared slot types (ground truth) to this JSON file")
 	staticFlag := flag.Bool("static-recover", false, "statically recover untraced functions, admitting only VSA-verified layouts")
 	debugPasses := flag.Bool("debug-passes", false, "re-verify IR invariants between every optimization pass")
-	streamFlag := flag.Bool("stream", false, "stream the trace through the bounded-channel pipeline, overlapping tracing with lifting and refinement (output is byte-identical)")
 	jobs := flag.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	cacheOn := flag.Bool("cache", false, "memoize refinement results in the on-disk cache")
 	cacheDir := flag.String("cache-dir", "", "cache directory (implies -cache)")
@@ -179,7 +178,7 @@ func main() {
 
 	p, err := core.LiftBinaryOpts(img, inputs,
 		core.Options{Jobs: *jobs, Lint: lint, Cache: cache, VSA: *vsaFlag,
-			Types: *typesFlag, StaticRecover: *staticFlag, Stream: *streamFlag})
+			Types: *typesFlag, StaticRecover: *staticFlag})
 	if err != nil {
 		fail("lift: %v", err)
 	}
@@ -204,9 +203,6 @@ func main() {
 	if p.Report != nil {
 		fmt.Printf("lint: %d error(s), %d warning(s), %d info\n",
 			p.Report.Errors(), p.Report.Count(analysis.Warn), p.Report.Count(analysis.Info))
-	}
-	if *streamFlag {
-		printStreamStats(p.StreamStats, *timings)
 	}
 	if *vsaFlag {
 		printVSAStats(p.VSAStats, *timings)
@@ -308,30 +304,6 @@ func main() {
 		stopProf()
 		os.Exit(1)
 	}
-}
-
-// printStreamStats summarizes a streaming run. The record/block/close
-// counts are deterministic (per-producer dedup makes them a function of the
-// trace, not of scheduling); whether the refine-ahead speculation launched
-// and was adopted is scheduling-dependent, so it is printed only under
-// -timings — the default output must stay byte-identical across runs and
-// worker counts (the determinism contract).
-func printStreamStats(st *core.StreamStats, showSched bool) {
-	if st == nil {
-		return
-	}
-	fmt.Printf("stream: %d records (%d blocks), %d function closes", st.Records, st.Blocks, st.Closes)
-	if showSched {
-		switch {
-		case st.Adopted:
-			fmt.Printf("; refine-ahead adopted")
-		case st.Speculated:
-			fmt.Printf("; refine-ahead discarded")
-		default:
-			fmt.Printf("; no refine-ahead")
-		}
-	}
-	fmt.Println()
 }
 
 // printVSAStats summarizes the value-set analysis stage: the total verified

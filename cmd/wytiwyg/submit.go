@@ -28,7 +28,6 @@ func submitMain(args []string) int {
 	vsaFlag := fs.Bool("vsa", false, "enable the value-set analysis stage")
 	typesFlag := fs.Bool("types", false, "enable the type-recovery stage")
 	staticFlag := fs.Bool("static-recover", false, "statically recover untraced functions")
-	streamFlag := fs.Bool("stream", false, "stream the trace through the bounded-channel pipeline")
 	local := fs.Bool("local", false, "run the job in-process instead of contacting a daemon")
 	jobs := fs.Int("j", 0, "with -local: refinement worker pool size (0 = one per CPU)")
 	cacheOn := fs.Bool("cache", false, "with -local: memoize results in the on-disk cache")
@@ -51,7 +50,6 @@ func submitMain(args []string) int {
 		VSA:           *vsaFlag,
 		Types:         *typesFlag,
 		StaticRecover: *staticFlag,
-		Stream:        *streamFlag,
 	}
 	if *srcPath != "" {
 		data, err := os.ReadFile(*srcPath)

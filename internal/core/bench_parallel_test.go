@@ -24,7 +24,7 @@ func refinedAt(t *testing.T, p progs.Program, jobs int) *core.Pipeline {
 }
 
 // refinedAtOpts is refinedAt with full control over the pipeline options
-// (worker count, streaming mode, ...).
+// (worker count, analysis stages, ...).
 func refinedAtOpts(t *testing.T, p progs.Program, opts core.Options) *core.Pipeline {
 	t.Helper()
 	img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
@@ -90,9 +90,8 @@ func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 }
 
 // The tentpole determinism invariant: over the whole benchmark corpus, a
-// single-worker run, a heavily parallel run, and the streaming pipeline at
-// both worker counts all produce byte-identical IR, layouts, reports and
-// recompiled instruction streams.
+// single-worker run and a heavily parallel run produce byte-identical IR,
+// layouts, reports and recompiled instruction streams.
 func TestParallelDeterminism(t *testing.T) {
 	corpus := progs.All
 	if testing.Short() {
@@ -100,24 +99,15 @@ func TestParallelDeterminism(t *testing.T) {
 		// enough to exercise every fork/join path under the race detector.
 		corpus = corpus[:3]
 	}
-	variants := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"-j8", core.Options{Jobs: 8, Lint: core.LintWarn, Types: true}},
-		{"-stream -j1", core.Options{Jobs: 1, Lint: core.LintWarn, Stream: true, Types: true}},
-		{"-stream -j8", core.Options{Jobs: 8, Lint: core.LintWarn, Stream: true, Types: true}},
-	}
 	for _, p := range corpus {
 		p := bench.Scaled(p, 6)
 		base := fingerprintFull(t,
 			refinedAtOpts(t, p, core.Options{Jobs: 1, Lint: core.LintWarn, Types: true}), p.Name)
-		for _, v := range variants {
-			got := fingerprintFull(t, refinedAtOpts(t, p, v.opts), p.Name)
-			if got != base {
-				t.Errorf("%s: %s output differs from -j1\n-- j1:\n%.2000s\n-- %s:\n%.2000s",
-					p.Name, v.label, base, v.label, got)
-			}
+		got := fingerprintFull(t,
+			refinedAtOpts(t, p, core.Options{Jobs: 8, Lint: core.LintWarn, Types: true}), p.Name)
+		if got != base {
+			t.Errorf("%s: -j8 output differs from -j1\n-- j1:\n%.2000s\n-- j8:\n%.2000s",
+				p.Name, base, got)
 		}
 	}
 }

@@ -57,17 +57,16 @@ func encodeImage(img *obj.Image) []byte {
 	return out
 }
 
-// ProgramKey is the content address of a whole binary's refinement outcome:
-// it covers the pass version, the verification mode (an entry records the
-// report of the mode it ran under), whether the value-set analysis stage
-// ran (its findings are part of the report), whether static cold-code
-// recovery ran (it changes the recovered layout and the report), whether
-// the streaming pipeline produced the entry (byte-identical by invariant,
-// but keyed separately so a streaming-mode defect can never serve a
-// barriered request or vice versa), whether the type-recovery stage ran
-// (its typed-conflict findings are part of the report), the input set and
-// the full image.
-func ProgramKey(img *obj.Image, inputs []machine.Input, lint LintMode, vsa, static, streamed, types bool) refcache.Key {
+// ProgramKey is the content address of a whole binary's refinement outcome
+// under opts: it covers the pass version, the options that change the
+// outcome, the input set and the full image. This is the one place that
+// decides which options are part of the key: the verification mode (an
+// entry records the report of the mode it ran under), the value-set
+// analysis and type-recovery stages (their findings are part of the
+// report) and static cold-code recovery (it changes the recovered layout
+// and the report). Jobs, Cache and Observer never change the outcome and
+// stay out of the key.
+func ProgramKey(img *obj.Image, inputs []machine.Input, opts Options) refcache.Key {
 	flag := func(b bool) byte {
 		if b {
 			return 1
@@ -76,15 +75,16 @@ func ProgramKey(img *obj.Image, inputs []machine.Input, lint LintMode, vsa, stat
 	}
 	return refcache.NewKey("program",
 		[]byte(PassVersion),
-		[]byte{byte(lint), flag(vsa), flag(static), flag(streamed), flag(types)},
+		[]byte{byte(opts.Lint), flag(opts.VSA), flag(opts.StaticRecover), flag(opts.Types)},
 		encodeInputs(inputs),
 		encodeImage(img),
 	)
 }
 
-// programKey is ProgramKey over the pipeline's own image and inputs.
+// programKey is ProgramKey over the pipeline's own image, inputs and
+// options.
 func (p *Pipeline) programKey() refcache.Key {
-	return ProgramKey(p.Img, p.Inputs, p.Lint, p.VSA, p.StaticRecover, p.Stream, p.Types)
+	return ProgramKey(p.Img, p.Inputs, p.Options)
 }
 
 // funcBytes serializes one recovered function's machine code: each traced
@@ -178,7 +178,7 @@ func RecoverLayout(img *obj.Image, inputs []machine.Input, opts Options) (*Pipel
 		inputs = []machine.Input{{}}
 	}
 	if opts.Cache != nil {
-		key := ProgramKey(img, inputs, opts.Lint, opts.VSA, opts.StaticRecover, opts.Stream, opts.Types)
+		key := ProgramKey(img, inputs, opts)
 		if e, ok := opts.Cache.GetProgram(key); ok {
 			p := newPipeline(img, inputs, opts)
 			p.FromCache = true

@@ -160,3 +160,33 @@ int main() {
 		t.Errorf("err = %v, want a trap", err)
 	}
 }
+
+// Within one pipeline, stage events arrive sequentially: each stage's
+// start and finish pair, in Pipeline.Times order. The observer here is a
+// plain slice append; the race detector flags any concurrent delivery.
+func TestObserverEventsFollowTimes(t *testing.T) {
+	img, err := gen.Build(pipelineSrc, gen.GCC12O3, "gcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []core.StageEvent
+	p, err := core.LiftBinaryOpts(img, []machine.Input{{Ints: []int32{54, 24}}, {Ints: []int32{17, 5}}},
+		core.Options{Jobs: 2, Lint: core.LintWarn, VSA: true, Types: true, StaticRecover: true,
+			Observer: func(e core.StageEvent) { events = append(events, e) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Refine(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2*len(p.Times) {
+		t.Fatalf("%d events for %d stages: %v", len(events), len(p.Times), events)
+	}
+	for i, st := range p.Times {
+		start, finish := events[2*i], events[2*i+1]
+		if start != (core.StageEvent{Stage: st.Stage, Action: "start"}) ||
+			finish != (core.StageEvent{Stage: st.Stage, Action: "finish"}) {
+			t.Errorf("stage %d (%s): events %v, %v", i, st.Stage, start, finish)
+		}
+	}
+}

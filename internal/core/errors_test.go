@@ -122,3 +122,27 @@ int main() {
 		}
 	}
 }
+
+// Refine rewrites the module in place, so it runs once per pipeline: a
+// second call is a stage-order error, not a silent no-op or a second
+// classification of the already rewritten module.
+func TestRefineTwice(t *testing.T) {
+	img, err := gen.Build(pipelineSrc, gen.GCC12O3, "gcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.LiftBinary(img, []machine.Input{{Ints: []int32{54, 24}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Refine(); err != nil {
+		t.Fatal(err)
+	}
+	err = p.Refine()
+	if err == nil {
+		t.Fatal("second Refine succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "already ran") || !strings.Contains(msg, "regsave → varargs") {
+		t.Errorf("err = %v, want a stage-order error", err)
+	}
+}

@@ -85,23 +85,11 @@ type Options struct {
 	// proves every frame access safe (otherwise they degrade to trap
 	// stubs, like any other untraced path).
 	StaticRecover bool
-	// Stream selects the streaming trace→lift pipeline: emulator
-	// producers push block records onto a bounded channel, a worker pool
-	// decodes and merges them, and refinement starts on a
-	// coverage-complete input prefix while later inputs still trace
-	// (refine-ahead, validated by trace digest). Output is byte-identical
-	// to the phase-barriered pipeline at every worker count; see
-	// ARCHITECTURE.md §3.
-	Stream bool
-	// StreamBuf overrides the streaming record-channel capacity
-	// (0 means stream.DefaultBuf). It bounds producer run-ahead, never
-	// the output.
-	StreamBuf int
 	// Observer, when non-nil, receives a start and a finish event for
-	// every pipeline stage. It may be called concurrently from several
-	// goroutines (streaming mode overlaps stages) and must be
-	// goroutine-safe; events are observability only and never influence
-	// pipeline output.
+	// every pipeline stage. Within one pipeline the events arrive
+	// sequentially, in Pipeline.Times order; an observer shared by several
+	// concurrently running pipelines (the daemon's) must be goroutine-safe.
+	// Events are observability only and never influence pipeline output.
 	Observer func(StageEvent)
 }
 
@@ -114,19 +102,6 @@ type StageEvent struct {
 	Stage string
 	// Action is "start" or "finish".
 	Action string
-}
-
-// StreamStats summarizes a streaming run for reporting and benchmarks.
-type StreamStats struct {
-	// Records and Blocks count the records that crossed the bounded
-	// channel and the distinct block records among them.
-	Records, Blocks int
-	// Closes counts the resolved function-close events.
-	Closes int
-	// Speculated reports that a refine-ahead pipeline was launched on an
-	// input prefix; Adopted that its trace digest matched the final merge
-	// and its results were kept.
-	Speculated, Adopted bool
 }
 
 // ColdStat records one cold candidate's admission outcome.
@@ -179,34 +154,13 @@ type Pipeline struct {
 	Img    *obj.Image      // the binary under recompilation
 	Inputs []machine.Input // the trace/refinement input set
 
-	// Jobs bounds the worker pool (see Options.Jobs).
-	Jobs int
-	// Cache memoizes refinement results across runs (nil disables).
-	Cache *refcache.Cache
+	// Options is the run's option set, embedded so that stages and callers
+	// use p.Lint, p.Jobs and the rest directly.
+	Options
 	// FromCache marks a pipeline whose results were served entirely from
 	// the cache; the trace/IR fields are nil on such a pipeline.
 	FromCache bool
 
-	// Stream mirrors the option of the same name.
-	Stream bool
-	// StreamBuf mirrors the option of the same name.
-	StreamBuf int
-	// StreamStats summarizes the streaming run (nil in barriered mode).
-	StreamStats *StreamStats
-	// Observer mirrors Options.Observer (may be nil).
-	Observer func(StageEvent)
-	// refined marks that the refinement sequence has already run (the
-	// streaming scheduler refines ahead), making Refine a no-op.
-	refined bool
-
-	// Lint selects the post-refinement verification stage's behaviour.
-	Lint LintMode
-	// VSA enables the post-symbolization value-set analysis stage.
-	VSA bool
-	// Types enables the post-symbolization type-recovery stage (see Options).
-	Types bool
-	// StaticRecover enables the cold-code recovery stage (see Options).
-	StaticRecover bool
 	// Cold is the static discovery result (nil unless StaticRecover).
 	Cold *coldrec.Result
 	// ColdStats holds the per-candidate admission outcomes in entry order
@@ -304,25 +258,16 @@ func LiftBinary(img *obj.Image, inputs []machine.Input) (*Pipeline, error) {
 
 // newPipeline builds an empty pipeline carrying the option set.
 func newPipeline(img *obj.Image, inputs []machine.Input, opts Options) *Pipeline {
-	return &Pipeline{Img: img, Inputs: inputs, Jobs: opts.Jobs, Lint: opts.Lint,
-		Cache: opts.Cache, VSA: opts.VSA, Types: opts.Types,
-		StaticRecover: opts.StaticRecover,
-		Stream:        opts.Stream, StreamBuf: opts.StreamBuf, Observer: opts.Observer}
+	return &Pipeline{Img: img, Inputs: inputs, Options: opts}
 }
 
 // LiftBinaryOpts performs the front half of the pipeline with explicit
 // options: the per-input traces run over the worker pool and merge in
 // input order, so the trace — and everything derived from it — is
-// independent of the worker count. With Options.Stream set the trace
-// streams through the bounded-channel pipeline instead, overlapping
-// tracing with lifting and refinement (see liftStreamed); the returned
-// pipeline may then already be refined, which Refine detects.
+// independent of the worker count.
 func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipeline, error) {
 	if len(inputs) == 0 {
 		inputs = []machine.Input{{}}
-	}
-	if opts.Stream {
-		return liftStreamed(img, inputs, opts)
 	}
 	p := newPipeline(img, inputs, opts)
 	err := p.timed("trace", func() error {
@@ -340,9 +285,7 @@ func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipe
 
 // buildFromTrace runs the trace-derived build stages — CFG construction,
 // function recovery, optional cold-code discovery, and lifting — on
-// p.Trace. It is shared by the barriered path, the streaming path and the
-// streaming scheduler's refine-ahead speculation: everything below here is
-// a pure function of the trace's fact sets (see tracer.Digest).
+// p.Trace.
 func (p *Pipeline) buildFromTrace() error {
 	err := p.timed("cfg", func() error {
 		cfg, err := p.Trace.BuildCFG()
@@ -464,8 +407,13 @@ func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
 // classification followed by the signature rewrite. The same replay also
 // collects the variadic-call observations RefineVarArgs applies (see
 // regsaveTracer), so the two refinements share one execution of the
-// inputs.
+// inputs. It runs once per pipeline: the rewritten module cannot be
+// classified again.
 func (p *Pipeline) RefineRegSave() error {
+	if p.RegClasses != nil {
+		return fmt.Errorf("core: regsave: the refinements already ran on this pipeline; " +
+			"run them once, in order regsave → varargs → stackref → symbolize")
+	}
 	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
 	if err := p.runAll(tr); err != nil {
 		return err
@@ -821,30 +769,14 @@ func (p *Pipeline) Oracle() func(*ir.Func) opt.AliasOracle {
 	return func(f *ir.Func) opt.AliasOracle { return vsa.NewOracle(f) }
 }
 
-// Refine runs the complete refinement-lifting sequence on a lifted module.
-// On success, the recovered layout and verification report are recorded in
-// the cache under the binary's program key, so an identical future run can
-// skip the pipeline (see RecoverLayout). On a streamed pipeline the
-// refine-ahead scheduler may already have run the sequence, in which case
-// Refine is a no-op.
+// Refine runs the complete refinement-lifting sequence on a lifted module:
+// regsave → varargs → stackref → symbolize → [vsa] → [typerec]. On success,
+// the recovered layout and verification report are recorded in the cache
+// under the binary's program key, so an identical future run can skip the
+// pipeline (see RecoverLayout). The refinements rewrite the module in
+// place, so Refine runs once per pipeline; a second call is a stage-order
+// error.
 func (p *Pipeline) Refine() error {
-	if p.refined {
-		return nil
-	}
-	if err := p.refineStages(); err != nil {
-		return err
-	}
-	p.refined = true
-	p.recordProgram()
-	return nil
-}
-
-// refineStages is the refinement sequence itself: regsave → varargs →
-// stackref → symbolize → [vsa]. It deliberately does not write the
-// program-key cache entry — a speculative refine-ahead run must never
-// record a program-level result until its trace is validated
-// (recordProgram is called only on the authoritative pipeline).
-func (p *Pipeline) refineStages() error {
 	if err := p.timed("regsave", p.RefineRegSave); err != nil {
 		return err
 	}
@@ -870,6 +802,7 @@ func (p *Pipeline) refineStages() error {
 			return err
 		}
 	}
+	p.recordProgram()
 	return nil
 }
 

@@ -223,7 +223,7 @@ func TestTypedConflictFinding(t *testing.T) {
 	b.Append(st1)
 	b.Append(f.NewValue(ir.OpRet, k))
 
-	p := &core.Pipeline{Mod: m, Types: true, Lint: core.LintWarn}
+	p := &core.Pipeline{Mod: m, Options: core.Options{Types: true, Lint: core.LintWarn}}
 	if err := p.RefineTypes(); err != nil {
 		t.Fatalf("RefineTypes: %v", err)
 	}

@@ -87,8 +87,7 @@ type Machine struct {
 	// program stopped (HALT, exit syscall) term is false and t is zero.
 	// Because every control opcode terminates a block regardless of
 	// direction, the end address is a pure function of the start address
-	// and the static code — the streaming tracer relies on this to dedup
-	// block records by start address.
+	// and the static code, so a consumer may dedup blocks by start address.
 	BlockHook func(start, end uint32, t Transfer, term bool)
 
 	// blockStart is the address of the first instruction of the dynamic

@@ -91,7 +91,6 @@ func (r *Runner) options(job *Job) core.Options {
 		VSA:           job.VSA,
 		Types:         job.Types,
 		StaticRecover: job.StaticRecover,
-		Stream:        job.Stream,
 		Observer:      r.Observer,
 	}
 }

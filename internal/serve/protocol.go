@@ -75,8 +75,6 @@ type Job struct {
 	Types bool `json:"types,omitempty"`
 	// StaticRecover enables static recovery of untraced code.
 	StaticRecover bool `json:"static_recover,omitempty"`
-	// Stream selects the streaming trace→lift pipeline.
-	Stream bool `json:"stream,omitempty"`
 }
 
 // Normalize fills defaults and validates the job. It must run before
@@ -148,7 +146,7 @@ func (j *Job) Digest() string {
 		}
 		return 0
 	}
-	h.Write([]byte{flag(j.VSA), flag(j.Types), flag(j.StaticRecover), flag(j.Stream)})
+	h.Write([]byte{flag(j.VSA), flag(j.Types), flag(j.StaticRecover)})
 	return hex.EncodeToString(h.Sum(nil))
 }
 

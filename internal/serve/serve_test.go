@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,6 +184,47 @@ func TestServeRejectsBadJobs(t *testing.T) {
 		}
 	}
 	stopServer(t, c, done)
+}
+
+// A request from an older client that still sends the removed "stream"
+// option decodes (the server ignores unknown fields), normalizes to the
+// same job, and gets the same digest and payload as the job without it.
+func TestServeAcceptsLegacyStreamField(t *testing.T) {
+	const plainBody = `{"kind":"lift","bench":"mcf"}`
+	const legacyBody = `{"kind":"lift","bench":"mcf","stream":true}`
+	decode := func(body string) *Job {
+		t.Helper()
+		var job Job
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&job); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if err := job.Normalize(); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return &job
+	}
+	plain, legacy := decode(plainBody), decode(legacyBody)
+	if plain.Digest() != legacy.Digest() {
+		t.Errorf("digests differ: %s without the field, %s with it", plain.Digest(), legacy.Digest())
+	}
+
+	srv := New(Config{Jobs: 2})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(legacyBody)))
+	var resp Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("status %d: %v", rec.Code, err)
+	}
+	if resp.Error != "" {
+		t.Fatalf("legacy request rejected: %s", resp.Error)
+	}
+	want, _, err := (&Runner{Jobs: 1}).Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := payloadJSON(t, resp.Payload), payloadJSON(t, want); got != want {
+		t.Errorf("legacy payload differs from the plain job's:\n%s\nvs\n%s", got, want)
+	}
 }
 
 const incrementalSrcA = `

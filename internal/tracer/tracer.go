@@ -70,7 +70,7 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 	// index is always in range.
 	cov := make([]bool, len(t.Img.Code))
 	m.InstrHook = func(pc uint32) { cov[(pc-isa.CodeBase)/isa.InstrSize] = true }
-	m.Hook = t.AddTransfer
+	m.Hook = t.addTransfer
 	err = m.Run()
 	for i, hit := range cov {
 		if hit {
@@ -84,11 +84,9 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 	return machine.Result{ExitCode: m.ExitCode(), Cycles: m.TotalCycles(), Steps: m.Steps}, nil
 }
 
-// AddTransfer folds one observed control transfer into the trace. It is
-// the single classification point shared by the phase-barriered tracer
-// (Run's machine hook) and the streaming pipeline's merge stage, so both
-// modes record identical facts for identical events.
-func (t *Trace) AddTransfer(tr machine.Transfer) {
+// addTransfer folds one observed control transfer into the trace; it is
+// Run's machine hook.
+func (t *Trace) addTransfer(tr machine.Transfer) {
 	switch tr.Kind {
 	case machine.TransferCall:
 		addTarget(t.CallTargets, tr.From, tr.To)
@@ -103,9 +101,6 @@ func (t *Trace) AddTransfer(tr machine.Transfer) {
 		t.RetSites[tr.From] = true
 	}
 }
-
-// MarkExecuted records one executed instruction address.
-func (t *Trace) MarkExecuted(pc uint32) { t.Executed[pc] = true }
 
 // RunAll merges traces for several inputs (incremental lifting's "provide
 // more inputs until coverage suffices").
