@@ -45,7 +45,8 @@
 // -cache memoizes refinement results in a content-addressed on-disk cache
 // so repeat runs on unchanged binaries skip recomputation; -cache-dir
 // overrides its location ($WYTIWYG_CACHE or the user cache directory by
-// default). -timings prints the per-stage wall-clock breakdown.
+// default). -timings prints the per-stage wall-clock breakdown and, with
+// -vsa or -types, how many VSA fixpoints were computed and reused.
 package main
 
 import (
@@ -238,6 +239,12 @@ func main() {
 		}
 	} else {
 		opt.PipelineWith(p.Mod, pipeOpts)
+	}
+	if *timings && (*vsaFlag || *typesFlag) {
+		// Deterministic counts, printed once the optimizer's oracle has
+		// made its requests.
+		fp := p.Fixpoints()
+		fmt.Printf("vsa fixpoints: %d computed, %d reused\n", fp.Computed, fp.Reused)
 	}
 
 	if *emit == "layout" || *emit == "ir" {

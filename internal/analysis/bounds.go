@@ -213,7 +213,7 @@ func boundsProblem(f *ir.Func) Problem[boundsEnv] {
 		Boundary: func(*ir.Func) boundsEnv { return NewEnv[absVal](n) },
 		Bottom:   func() boundsEnv { return NewEnv[absVal](n) },
 		Join:     joinEnv,
-		Clone:    boundsEnv.Clone,
+		Copy:     boundsEnv.CopyFrom,
 		Transfer: func(b *ir.Block, in boundsEnv) boundsEnv { return evalBlock(b, in, nil) },
 		Widen:    widenEnv,
 	}

@@ -13,12 +13,17 @@ import "wytiwyg/internal/ir"
 
 type liveEnv map[*ir.Value]bool
 
-func cloneLive(e liveEnv) liveEnv {
-	out := make(liveEnv, len(e))
-	for k := range e {
-		out[k] = true
+// copyLive makes dst a copy of src, reusing dst's map (nil allocates).
+func copyLive(dst, src liveEnv) liveEnv {
+	if dst == nil {
+		dst = make(liveEnv, len(src))
+	} else {
+		clear(dst)
 	}
-	return out
+	for k := range src {
+		dst[k] = true
+	}
+	return dst
 }
 
 func joinLive(dst, src liveEnv) (liveEnv, bool) {
@@ -53,16 +58,15 @@ func liveTransfer(v *ir.Value, live liveEnv, esc EscapeFacts) {
 	}
 }
 
-// DeadStores returns f's provably dead stack stores: stores to a
-// non-escaped alloca that no later load can observe.
-func DeadStores(f *ir.Func, esc EscapeFacts) []*ir.Value {
-	prob := Problem[liveEnv]{
+// deadStoreProblem is the backward liveness instance of the engine.
+func deadStoreProblem(esc EscapeFacts) Problem[liveEnv] {
+	return Problem[liveEnv]{
 		Forward: false,
 		// At function exit only escaped allocas can still be observed.
-		Boundary: func(*ir.Func) liveEnv { return cloneLive(liveEnv(esc.Escaped)) },
+		Boundary: func(*ir.Func) liveEnv { return copyLive(nil, liveEnv(esc.Escaped)) },
 		Bottom:   func() liveEnv { return liveEnv{} },
 		Join:     joinLive,
-		Clone:    cloneLive,
+		Copy:     copyLive,
 		Transfer: func(b *ir.Block, out liveEnv) liveEnv {
 			for i := len(b.Insts) - 1; i >= 0; i-- {
 				liveTransfer(b.Insts[i], out, esc)
@@ -70,14 +74,19 @@ func DeadStores(f *ir.Func, esc EscapeFacts) []*ir.Value {
 			return out
 		},
 	}
-	res := Solve(f, prob)
+}
+
+// DeadStores returns f's provably dead stack stores: stores to a
+// non-escaped alloca that no later load can observe.
+func DeadStores(f *ir.Func, esc EscapeFacts) []*ir.Value {
+	res := Solve(f, deadStoreProblem(esc))
 	var dead []*ir.Value
 	for _, b := range f.Blocks {
 		out, ok := res.Out[b]
 		if !ok {
 			continue
 		}
-		live := cloneLive(out)
+		live := copyLive(nil, out)
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			v := b.Insts[i]
 			if v.Op == ir.OpStore {

@@ -22,21 +22,28 @@ type Problem[S any] struct {
 	Bottom func() S
 
 	// Join merges src into dst and reports whether dst changed. dst may be
-	// mutated in place; the merged state is returned.
+	// mutated in place; the merged state is returned. src is only read:
+	// the result must not share storage with it.
 	Join func(dst, src S) (S, bool)
 
 	// Transfer computes a block's out-state (forward) or in-state
 	// (backward) from the given boundary state. The argument is a private
-	// copy the transfer function may mutate freely.
+	// copy the transfer function may mutate freely (and return).
 	Transfer func(b *ir.Block, in S) S
 
-	// Clone deep-copies a state.
-	Clone func(S) S
+	// Copy makes dst an independent copy of src and returns it, reusing
+	// dst's storage where it can; dst is either the zero S (allocate) or
+	// a state the engine has discarded. The engine recycles the states a
+	// fixpoint iteration throws away through Copy, so once the first
+	// visits have discarded some, later visits reuse their storage
+	// instead of allocating.
+	Copy func(dst, src S) S
 
 	// Widen, when non-nil, is applied to a block's boundary state once more
 	// than WidenAfter joins have actually enlarged it: it must return a
 	// state at least as large as both arguments, jumping far enough up the
 	// lattice that the chain terminates (typically to ±infinity bounds).
+	// next may be mutated in place and returned; prev is only read.
 	Widen func(prev, next S) S
 
 	// WidenAfter is the number of state-changing joins a block absorbs
@@ -49,7 +56,8 @@ type Problem[S any] struct {
 }
 
 // Result carries the fixpoint: the state at each block's entry and exit (in
-// execution order, regardless of analysis direction).
+// execution order, regardless of analysis direction). No two of its states
+// share storage, so a consumer may mutate the one it reads.
 type Result[S any] struct {
 	In  map[*ir.Block]S // state at block entry
 	Out map[*ir.Block]S // state at block exit
@@ -120,6 +128,23 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 	// the widening clock (see Problem.WidenAfter).
 	grows := make([]int, len(order))
 
+	// free holds discarded states whose storage Copy may overwrite; no
+	// live state (pre, post or the visit's temporaries) is ever in it.
+	var free []S
+	spare := func() S {
+		if n := len(free); n > 0 {
+			s := free[n-1]
+			free = free[:n-1]
+			return s
+		}
+		var zero S
+		return zero
+	}
+	bottom := p.Bottom()
+	// bnd is the boundary state, built on first use and only ever read.
+	var bnd S
+	haveBnd := false
+
 	inQueue := make([]bool, len(order))
 	queue := make([]int, 0, len(order))
 	push := func(i int) {
@@ -139,9 +164,12 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 		inQueue[i] = false
 		b := order[i]
 
-		next := p.Bottom()
+		next := p.Copy(spare(), bottom)
 		if isBoundary(i) {
-			next, _ = p.Join(next, p.Boundary(f))
+			if !haveBnd {
+				bnd, haveBnd = p.Boundary(f), true
+			}
+			next, _ = p.Join(next, bnd)
 		}
 		for _, s := range sources[i] {
 			if visited[s] {
@@ -149,19 +177,21 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 			}
 		}
 		if visited[i] {
-			merged, changed := p.Join(p.Clone(pre[i]), next)
+			merged, changed := p.Join(p.Copy(spare(), pre[i]), next)
 			if !changed {
+				free = append(free, merged, next)
 				continue
 			}
 			grows[i]++
 			if p.Widen != nil && grows[i] > widenAfter {
 				merged = p.Widen(pre[i], merged)
 			}
+			free = append(free, next, pre[i], post[i])
 			next = merged
 		}
 		visited[i] = true
 		pre[i] = next
-		post[i] = p.Transfer(b, p.Clone(next))
+		post[i] = p.Transfer(b, p.Copy(spare(), next))
 		for _, s := range sinks[i] {
 			push(s)
 		}

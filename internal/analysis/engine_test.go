@@ -58,12 +58,15 @@ func pathSets(forward bool) Problem[map[int]bool] {
 			}
 			return dst, changed
 		},
-		Clone: func(s map[int]bool) map[int]bool {
-			out := make(map[int]bool, len(s))
-			for k := range s {
-				out[k] = true
+		Copy: func(dst, src map[int]bool) map[int]bool {
+			if dst == nil {
+				dst = make(map[int]bool, len(src))
 			}
-			return out
+			clear(dst)
+			for k := range src {
+				dst[k] = true
+			}
+			return dst
 		},
 		Transfer: func(b *ir.Block, in map[int]bool) map[int]bool {
 			in[b.ID] = true
@@ -215,7 +218,7 @@ func boundedCounter(capped bool, cBlock *ir.Block) Problem[ivState] {
 			u := dst.iv.Union(src.iv)
 			return ivState{set: true, iv: u}, u != dst.iv
 		},
-		Clone: func(s ivState) ivState { return s },
+		Copy: func(_, src ivState) ivState { return src },
 		Transfer: func(b *ir.Block, in ivState) ivState {
 			if b != cBlock || !in.set {
 				return in

@@ -55,6 +55,18 @@ func (e Env[T]) Clone() Env[T] {
 	return out
 }
 
+// CopyFrom makes e an independent copy of src and returns it, reusing e's
+// storage when it has room (a zero Env allocates).
+func (e Env[T]) CopyFrom(src Env[T]) Env[T] {
+	if cap(e.vals) < len(src.vals) || cap(e.has) < len(src.has) {
+		return src.Clone()
+	}
+	e.vals, e.has = e.vals[:len(src.vals)], e.has[:len(src.has)]
+	copy(e.vals, src.vals)
+	copy(e.has, src.has)
+	return e
+}
+
 // Each calls fn on every present entry in slot order.
 func (e Env[T]) Each(fn func(slot int, x T)) {
 	for w, word := range e.has {

@@ -19,12 +19,18 @@ type initState struct {
 	set map[*ir.Value]bool
 }
 
-func cloneInit(s initState) initState {
-	out := initState{all: s.all, set: make(map[*ir.Value]bool, len(s.set))}
-	for k := range s.set {
-		out.set[k] = true
+// copyInit makes dst a copy of src, reusing dst's set (nil allocates).
+func copyInit(dst, src initState) initState {
+	dst.all = src.all
+	if dst.set == nil {
+		dst.set = make(map[*ir.Value]bool, len(src.set))
+	} else {
+		clear(dst.set)
 	}
-	return out
+	for k := range src.set {
+		dst.set[k] = true
+	}
+	return dst
 }
 
 func joinInit(dst, src initState) (initState, bool) {
@@ -32,7 +38,7 @@ func joinInit(dst, src initState) (initState, bool) {
 		return dst, false
 	}
 	if dst.all {
-		return cloneInit(src), true
+		return copyInit(dst, src), true
 	}
 	changed := false
 	for k := range dst.set {
@@ -65,15 +71,14 @@ func initTransfer(v *ir.Value, st initState, esc EscapeFacts) {
 	}
 }
 
-// CheckInit reports loads from stack slots that some path reaches without
-// a prior store. Returns the number of flagged loads.
-func CheckInit(f *ir.Func, esc EscapeFacts, rep *Report) int {
-	prob := Problem[initState]{
+// initProblem is the forward must-initialization instance of the engine.
+func initProblem(esc EscapeFacts) Problem[initState] {
+	return Problem[initState]{
 		Forward:  true,
 		Boundary: func(*ir.Func) initState { return initState{set: map[*ir.Value]bool{}} },
 		Bottom:   func() initState { return initState{all: true} },
 		Join:     joinInit,
-		Clone:    cloneInit,
+		Copy:     copyInit,
 		Transfer: func(b *ir.Block, in initState) initState {
 			for _, v := range b.Insts {
 				initTransfer(v, in, esc)
@@ -81,14 +86,19 @@ func CheckInit(f *ir.Func, esc EscapeFacts, rep *Report) int {
 			return in
 		},
 	}
-	res := Solve(f, prob)
+}
+
+// CheckInit reports loads from stack slots that some path reaches without
+// a prior store. Returns the number of flagged loads.
+func CheckInit(f *ir.Func, esc EscapeFacts, rep *Report) int {
+	res := Solve(f, initProblem(esc))
 	flagged := 0
 	for _, b := range f.Blocks {
 		in, ok := res.In[b]
 		if !ok || in.all {
 			continue
 		}
-		st := cloneInit(in)
+		st := copyInit(initState{}, in)
 		for _, v := range b.Insts {
 			if v.Op == ir.OpLoad {
 				if root, ok := esc.Roots[v.Args[0]]; ok && !st.set[root] {

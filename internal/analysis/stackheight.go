@@ -153,18 +153,12 @@ type HeightFacts struct {
 	Refs []HeightRef
 }
 
-// Heights abstract-interprets f's esp deltas. Functions without an ESP
-// parameter (already symbolized) yield empty facts.
-func Heights(f *ir.Func) HeightFacts {
-	facts := HeightFacts{Known: make(map[*ir.Value]int32)}
-	esp := f.ParamByReg(isa.ESP)
-	if esp == nil {
-		return facts
-	}
-	facts.Known[esp] = 0
+// heightsProblem is the esp-delta instance of the engine for f, whose
+// ESP parameter is esp.
+func heightsProblem(f *ir.Func, esp *ir.Value) Problem[heightEnv] {
 	f.EnsureLayout()
 	n := f.Layout().NumSlots
-	prob := Problem[heightEnv]{
+	return Problem[heightEnv]{
 		Forward: true,
 		Boundary: func(*ir.Func) heightEnv {
 			env := NewEnv[height](n)
@@ -173,7 +167,7 @@ func Heights(f *ir.Func) HeightFacts {
 		},
 		Bottom: func() heightEnv { return NewEnv[height](n) },
 		Join:   joinHeights,
-		Clone:  heightEnv.Clone,
+		Copy:   heightEnv.CopyFrom,
 		Transfer: func(b *ir.Block, in heightEnv) heightEnv {
 			for _, v := range b.Phis {
 				in.Set(v, evalHeight(v, esp, in))
@@ -186,7 +180,18 @@ func Heights(f *ir.Func) HeightFacts {
 			return in
 		},
 	}
-	res := Solve(f, prob)
+}
+
+// Heights abstract-interprets f's esp deltas. Functions without an ESP
+// parameter (already symbolized) yield empty facts.
+func Heights(f *ir.Func) HeightFacts {
+	facts := HeightFacts{Known: make(map[*ir.Value]int32)}
+	esp := f.ParamByReg(isa.ESP)
+	if esp == nil {
+		return facts
+	}
+	facts.Known[esp] = 0
+	res := Solve(f, heightsProblem(f, esp))
 	for _, b := range f.Blocks {
 		env, ok := res.Out[b]
 		if !ok {

@@ -13,6 +13,7 @@ import (
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/typerec"
+	"wytiwyg/internal/vsa"
 )
 
 // Differential validation of the type-recovery stage: a committed slot
@@ -86,7 +87,7 @@ func (r *typedRecorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, resul
 func typedClaims(m *ir.Module) (*typedRecorder, int) {
 	results := make([]*typerec.FuncResult, len(m.Funcs))
 	for i, f := range m.Funcs {
-		results[i] = typerec.AnalyzeFunc(f)
+		results[i] = typerec.AnalyzeFunc(vsa.Analyze(f))
 	}
 	typerec.Unify(m, results)
 	rec := &typedRecorder{

@@ -71,14 +71,15 @@ func fingerprint(p *core.Pipeline) string {
 }
 
 // fingerprintFull extends fingerprint with the recompiled instruction
-// stream: the refined IR is optimized and run through codegen, and every
-// emitted instruction's disassembly is appended. The IR is printed first —
-// the optimizer mutates the module in place.
+// stream: the refined IR is optimized (with the pipeline's alias oracle
+// and typed partitions, where those stages ran) and run through codegen,
+// and every emitted instruction's disassembly is appended. The IR is
+// printed first — the optimizer mutates the module in place.
 func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(fingerprint(p))
-	opt.PipelineWith(p.Mod, opt.PipelineOpts{Typed: p.TypedInfo()})
+	opt.PipelineWith(p.Mod, opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()})
 	out, err := codegen.Compile(p.Mod, name+"-rec")
 	if err != nil {
 		t.Fatalf("%s: recompile: %v", name, err)
@@ -91,7 +92,8 @@ func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 
 // The tentpole determinism invariant: over the whole benchmark corpus, a
 // single-worker run and a heavily parallel run produce byte-identical IR,
-// layouts, reports and recompiled instruction streams.
+// layouts, reports and recompiled instruction streams, and compute and
+// reuse the same number of VSA fixpoints (stage, typerec and oracle).
 func TestParallelDeterminism(t *testing.T) {
 	corpus := progs.All
 	if testing.Short() {
@@ -101,10 +103,12 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for _, p := range corpus {
 		p := bench.Scaled(p, 6)
-		base := fingerprintFull(t,
-			refinedAtOpts(t, p, core.Options{Jobs: 1, Lint: core.LintWarn, Types: true}), p.Name)
-		got := fingerprintFull(t,
-			refinedAtOpts(t, p, core.Options{Jobs: 8, Lint: core.LintWarn, Types: true}), p.Name)
+		run := func(jobs int) string {
+			pl := refinedAtOpts(t, p, core.Options{Jobs: jobs, Lint: core.LintWarn, VSA: true, Types: true})
+			fp := fingerprintFull(t, pl, p.Name)
+			return fp + fmt.Sprintf("fixpoints %+v\n", pl.Fixpoints())
+		}
+		base, got := run(1), run(8)
 		if got != base {
 			t.Errorf("%s: -j8 output differs from -j1\n-- j1:\n%.2000s\n-- j8:\n%.2000s",
 				p.Name, base, got)

@@ -125,8 +125,10 @@ type ColdStat struct {
 type TypeStat struct {
 	// Func is the function name.
 	Func string
-	// Elapsed is the inference's wall-clock cost (excluding unification,
-	// which is a single cross-function pass).
+	// Elapsed is the inference's wall-clock cost, excluding unification
+	// (a single cross-function pass) and the VSA fixpoint the inference
+	// starts from, which the pipeline shares with the VSA stage (whose
+	// VSAStat.Elapsed counts it when that stage ran).
 	Elapsed time.Duration
 	// Slots counts the function's layout slots; TypedSlots those that got
 	// a committed type; Conflicts the irreconcilable-evidence events.
@@ -181,6 +183,9 @@ type Pipeline struct {
 	// typeResults indexes the per-function inference results for the
 	// optimizer's typed-info factory.
 	typeResults map[*ir.Func]*typerec.FuncResult
+	// fix holds the VSA fixpoints shared by the VSA stage, type recovery
+	// and the optimizer's alias oracle.
+	fix fixpoints
 	// Report accumulates the verification findings (nil until a lint-enabled
 	// refinement stage has run).
 	Report *analysis.Report
@@ -725,10 +730,11 @@ func (p *Pipeline) lintFuncs() {
 // RefineVSA runs the value-set analysis stage: every function gets a
 // whole-function abstract interpretation whose fixpoint verifies the
 // recovered layout (cross-slot and out-of-frame accesses) and records the
-// per-function analysis cost. Functions are processed over the worker
-// pool with findings and stats merged in module function order, so the
-// output is worker-count independent like every other stage. The stage is
-// a no-op unless Options.VSA was set.
+// per-function analysis cost. The fixpoints stay on the pipeline for type
+// recovery and the optimizer's alias oracle (see Fixpoints). Functions are
+// processed over the worker pool with findings and stats merged in module
+// function order, so the output is worker-count independent like every
+// other stage. The stage is a no-op unless Options.VSA was set.
 func (p *Pipeline) RefineVSA() error {
 	if !p.VSA {
 		return nil
@@ -738,7 +744,7 @@ func (p *Pipeline) RefineVSA() error {
 	reps := make([]analysis.Report, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
-		fr := vsa.Analyze(f)
+		fr := p.fix.get(f)
 		st := vsa.Check(fr, &reps[i])
 		stats[i] = VSAStat{
 			Func:    f.Name,
@@ -761,12 +767,14 @@ func (p *Pipeline) RefineVSA() error {
 
 // Oracle builds the optimizer's per-function alias-oracle factory from the
 // pipeline's VSA setting: non-nil only when the stage is enabled, so
-// callers can pass it to opt.PipelineOpts unconditionally.
+// callers can pass it to opt.PipelineOpts unconditionally. The factory
+// answers from the pipeline's shared fixpoints: a function no pass has
+// changed since its last analysis is not analyzed again.
 func (p *Pipeline) Oracle() func(*ir.Func) opt.AliasOracle {
 	if !p.VSA {
 		return nil
 	}
-	return func(f *ir.Func) opt.AliasOracle { return vsa.NewOracle(f) }
+	return func(f *ir.Func) opt.AliasOracle { return p.fix.get(f).Oracle() }
 }
 
 // Refine runs the complete refinement-lifting sequence on a lifted module:

@@ -11,11 +11,12 @@ import (
 // RefineTypes runs the type-recovery stage: every function's frame slots
 // get a type inferred from access widths and strided-interval facts
 // (per-function, over the worker pool, results landing in module function
-// order), then a single sequential unification pass propagates evidence
-// across call boundaries. The typed layout, report and per-function stats
-// are recorded on the pipeline; with linting enabled, every
-// irreconcilable-evidence event becomes a typed-conflict warning. The
-// stage is a no-op unless Options.Types was set.
+// order; the VSA fixpoints come from the pipeline, shared with the VSA
+// stage when it ran), then a single sequential unification pass
+// propagates evidence across call boundaries. The typed layout, report
+// and per-function stats are recorded on the pipeline; with linting
+// enabled, every irreconcilable-evidence event becomes a typed-conflict
+// warning. The stage is a no-op unless Options.Types was set.
 func (p *Pipeline) RefineTypes() error {
 	if !p.Types {
 		return nil
@@ -23,7 +24,7 @@ func (p *Pipeline) RefineTypes() error {
 	funcs := p.Mod.Funcs
 	results := make([]*typerec.FuncResult, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
-		results[i] = typerec.AnalyzeFunc(funcs[i])
+		results[i] = typerec.AnalyzeFunc(p.fix.get(funcs[i]))
 		return nil
 	})
 	// Unification is deterministic (module/alloca order) and cheap; it

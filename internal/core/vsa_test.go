@@ -8,8 +8,12 @@ import (
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
+	"wytiwyg/internal/ir"
+	"wytiwyg/internal/layout"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/opt"
 	"wytiwyg/internal/refcache"
+	"wytiwyg/internal/vsa"
 )
 
 // vsaRefinedAt runs the VSA-enabled pipeline on one benchmark.
@@ -128,4 +132,86 @@ func TestVSAWarmCacheDistinctKey(t *testing.T) {
 	if plain.FromCache {
 		t.Error("plain run hit the VSA run's cache entry")
 	}
+}
+
+// The optimizer's alias oracle answers from the pipeline's shared VSA
+// fixpoints, reusing one while its function is unchanged. Optimizing with
+// it must give exactly the IR and promotions of an oracle rebuilt from a
+// fresh analysis on every call. The pipelines run with two workers, so
+// under -race the VSA and typerec stages fill the shared store
+// concurrently.
+func TestSharedOracleMatchesRebuilt(t *testing.T) {
+	names := []string{"mcf", "hmmer", "h264ref", "gobmk", "xalancbmk"}
+	if testing.Short() {
+		names = names[:1]
+	}
+	opts := core.Options{Jobs: 2, Lint: core.LintWarn, VSA: true, Types: true, StaticRecover: true}
+	for _, name := range names {
+		p, _ := progs.ByName(name)
+		p = bench.Scaled(p, 6)
+		shared := refinedAtOpts(t, p, opts)
+		rebuilt := refinedAtOpts(t, p, opts)
+		n := len(shared.Mod.Funcs)
+		if got, want := shared.Fixpoints(), (core.FixpointStats{Computed: n, Reused: n}); got != want {
+			t.Errorf("%s: after Refine %+v, want %+v (typerec reuses every VSA-stage fixpoint)", name, got, want)
+		}
+		// Every answer the shared oracle hands out must also be the
+		// value set a fresh analysis computes right then.
+		calls := 0
+		sharedOracle := shared.Oracle()
+		gotProm := opt.PipelineWith(shared.Mod, opt.PipelineOpts{
+			Oracle: func(f *ir.Func) opt.AliasOracle {
+				calls++
+				orc := sharedOracle(f)
+				if diff := diffValueSets(f, orc.(*vsa.Oracle).Result(), vsa.Analyze(f)); diff != "" {
+					t.Errorf("%s: oracle call %d on %s: shared fixpoint is stale: %s", name, calls, f.Name, diff)
+				}
+				return orc
+			},
+			Typed: shared.TypedInfo(),
+		})
+		wantProm := opt.PipelineWith(rebuilt.Mod, opt.PipelineOpts{
+			Oracle: func(f *ir.Func) opt.AliasOracle { return vsa.NewOracle(f) },
+			Typed:  rebuilt.TypedInfo(),
+		})
+		if got, want := shared.Mod.String(), rebuilt.Mod.String(); got != want {
+			t.Errorf("%s: optimized IR differs between the shared and the rebuilt oracle\n-- shared:\n%.2000s\n-- rebuilt:\n%.2000s",
+				name, got, want)
+		}
+		if got, want := renderFrames(gotProm), renderFrames(wantProm); got != want {
+			t.Errorf("%s: promotions differ between the shared and the rebuilt oracle\n-- shared:\n%s-- rebuilt:\n%s",
+				name, got, want)
+		}
+		st := shared.Fixpoints()
+		if st.Computed+st.Reused != 2*n+calls {
+			t.Errorf("%s: %+v fixpoints for %d stage requests and %d oracle calls", name, st, 2*n, calls)
+		}
+		if st.Reused <= n {
+			t.Errorf("%s: the oracle reused no fixpoint over %d calls (%+v)", name, calls, st)
+		}
+	}
+}
+
+// renderFrames prints every frame of a layout in function-name order.
+func renderFrames(p *layout.Program) string {
+	var b strings.Builder
+	for _, name := range p.FuncNames() {
+		fmt.Fprintf(&b, "%s\n", p.Frame(name))
+	}
+	return b.String()
+}
+
+// diffValueSets returns the first value of f whose value set differs
+// between two fixpoints, or "".
+func diffValueSets(f *ir.Func, got, want *vsa.FuncResult) string {
+	for _, b := range f.Blocks {
+		for _, vs := range [][]*ir.Value{b.Phis, b.Insts} {
+			for _, v := range vs {
+				if g, w := got.ValueSetOf(v).String(), want.ValueSetOf(v).String(); g != w {
+					return fmt.Sprintf("%s is %s, a fresh analysis says %s", v, g, w)
+				}
+			}
+		}
+	}
+	return ""
 }

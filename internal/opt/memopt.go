@@ -346,9 +346,13 @@ type PipelineOpts struct {
 	NoMem2Reg bool // skip stack-slot promotion
 	NoMemOpt  bool // skip store-to-load forwarding and dead-store removal
 	NoLICM    bool // skip loop-invariant code motion
-	// Oracle, when non-nil, builds a per-function alias oracle each round.
-	// It is a factory rather than a fixed oracle because every round
-	// rewrites the IR the oracle's facts are keyed on.
+	// Oracle, when non-nil, supplies a per-function alias oracle. It is
+	// called twice per function and round: before the oracle-driven
+	// rewrites (ResolveAddrs, ForwardStores) and again before MemOptWith,
+	// because the passes in between rewrite the IR the oracle's facts are
+	// keyed on. The oracle must describe the function as it is at the
+	// call; a factory may hand out a stored one for a function that has
+	// provably not changed since it was built (core.Pipeline.Oracle does).
 	Oracle func(*ir.Func) AliasOracle
 	// Typed, when non-nil, supplies the per-function typed-slot partition
 	// consumed by SplitSlots. Returning a nil TypedInfo skips the

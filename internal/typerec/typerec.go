@@ -61,8 +61,8 @@ type FuncResult struct {
 	// Conflicts lists the irreconcilable-evidence events in
 	// deterministic (block, instruction) order.
 	Conflicts []Conflict
-	// Elapsed is the inference's wall-clock cost (including the VSA
-	// fixpoint it runs on).
+	// Elapsed is the inference's wall-clock cost, excluding the VSA
+	// fixpoint it was handed.
 	Elapsed time.Duration
 
 	// allocas lists the function's allocas in (block, instruction)
@@ -121,14 +121,14 @@ func accWidth(v *ir.Value) int64 {
 	return int64(v.Size)
 }
 
-// AnalyzeFunc runs the type inference for one function: it computes the
-// VSA fixpoint itself (the pass must not depend on the -vsa stage being
-// enabled), gathers the access facts, and assembles the local slot
-// types. Cross-function refinement happens later in Unify. The function
-// is never mutated.
-func AnalyzeFunc(f *ir.Func) *FuncResult {
+// AnalyzeFunc runs the type inference for one function from its VSA
+// fixpoint fix (vsa.Analyze of the function, or a result that is still
+// Current): it gathers the access facts and assembles the local slot
+// types. Cross-function refinement happens later in Unify. Neither the
+// function nor fix is mutated.
+func AnalyzeFunc(fix *vsa.FuncResult) *FuncResult {
 	start := time.Now()
-	fix := vsa.Analyze(f)
+	f := fix.Fn()
 	r := &FuncResult{
 		fn:      f,
 		fix:     fix,

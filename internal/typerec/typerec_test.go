@@ -5,6 +5,7 @@ import (
 
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/layout"
+	"wytiwyg/internal/vsa"
 )
 
 func mkFunc(m *ir.Module, name string) (*ir.Func, *ir.Block) {
@@ -72,7 +73,7 @@ func TestResolveScalarAndStruct(t *testing.T) {
 	store(f, b, p, x, 4) // p = &x
 	b.Append(f.NewValue(ir.OpRet, konst(f, b, 0)))
 
-	r := AnalyzeFunc(f)
+	r := AnalyzeFunc(vsa.Analyze(f))
 	if got := r.Slots[x].String(); got != "int32" {
 		t.Errorf("x: %s, want int32", got)
 	}
@@ -128,7 +129,7 @@ func TestResolveArrayFromStride(t *testing.T) {
 
 	exit.Append(f.NewValue(ir.OpRet, konst(f, exit, 0)))
 
-	r := AnalyzeFunc(f)
+	r := AnalyzeFunc(vsa.Analyze(f))
 	if got := r.Slots[arr].String(); got != "array(int32,10)" {
 		t.Errorf("arr: %s, want array(int32,10)", got)
 	}
@@ -148,7 +149,7 @@ func TestResolveConflict(t *testing.T) {
 	store(f, b, x, konst(f, b, 2), 1)
 	b.Append(f.NewValue(ir.OpRet, konst(f, b, 0)))
 
-	r := AnalyzeFunc(f)
+	r := AnalyzeFunc(vsa.Analyze(f))
 	if got := r.Slots[x].Kind0(); got != layout.TConflict {
 		t.Errorf("x kind: %v, want conflict", got)
 	}
@@ -166,7 +167,7 @@ func TestResolveUndercommit(t *testing.T) {
 	store(f, b, buf, konst(f, b, 1), 1)
 	b.Append(f.NewValue(ir.OpRet, konst(f, b, 0)))
 
-	r := AnalyzeFunc(f)
+	r := AnalyzeFunc(vsa.Analyze(f))
 	if got := r.Slots[buf].Kind0(); got != layout.TTop {
 		t.Errorf("buf kind: %v, want top", got)
 	}
@@ -192,8 +193,8 @@ func TestUnifyRefinesPointee(t *testing.T) {
 	fb.Append(call)
 	fb.Append(f.NewValue(ir.OpRet, konst(f, fb, 0)))
 
-	rg := AnalyzeFunc(g)
-	rf := AnalyzeFunc(f)
+	rg := AnalyzeFunc(vsa.Analyze(g))
+	rf := AnalyzeFunc(vsa.Analyze(f))
 	if got := rf.Slots[x].Kind0(); got != layout.TTop {
 		t.Fatalf("pre-unify x kind: %v, want top", got)
 	}

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"maps"
 	"time"
 
 	"wytiwyg/internal/analysis"
@@ -27,15 +28,20 @@ type state struct {
 	mem map[aloc]ValueSet
 }
 
-func cloneState(s state) state {
-	out := state{env: s.env.Clone()}
-	if s.mem != nil {
-		out.mem = make(map[aloc]ValueSet, len(s.mem))
-		for k, v := range s.mem {
-			out.mem[k] = v
-		}
+// copyState makes dst an independent copy of src, reusing dst's storage.
+func copyState(dst, src state) state {
+	dst.env = dst.env.CopyFrom(src.env)
+	if src.mem == nil {
+		dst.mem = nil
+		return dst
 	}
-	return out
+	if dst.mem == nil {
+		dst.mem = make(map[aloc]ValueSet, len(src.mem))
+	} else {
+		clear(dst.mem)
+	}
+	maps.Copy(dst.mem, src.mem)
+	return dst
 }
 
 // joinVS joins one entry, reporting whether it grew.
@@ -50,10 +56,7 @@ func joinState(dst, src state) (state, bool) {
 	case src.mem == nil:
 		// Bottom store contributes nothing.
 	case dst.mem == nil:
-		dst.mem = make(map[aloc]ValueSet, len(src.mem))
-		for k, v := range src.mem {
-			dst.mem[k] = v
-		}
+		dst.mem = maps.Clone(src.mem)
 		changed = true
 	default:
 		for k, dv := range dst.mem {
@@ -259,6 +262,8 @@ type FuncResult struct {
 	vals map[*ir.Value]ValueSet
 	// escaped is the syntactic escape set used for call clobbering.
 	escaped map[*ir.Value]bool
+	// read records what the analysis read of fn (see Current).
+	read readSet
 	// Elapsed is the analysis wall time, for performance reporting.
 	Elapsed time.Duration
 }
@@ -276,7 +281,7 @@ func (fr *FuncResult) ValueSetOf(v *ir.Value) ValueSet {
 
 // transfer interprets one block: phis, then instructions in order, with
 // loads reading and stores updating the abstract store.
-func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Value, st state)) state {
+func transfer(b *ir.Block, st state, esc map[*ir.Value]bool) state {
 	if st.mem == nil {
 		st.mem = make(map[aloc]ValueSet) // bottom store: treat as all-Top
 	}
@@ -284,9 +289,6 @@ func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Val
 		st.env.Set(v, evalValue(v, st.env))
 	}
 	for _, v := range b.Insts {
-		if hook != nil {
-			hook(v, st)
-		}
 		switch v.Op {
 		case ir.OpLoad:
 			st.env.Set(v, loadCell(st, v))
@@ -405,24 +407,31 @@ func clobberCall(st state, esc map[*ir.Value]bool) {
 	}
 }
 
-// Analyze runs the value-set analysis to a fixpoint over one function.
-func Analyze(f *ir.Func) *FuncResult {
-	start := time.Now()
-	esc := analysis.Escapes(f)
+// problem is the value-set instance of the engine for f, whose escape
+// set is esc.
+func problem(f *ir.Func, esc map[*ir.Value]bool) analysis.Problem[state] {
 	f.EnsureLayout()
 	n := f.Layout().NumSlots
-	prob := analysis.Problem[state]{
+	return analysis.Problem[state]{
 		Forward: true,
 		Boundary: func(*ir.Func) state {
 			return state{env: analysis.NewEnv[ValueSet](n), mem: map[aloc]ValueSet{}}
 		},
 		Bottom:   func() state { return state{env: analysis.NewEnv[ValueSet](n)} },
 		Join:     joinState,
-		Clone:    cloneState,
-		Transfer: func(b *ir.Block, in state) state { return transfer(b, in, esc, nil) },
+		Copy:     copyState,
+		Transfer: func(b *ir.Block, in state) state { return transfer(b, in, esc) },
 		Widen:    widenState,
 	}
-	res := analysis.Solve(f, prob)
+}
+
+// Analyze runs the value-set analysis to a fixpoint over one function.
+// The result records what it read of f, so a holder can tell whether it
+// still describes f after passes ran (Current).
+func Analyze(f *ir.Func) *FuncResult {
+	start := time.Now()
+	esc := analysis.Escapes(f)
+	res := analysis.Solve(f, problem(f, esc))
 	vals := make(map[*ir.Value]ValueSet)
 	for _, b := range f.Blocks {
 		out, ok := res.Out[b]
@@ -440,7 +449,7 @@ func Analyze(f *ir.Func) *FuncResult {
 			}
 		}
 	}
-	fr := &FuncResult{fn: f, vals: vals, escaped: esc}
+	fr := &FuncResult{fn: f, vals: vals, escaped: esc, read: record(f)}
 	fr.Elapsed = time.Since(start)
 	return fr
 }
