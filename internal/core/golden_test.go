@@ -59,10 +59,10 @@ func readGolden(t *testing.T, path string) map[string]string {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 3 {
+		if len(fields) < 3 {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		want[fields[0]+" "+fields[1]] = fields[2]
+		want[fields[0]+" "+fields[1]] = strings.Join(fields[2:], " ")
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -81,6 +81,20 @@ func checkGolden(t *testing.T, path string, header []string,
 	if testing.Short() && !*updateGolden {
 		corpus = corpus[:3]
 	}
+	var rows [][2]string
+	for _, p := range corpus {
+		for _, prof := range goldenProfiles {
+			rows = append(rows, [2]string{p.Name + " " + prof.Name, digest(t, p, prof)})
+		}
+	}
+	matchGolden(t, path, header, rows)
+}
+
+// matchGolden compares rows ("program profile" → recorded value, in
+// corpus order) with the file at path, or rewrites the file under the
+// given header comment lines with -update-golden.
+func matchGolden(t *testing.T, path string, header []string, rows [][2]string) {
+	t.Helper()
 	var want map[string]string
 	if !*updateGolden {
 		want = readGolden(t, path)
@@ -89,19 +103,16 @@ func checkGolden(t *testing.T, path string, header []string,
 	for _, h := range header {
 		fmt.Fprintf(&out, "# %s\n", h)
 	}
-	for _, p := range corpus {
-		for _, prof := range goldenProfiles {
-			key := p.Name + " " + prof.Name
-			got := digest(t, p, prof)
-			fmt.Fprintf(&out, "%s %s\n", key, got)
-			if *updateGolden {
-				continue
-			}
-			if w, ok := want[key]; !ok {
-				t.Errorf("%s: no golden digest recorded", key)
-			} else if got != w {
-				t.Errorf("%s: output digest %s, golden %s", key, got, w)
-			}
+	for _, r := range rows {
+		key, got := r[0], r[1]
+		fmt.Fprintf(&out, "%s %s\n", key, got)
+		if *updateGolden {
+			continue
+		}
+		if w, ok := want[key]; !ok {
+			t.Errorf("%s: %s records nothing", key, path)
+		} else if got != w {
+			t.Errorf("%s: got %s, %s records %s", key, got, path, w)
 		}
 	}
 	if *updateGolden {
