@@ -7,12 +7,10 @@ import (
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
-	"wytiwyg/internal/ir"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/sanitize"
-	"wytiwyg/internal/vsa"
 )
 
 // BenchmarkSanitizerOverhead measures the downstream-application extension:
@@ -36,7 +34,7 @@ func BenchmarkSanitizerOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			build := func(sanitized, elide bool) *machine.Result {
+			build := func(sanitized bool) *machine.Result {
 				pl, err := core.LiftBinary(img, p.Inputs())
 				if err != nil {
 					b.Fatal(err)
@@ -53,19 +51,9 @@ func BenchmarkSanitizerOverhead(b *testing.B) {
 					}
 				}
 				opt.Pipeline(pl.Mod)
-				var opts codegen.Options
-				var guards codegen.GuardStats
-				if elide {
-					opts.Oracle = func(f *ir.Func) codegen.BoundsOracle { return vsa.NewOracle(f) }
-					opts.Guards = &guards
-				}
-				out, err := codegen.CompileWith(pl.Mod, p.Name+"-san", opts)
+				out, err := codegen.Compile(pl.Mod, p.Name+"-san")
 				if err != nil {
 					b.Fatal(err)
-				}
-				if elide {
-					b.ReportMetric(float64(guards.Guards), "guards")
-					b.ReportMetric(float64(guards.Elided), "guards-elided")
 				}
 				res, err := machine.Execute(out, p.Ref, nil)
 				if err != nil {
@@ -75,11 +63,9 @@ func BenchmarkSanitizerOverhead(b *testing.B) {
 			}
 
 			for i := 0; i < b.N; i++ {
-				plain := build(false, false)
-				hard := build(true, false)
-				lean := build(true, true)
+				plain := build(false)
+				hard := build(true)
 				b.ReportMetric(float64(hard.Cycles)/float64(plain.Cycles), "sanitized-ratio")
-				b.ReportMetric(float64(lean.Cycles)/float64(plain.Cycles), "sanitized-elided-ratio")
 			}
 		})
 	}

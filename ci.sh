@@ -71,19 +71,18 @@ check_bench() {
         ./internal/machine/ ./internal/irexec/ |
         go run ./cmd/benchjson -mode smoke -o /tmp/wytiwyg-bench-smoke.json
     # The analysis benchmarks only have to keep compiling and running; their
-    # numbers go nowhere.
+    # smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
     go test -bench='VSAAnalyze|CheckBounds' -benchtime=1x -run '^$' \
         ./internal/vsa/ ./internal/analysis/ >/dev/null
-    go run ./cmd/benchjson -vsa -o /tmp/wytiwyg-bench-smoke.json
-    go run ./cmd/benchjson -static -o /tmp/wytiwyg-bench-smoke.json
-    go run ./cmd/benchjson -types -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -check -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -check -o BENCH_interp.json
-    go run ./cmd/benchjson -serve -o /tmp/wytiwyg-bench-serve.json
-    go run ./cmd/benchjson -check -o /tmp/wytiwyg-bench-serve.json
-    go run ./cmd/benchjson -check -o BENCH_serve.json
 }
 step "bench smoke" check_bench
+
+# Ablation smoke: the optimizer-variant table plus the +vsa/+types/+static
+# analysis columns, on one small program. Every variant's recompiled binary
+# is checked against the original's output inside the run.
+step "ablation smoke" go run ./cmd/experiments -exp ablation -progs mcf -scale 2
 
 # Partial-coverage smoke: static recovery of untraced code end to end.
 # examples/coverage (run above) performs the differential check against the

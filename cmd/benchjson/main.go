@@ -25,52 +25,19 @@
 //
 // With -check the tool instead validates an existing artifact (structure,
 // required benchmarks, sample-count/mode consistency) and exits non-zero
-// on malformed or missing fields, so CI fails instead of publishing junk.
-//
-// With -vsa the tool ignores stdin and instead measures the value-set
-// analysis on a pointer-heavy slice of the benchmark corpus — per-function
-// analysis wall time plus the optimizer's promoted-slot counts with and
-// without the alias oracle — and merges the result into the artifact's
-// "vsa" section.
-//
-// With -types the tool ignores stdin and measures the type-recovery stage
-// on an aggregate-heavy slice of the corpus — per-function inference wall
-// time, typed-slot coverage, precision/recall against the compiler's
-// declared slot types, and the optimizer's promoted-slot counts with and
-// without the typed slot splitter — and merges the result into the
-// artifact's "types" section.
-//
-// With -static the tool likewise ignores stdin and measures static
-// cold-code recovery under partial trace coverage: how many cold candidates
-// discovery finds, how many the VSA admission gate accepts, and each
-// function's analysis cost. The result lands in the artifact's "static"
-// section.
-//
-// With -guards the tool re-measures the sanitizer-overhead ratios (the
-// Table 1 extension): unsanitized vs sanitized vs sanitized-with-VSA-guard-
-// elision cycle counts, merged into the artifact's "guards" section.
-//
-// With -serve the tool measures the recompilation daemon (internal/serve):
-// each program is submitted twice against a freshly started daemon with an
-// empty cache — the cold submission runs the full pipeline, the warm repeat
-// is answered from the shared response cache — and the cold/warm latencies,
-// speedup and hit rates land in the artifact's "serve" section
-// (conventionally BENCH_serve.json).
+// on malformed or missing fields — an unknown top-level section included —
+// so CI fails instead of publishing junk.
 //
 // Usage:
 //
 //	go test -bench=. -count=5 ./... | benchjson -mode full -o BENCH_interp.json
 //	go test -bench=. -benchtime=1x ./... | benchjson -mode smoke -o /tmp/smoke.json
 //	benchjson -check -o BENCH_interp.json
-//	benchjson -vsa -o BENCH_interp.json
-//	benchjson -types -o BENCH_interp.json
-//	benchjson -static -o BENCH_interp.json
-//	benchjson -guards -o BENCH_interp.json
-//	benchjson -serve -o BENCH_serve.json
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -79,7 +46,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // minSamples is the sample count below which timing ratios are considered
@@ -109,11 +75,6 @@ type File struct {
 	Baseline map[string]Metrics `json:"baseline,omitempty"` // pinned pre-optimization numbers
 	Current  map[string]Metrics `json:"current"`            // latest run's numbers
 	Speedup  map[string]float64 `json:"speedup,omitempty"`  // baseline/current per benchmark; full mode only
-	VSA      []VSASection       `json:"vsa,omitempty"`      // value-set analysis measurements
-	Types    []TypeSection      `json:"types,omitempty"`    // type-recovery measurements
-	Static   []StaticSection    `json:"static,omitempty"`   // cold-code recovery measurements
-	Guards   []GuardSection     `json:"guards,omitempty"`   // sanitizer guard-elision measurements
-	Serve    []ServeSection     `json:"serve,omitempty"`    // recompilation-daemon measurements
 }
 
 // readArtifact loads an existing artifact, or an empty one if absent.
@@ -145,48 +106,17 @@ func main() {
 	mode := flag.String("mode", "smoke", `sampling protocol: "full" requires ≥3 samples per benchmark and computes speedups; "smoke" accepts anything and suppresses them`)
 	setBaseline := flag.Bool("set-baseline", false, "record this run as the baseline instead of the current numbers")
 	check := flag.Bool("check", false, "validate the artifact named by -o instead of writing; exit non-zero on malformed or missing fields")
-	vsaFlag := flag.Bool("vsa", false, "measure the value-set analysis (cost and promoted slots) instead of reading bench output")
-	typesFlag := flag.Bool("types", false, "measure the type-recovery stage (cost, accuracy, promoted slots) instead of reading bench output")
-	staticFlag := flag.Bool("static", false, "measure static cold-code recovery (candidates, admissions, analysis cost) instead of reading bench output")
-	guardsFlag := flag.Bool("guards", false, "measure sanitizer overhead with and without VSA guard elision instead of reading bench output")
-	serveFlag := flag.Bool("serve", false, "measure the recompilation daemon (cold vs warm latency, hit rates) instead of reading bench output")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	switch {
-	case *check:
+	if *check {
 		if err := checkArtifact(*out); err != nil {
 			fail(fmt.Errorf("%s: %v", *out, err))
 		}
 		fmt.Printf("benchjson: %s is well-formed\n", *out)
-		return
-	case *vsaFlag:
-		if err := writeVSA(*out); err != nil {
-			fail(err)
-		}
-		return
-	case *typesFlag:
-		if err := writeTypes(*out); err != nil {
-			fail(err)
-		}
-		return
-	case *staticFlag:
-		if err := writeStatic(*out); err != nil {
-			fail(err)
-		}
-		return
-	case *guardsFlag:
-		if err := writeGuards(*out); err != nil {
-			fail(err)
-		}
-		return
-	case *serveFlag:
-		if err := writeServe(*out); err != nil {
-			fail(err)
-		}
 		return
 	}
 
@@ -249,14 +179,16 @@ func checkArtifact(path string) error {
 	if err != nil {
 		return err
 	}
+	return checkData(data)
+}
+
+// checkData validates one artifact's bytes (see checkArtifact).
+func checkData(data []byte) error {
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("not valid JSON: %v", err)
-	}
-	// A serve-only artifact (conventionally BENCH_serve.json) carries no
-	// benchmark sections; validate just the daemon measurements.
-	if len(f.Current) == 0 && len(f.Serve) > 0 {
-		return checkServeSections(f.Serve)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return fmt.Errorf("not a valid artifact: %v", err)
 	}
 	if f.Mode != "full" && f.Mode != "smoke" {
 		return fmt.Errorf(`missing or unknown "mode" %q (want "full" or "smoke")`, f.Mode)
@@ -314,104 +246,10 @@ func checkArtifact(path string) error {
 			}
 		}
 	}
-	for _, sec := range f.Types {
-		if sec.Program == "" {
-			return fmt.Errorf("types section entry missing program")
-		}
-		if sec.TypedSlots > sec.TotalSlots {
-			return fmt.Errorf("types %s: typed %d exceeds total %d", sec.Program, sec.TypedSlots, sec.TotalSlots)
-		}
-		if sec.Precision < 0 || sec.Precision > 1 || sec.Recall < 0 || sec.Recall > 1 {
-			return fmt.Errorf("types %s: precision/recall out of [0,1]", sec.Program)
-		}
-		if sec.PromotedTyped < sec.PromotedBaseline {
-			return fmt.Errorf("types %s: typed splitting lost promotions (%d < %d)",
-				sec.Program, sec.PromotedTyped, sec.PromotedBaseline)
-		}
-	}
-	for _, sec := range f.VSA {
-		if err := checkVSASection(sec); err != nil {
-			return err
-		}
-	}
-	for _, sec := range f.Guards {
-		if sec.Program == "" || sec.PlainCycles == 0 {
-			return fmt.Errorf("guards section entry missing program or cycles")
-		}
-		if sec.Elided > sec.Guards {
-			return fmt.Errorf("guards %s: elided %d exceeds recognized %d", sec.Program, sec.Elided, sec.Guards)
-		}
-	}
-	return checkServeSections(f.Serve)
-}
-
-// checkVSASection validates one "vsa" section entry: every function's
-// timing is a min over at least minSamples analyses with the max beside
-// it, and the oracle never loses promotions.
-func checkVSASection(sec VSASection) error {
-	if sec.Program == "" || len(sec.Funcs) == 0 {
-		return fmt.Errorf("vsa section entry missing program or functions")
-	}
-	for _, fn := range sec.Funcs {
-		if fn.Samples < minSamples {
-			return fmt.Errorf("vsa %s/%s: %d samples (<%d)", sec.Program, fn.Func, fn.Samples, minSamples)
-		}
-		if fn.AnalysisMs < 0 || fn.AnalysisMaxMs < fn.AnalysisMs {
-			return fmt.Errorf("vsa %s/%s: min %v ms and max %v ms are inconsistent",
-				sec.Program, fn.Func, fn.AnalysisMs, fn.AnalysisMaxMs)
-		}
-	}
-	if sec.PromotedOracle < sec.PromotedBaseline {
-		return fmt.Errorf("vsa %s: the oracle lost promotions (%d < %d)",
-			sec.Program, sec.PromotedOracle, sec.PromotedBaseline)
-	}
-	return nil
-}
-
-// checkServeSections validates a "serve" section: the warm path must
-// actually be warm — below the cold latency, fully cache-served — or the
-// artifact is advertising a daemon that does nothing.
-func checkServeSections(secs []ServeSection) error {
-	for _, sec := range secs {
-		if sec.Program == "" {
-			return fmt.Errorf("serve section entry missing program")
-		}
-		if sec.ColdMs <= 0 || sec.WarmMs <= 0 {
-			return fmt.Errorf("serve %s: non-positive latency (cold %v, warm %v)",
-				sec.Program, sec.ColdMs, sec.WarmMs)
-		}
-		if sec.WarmMs >= sec.ColdMs {
-			return fmt.Errorf("serve %s: warm latency %.2fms is not below cold %.2fms",
-				sec.Program, sec.WarmMs, sec.ColdMs)
-		}
-		if sec.WarmHitRate != 1 {
-			return fmt.Errorf("serve %s: warm hit rate %v, want 1", sec.Program, sec.WarmHitRate)
-		}
-		if sec.FuncMisses <= 0 {
-			return fmt.Errorf("serve %s: cold run reports no function computations", sec.Program)
-		}
-	}
 	return nil
 }
 
 func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }
-
-func roundMs(d time.Duration) float64 { return round2(float64(d.Microseconds()) / 1000) }
-
-// writeVSA merges a freshly measured "vsa" section into the artifact,
-// leaving the benchmark sections untouched.
-func writeVSA(path string) error {
-	sections, err := vsaSections()
-	if err != nil {
-		return err
-	}
-	f, err := readArtifact(path)
-	if err != nil {
-		return err
-	}
-	f.VSA = sections
-	return writeArtifact(path, f, fmt.Sprintf("vsa section for %d programs", len(sections)))
-}
 
 // sample is one parsed benchmark result line.
 type sample struct {

@@ -64,7 +64,6 @@ import (
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
-	"wytiwyg/internal/ir"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
@@ -73,7 +72,6 @@ import (
 	"wytiwyg/internal/profiling"
 	"wytiwyg/internal/sanitize"
 	"wytiwyg/internal/symbolize"
-	"wytiwyg/internal/vsa"
 )
 
 func main() {
@@ -95,7 +93,6 @@ func main() {
 	inputsFlag := flag.String("inputs", "", "comma-separated integer inputs for tracing/validation")
 	emit := flag.String("emit", "", "additionally print: ir, asm, layout")
 	sanitizeFlag := flag.Bool("sanitize", false, "retrofit stack-bounds checks onto the recompiled binary")
-	sanElide := flag.Bool("sanitize-elide", false, "with -sanitize: let the value-set analysis elide provably redundant bounds checks")
 	lintMode := flag.String("lint", "warn", "post-refinement verification: off, warn, fail")
 	vsaFlag := flag.Bool("vsa", false, "run the value-set analysis stage: verify the layout and enable alias-oracle optimizations")
 	typesFlag := flag.Bool("types", false, "run the type-recovery stage: infer slot types and enable typed slot splitting in the optimizer")
@@ -270,22 +267,9 @@ func main() {
 		}
 	}
 
-	var cgOpts codegen.Options
-	var guardStats codegen.GuardStats
-	if *sanElide {
-		if !*sanitizeFlag {
-			fail("-sanitize-elide requires -sanitize")
-		}
-		cgOpts.Oracle = func(f *ir.Func) codegen.BoundsOracle { return vsa.NewOracle(f) }
-		cgOpts.Guards = &guardStats
-	}
-	out, err := codegen.CompileWith(p.Mod, "recovered", cgOpts)
+	out, err := codegen.Compile(p.Mod, "recovered")
 	if err != nil {
 		fail("recompile: %v", err)
-	}
-	if *sanElide {
-		fmt.Printf("sanitizer: %d of %d guards proven redundant and elided\n",
-			guardStats.Elided, guardStats.Guards)
 	}
 	fmt.Printf("recovered binary: %d instructions\n", len(out.Code))
 	if *emit == "asm" {

@@ -3,10 +3,7 @@
 // and Figure 7. Each ground-truth object is classified as matched,
 // oversized, undersized or missed; the paper's deliberate
 // partial-coverage property ("if f3 returns 0 in every invocation across
-// all traces, the array will be split") is demonstrated directly, along
-// with the value-set-analysis backstop that widens the layout until no
-// statically possible access can cross an object boundary — restoring
-// coverage (recall) where the traces were incomplete, at precision cost.
+// all traces, the array will be split") is demonstrated directly.
 package main
 
 import (
@@ -21,7 +18,6 @@ import (
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/symbolize"
-	"wytiwyg/internal/vsa"
 )
 
 // The paper's Figure 2 program. f3's return value decides which element of
@@ -41,10 +37,9 @@ int f1() {
 }
 int main() { return f1(); }`
 
-// result is one configuration's layouts: the dynamic recovery and the
-// VSA-widened backstop, both against the same ground truth.
+// result is one configuration's recovered layout and its ground truth.
 type result struct {
-	truth, rec, back *layout.Frame
+	truth, rec *layout.Frame
 }
 
 func analyze(divisor int) result {
@@ -60,29 +55,20 @@ func analyze(divisor int) result {
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}
-	// The backstop widens the refined (pre-optimization) layout: the
-	// optimizer folds never-traced accesses away, and it is exactly those
-	// the static analysis must account for.
-	back, _ := vsa.Backstop(vsa.Analyze(p.Mod.FuncByName("f1")),
-		symbolize.RecoveredLayout(p.Mod).Frame("f1"))
 	opt.Pipeline(p.Mod)
 	rec := symbolize.RecoveredLayout(p.Mod).Frame("f1")
-	return result{truth: img.Truth.Frame("f1"), rec: rec, back: back}
+	return result{truth: img.Truth.Frame("f1"), rec: rec}
 }
 
 func show(title string, r result) {
 	fmt.Println(title)
 	fmt.Printf("  ground truth:  %s\n", r.truth)
-	line := func(label string, rec *layout.Frame) {
-		acc := layout.CompareFrame(r.truth, rec)
-		fmt.Printf("  %s %s\n", label, rec)
-		fmt.Printf("    matched=%d oversized=%d undersized=%d missed=%d  precision=%.0f%% recall=%.0f%%\n",
-			acc.Counts[layout.Matched], acc.Counts[layout.Oversized],
-			acc.Counts[layout.Undersized], acc.Counts[layout.Missed],
-			acc.Precision()*100, acc.Recall()*100)
-	}
-	line("recovered:    ", r.rec)
-	line("vsa backstop: ", r.back)
+	acc := layout.CompareFrame(r.truth, r.rec)
+	fmt.Printf("  recovered:     %s\n", r.rec)
+	fmt.Printf("    matched=%d oversized=%d undersized=%d missed=%d  precision=%.0f%% recall=%.0f%%\n",
+		acc.Counts[layout.Matched], acc.Counts[layout.Oversized],
+		acc.Counts[layout.Undersized], acc.Counts[layout.Missed],
+		acc.Precision()*100, acc.Recall()*100)
 	fmt.Println()
 }
 
@@ -130,9 +116,7 @@ func main() {
 	// Divisor 100 makes f3 return 0 on every traced input: the analysis
 	// has no evidence that b[0] and b[1] belong together, so b splits —
 	// exactly the behaviour §4.2 describes. The recompiled program still
-	// behaves correctly for every traced input; the backstop is what makes
-	// untraced inputs safe, by refusing to keep any boundary a static
-	// access could cross.
+	// behaves correctly for every traced input.
 	show("f3 returns 0 in every trace (the paper's splitting case):", analyze(100))
 
 	typedCorpus()

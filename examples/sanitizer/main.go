@@ -13,12 +13,10 @@ import (
 
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
-	"wytiwyg/internal/ir"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/sanitize"
-	"wytiwyg/internal/vsa"
 )
 
 // A classic latent bug: the index is attacker-controlled, the buffer is 4
@@ -52,19 +50,11 @@ func main() {
 	}
 	checks := sanitize.Apply(p.Mod)
 	opt.Pipeline(p.Mod)
-	// Let the value-set analysis discharge the checks it can prove
-	// redundant; the attacker-controlled index below defeats it, so that
-	// guard — the one that matters — survives.
-	var guards codegen.GuardStats
-	hardened, err := codegen.CompileWith(p.Mod, "hardened", codegen.Options{
-		Oracle: func(f *ir.Func) codegen.BoundsOracle { return vsa.NewOracle(f) },
-		Guards: &guards,
-	})
+	hardened, err := codegen.Compile(p.Mod, "hardened")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("inserted %d stack bounds checks into the recovered binary\n", checks)
-	fmt.Printf("VSA proved %d of %d guards redundant and elided them\n\n", guards.Elided, guards.Guards)
+	fmt.Printf("inserted %d stack bounds checks into the recovered binary\n\n", checks)
 
 	for _, idx := range []int32{1, 5} {
 		input := machine.Input{Ints: []int32{idx}}

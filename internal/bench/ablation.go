@@ -13,7 +13,9 @@ import (
 
 // AblationRow measures which parts of the stack contribute the speedup the
 // paper attributes to fine-grained symbolization (§6.2's analysis): the
-// same refined module compiled with optimizer passes selectively disabled.
+// same refined module compiled with optimizer passes selectively disabled,
+// and with each optional static analysis enabled on top of the full
+// pipeline.
 type AblationRow struct {
 	Program string // benchmark name
 	Config  string // compiler profile name
@@ -24,6 +26,18 @@ type AblationRow struct {
 	SymNoLICM  uint64 // symbolized, no loop-invariant motion
 	SymFull    uint64 // symbolized, full optimizer
 	StaticOnly uint64 // static (SecondWrite-like) symbolization, 0 if failed
+	// Full is the sym-full run's exact outcome; VSA, Types and Static are
+	// the same run with core.Options.VSA, Types or StaticRecover on and
+	// the analysis' consumer wired in (the optimizer's alias oracle, its
+	// typed slot splitter, cold-code admission).
+	Full, VSA, Types, Static Outcome
+}
+
+// Outcome is one ablation run's exact, deterministic result.
+type Outcome struct {
+	Cycles   uint64 // recompiled binary's cycles on the ref input
+	Promoted int    // stack slots the optimizer promoted to registers
+	Admitted int    // statically recovered cold functions admitted
 }
 
 // Ablation runs the variants for one benchmark/configuration.
@@ -39,41 +53,70 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 	}
 	row.Native = nat.Cycles
 
-	run := func(refine bool, o opt.PipelineOpts) (uint64, error) {
-		pl, err := core.LiftBinary(img, p.Inputs())
+	run := func(refine bool, copts core.Options, o opt.PipelineOpts) (Outcome, error) {
+		copts.Jobs = 1
+		pl, err := core.LiftBinaryOpts(img, p.Inputs(), copts)
 		if err != nil {
-			return 0, err
+			return Outcome{}, err
 		}
 		if refine {
 			if err := pl.Refine(); err != nil {
-				return 0, err
+				return Outcome{}, err
 			}
 		}
-		opt.PipelineWith(pl.Mod, o)
+		var res Outcome
+		for _, st := range pl.ColdStats {
+			if st.Admitted {
+				res.Admitted++
+			}
+		}
+		o.Oracle, o.Typed = pl.Oracle(), pl.TypedInfo()
+		promoted := opt.PipelineWith(pl.Mod, o)
+		for _, f := range promoted.Frames {
+			res.Promoted += len(f.Vars)
+		}
 		out, err := codegen.Compile(pl.Mod, p.Name)
 		if err != nil {
-			return 0, err
+			return Outcome{}, err
 		}
 		m, err := measure(out, p.Ref)
 		if err != nil {
-			return 0, err
+			return Outcome{}, err
 		}
 		if m.Output != nat.Output || m.ExitCode != nat.ExitCode {
-			return 0, fmt.Errorf("ablation: %s: behaviour mismatch", p.Name)
+			return Outcome{}, fmt.Errorf("ablation: %s: behaviour mismatch", p.Name)
 		}
-		return m.Cycles, nil
+		res.Cycles = m.Cycles
+		return res, nil
 	}
-	if row.NoSym, err = run(false, opt.PipelineOpts{}); err != nil {
-		return nil, err
+	for _, v := range []struct {
+		dst   *Outcome
+		copts core.Options
+	}{
+		{&row.Full, core.Options{}},
+		{&row.VSA, core.Options{VSA: true}},
+		{&row.Types, core.Options{Types: true}},
+		{&row.Static, core.Options{StaticRecover: true}},
+	} {
+		if *v.dst, err = run(true, v.copts, opt.PipelineOpts{}); err != nil {
+			return nil, err
+		}
 	}
-	if row.SymNoMem, err = run(true, opt.PipelineOpts{NoMem2Reg: true, NoMemOpt: true}); err != nil {
-		return nil, err
-	}
-	if row.SymNoLICM, err = run(true, opt.PipelineOpts{NoLICM: true}); err != nil {
-		return nil, err
-	}
-	if row.SymFull, err = run(true, opt.PipelineOpts{}); err != nil {
-		return nil, err
+	row.SymFull = row.Full.Cycles
+	for _, v := range []struct {
+		dst    *uint64
+		refine bool
+		o      opt.PipelineOpts
+	}{
+		{&row.NoSym, false, opt.PipelineOpts{}},
+		{&row.SymNoMem, true, opt.PipelineOpts{NoMem2Reg: true, NoMemOpt: true}},
+		{&row.SymNoLICM, true, opt.PipelineOpts{NoLICM: true}},
+	} {
+		res, err := run(v.refine, core.Options{}, v.o)
+		if err != nil {
+			return nil, err
+		}
+		*v.dst = res.Cycles
 	}
 	if sw := runStatic(img, p); !sw.Failed {
 		row.StaticOnly = sw.Cycles
@@ -81,7 +124,8 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 	return row, nil
 }
 
-// AblationReport renders the ablation table.
+// AblationReport renders the ablation tables: normalized runtimes per
+// optimizer variant, then the exact outcome of each optional analysis.
 func AblationReport(w io.Writer, rows []*AblationRow) {
 	fmt.Fprintln(w, "Ablation: normalized runtime vs the input binary (lower is better)")
 	fmt.Fprintln(w, "  no-sym      : recompiled without symbolization (BinRec baseline)")
@@ -103,5 +147,18 @@ func AblationReport(w io.Writer, rows []*AblationRow) {
 			rat(r.NoSym, r.Native), rat(r.SymNoMem, r.Native),
 			rat(r.SymNoLICM, r.Native), rat(r.SymFull, r.Native),
 			rat(r.StaticOnly, r.Native))
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Analysis consumers: exact cycles / promoted slots / admitted cold functions")
+	fmt.Fprintln(w, "  sym-full : the complete pipeline, no optional analysis")
+	fmt.Fprintln(w, "  +vsa     : sym-full with the VSA stage and the optimizer's alias oracle")
+	fmt.Fprintln(w, "  +types   : sym-full with type recovery and typed slot splitting")
+	fmt.Fprintln(w, "  +static  : sym-full with static cold-code recovery and admission")
+	col := func(o Outcome) string { return fmt.Sprintf("%d/%d/%d", o.Cycles, o.Promoted, o.Admitted) }
+	fmt.Fprintf(w, "%-12s %-10s %18s %18s %18s %18s\n",
+		"benchmark", "config", "sym-full", "+vsa", "+types", "+static")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-12s %-10s %18s %18s %18s %18s\n",
+			r.Program, r.Config, col(r.Full), col(r.VSA), col(r.Types), col(r.Static))
 	}
 }

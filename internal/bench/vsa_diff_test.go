@@ -14,9 +14,10 @@ import (
 )
 
 // Differential validation of the value-set analysis: every MustNotAlias
-// verdict and every PointsToFrameSlot claim the oracle makes about a
-// refined module is checked against the concrete addresses observed while
-// executing that module. A single counterexample — two "disjoint" accesses
+// verdict and every exact frame-slot claim (a value set whose only part is
+// one alloca at one offset) the analysis makes about a refined module is
+// checked against the concrete addresses observed while executing that
+// module. A single counterexample — two "disjoint" accesses
 // touching a common byte within one activation, or a "resolved" pointer
 // not equal to its alloca+offset — is an unsoundness bug, the one failure
 // mode a static alias oracle must never have.
@@ -123,8 +124,10 @@ func TestVSADifferentialNoUnsoundVerdicts(t *testing.T) {
 						pairs = append(pairs, pair{accs[i], accs[j]})
 					}
 				}
-				if a, off, ok := orc.PointsToFrameSlot(accs[i].addr); ok {
-					claims = append(claims, claim{accs[i], a, off})
+				if a, offs, ok := orc.Result().ValueSetOf(accs[i].addr).FramePart(); ok {
+					if off, exact := offs.Exact(); exact {
+						claims = append(claims, claim{accs[i], a, off})
+					}
 				}
 			}
 		}
@@ -169,7 +172,7 @@ func TestVSADifferentialNoUnsoundVerdicts(t *testing.T) {
 				want := uint64(uint32(base[0]) + uint32(int32(c.off)))
 				for _, got := range addrs {
 					if got != want {
-						t.Fatalf("seed %d: UNSOUND PointsToFrameSlot in %s: %v at %#x, claimed %s+%d = %#x (epoch %d)\n%s",
+						t.Fatalf("seed %d: UNSOUND frame-slot claim in %s: %v at %#x, claimed %s+%d = %#x (epoch %d)\n%s",
 							seed, c.acc.v.Block.Func.Name,
 							c.acc.v, got, c.alloca.Name, c.off, want, e, src)
 					}

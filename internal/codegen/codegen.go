@@ -40,12 +40,6 @@ type Options struct {
 	// NoCoalesce disables phi-web copy coalescing: loop-carried variables
 	// get fresh homes and explicit edge copies.
 	NoCoalesce bool
-	// Oracle, when non-nil, supplies a per-function bounds oracle and
-	// enables sanitizer-guard elision (guards.go). Callers wire the VSA
-	// oracle here: func(f *ir.Func) BoundsOracle { return vsa.NewOracle(f) }.
-	Oracle func(*ir.Func) BoundsOracle
-	// Guards, when non-nil, receives the guard-elision counts.
-	Guards *GuardStats
 }
 
 // CompileWith is Compile with feature toggles.
@@ -67,16 +61,6 @@ func (g *cg) newLabel(hint string) string {
 }
 
 func (g *cg) compile() (*obj.Image, error) {
-	// Guard elision rewrites the IR, so it runs before anything is lowered.
-	if g.opts.Oracle != nil {
-		st := g.opts.Guards
-		if st == nil {
-			st = &GuardStats{}
-		}
-		for _, f := range g.mod.Funcs {
-			elideGuards(f, g.opts.Oracle(f), st)
-		}
-	}
 	// Original data section verbatim at DataBase.
 	if len(g.mod.Data) > 0 {
 		g.b.Bytes("", g.mod.Data)

@@ -346,13 +346,13 @@ type PipelineOpts struct {
 	NoMem2Reg bool // skip stack-slot promotion
 	NoMemOpt  bool // skip store-to-load forwarding and dead-store removal
 	NoLICM    bool // skip loop-invariant code motion
-	// Oracle, when non-nil, supplies a per-function alias oracle. It is
-	// called twice per function and round: before the oracle-driven
-	// rewrites (ResolveAddrs, ForwardStores) and again before MemOptWith,
-	// because the passes in between rewrite the IR the oracle's facts are
-	// keyed on. The oracle must describe the function as it is at the
-	// call; a factory may hand out a stored one for a function that has
-	// provably not changed since it was built (core.Pipeline.Oracle does).
+	// Oracle, when non-nil, supplies a per-function alias oracle for
+	// MemOptWith. It is called once per function and round, right before
+	// MemOptWith, because the passes earlier in the round rewrite the IR
+	// the oracle's facts are keyed on. The oracle must describe the
+	// function as it is at the call; a factory may hand out a stored one
+	// for a function that has provably not changed since it was built
+	// (core.Pipeline.Oracle does).
 	Oracle func(*ir.Func) AliasOracle
 	// Typed, when non-nil, supplies the per-function typed-slot partition
 	// consumed by SplitSlots. Returning a nil TypedInfo skips the
@@ -410,16 +410,6 @@ func PipelineWithDebug(m *ir.Module, o PipelineOpts, check func(pass string) err
 		if !o.NoLICM {
 			changed += LICMModule(m)
 			if err := step("licm"); err != nil {
-				return promoted, err
-			}
-		}
-		if o.Oracle != nil {
-			for _, f := range m.Funcs {
-				orc := o.Oracle(f)
-				changed += ResolveAddrs(f, orc)
-				changed += ForwardStores(f, orc)
-			}
-			if err := step("vsa"); err != nil {
 				return promoted, err
 			}
 		}

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"wytiwyg/internal/ir"
 )
@@ -167,7 +168,10 @@ func splitOne(f *ir.Func, entry *ir.Block, a *ir.Value, fields [][2]int64, uses 
 		c.Align = al
 		children[i] = c
 	}
-	insertAfter(entry, a, children...)
+	for _, c := range children {
+		c.Block = entry
+	}
+	entry.Insts = slices.Insert(entry.Insts, slices.Index(entry.Insts, a)+1, children...)
 	for _, ac := range accs {
 		ac.v.Args[0] = children[ac.field]
 	}

@@ -6,24 +6,18 @@ import (
 
 // VSA-driven optimization. The syntactic escape analysis gives up on any
 // slot whose address is stored to memory — the pointer-table pattern — and
-// mem2reg/MemOpt then treat the slot as opaque. The value-set oracle
-// proves where such pointers actually point, which lets the optimizer
-// rewrite indirect accesses into direct ones (ResolveAddrs), forward
-// stores to loads through proven-equal pointers (ForwardStores), and keep
-// forwarded values live across stores the oracle separates (MemOptWith).
+// MemOpt then treats every access it cannot resolve syntactically as a
+// possible overlap. The value-set oracle separates such accesses, which
+// keeps forwarded values live and pending stores unobserved across them
+// (MemOptWith).
 
 // AliasOracle is the alias interface the optimizer consumes. It is
 // implemented by vsa.Oracle; opt only depends on the contract so the
-// packages stay layered. All answers must be conservative: false/!ok
-// means "cannot prove".
+// packages stay layered. Answers must be conservative: false means
+// "cannot prove".
 type AliasOracle interface {
 	// MustNotAlias reports proven byte-disjointness of two accesses.
 	MustNotAlias(a *ir.Value, szA int64, b *ir.Value, szB int64) bool
-	// PointsToFrameSlot reports that p always equals alloca+off.
-	PointsToFrameSlot(p *ir.Value) (alloca *ir.Value, off int64, ok bool)
-	// MayTouchSlot reports whether a sz-byte access at p may overlap the
-	// width-byte cell at off inside alloca.
-	MayTouchSlot(p *ir.Value, sz int64, alloca *ir.Value, off, width int64) bool
 }
 
 // accSz normalizes the IR's 0-means-4 access width.
@@ -32,149 +26,4 @@ func accSz(size uint8) int64 {
 		return 4
 	}
 	return int64(size)
-}
-
-// ResolveAddrs rewrites every value the oracle proves equal to a single
-// frame address into the canonical alloca+offset form. The rewrite is the
-// lever that un-escapes pointer-table slots: once the loaded pointer's
-// uses are redirected to the alloca itself, the pointer load dies, the
-// address store becomes unobserved, DSE removes it, and the slot stops
-// escaping — unlocking mem2reg on the next round. Returns the number of
-// values rewritten.
-func ResolveAddrs(f *ir.Func, orc AliasOracle) int {
-	if orc == nil {
-		return 0
-	}
-	entry := f.Entry()
-	uses := BuildUses(f)
-	n := 0
-	resolve := func(v *ir.Value) {
-		if !v.Op.HasResult() || v.Op == ir.OpAlloca || v.Op == ir.OpConst ||
-			len(uses[v]) == 0 {
-			return
-		}
-		a, off, ok := orc.PointsToFrameSlot(v)
-		// Allocas outside the entry block would not dominate all uses
-		// of v; symbolization places them in the entry.
-		if !ok || a.Block != entry || v == a {
-			return
-		}
-		if off == 0 {
-			ReplaceUses(f, v, a)
-			n++
-			return
-		}
-		// Already canonical alloca+const?
-		if v.Op == ir.OpAdd && v.Args[0] == a && v.Args[1].Op == ir.OpConst &&
-			int64(v.Args[1].Const) == off {
-			return
-		}
-		if off != int64(int32(off)) {
-			return
-		}
-		k := f.NewValue(ir.OpConst)
-		k.Const = int32(off)
-		add := f.NewValue(ir.OpAdd, a, k)
-		insertAfter(entry, a, k, add)
-		ReplaceUses(f, v, add)
-		n++
-	}
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			resolve(v)
-		}
-		for _, v := range b.Insts {
-			resolve(v)
-		}
-	}
-	if n > 0 {
-		DCE(f)
-	}
-	return n
-}
-
-// insertAfter places new values right after anchor in block b.
-func insertAfter(b *ir.Block, anchor *ir.Value, vs ...*ir.Value) {
-	for _, v := range vs {
-		v.Block = b
-	}
-	for i, inst := range b.Insts {
-		if inst == anchor {
-			rest := append([]*ir.Value{}, b.Insts[i+1:]...)
-			b.Insts = append(append(b.Insts[:i+1], vs...), rest...)
-			return
-		}
-	}
-	// Anchor not found (phi or param): prepend.
-	b.Insts = append(append([]*ir.Value{}, vs...), b.Insts...)
-}
-
-// ForwardStores is block-local store-to-load forwarding through pointers
-// the oracle resolves: a load whose address is proven to denote the same
-// cell as an earlier store's address takes the stored value, provided
-// every intervening store and call is proven not to touch that cell.
-// MemOpt cannot see these cases — its syntactic resolver fails on loaded
-// pointers. Returns the number of forwarded loads.
-func ForwardStores(f *ir.Func, orc AliasOracle) int {
-	if orc == nil {
-		return 0
-	}
-	type cell struct {
-		alloca *ir.Value
-		off    int64
-	}
-	n := 0
-	for _, b := range f.Blocks {
-		type st struct {
-			cell cell
-			addr *ir.Value
-			size int64
-			val  *ir.Value
-		}
-		var stores []st
-		for _, v := range b.Insts {
-			switch v.Op {
-			case ir.OpStore:
-				sz := accSz(v.Size)
-				if a, off, ok := orc.PointsToFrameSlot(v.Args[0]); ok {
-					stores = append(stores, st{cell{a, off}, v.Args[0], sz, v.Args[1]})
-				} else {
-					// A store the oracle cannot place: drop entries it may
-					// overwrite.
-					kept := stores[:0]
-					for _, s := range stores {
-						if orc.MustNotAlias(v.Args[0], sz, s.addr, s.size) {
-							kept = append(kept, s)
-						}
-					}
-					stores = kept
-				}
-			case ir.OpLoad:
-				sz := accSz(v.Size)
-				a, off, ok := orc.PointsToFrameSlot(v.Args[0])
-				if !ok || sz != 4 {
-					continue
-				}
-				for i := len(stores) - 1; i >= 0; i-- {
-					s := stores[i]
-					if s.cell == (cell{a, off}) && s.size == sz {
-						ReplaceUses(f, v, s.val)
-						n++
-						break
-					}
-					// An intervening store that may overlap the cell blocks
-					// forwarding from anything earlier.
-					if orc.MayTouchSlot(s.addr, s.size, a, off, sz) {
-						break
-					}
-				}
-			case ir.OpCall, ir.OpCallInd, ir.OpCallExt, ir.OpCallExtRaw:
-				stores = stores[:0] // callees may write any escaped cell
-			}
-		}
-	}
-	if n > 0 {
-		DCE(f)
-	}
-	return n
 }

@@ -41,6 +41,16 @@ import (
 // revisions never serve each other's cached payloads.
 const ProtocolVersion = 1
 
+// Request limits, fixed rather than configurable: a job body over
+// maxJobBytes is refused with 413 and a job with more than maxInputs
+// trace inputs with 400, before it reaches the single-flight group or
+// the cache. Every built-in benchmark and CLI submission stays far below
+// both.
+const (
+	maxJobBytes = 1 << 20
+	maxInputs   = 64
+)
+
 // Job kinds accepted by the daemon.
 const (
 	// KindLift recovers the binary's stack layout.
@@ -91,6 +101,9 @@ func (j *Job) Normalize() error {
 	}
 	if (j.Bench == "") == (j.Source == "") {
 		return fmt.Errorf("serve: exactly one of bench or source must be set")
+	}
+	if len(j.Inputs) > maxInputs {
+		return fmt.Errorf("serve: %d inputs, at most %d allowed", len(j.Inputs), maxInputs)
 	}
 	if j.Profile == "" {
 		j.Profile = "gcc12-O3"

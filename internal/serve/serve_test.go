@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -184,6 +185,44 @@ func TestServeRejectsBadJobs(t *testing.T) {
 		}
 	}
 	stopServer(t, c, done)
+}
+
+// An oversized body is refused with 413 and a job with too many inputs
+// with 400, and neither reaches the single-flight group or the cache.
+func TestServeRejectsOversizedJobs(t *testing.T) {
+	cache, err := refcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Cache: cache, Jobs: 1})
+	inputs := strings.Repeat("7,", maxInputs) + "7"
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"body over the byte cap", `{"kind":"lint","source":"` + strings.Repeat("x", maxJobBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
+		{"one input over the cap", `{"kind":"lint","bench":"mcf","inputs":[` + inputs + `]}`,
+			http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(c.body)))
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: status %d: %v", c.name, rec.Code, err)
+		}
+		if rec.Code != c.status || resp.Error == "" {
+			t.Errorf("%s: status %d with %d-byte error; want status %d and an error",
+				c.name, rec.Code, len(resp.Error), c.status)
+		}
+	}
+	if st := srv.Stats(); st != (ServerStats{}) {
+		t.Errorf("rejected jobs reached the daemon: %+v", st)
+	}
+	job := Job{Kind: KindLint, Bench: "mcf", Inputs: make([]int32, maxInputs)}
+	if err := job.Normalize(); err != nil {
+		t.Errorf("a job with exactly %d inputs is rejected: %v", maxInputs, err)
+	}
 }
 
 // A request from an older client that still sends the removed "stream"

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -115,8 +116,12 @@ func (s *Server) handleShutdown(w http.ResponseWriter, _ *http.Request) {
 // in-flight, serve warm or execute, answer.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var job Job
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-		writeResponse(w, http.StatusBadRequest, &Response{Error: fmt.Sprintf("serve: bad request: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&job); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeResponse(w, status, &Response{Error: fmt.Sprintf("serve: bad request: %v", err)})
 		return
 	}
 	if err := job.Normalize(); err != nil {

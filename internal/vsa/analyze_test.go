@@ -57,9 +57,9 @@ func TestOracleResolvesStoredAddress(t *testing.T) {
 	b.Append(f.NewValue(ir.OpRet, x))
 
 	o := NewOracle(f)
-	base, off, ok := o.PointsToFrameSlot(q)
-	if !ok || base != a || off != 0 {
-		t.Fatalf("PointsToFrameSlot(q) = %v,%d,%v; want a,0,true", base, off, ok)
+	base, offs, ok := o.Result().ValueSetOf(q).FramePart()
+	if off, exact := offs.Exact(); !ok || base != a || !exact || off != 0 {
+		t.Fatalf("frame part of q = %v,%v,%v; want a,{0},true", base, offs, ok)
 	}
 	if !o.MustNotAlias(q, 4, p, 4) {
 		t.Error("q and p should be proven disjoint (distinct stack objects)")
@@ -110,7 +110,7 @@ func TestOracleLoopStride(t *testing.T) {
 	exit.Append(f.NewValue(ir.OpRet, konst(f, exit, 0)))
 
 	o := NewOracle(f)
-	base, offs, ok := o.PointsToFrame(addr0)
+	base, offs, ok := o.Result().ValueSetOf(addr0).FramePart()
 	if !ok || base != a {
 		t.Fatalf("addr0 not resolved to frame of a: %v", o.Result().ValueSetOf(addr0))
 	}

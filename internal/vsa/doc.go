@@ -4,15 +4,15 @@
 // strided intervals partitioned by memory region (numeric/global, one
 // region per stack object, and a heap summary).
 //
-// The analysis serves three consumers. The alias Oracle answers
-// MayAlias/MustNotAlias/PointsToFrameSlot queries that let the optimizer
-// promote and forward address-taken stack slots the syntactic escape
-// analysis must give up on. The layout verifier (Check) flags recovered
-// slots whose statically-proven access region crosses a slot boundary —
-// the over-splitting signature of incomplete trace coverage — and accesses
-// proven to land outside their frame. The coverage Backstop widens
-// staticsym-style conservative frames with statically-proven access
-// strides for functions the traces never reached.
+// The analysis serves four consumers. The alias Oracle answers the
+// optimizer's MustNotAlias queries, which keep forwarded values live
+// across accesses the syntactic escape analysis cannot separate. The
+// layout verifier (Check) flags recovered slots whose statically-proven
+// access region crosses a slot boundary — the over-splitting signature of
+// incomplete trace coverage — and accesses proven to land outside their
+// frame. Type recovery reads the Oracle's strided frame facts (StrideOf).
+// The admission gate (Admit) accepts a statically recovered cold function
+// only when every frame access is proven to stay inside a known slot.
 //
 // Soundness rests on the interpreter's memory map (see isa/layout.go and
 // irexec.NativeStackTop): code, globals and the heap bump allocator live

@@ -28,49 +28,6 @@ func (o *Oracle) MustNotAlias(a *ir.Value, szA int64, b *ir.Value, szB int64) bo
 	return o.fr.ValueSetOf(a).DisjointAccess(szA, o.fr.ValueSetOf(b), szB)
 }
 
-// MayAlias reports whether the two accesses could overlap — the negation
-// of MustNotAlias, provided for readable call sites.
-func (o *Oracle) MayAlias(a *ir.Value, szA int64, b *ir.Value, szB int64) bool {
-	return !o.MustNotAlias(a, szA, b, szB)
-}
-
-// PointsToFrameSlot reports whether p is proven to point at exactly one
-// offset within one stack object, returning the alloca and the offset.
-// This is the rewrite license for address resolution: p may replace
-// alloca+off (and vice versa) wherever p is in scope.
-func (o *Oracle) PointsToFrameSlot(p *ir.Value) (alloca *ir.Value, off int64, ok bool) {
-	base, s, ok := o.fr.ValueSetOf(p).FramePart()
-	if !ok {
-		return nil, 0, false
-	}
-	off, exact := s.Exact()
-	if !exact {
-		return nil, 0, false
-	}
-	return base, off, true
-}
-
-// PointsToFrame reports whether p is proven to stay within one stack
-// object, returning the alloca and the strided offset set.
-func (o *Oracle) PointsToFrame(p *ir.Value) (alloca *ir.Value, offs SI, ok bool) {
-	return o.fr.ValueSetOf(p).FramePart()
-}
-
-// InBounds reports whether a sz-byte access through p is proven to land
-// entirely inside the object allocated by base: every address p can take
-// is base+off with off in [0, base.AllocSize−sz]. This is the elision
-// license codegen uses to drop a sanitizer bounds guard that checks p
-// against exactly that object — the same in-slot proof the layout
-// verifier (Check) accepts. false means "cannot prove"; wrapped or
-// widened offset sets never qualify.
-func (o *Oracle) InBounds(p *ir.Value, sz int64, base *ir.Value) bool {
-	alloca, offs, ok := o.fr.ValueSetOf(p).FramePart()
-	if !ok || alloca != base || offs.unbounded() {
-		return false
-	}
-	return offs.Lo >= 0 && offs.Hi+sz <= int64(base.AllocSize)
-}
-
 // Stride is the proven shape of one frame address set, phrased in the
 // facts clients (typerec's array/field inference) consume directly so
 // they never re-derive them from raw SIs: every offset the address can
@@ -130,12 +87,4 @@ func StrideFacts(s SI) (Stride, bool) {
 		st.Bounded, st.Lo, st.Hi = true, s.Lo, s.Hi
 	}
 	return st, true
-}
-
-// MayTouchSlot reports whether a sz-byte access at address p may overlap
-// the width-byte cell at offset off inside the given alloca. The
-// optimizer's invalidation queries use this to keep forwarded values live
-// across stores through unrelated pointers.
-func (o *Oracle) MayTouchSlot(p *ir.Value, sz int64, alloca *ir.Value, off, width int64) bool {
-	return !o.fr.ValueSetOf(p).DisjointAccess(sz, FrameVS(alloca, ConstSI(off)), width)
 }

@@ -318,3 +318,11 @@ func (s SI) DisjointAccess(szA int64, o SI, szB int64) bool {
 	d := mod(oa-sa, g)
 	return d >= szA && g-d >= szB
 }
+
+// unbounded reports whether the offset set escapes the signed 32-bit
+// range — an infinity, or a wrapped congruence class spanning the
+// unsigned window — in which case base+offset arithmetic on its bounds
+// says nothing about where the access lands in the frame.
+func (s SI) unbounded() bool {
+	return s.Lo < -(1<<31) || s.Hi >= 1<<31
+}
