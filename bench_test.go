@@ -128,7 +128,7 @@ func BenchmarkAblation(b *testing.B) {
 	b.ReportMetric(float64(row.NoSym)/n, "nosym")
 	b.ReportMetric(float64(row.SymNoMem)/n, "sym-no-mem")
 	b.ReportMetric(float64(row.SymNoLICM)/n, "sym-no-licm")
-	b.ReportMetric(float64(row.SymFull)/n, "sym-full")
+	b.ReportMetric(float64(row.Full.Cycles)/n, "sym-full")
 }
 
 // --- Pipeline phase costs (the reproduction's own performance). ---

@@ -24,12 +24,12 @@ type AblationRow struct {
 	NoSym      uint64 // unsymbolized recompile (full optimizer)
 	SymNoMem   uint64 // symbolized, but no mem2reg/forwarding (alias info unused)
 	SymNoLICM  uint64 // symbolized, no loop-invariant motion
-	SymFull    uint64 // symbolized, full optimizer
 	StaticOnly uint64 // static (SecondWrite-like) symbolization, 0 if failed
-	// Full is the sym-full run's exact outcome; VSA, Types and Static are
-	// the same run with core.Options.VSA, Types or StaticRecover on and
-	// the analysis' consumer wired in (the optimizer's alias oracle, its
-	// typed slot splitter, cold-code admission).
+	// Full is the symbolized run with the full optimizer (sym-full); VSA,
+	// Types and Static are the same run with core.Options.VSA, Types or
+	// StaticRecover on and the analysis' consumer wired in (the
+	// optimizer's alias oracle, its typed slot splitter, cold-code
+	// admission).
 	Full, VSA, Types, Static Outcome
 }
 
@@ -102,7 +102,6 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 			return nil, err
 		}
 	}
-	row.SymFull = row.Full.Cycles
 	for _, v := range []struct {
 		dst    *uint64
 		refine bool
@@ -145,7 +144,7 @@ func AblationReport(w io.Writer, rows []*AblationRow) {
 		fmt.Fprintf(w, "%-12s %-10s %8s %12s %12s %9s %8s\n",
 			r.Program, r.Config,
 			rat(r.NoSym, r.Native), rat(r.SymNoMem, r.Native),
-			rat(r.SymNoLICM, r.Native), rat(r.SymFull, r.Native),
+			rat(r.SymNoLICM, r.Native), rat(r.Full.Cycles, r.Native),
 			rat(r.StaticOnly, r.Native))
 	}
 	fmt.Fprintln(w)
