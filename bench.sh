@@ -13,25 +13,24 @@
 #
 # The value-set analysis and interval-analysis benchmarks (BenchmarkVSAAnalyze,
 # BenchmarkCheckBounds) analyze a whole refined program per iteration, so
-# they run under their own, much smaller fixed -benchtime and are fed to
-# the same benchjson run: the artifact holds only `go test -bench` numbers.
+# they run under their own, much smaller fixed -benchtime (20x) and are fed
+# to the same benchjson run: the artifact holds only `go test -bench` numbers.
 #
 # Environment knobs: COUNT (samples per benchmark), BENCHTIME (go test
-# -benchtime value for the interpreter/emulator benchmarks), ANALYSIS_BENCHTIME
-# (the same for the analysis benchmarks). Run on an otherwise-idle machine.
+# -benchtime value for the interpreter/emulator benchmarks). Run on an
+# otherwise-idle machine.
 set -eu
 
 cd "$(dirname "$0")"
 
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-2000000x}
-ANALYSIS_BENCHTIME=${ANALYSIS_BENCHTIME:-20x}
 
-echo "== bench: ${COUNT} samples x ${BENCHTIME} (analyses: x ${ANALYSIS_BENCHTIME})"
+echo "== bench: ${COUNT} samples x ${BENCHTIME} (analyses: x 20x)"
 {
     go test -bench=. -benchtime="$BENCHTIME" -count="$COUNT" -run '^$' \
         ./internal/machine/ ./internal/irexec/
-    go test -bench='VSAAnalyze|CheckBounds' -benchtime="$ANALYSIS_BENCHTIME" -count="$COUNT" -run '^$' \
+    go test -bench='VSAAnalyze|CheckBounds' -benchtime=20x -count="$COUNT" -run '^$' \
         ./internal/vsa/ ./internal/analysis/
 } | go run ./cmd/benchjson -mode full -o BENCH_interp.json
 
