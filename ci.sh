@@ -52,12 +52,15 @@ step "wytiwyg lint (benchmark corpus)" sh -c '
     /tmp/wytiwyg-ci lint -all'
 step "examples" check_examples
 
-# Superblock differential under the race detector: the full corpus compared
-# between superblock and per-instruction dispatch, all hook configurations.
-# The corpus/random-IR differentials skip under -short, so the blanket
-# `go test -race -short` above does not duplicate this step.
+# Superblock differential under the race detector: the full corpus run
+# through Run and a Step loop, with and without BlockHook, plus the tracer
+# checked against its stepwise reference on every corpus program and
+# profile. The corpus/random-IR differentials skip under -short (the tracer
+# test keeps only mcf), so the blanket `go test -race -short` above does
+# not duplicate this step.
 step "superblock differential (-race)" \
-    go test -race -run 'TestSuperblock|TestStepInterleavesWithRun' -count=1 ./internal/machine/
+    go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
+        ./internal/machine/ ./internal/tracer/
 
 # Bench smoke: one iteration of every interpreter/emulator micro-benchmark.
 # Catches benchmarks that stop compiling or crash. The smoke numbers go to

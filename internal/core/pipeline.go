@@ -351,35 +351,32 @@ func (p *Pipeline) coldCands() []*coldrec.Candidate {
 	return p.Cold.Cands
 }
 
-// forkable is implemented by refinement tracers whose observations can be
-// collected per input and merged afterwards.
-type forkable interface {
+// replayTracer is a refinement tracer: it observes each input on a
+// private Fork, joins the forks back, and reads interpreter state through
+// Bind.
+type replayTracer interface {
 	irexec.Tracer
 	Fork() irexec.Tracer
 	Join(irexec.Tracer)
+	Bind(*irexec.Interp)
 }
 
 // runAll executes the current module under every input with a tracer
-// attached, discarding program output. Tracers that implement Fork/Join
-// observe each input on a private fork — the forks run concurrently over
-// the worker pool and join in input order, so the merged observations are
-// identical for every worker count (including 1: the sequential path also
-// forks, keeping the observation semantics worker-count independent).
-// Tracers that need interpreter access (memory inspection) implement Bind.
-func (p *Pipeline) runAll(tr irexec.Tracer) error {
-	fk, ok := tr.(forkable)
-	if !ok {
-		for i := range p.Inputs {
-			if err := p.runOne(i, tr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// attached, discarding program output. Each input runs on a private fork
+// of tr; the forks run concurrently over the worker pool and join in input
+// order, so the merged observations are identical for every worker count
+// (including 1).
+func (p *Pipeline) runAll(tr replayTracer) error {
 	subs, err := par.Map(p.jobs(), len(p.Inputs), func(i int) (irexec.Tracer, error) {
-		sub := fk.Fork()
-		if err := p.runOne(i, sub); err != nil {
-			return nil, err
+		sub := tr.Fork().(replayTracer)
+		ip, err := irexec.New(p.Mod, p.Inputs[i], io.Discard)
+		if err != nil {
+			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
+		}
+		ip.Tr = sub
+		sub.Bind(ip)
+		if _, err := ip.Run(); err != nil {
+			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
 		}
 		return sub, nil
 	})
@@ -387,23 +384,7 @@ func (p *Pipeline) runAll(tr irexec.Tracer) error {
 		return err
 	}
 	for _, sub := range subs {
-		fk.Join(sub)
-	}
-	return nil
-}
-
-// runOne executes the module under one input with the given tracer.
-func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
-	ip, err := irexec.New(p.Mod, p.Inputs[i], io.Discard)
-	if err != nil {
-		return fmt.Errorf("core: refinement run, input %d: %w", i, err)
-	}
-	ip.Tr = tr
-	if b, ok := tr.(interface{ Bind(*irexec.Interp) }); ok {
-		b.Bind(ip)
-	}
-	if _, err := ip.Run(); err != nil {
-		return fmt.Errorf("core: refinement run, input %d: %w", i, err)
+		tr.Join(sub)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wytiwyg/internal/asm"
+	"wytiwyg/internal/isa"
 )
 
 // benchLoop is a self-contained infinite loop mixing the instruction classes
@@ -55,6 +56,35 @@ func BenchmarkRun(b *testing.B) {
 	m, err := New(img, Input{}, nil)
 	if err != nil {
 		b.Fatal(err)
+	}
+	m.MaxSteps = 0 // re-armed each iteration below
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 4096 {
+		m.MaxSteps = m.Steps + 4096
+		if err := m.Run(); err != ErrMaxSteps {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunBlockHook is BenchmarkRun with the tracer's observer
+// attached: a BlockHook that marks each reported block's instructions in a
+// coverage bitmap, as tracer.Run does.
+func BenchmarkRunBlockHook(b *testing.B) {
+	img, err := asm.Assemble("bench", benchLoop, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := New(img, Input{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cov := make([]bool, len(img.Code))
+	m.BlockHook = func(start, end uint32, _ Transfer, _ bool) {
+		for i := (start - isa.CodeBase) / isa.InstrSize; i <= (end-isa.CodeBase)/isa.InstrSize; i++ {
+			cov[i] = true
+		}
 	}
 	m.MaxSteps = 0 // re-armed each iteration below
 	b.ReportAllocs()

@@ -1,8 +1,9 @@
 // Package machine emulates the synthetic ISA. It is the reproduction's
 // stand-in for both the physical CPU the paper's binaries ran on and the
 // S2E-style tracing substrate: a deterministic cycle cost model replaces
-// wall-clock measurements, and an optional control-transfer hook exposes
-// exactly the event stream the paper's binary tracer records.
+// wall-clock measurements, and an optional block hook exposes exactly the
+// event stream the paper's binary tracer records: every executed block and
+// the control transfer that ended it.
 package machine
 
 import (
@@ -17,7 +18,7 @@ import (
 // TransferKind classifies a control transfer observed during execution.
 type TransferKind uint8
 
-// Control-transfer kinds reported to the trace hook.
+// Control-transfer kinds reported to the block hook.
 const (
 	TransferJump   TransferKind = iota // unconditional or indirect jump
 	TransferBranch                     // conditional branch (taken or fall through)
@@ -74,28 +75,24 @@ type Machine struct {
 	Steps    uint64 // instructions executed
 	MaxSteps uint64 // execution budget; 0 means the default limit
 
-	// Hook, when non-nil, receives every control transfer.
-	Hook func(Transfer)
-	// InstrHook, when non-nil, is called with the PC of every executed
-	// instruction (tracing support).
-	InstrHook func(pc uint32)
-	// BlockHook, when non-nil, is called at the end of every dynamic basic
-	// block — the maximal run of instructions between two control
-	// transfers. start and end are the addresses of the block's first and
-	// last executed instruction; when the block ended at a control transfer
-	// term is true and t is that transfer, and when it ended because the
-	// program stopped (HALT, exit syscall) term is false and t is zero.
-	// Because every control opcode terminates a block regardless of
-	// direction, the end address is a pure function of the start address
-	// and the static code, so a consumer may dedup blocks by start address.
+	// BlockHook, when non-nil, is the machine's one observer: it is called
+	// at the end of every dynamic basic block — the maximal run of
+	// instructions between two control transfers. start and end are the
+	// addresses of the block's first and last executed instruction, and
+	// the block executed every instruction in [start, end] in address
+	// order; when the block ended at a control transfer term is true and t
+	// is that transfer, and when it ended because the program stopped
+	// (HALT, exit syscall) term is false and t is zero. Because every
+	// control opcode terminates a block regardless of direction, the end
+	// address is a pure function of the start address and the static
+	// code, so a consumer may dedup blocks by start address. A block cut
+	// short by a fault or the step budget is not reported.
 	BlockHook func(start, end uint32, t Transfer, term bool)
 
 	// blockStart is the address of the first instruction of the dynamic
-	// block currently executing (BlockHook support); blockPending marks
-	// that the current instruction ended a block, so the next block starts
-	// at whatever address control moves to.
-	blockStart   uint32
-	blockPending bool
+	// block currently executing (BlockHook support): every control
+	// transfer moves it to the transfer's destination.
+	blockStart uint32
 
 	// code is the image's decoded instruction stream; prog, runLen and
 	// runCost are its pre-decoded superblock tables (see superblock.go),
@@ -111,11 +108,6 @@ type Machine struct {
 	Out io.Writer // program output sink
 
 	lib *LibState
-
-	// NoSuperblocks forces Run onto per-instruction dispatch — the
-	// reference mode the differential tests compare superblock execution
-	// against. Observable behaviour is identical either way.
-	NoSuperblocks bool
 
 	// StubHits counts executions of trap stubs, keyed by the name of the
 	// function the stub stands in for. Stubs are located through the
@@ -212,29 +204,22 @@ func (m *Machine) Halted() bool { return m.halted }
 // ExitCode returns the program's exit status (valid after Halted).
 func (m *Machine) ExitCode() int32 { return m.exitCode }
 
-// transferTo completes a control transfer with observers attached: it
-// emits the event (From is the current pc, still the transferring
-// instruction), moves pc to the target and starts a new dynamic block if
-// the block hook asked for one. The dispatch loops call it from their
-// JMP/JCC cases only when a hook is set or a block boundary is pending;
-// with no observers they just move pc, which is all a transfer does then.
-// exec's tail performs the same sequence for the remaining control ops.
+// transferTo completes a JMP or JCC with BlockHook attached: it emits the
+// event (From is the current pc, still the transferring instruction),
+// moves pc to the target and starts the next dynamic block there. The
+// dispatch loops call it only when BlockHook is set; without it they just
+// move pc, which is all a transfer does then. exec's tail performs the
+// same sequence for the remaining control ops.
 func (m *Machine) transferTo(kind TransferKind, to uint32, taken bool) {
 	m.emit(Transfer{Kind: kind, From: m.pc, To: to, Taken: taken})
 	m.pc = to
-	if m.blockPending {
-		m.blockStart = to
-		m.blockPending = false
-	}
+	m.blockStart = to
 }
 
+// emit ends the in-flight block at control transfer t.
 func (m *Machine) emit(t Transfer) {
-	if m.Hook != nil {
-		m.Hook(t)
-	}
 	if m.BlockHook != nil {
 		m.BlockHook(m.blockStart, m.pc, t, true)
-		m.blockPending = true
 	}
 }
 
@@ -341,8 +326,8 @@ var opCost = [256]uint64{
 // straight-line executes through the uop dispatch in superblock.go;
 // decodeUop routes only control transfers, SYS, HALT and undecodable
 // opcodes here). Control transfers
-// are where hooks and block events fire, which is why superblock dispatch
-// funnels terminators through this one path.
+// are where block events fire, which is why superblock dispatch funnels
+// terminators through this one path.
 func (m *Machine) exec(in *isa.Instr) error {
 	next := m.pc + isa.InstrSize
 	m.Cycles += opCost[in.Op]
@@ -409,11 +394,10 @@ func (m *Machine) exec(in *isa.Instr) error {
 		return fmt.Errorf("machine: unimplemented op %v at pc=0x%x", in.Op, m.pc)
 	}
 
+	// Only control transfers reach this point (SYS and HALT returned
+	// above), so a new dynamic block starts at next.
 	m.pc = next
-	if m.blockPending {
-		m.blockStart = next
-		m.blockPending = false
-	}
+	m.blockStart = next
 	return nil
 }
 
@@ -428,17 +412,11 @@ func (m *Machine) syscall(num int32) error {
 	}
 }
 
-// Run executes until halt or error. Without an instruction hook it uses
-// superblock dispatch (see superblock.go); with InstrHook set — or with
-// NoSuperblocks — it steps per-instruction, so the hook fires at every
-// instruction in program order. Both modes produce identical registers,
-// memory, Steps, Cycles and control-transfer/block event streams.
-func (m *Machine) Run() error {
-	if m.InstrHook != nil || m.NoSuperblocks {
-		return m.runStepwise()
-	}
-	return m.runSuper()
-}
+// Run executes until halt or error through superblock dispatch (see
+// superblock.go), with or without BlockHook. A manual Step loop is the
+// per-instruction reference: both produce identical registers, memory,
+// Steps, Cycles and block event streams.
+func (m *Machine) Run() error { return m.runSuper() }
 
 // Result summarizes one complete execution.
 type Result struct {

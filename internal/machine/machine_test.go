@@ -417,7 +417,11 @@ f:
 		t.Fatal(err)
 	}
 	var events []Transfer
-	m.Hook = func(tr Transfer) { events = append(events, tr) }
+	m.BlockHook = func(_, _ uint32, tr Transfer, term bool) {
+		if term {
+			events = append(events, tr)
+		}
+	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,13 @@
 // fetch-bounds-check → dispatch with one round of checks followed by a tight
 // loop over pre-decoded uops, one batched Steps/Cycles update, and a single
 // per-instruction execution of the terminator (which is where all control
-// transfers, hooks and block events happen — so the observable event stream
-// is byte-identical to per-instruction stepping). Flags are lazy: CMP/TEST
-// record their operands and conditions are evaluated only when a consumer
-// (JCC/SET) is reached; see the flags type in machine.go.
+// transfers and block events happen — so the BlockHook event stream is
+// byte-identical to per-instruction stepping, and tracing stays on this
+// path). Flags are lazy: CMP/TEST record their operands and conditions are
+// evaluated only when a consumer (JCC/SET) is reached; see the flags type
+// in machine.go.
 //
 // Fallbacks that preserve exact observational equivalence:
-//   - InstrHook set: Run uses the per-instruction Step loop, which fires the
-//     hook at every instruction in order.
 //   - Execution nearing MaxSteps: a superblock whose batch would overshoot
 //     the budget is abandoned and the rest of the run is stepped
 //     per-instruction, so ErrMaxSteps hits at exactly the same instruction.
@@ -273,8 +272,9 @@ func (m *Machine) uaddr(u *uop) uint32 {
 
 // Step executes one instruction through the pre-decoded program: an inline
 // uop dispatch for straight-line instructions, the full exec path for
-// control transfers (and SYS/HALT). This is the per-instruction reference
-// mode that superblock execution batches.
+// control transfers (and SYS/HALT). A Step loop is the per-instruction
+// reference that superblock execution batches; the differential tests
+// compare Run against it.
 func (m *Machine) Step() error {
 	if m.halted {
 		return nil
@@ -288,13 +288,7 @@ func (m *Machine) Step() error {
 		return m.badPC()
 	}
 	m.Steps++
-	// u is resolved before the hook call: prog is immutable after predecode,
-	// and keeping the slice access next to its bounds check above lets the
-	// compiler fold the two and skip re-loading the slice header afterwards.
 	u := &m.prog[i]
-	if m.InstrHook != nil {
-		m.InstrHook(m.pc)
-	}
 	if u.k == uCtl {
 		return m.exec(&m.code[i])
 	}
@@ -438,8 +432,8 @@ func (m *Machine) Step() error {
 
 	case uJmp:
 		to := uint32(u.imm)
-		if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
-			m.pc = to // nothing to emit, no block to restart
+		if m.BlockHook == nil {
+			m.pc = to // nothing to report
 			return nil
 		}
 		m.transferTo(TransferJump, to, false)
@@ -450,7 +444,7 @@ func (m *Machine) Step() error {
 		if taken {
 			to = uint32(u.imm)
 		}
-		if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+		if m.BlockHook == nil {
 			m.pc = to
 			return nil
 		}
@@ -510,7 +504,7 @@ func (m *Machine) badPC() error {
 // halted/budget/fetch checks, a tight loop over the pre-decoded body with
 // the uop switch inlined (see the dispatch-copy comment above Step), one
 // batched Steps/Cycles update, then the terminator through the full
-// per-instruction exec path (control transfers, hooks, block events).
+// per-instruction exec path (control transfers, block events).
 func (m *Machine) runSuper() error {
 	for !m.halted {
 		if m.Steps >= m.MaxSteps {
@@ -715,7 +709,7 @@ func (m *Machine) runSuper() error {
 		case uJmp:
 			m.Cycles += uint64(u.cost)
 			to := uint32(u.imm)
-			if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+			if m.BlockHook == nil {
 				m.pc = to
 				continue
 			}
@@ -727,7 +721,7 @@ func (m *Machine) runSuper() error {
 			if taken {
 				to = uint32(u.imm)
 			}
-			if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+			if m.BlockHook == nil {
 				m.pc = to
 				continue
 			}
@@ -742,8 +736,7 @@ func (m *Machine) runSuper() error {
 }
 
 // runStepwise executes per-instruction until halt or error — the dispatch
-// mode superblock execution falls back to (and the reference mode the
-// differential tests compare against).
+// mode superblock execution falls back to near the step budget.
 func (m *Machine) runStepwise() error {
 	for !m.halted {
 		if err := m.Step(); err != nil {

@@ -3,9 +3,11 @@ package machine_test
 // Differential tests for superblock dispatch (superblock.go): every
 // observable of an execution — final registers, pc, Steps, Cycles, total
 // cycles, exit code, program output, the memory digest, and the exact
-// Transfer/BlockHook/InstrHook event streams — must be identical whether a
-// program runs through Run's superblock path, Run with NoSuperblocks set,
-// or a manual Step loop, with any combination of hooks attached. The
+// BlockHook event stream — must be identical whether a program runs
+// through Run or through a manual Step loop (the per-instruction
+// reference), with or without a BlockHook attached. For a run that halts,
+// the reported block ranges concatenated in order must also equal the Step
+// loop's pc sequence: that is the coverage the tracer takes from them. The
 // dispatch switch exists in two deliberate copies (see superblock.go);
 // these tests are the guard that keeps the copies from drifting.
 
@@ -36,59 +38,66 @@ type blockEv struct {
 // runState is everything observable about one finished (or faulted)
 // execution.
 type runState struct {
-	errStr    string // "" when the run halted cleanly
-	regs      [isa.NumRegs]uint32
-	pc        uint32
-	steps     uint64
-	cycles    uint64
-	total     uint64
-	halted    bool
-	exit      int32
-	digest    [sha256.Size]byte
-	out       string
-	transfers []machine.Transfer
-	blocks    []blockEv
-	pcs       []uint32 // InstrHook stream; nil when the hook was off
+	errStr string // "" when the run halted cleanly
+	regs   [isa.NumRegs]uint32
+	pc     uint32
+	steps  uint64
+	cycles uint64
+	total  uint64
+	halted bool
+	exit   int32
+	digest [sha256.Size]byte
+	out    string
+	blocks []blockEv // BlockHook stream; nil when the hook was off
+	pcs    []uint32  // executed pcs in order; nil unless the run was stepwise
 }
 
-// hookSet selects which observers a run attaches.
-type hookSet struct {
-	transfer bool
-	block    bool
-	instr    bool
+// runSteps is the per-instruction reference: a manual Step loop until halt
+// or error. visit, when non-nil, receives in order the pc of every
+// instruction that counted a step (a faulting instruction does; one the
+// step budget refused does not).
+func runSteps(m *machine.Machine, visit func(pc uint32)) error {
+	for !m.Halted() {
+		pc, steps := m.PC(), m.Steps
+		err := m.Step()
+		if visit != nil && m.Steps > steps {
+			visit(pc)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (h hookSet) String() string {
-	return fmt.Sprintf("transfer=%v block=%v instr=%v", h.transfer, h.block, h.instr)
-}
-
-// runImage executes img on input in the given mode and returns the full
-// observable state. maxSteps overrides the default budget when non-zero.
-func runImage(t *testing.T, img *obj.Image, input machine.Input, noSuper bool, hooks hookSet, maxSteps uint64) runState {
+// runImage executes img on input through Run, or through the runSteps
+// reference when stepwise is set (recording the pc sequence), and returns
+// the full observable state. block attaches a BlockHook that records every
+// block event. maxSteps overrides the default budget when non-zero.
+func runImage(t *testing.T, img *obj.Image, input machine.Input, stepwise, block bool, maxSteps uint64) runState {
 	t.Helper()
 	var out bytes.Buffer
 	m, err := machine.New(img, input, &out)
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)
 	}
-	m.NoSuperblocks = noSuper
 	if maxSteps != 0 {
 		m.MaxSteps = maxSteps
 	}
 	var st runState
-	if hooks.transfer {
-		m.Hook = func(tr machine.Transfer) { st.transfers = append(st.transfers, tr) }
-	}
-	if hooks.block {
+	if block {
+		st.blocks = []blockEv{}
 		m.BlockHook = func(start, end uint32, tr machine.Transfer, term bool) {
 			st.blocks = append(st.blocks, blockEv{start, end, tr, term})
 		}
 	}
-	if hooks.instr {
+	if stepwise {
 		st.pcs = []uint32{}
-		m.InstrHook = func(pc uint32) { st.pcs = append(st.pcs, pc) }
+		err = runSteps(m, func(pc uint32) { st.pcs = append(st.pcs, pc) })
+	} else {
+		err = m.Run()
 	}
-	if err := m.Run(); err != nil {
+	if err != nil {
 		st.errStr = err.Error()
 	}
 	st.regs = m.Regs
@@ -138,16 +147,6 @@ func diffStates(t *testing.T, label string, ref, got runState) {
 	if ref.out != got.out {
 		t.Errorf("%s: program output differs:\n ref: %q\n got: %q", label, ref.out, got.out)
 	}
-	if ref.transfers != nil && got.transfers != nil {
-		if len(ref.transfers) != len(got.transfers) {
-			t.Fatalf("%s: transfer counts differ: ref=%d got=%d", label, len(ref.transfers), len(got.transfers))
-		}
-		for i := range ref.transfers {
-			if ref.transfers[i] != got.transfers[i] {
-				t.Fatalf("%s: transfer %d differs:\n ref: %+v\n got: %+v", label, i, ref.transfers[i], got.transfers[i])
-			}
-		}
-	}
 	if ref.blocks != nil && got.blocks != nil {
 		if len(ref.blocks) != len(got.blocks) {
 			t.Fatalf("%s: block event counts differ: ref=%d got=%d", label, len(ref.blocks), len(got.blocks))
@@ -160,48 +159,58 @@ func diffStates(t *testing.T, label string, ref, got runState) {
 	}
 	if ref.pcs != nil && got.pcs != nil {
 		if len(ref.pcs) != len(got.pcs) {
-			t.Fatalf("%s: InstrHook stream lengths differ: ref=%d got=%d", label, len(ref.pcs), len(got.pcs))
+			t.Fatalf("%s: pc sequence lengths differ: ref=%d got=%d", label, len(ref.pcs), len(got.pcs))
 		}
 		for i := range ref.pcs {
 			if ref.pcs[i] != got.pcs[i] {
-				t.Fatalf("%s: InstrHook pc %d differs: ref=0x%x got=0x%x", label, i, ref.pcs[i], got.pcs[i])
+				t.Fatalf("%s: pc %d differs: ref=0x%x got=0x%x", label, i, ref.pcs[i], got.pcs[i])
 			}
 		}
 	}
 }
 
-// differential runs img on input through every dispatch mode × hook
-// configuration and requires all of them to observe the same execution.
+// differential runs img on input through {Run, Step loop} × {no hook,
+// BlockHook} and requires all of them to observe the same execution.
 func differential(t *testing.T, img *obj.Image, input machine.Input) {
 	t.Helper()
-	allHooks := hookSet{transfer: true, block: true, instr: true}
-	// The reference: per-instruction dispatch with every observer attached.
-	ref := runImage(t, img, input, true, allHooks, 0)
-	if ref.instrCount() != ref.steps {
-		t.Errorf("reference: InstrHook fired %d times for %d steps", ref.instrCount(), ref.steps)
+	// The reference: the Step loop with the block hook attached.
+	ref := runImage(t, img, input, true, true, 0)
+	if uint64(len(ref.pcs)) != ref.steps {
+		t.Errorf("reference: %d pcs recorded for %d steps", len(ref.pcs), ref.steps)
 	}
-	configs := []struct {
-		noSuper bool
-		hooks   hookSet
-	}{
-		{false, hookSet{}},                            // superblock fast path, no observers
-		{false, hookSet{transfer: true}},              // superblock + transfer hook
-		{false, hookSet{transfer: true, block: true}}, // superblock + both block-level hooks
-		{false, allHooks},                             // InstrHook forces the stepwise fallback
-		{true, hookSet{}},                             // per-instruction, no observers
-		{true, hookSet{instr: true}},                  // per-instruction + InstrHook
+	if ref.errStr == "" {
+		checkBlocksCoverPCs(t, ref)
+	}
+	configs := []struct{ stepwise, block bool }{
+		{false, false}, // superblock fast path, no observer
+		{false, true},  // superblock + block hook: the tracer's mode
+		{true, false},  // Step loop, no observer
 	}
 	for _, c := range configs {
-		label := fmt.Sprintf("noSuper=%v %s", c.noSuper, c.hooks)
-		got := runImage(t, img, input, c.noSuper, c.hooks, 0)
-		diffStates(t, label, ref, got)
-		if got.pcs != nil && uint64(len(got.pcs)) != got.steps {
-			t.Errorf("%s: InstrHook fired %d times for %d steps", label, len(got.pcs), got.steps)
-		}
+		got := runImage(t, img, input, c.stepwise, c.block, 0)
+		diffStates(t, fmt.Sprintf("stepwise=%v block=%v", c.stepwise, c.block), ref, got)
 	}
 }
 
-func (s runState) instrCount() uint64 { return uint64(len(s.pcs)) }
+// checkBlocksCoverPCs requires a halted run's block ranges, concatenated
+// in order, to equal its Step loop pc sequence.
+func checkBlocksCoverPCs(t *testing.T, st runState) {
+	t.Helper()
+	var pcs []uint32
+	for _, b := range st.blocks {
+		for pc := b.start; pc <= b.end; pc += isa.InstrSize {
+			pcs = append(pcs, pc)
+		}
+	}
+	if len(pcs) != len(st.pcs) {
+		t.Fatalf("block ranges cover %d instructions, the Step loop executed %d", len(pcs), len(st.pcs))
+	}
+	for i := range pcs {
+		if pcs[i] != st.pcs[i] {
+			t.Fatalf("block ranges' instruction %d is 0x%x, the Step loop's is 0x%x", i, pcs[i], st.pcs[i])
+		}
+	}
+}
 
 // TestSuperblockDifferentialCorpus runs every bench-corpus program
 // (compiled with the full mini-C pipeline) under superblock and
@@ -301,12 +310,14 @@ func TestSuperblockFaultDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("assemble: %v", err)
 			}
-			ref := runImage(t, img, machine.Input{}, true, hookSet{}, 0)
+			ref := runImage(t, img, machine.Input{}, true, true, 0)
 			if ref.errStr == "" {
 				t.Fatalf("expected the reference run to fault")
 			}
-			got := runImage(t, img, machine.Input{}, false, hookSet{}, 0)
-			diffStates(t, "superblock", ref, got)
+			for _, block := range []bool{false, true} {
+				got := runImage(t, img, machine.Input{}, false, block, 0)
+				diffStates(t, fmt.Sprintf("superblock block=%v", block), ref, got)
+			}
 		})
 	}
 }
@@ -330,27 +341,29 @@ main:
 
 // TestSuperblockMaxStepsParity is the MaxSteps overshoot regression test: a
 // superblock must never execute past the step budget. For every budget
-// crossing a run boundary at every offset, both dispatch modes must stop
-// with ErrMaxSteps after exactly MaxSteps instructions, in identical
-// states.
+// crossing a run boundary at every offset, Run with and without a
+// BlockHook must stop with ErrMaxSteps after exactly MaxSteps instructions,
+// in the same state as the Step loop.
 func TestSuperblockMaxStepsParity(t *testing.T) {
 	img, err := asm.Assemble("steploop", stepLoop, "")
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	for budget := uint64(1); budget <= 40; budget++ {
-		ref := runImage(t, img, machine.Input{}, true, hookSet{}, budget)
-		got := runImage(t, img, machine.Input{}, false, hookSet{}, budget)
+		ref := runImage(t, img, machine.Input{}, true, true, budget)
 		if ref.errStr != machine.ErrMaxSteps.Error() {
 			t.Fatalf("budget %d: reference error = %q, want ErrMaxSteps", budget, ref.errStr)
 		}
 		if ref.steps != budget {
 			t.Fatalf("budget %d: reference executed %d steps", budget, ref.steps)
 		}
-		if got.steps > budget {
-			t.Fatalf("budget %d: superblock overshot the budget: %d steps", budget, got.steps)
+		for _, block := range []bool{false, true} {
+			got := runImage(t, img, machine.Input{}, false, block, budget)
+			if got.steps > budget {
+				t.Fatalf("budget %d block=%v: superblock overshot the budget: %d steps", budget, block, got.steps)
+			}
+			diffStates(t, fmt.Sprintf("budget=%d block=%v", budget, block), ref, got)
 		}
-		diffStates(t, fmt.Sprintf("budget=%d", budget), ref, got)
 	}
 }
 
@@ -362,26 +375,29 @@ func TestSuperblockMaxStepsErrIs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	for _, noSuper := range []bool{false, true} {
+	for _, stepwise := range []bool{false, true} {
 		m, err := machine.New(img, machine.Input{}, nil)
 		if err != nil {
 			t.Fatalf("machine.New: %v", err)
 		}
-		m.NoSuperblocks = noSuper
+		run := m.Run
+		if stepwise {
+			run = func() error { return runSteps(m, nil) }
+		}
 		m.MaxSteps = 17
-		if err := m.Run(); !errors.Is(err, machine.ErrMaxSteps) {
-			t.Fatalf("noSuper=%v: Run = %v, want ErrMaxSteps", noSuper, err)
+		if err := run(); !errors.Is(err, machine.ErrMaxSteps) {
+			t.Fatalf("stepwise=%v: Run = %v, want ErrMaxSteps", stepwise, err)
 		}
 		if m.Steps != 17 {
-			t.Fatalf("noSuper=%v: Steps = %d, want 17", noSuper, m.Steps)
+			t.Fatalf("stepwise=%v: Steps = %d, want 17", stepwise, m.Steps)
 		}
 		// The machine is resumable after a budget bump, in both modes.
 		m.MaxSteps = 34
-		if err := m.Run(); !errors.Is(err, machine.ErrMaxSteps) {
-			t.Fatalf("noSuper=%v resume: Run = %v, want ErrMaxSteps", noSuper, err)
+		if err := run(); !errors.Is(err, machine.ErrMaxSteps) {
+			t.Fatalf("stepwise=%v resume: Run = %v, want ErrMaxSteps", stepwise, err)
 		}
 		if m.Steps != 34 {
-			t.Fatalf("noSuper=%v resume: Steps = %d, want 34", noSuper, m.Steps)
+			t.Fatalf("stepwise=%v resume: Steps = %d, want 34", stepwise, m.Steps)
 		}
 	}
 }
@@ -398,7 +414,7 @@ func TestStepInterleavesWithRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	ref := runImage(t, img, p.Train, false, hookSet{}, 0)
+	ref := runImage(t, img, p.Train, false, false, 0)
 	var out bytes.Buffer
 	m, err := machine.New(img, p.Train, &out)
 	if err != nil {

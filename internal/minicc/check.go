@@ -45,6 +45,7 @@ type checker struct {
 	fn     *FuncDecl
 	scopes []map[string]*VarDecl
 	seq    int
+	frame  uint64 // bytes of fn's locals so far, alignment padding included
 }
 
 func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*VarDecl{}) }
@@ -71,6 +72,7 @@ func (c *checker) lookup(name string) *VarDecl {
 func (c *checker) checkFunc(f *FuncDecl) error {
 	c.fn = f
 	c.seq = 0
+	c.frame = 0
 	c.scopes = nil
 	c.pushScope()
 	for _, prm := range f.Params {
@@ -112,6 +114,12 @@ func (c *checker) checkStmt(s Stmt) error {
 		v := s.Var
 		if v.Type.Size() == 0 {
 			return fmt.Errorf("minicc: %s: variable %q has zero size", c.fn.Name, v.Name)
+		}
+		// Each local fits on its own (the parser bounds every declaration);
+		// together they must too, since the frame is addressed the same way.
+		c.frame += uint64(v.Type.Size()) + uint64(v.Type.Align()) - 1
+		if c.frame > maxObjectSize {
+			return fmt.Errorf("minicc: %s: locals up to %q are larger than %d bytes", c.fn.Name, v.Name, maxObjectSize)
 		}
 		v.Seq = c.seq
 		c.seq++

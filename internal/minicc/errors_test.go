@@ -31,6 +31,16 @@ func TestParseErrors(t *testing.T) {
 		{"case-outside-switch", "int main() { case 3: return 1; }"},
 		{"dangling-binop", "int main() { return 1 + ; }"},
 		{"double-return-type", "int int main() { return 0; }"},
+		// Objects whose byte size does not fit in int32 (frame displacements
+		// are int32); the sizes used to wrap in 32-bit arithmetic.
+		{"local-array-wraps", "int main() { int a[1073741825]; a[1] = 99; return a[3]; }"},
+		{"local-array-wraps-to-zero", "int main() { int a[1073741824]; return 0; }"},
+		{"local-array-2d-wraps", "int main() { int a[65536][16385]; return 0; }"},
+		{"local-array-2gib", "int main() { int a[536870912]; return 0; }"},
+		{"locals-sum-over-int32", "int main() { char a[2000000000]; char b[2000000000]; b[0] = 1; return a[0]; }"},
+		{"global-array-wraps", "int g[1073741825]; int main() { return g[0]; }"},
+		{"struct-field-wraps", "struct s { int x[1073741825]; }; int main() { return 0; }"},
+		{"struct-total-over-int32", "struct s { char a[2147483647]; char b; }; int main() { return 0; }"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

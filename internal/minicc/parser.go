@@ -188,6 +188,9 @@ func (p *Parser) parseDeclarator(base *Type) (string, *Type, error) {
 	for i := len(dims) - 1; i >= 0; i-- {
 		ty = ArrayOf(ty, dims[i])
 	}
+	if !ty.fits() {
+		return "", nil, p.errorf("%q is larger than %d bytes", name, maxObjectSize)
+	}
 	return name, ty, nil
 }
 

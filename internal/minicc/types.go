@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -66,30 +67,52 @@ func (s *StructType) FieldByName(name string) (*Field, bool) {
 	return nil, false
 }
 
-// Layout computes field offsets, size and alignment.
+// maxObjectSize bounds the byte size of every variable, struct and struct
+// field, and of each function's locals together: memory-operand
+// displacements are int32, so a larger object would wrap its own layout.
+const maxObjectSize = math.MaxInt32
+
+// fits reports whether the type's size is at most maxObjectSize. It
+// computes the size without wraparound, so it is the check that makes Size
+// exact; struct types were already bounded by Layout.
+func (t *Type) fits() bool {
+	if t.Kind != TArray {
+		return true
+	}
+	return t.Elem.fits() && uint64(t.Len) <= maxObjectSize/max(uint64(t.Elem.Size()), 1)
+}
+
+// Layout computes field offsets, size and alignment. Each field's size is
+// exact (the parser bounds every declarator); Layout rejects a struct whose
+// total exceeds maxObjectSize.
 func (s *StructType) Layout() error {
-	var off, maxAlign uint32
-	maxAlign = 1
+	var off uint64
+	maxAlign := uint32(1)
 	for i := range s.Fields {
 		f := &s.Fields[i]
 		a := f.Type.Align()
 		if a > maxAlign {
 			maxAlign = a
 		}
-		off = (off + a - 1) &^ (a - 1)
-		f.Offset = off
+		off = (off + uint64(a) - 1) &^ uint64(a-1)
+		f.Offset = uint32(off)
 		sz := f.Type.Size()
 		if sz == 0 {
 			return fmt.Errorf("minicc: field %s.%s has zero size", s.Name, f.Name)
 		}
-		off += sz
+		off += uint64(sz)
 	}
-	s.size = (off + maxAlign - 1) &^ (maxAlign - 1)
+	off = (off + uint64(maxAlign) - 1) &^ uint64(maxAlign-1)
+	if off > maxObjectSize {
+		return fmt.Errorf("minicc: struct %s is larger than %d bytes", s.Name, maxObjectSize)
+	}
+	s.size = uint32(off)
 	s.align = maxAlign
 	return nil
 }
 
-// Size returns the size in bytes of a value of this type.
+// Size returns the size in bytes of a value of this type. It is exact for
+// every declared type: declarations larger than maxObjectSize are rejected.
 func (t *Type) Size() uint32 {
 	switch t.Kind {
 	case TInt, TPtr, TFnPtr:

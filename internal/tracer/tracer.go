@@ -1,6 +1,6 @@
 // Package tracer performs dynamic control-flow recovery: it runs a binary in
 // the emulator under a set of user-provided inputs, recording every executed
-// instruction and every control transfer. This is the reproduction's
+// block and every control transfer. This is the reproduction's
 // analogue of BinRec's S2E-based binary tracer, including the merge of
 // per-input CFGs into one trace (Figure 4's "Merge CFGs" step).
 package tracer
@@ -64,28 +64,35 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 	if err != nil {
 		return machine.Result{}, err
 	}
-	// Coverage goes to a dense bitmap indexed by instruction number and
-	// folds into Executed once the run ends. The machine rejects a
-	// misaligned or out-of-image pc before it calls InstrHook, so the
-	// index is always in range.
+	// One BlockHook carries both observations: each reported block covers
+	// the instructions [start, end], and a block that ended at a control
+	// transfer carries it in tr. Coverage goes to a dense bitmap indexed by
+	// instruction number; the machine reports only blocks it executed, so
+	// both ends are in range.
 	cov := make([]bool, len(t.Img.Code))
-	m.InstrHook = func(pc uint32) { cov[(pc-isa.CodeBase)/isa.InstrSize] = true }
-	m.Hook = t.addTransfer
-	err = m.Run()
+	m.BlockHook = func(start, end uint32, tr machine.Transfer, term bool) {
+		for i := (start - isa.CodeBase) / isa.InstrSize; i <= (end-isa.CodeBase)/isa.InstrSize; i++ {
+			cov[i] = true
+		}
+		if term {
+			t.addTransfer(tr)
+		}
+	}
+	if err := m.Run(); err != nil {
+		return machine.Result{}, fmt.Errorf("tracer: %w", err)
+	}
+	// A failed run's trace is dropped by every caller, so coverage folds
+	// in only once the run succeeded.
 	for i, hit := range cov {
 		if hit {
 			t.Executed[obj.AddrOf(i)] = true
 		}
 	}
-	if err != nil {
-		return machine.Result{}, fmt.Errorf("tracer: %w", err)
-	}
 	t.Inputs++
 	return machine.Result{ExitCode: m.ExitCode(), Cycles: m.TotalCycles(), Steps: m.Steps}, nil
 }
 
-// addTransfer folds one observed control transfer into the trace; it is
-// Run's machine hook.
+// addTransfer folds one observed control transfer into the trace.
 func (t *Trace) addTransfer(tr machine.Transfer) {
 	switch tr.Kind {
 	case machine.TransferCall:
