@@ -85,8 +85,9 @@ func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) (digest, le
 		t.Fatalf("%s/%s: recompiled run: %v", p.Name, prof.Name, err)
 	}
 	fix := pl.Fixpoints()
-	ledger = fmt.Sprintf("steps=%d fixpoints=%d/%d oracle=%d promoted=%d instrs=%d cycles=%d",
-		steps, fix.Computed, fix.Reused, oracleCalls, slots, len(out.Code), res.Cycles)
+	rsValues, symValues := pl.ReplayValues()
+	ledger = fmt.Sprintf("steps=%d values=%d/%d fixpoints=%d/%d oracle=%d promoted=%d instrs=%d cycles=%d",
+		steps, rsValues, symValues, fix.Computed, fix.Reused, oracleCalls, slots, len(out.Code), res.Cycles)
 	return hex.EncodeToString(sum[:]), ledger
 }
 
@@ -105,7 +106,8 @@ func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) (digest, le
 //
 // The same runs fill testdata/ledger.txt, the work ledger: per program
 // and profile, the tracer's instruction count over the trace inputs, the
-// VSA fixpoints the pipeline computed and reused, the optimizer's
+// IR values the regsave and symbolize replays evaluated over the same
+// inputs (Pipeline.ReplayValues), the VSA fixpoints the pipeline computed and reused, the optimizer's
 // oracle-factory calls, the promoted slots, the recompiled instruction
 // count and the recompiled binary's cycles on the ref input. Every
 // figure is deterministic, so a change that claims to save analysis work
@@ -123,7 +125,8 @@ func TestAnalysisGolden(t *testing.T) {
 	})
 	matchGolden(t, "testdata/ledger.txt", []string{
 		"Work ledger of the TestAnalysisGolden runs: tracer steps over the trace inputs,",
-		"VSA fixpoints computed/reused, oracle-factory calls, promoted slots,",
-		"recompiled instructions and recompiled cycles on the ref input.",
+		"IR values of the regsave/symbolize replays, VSA fixpoints computed/reused,",
+		"oracle-factory calls, promoted slots, recompiled instructions and recompiled",
+		"cycles on the ref input.",
 	}, ledger)
 }

@@ -229,8 +229,22 @@ type Pipeline struct {
 	SPOffsets map[*ir.Func]stackref.Offsets
 	// VarResult is the raw object-bounds analysis output.
 	VarResult *vartrack.Result
+
+	// replayValues counts the IR values the interpreter evaluated in the
+	// regsave (index 0) and symbolize (index 1) replays, summed over the
+	// inputs (see ReplayValues).
+	replayValues [2]uint64
 	// Recovered is the symbolized stack layout (Figure 7's subject).
 	Recovered *layout.Program
+}
+
+// ReplayValues returns the number of IR values the interpreter evaluated
+// in the two refinement replays, summed over the inputs: the regsave
+// replay (which also collects the variadic-call observations) and the
+// symbolize replay. Both are deterministic; they are zero for replays that
+// did not run, such as on a pipeline served from the cache.
+func (p *Pipeline) ReplayValues() (regsave, symbolize uint64) {
+	return p.replayValues[0], p.replayValues[1]
 }
 
 // jobs returns the effective worker count.
@@ -365,8 +379,10 @@ type replayTracer interface {
 // attached, discarding program output. Each input runs on a private fork
 // of tr; the forks run concurrently over the worker pool and join in input
 // order, so the merged observations are identical for every worker count
-// (including 1).
-func (p *Pipeline) runAll(tr replayTracer) error {
+// (including 1). It returns the number of IR values evaluated, summed over
+// the inputs.
+func (p *Pipeline) runAll(tr replayTracer) (uint64, error) {
+	steps := make([]uint64, len(p.Inputs))
 	subs, err := par.Map(p.jobs(), len(p.Inputs), func(i int) (irexec.Tracer, error) {
 		sub := tr.Fork().(replayTracer)
 		ip, err := irexec.New(p.Mod, p.Inputs[i], io.Discard)
@@ -375,18 +391,22 @@ func (p *Pipeline) runAll(tr replayTracer) error {
 		}
 		ip.Tr = sub
 		sub.Bind(ip)
-		if _, err := ip.Run(); err != nil {
+		res, err := ip.Run()
+		if err != nil {
 			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
 		}
+		steps[i] = res.Steps
 		return sub, nil
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for _, sub := range subs {
+	var total uint64
+	for i, sub := range subs {
 		tr.Join(sub)
+		total += steps[i]
 	}
-	return nil
+	return total, nil
 }
 
 // RefineRegSave runs the saved-register refinement (§4.1): dynamic
@@ -401,9 +421,11 @@ func (p *Pipeline) RefineRegSave() error {
 			"run them once, in order regsave → varargs → stackref → symbolize")
 	}
 	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
-	if err := p.runAll(tr); err != nil {
+	n, err := p.runAll(tr)
+	if err != nil {
 		return err
 	}
+	p.replayValues[0] = n
 	// Cold functions never execute during refinement runs (the replayed
 	// inputs are exactly the traced ones), so their register classes come
 	// from the static liveness estimate instead of traced evidence.
@@ -549,9 +571,11 @@ func (p *Pipeline) lintGate(stage string) error {
 // phases. It returns the recovered layout.
 func (p *Pipeline) RefineSymbolize() (*layout.Program, error) {
 	tr := vartrack.NewTracer(p.SPOffsets)
-	if err := p.runAll(tr); err != nil {
+	n, err := p.runAll(tr)
+	if err != nil {
 		return nil, err
 	}
+	p.replayValues[1] = n
 	p.VarResult = tr.Result()
 	p.injectColdVars()
 	prog, err := symbolize.ApplyJobs(p.Mod, p.SPOffsets, p.VarResult, p.jobs())
