@@ -9,12 +9,18 @@
 #   - at least 3 samples per benchmark (-count; default 6 here),
 #   - min/mean/stddev/max recorded per benchmark, speedups computed from
 #     the min (scheduler noise on a shared box is strictly additive, so
-#     the smallest sample is the least-contaminated estimate).
+#     the smallest sample is the least-contaminated estimate),
+#   - interleaved samples: the test binaries are built once, then COUNT
+#     rounds each take one sample (-test.count=1) of every benchmark in
+#     turn, so every benchmark's samples spread over the whole run instead
+#     of one contiguous window whose host load decides its min.
 #
 # The value-set analysis and interval-analysis benchmarks (BenchmarkVSAAnalyze,
-# BenchmarkCheckBounds) analyze a whole refined program per iteration, so
-# they run under their own, much smaller fixed -benchtime (20x) and are fed
-# to the same benchjson run: the artifact holds only `go test -bench` numbers.
+# BenchmarkCheckBounds) analyze a whole refined program per iteration and
+# the refinement-replay benchmark (BenchmarkReplay) replays one per
+# iteration, so they run under their own, much smaller fixed -benchtime
+# (20x) and are fed to the same benchjson run: the artifact holds only
+# `go test -bench` numbers.
 #
 # Environment knobs: COUNT (samples per benchmark), BENCHTIME (go test
 # -benchtime value for the interpreter/emulator benchmarks). Run on an
@@ -26,13 +32,23 @@ cd "$(dirname "$0")"
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-2000000x}
 
-echo "== bench: ${COUNT} samples x ${BENCHTIME} (analyses: x 20x)"
-{
-    go test -bench=. -benchtime="$BENCHTIME" -count="$COUNT" -run '^$' \
-        ./internal/machine/ ./internal/irexec/
-    go test -bench='VSAAnalyze|CheckBounds' -benchtime=20x -count="$COUNT" -run '^$' \
-        ./internal/vsa/ ./internal/analysis/
-} | go run ./cmd/benchjson -mode full -o BENCH_interp.json
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+for pkg in machine irexec vsa analysis core; do
+    go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
+done
+
+echo "== bench: ${COUNT} interleaved rounds x ${BENCHTIME} (analyses and replay: x 20x)"
+i=0
+while [ "$i" -lt "$COUNT" ]; do
+    for pkg in machine irexec; do
+        "$bin/$pkg.test" -test.run '^$' -test.bench . -test.benchtime "$BENCHTIME" -test.count 1
+    done
+    "$bin/vsa.test" -test.run '^$' -test.bench 'VSAAnalyze' -test.benchtime 20x -test.count 1
+    "$bin/analysis.test" -test.run '^$' -test.bench 'CheckBounds' -test.benchtime 20x -test.count 1
+    "$bin/core.test" -test.run '^$' -test.bench 'Replay$' -test.benchtime 20x -test.count 1
+    i=$((i + 1))
+done | go run ./cmd/benchjson -mode full -o BENCH_interp.json
 
 echo "== bench: validate"
 go run ./cmd/benchjson -check -o BENCH_interp.json

@@ -57,10 +57,18 @@ step "examples" check_examples
 # checked against its stepwise reference on every corpus program and
 # profile. The corpus/random-IR differentials skip under -short (the tracer
 # test keeps only mcf), so the blanket `go test -race -short` above does
-# not duplicate this step.
-step "superblock differential (-race)" \
+# not duplicate this step. The interpreter's hook-stream differential
+# (compiled interpreter against the reference tree-walker, the inputs of a
+# module running concurrently over one shared compiled Program) joins it
+# with -short: mcf of the corpus plus the random and failure-path modules.
+# That is the set the blanket step also runs; it is named here so every
+# differential of the emulator and the interpreter reports in one step.
+check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
+    go test -race -short -run 'TestHookStream' -count=1 ./internal/irexec/
+}
+step "superblock and hook-stream differentials (-race)" check_race_differentials
 
 # Bench smoke: one iteration of every interpreter/emulator micro-benchmark.
 # Catches benchmarks that stop compiling or crash. The smoke numbers go to
@@ -73,10 +81,11 @@ check_bench() {
     go test -bench=. -benchtime=1x -run '^$' \
         ./internal/machine/ ./internal/irexec/ |
         go run ./cmd/benchjson -mode smoke -o /tmp/wytiwyg-bench-smoke.json
-    # The analysis benchmarks only have to keep compiling and running; their
-    # smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
+    # The analysis and replay benchmarks only have to keep compiling and
+    # running; their smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
     go test -bench='VSAAnalyze|CheckBounds' -benchtime=1x -run '^$' \
         ./internal/vsa/ ./internal/analysis/ >/dev/null
+    go test -bench='Replay$' -benchtime=1x -run '^$' ./internal/core/ >/dev/null
     go run ./cmd/benchjson -check -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -check -o BENCH_interp.json
 }

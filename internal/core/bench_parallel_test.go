@@ -238,3 +238,39 @@ func BenchmarkRecoverLayoutWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplay measures the two refinement replays of mcf at gcc12-O3 on
+// one worker: RefineRegSave (the regsave+varargs replay and its signature
+// rewrite) followed by RefineSymbolize's vartrack replay. Lifting, and the
+// varargs and stackref refinements between the replays, run outside the
+// timer.
+func BenchmarkReplay(b *testing.B) {
+	p, _ := progs.ByName("mcf")
+	img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pl, err := core.LiftBinaryOpts(img, p.Inputs(), core.Options{Jobs: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := pl.RefineRegSave(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := pl.RefineVarArgs(); err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.RefineStackRef(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := pl.ReplaySymbolize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -377,15 +377,16 @@ type replayTracer interface {
 
 // runAll executes the current module under every input with a tracer
 // attached, discarding program output. Each input runs on a private fork
-// of tr; the forks run concurrently over the worker pool and join in input
-// order, so the merged observations are identical for every worker count
-// (including 1). It returns the number of IR values evaluated, summed over
-// the inputs.
+// of tr; the forks run concurrently over the worker pool, sharing one
+// compiled Program of the module, and join in input order, so the merged
+// observations are identical for every worker count (including 1). It
+// returns the number of IR values evaluated, summed over the inputs.
 func (p *Pipeline) runAll(tr replayTracer) (uint64, error) {
+	prog := irexec.NewProgram(p.Mod)
 	steps := make([]uint64, len(p.Inputs))
 	subs, err := par.Map(p.jobs(), len(p.Inputs), func(i int) (irexec.Tracer, error) {
 		sub := tr.Fork().(replayTracer)
-		ip, err := irexec.New(p.Mod, p.Inputs[i], io.Discard)
+		ip, err := prog.NewInterp(p.Inputs[i], io.Discard)
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
 		}

@@ -149,23 +149,32 @@ type SwitchCase struct {
 	Val uint32 // the matched constant
 }
 
-// Value is one SSA value / instruction.
+// Value is one SSA value / instruction. The fields an executor and its
+// tracers read for every executed value (the opcode and its modifiers, the
+// dense execution indices, the operands, Const and Idx) come first, so
+// they share the value's first cache line.
 type Value struct {
-	ID    int      // function-unique value number
-	Op    Op       // opcode
-	Block *Block   // owning block
-	Args  []*Value // operands
-
-	Const   int32    // OpConst payload; displacement for memory ops
+	ID      int      // function-unique value number
+	Op      Op       // opcode
 	Size    uint8    // access width in bytes for memory ops
 	Signed  bool     // signedness of widening loads and divisions
 	Cond    isa.Cond // condition for OpSetCC / conditional branches
-	Sym     string   // external callee name (OpCallExt) or symbol ref
-	Callee  *Func    // direct callee (OpCall)
-	Targets []*Func  // possible callees of OpCallInd
-	NumRet  int      // result count of call ops
-	Idx     int      // parameter/result index (OpParam, OpRetVal)
 	RegHint isa.Reg  // original machine register, for diagnostics
+
+	// slot and tupleOff are the dense execution indices assigned by
+	// Func.reindex (see layout.go); -1 while unassigned.
+	slot     int32
+	tupleOff int32
+
+	Args  []*Value // operands
+	Const int32    // OpConst payload; displacement for memory ops
+	Idx   int      // parameter/result index (OpParam, OpRetVal)
+
+	Block   *Block  // owning block
+	Sym     string  // external callee name (OpCallExt) or symbol ref
+	Callee  *Func   // direct callee (OpCall)
+	Targets []*Func // possible callees of OpCallInd
+	NumRet  int     // result count of call ops
 
 	AllocSize uint32 // OpAlloca object size in bytes
 	Align     uint32 // OpAlloca alignment
@@ -176,11 +185,6 @@ type Value struct {
 	Cases []SwitchCase
 
 	uses int
-
-	// slot and tupleOff are the dense execution indices assigned by
-	// Func.reindex (see layout.go); -1 while unassigned.
-	slot     int32
-	tupleOff int32
 }
 
 // AddArg appends an argument.

@@ -1,12 +1,17 @@
-package irexec
+package irexec_test
 
 import (
 	"runtime/debug"
 	"testing"
 
 	"wytiwyg/internal/ir"
+	"wytiwyg/internal/irexec"
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
+	"wytiwyg/internal/regsave"
+	"wytiwyg/internal/stackref"
+	"wytiwyg/internal/varargs"
+	"wytiwyg/internal/vartrack"
 )
 
 // benchModule builds a two-level lifted call chain: wrapper calls leaf,
@@ -55,7 +60,7 @@ func benchModule() (*ir.Module, *ir.Func) {
 // frame that calls a leaf, consumes its return tuple and returns.
 func BenchmarkIRCall(b *testing.B) {
 	mod, wrap := benchModule()
-	ip, err := New(mod, machine.Input{}, nil)
+	ip, err := irexec.New(mod, machine.Input{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,49 +70,88 @@ func BenchmarkIRCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ip.call(wrap, args, nil, nil, dest); err != nil {
+		if err := irexec.CallFunc(ip, wrap, args, dest); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestCallRetZeroAlloc pins the frame-recycling guarantee: once the pool is
-// warm, a lifted call/ret cycle (two frames deep here) performs no heap
-// allocation.
+// regsaveVarargs is the regsave refinement's replay tracer: the regsave
+// runtime observes every hook, and the varargs runtime the raw variadic
+// calls.
+type regsaveVarargs struct {
+	*regsave.Tracer
+	va *varargs.Tracer
+}
+
+func (t regsaveVarargs) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	t.Tracer.Exec(fr, v, args, res)
+	if v.Op == ir.OpCallExtRaw {
+		t.va.Exec(fr, v, args, res)
+	}
+}
+
+// TestCallRetZeroAlloc pins the frame-recycling guarantee: once warm, a
+// lifted call/ret cycle (two frames deep here) performs no heap
+// allocation, neither bare nor under either refinement replay's tracers,
+// whose per-value metadata lives in recycled slot tables.
 func TestCallRetZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
+	tracers := []struct {
+		name string
+		tr   func(mod *ir.Module, ip *irexec.Interp) irexec.Tracer
+	}{
+		{"bare", func(*ir.Module, *irexec.Interp) irexec.Tracer { return nil }},
+		{"regsave+varargs", func(_ *ir.Module, ip *irexec.Interp) irexec.Tracer {
+			va := varargs.NewTracer()
+			va.Bind(ip)
+			return regsaveVarargs{regsave.NewTracer(), va}
+		}},
+		{"vartrack", func(mod *ir.Module, ip *irexec.Interp) irexec.Tracer {
+			offs := make(map[*ir.Func]stackref.Offsets)
+			for _, f := range mod.Funcs {
+				offs[f] = stackref.Analyze(f)
+			}
+			tr := vartrack.NewTracer(offs)
+			tr.Bind(ip)
+			return tr
+		}},
 	}
-	mod, wrap := benchModule()
-	ip, err := New(mod, machine.Input{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip.MaxSteps = ^uint64(0)
-	args := []uint32{isa.StackTop, 5, 7}
-	dest := make([]uint32, wrap.NumRet)
-	// A GC clears the frame pool, which would show up as (re)allocation
-	// that has nothing to do with the steady-state path under test.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 16; i++ { // warm the frame pool
-		if err := ip.call(wrap, args, nil, nil, dest); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// AllocsPerRun truncates total/runs: a high run count makes the test
-	// immune to bounded background allocation (the runtime spawning threads
-	// under a loaded scheduler) while still flagging any real per-call
-	// allocation, which would add >= 1 per run.
-	allocs := testing.AllocsPerRun(10000, func() {
-		if err := ip.call(wrap, args, nil, nil, dest); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state call/ret allocates: %v allocs/op, want 0", allocs)
-	}
-	// leaf(5,7): t1=12, t2=12^5=9, t3=9-7=2; wrapper returns t3+t1 = 14.
-	if dest[0] != 14 {
-		t.Fatalf("result = %d, want 14", dest[0])
+	for _, tc := range tracers {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, wrap := benchModule()
+			ip, err := irexec.New(mod, machine.Input{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ip.Tr = tc.tr(mod, ip)
+			ip.MaxSteps = ^uint64(0)
+			args := []uint32{isa.StackTop, 5, 7}
+			dest := make([]uint32, wrap.NumRet)
+			// Keep a collection from running mid-measurement, so the
+			// count reflects the interpreter and tracers alone.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			for i := 0; i < 16; i++ { // warm the frames and tables
+				if err := irexec.CallFunc(ip, wrap, args, dest); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// AllocsPerRun truncates total/runs: a high run count makes the
+			// test immune to bounded background allocation (the runtime
+			// spawning threads under a loaded scheduler) while still
+			// flagging any real per-call allocation, which would add >= 1
+			// per run.
+			allocs := testing.AllocsPerRun(10000, func() {
+				if err := irexec.CallFunc(ip, wrap, args, dest); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state call/ret allocates: %v allocs/op, want 0", allocs)
+			}
+			// leaf(5,7): t1=12, t2=12^5=9, t3=9-7=2; wrapper returns t3+t1 = 14.
+			if dest[0] != 14 {
+				t.Fatalf("result = %d, want 14", dest[0])
+			}
+		})
 	}
 }

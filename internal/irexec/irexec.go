@@ -6,18 +6,22 @@
 // the program. Library calls dispatch into the exact same simulated libc
 // the machine uses, so behaviour matches the original binary bit for bit.
 //
-// The interpreter is built around the IR's dense execution layout
-// (ir/layout.go): every frame keeps SSA values, call tuples and tracer
-// metadata in flat slices indexed by Value.Slot, and frames are recycled
-// through a sync.Pool-backed free list, so a steady-state call/ret cycle
-// allocates nothing.
+// The interpreter does not walk the IR. A Program compiles each function
+// lazily, on its first activation, into a flat instruction array
+// (compile.go): operands are register-file indices, constants live in a
+// per-function constant area behind the value slots, successors are code
+// indices, and every control-flow edge carries its precomputed phi moves.
+// One Program serves every input of a refinement replay concurrently; the
+// module must not change while a Program executes it. Activations reuse
+// one frame per call depth, so a steady-state call/ret cycle allocates
+// nothing. Tracers keep their per-value metadata in typed Slots tables,
+// indexed by the same dense value slots (ir/layout.go).
 package irexec
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/isa"
@@ -28,6 +32,9 @@ import (
 // Alloca values after symbolization) begins, growing downward. It is
 // disjoint from the emulated-stack region under isa.StackTop.
 const NativeStackTop uint32 = 0xDFFF_FF00
+
+// defaultMaxSteps is the step budget of an Interp whose MaxSteps is 0.
+const defaultMaxSteps = 4_000_000_000
 
 // Frame is one activation of a lifted function. Frames are recycled between
 // activations: a *Frame pointer is only meaningful while its activation is
@@ -44,25 +51,25 @@ type Frame struct {
 	// run. Tracers that key state by activation must use it instead of the
 	// frame pointer, which is recycled.
 	Epoch uint64
+	// Depth is the activation's call depth: 0 for the entry function, the
+	// caller's depth plus one otherwise. Live activations have distinct
+	// depths, which is how Slots keeps one table window per activation.
+	Depth int
 
-	// regs is the dense SSA register file, indexed by Value.Slot.
+	// code is the compiled function; nil for frames built outside the
+	// interpreter.
+	code *code
+	// regs is the register file: the dense SSA value slots (Value.Slot),
+	// then the function's constant area.
 	regs []uint32
 	// tuples is the flat call-result arena; a call's results live at
 	// Value.TupleOff.
 	tuples []uint32
-	// meta carries tracer-owned per-value metadata, indexed by Value.Slot;
-	// allocated lazily on the first SetMeta so untraced runs never pay for
-	// it.
-	meta []any
 	// argbuf and phibuf are per-frame scratch for operand evaluation and
 	// simultaneous phi assignment.
 	argbuf []uint32
 	phibuf []uint32
 }
-
-// framePool recycles frames (and the slices they carry) across activations
-// and interpreter instances.
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // Get returns the current value of an SSA value in this frame. Constants
 // evaluate positionally-independently (passes may move their uses above
@@ -86,34 +93,16 @@ func (fr *Frame) Tuple(v *ir.Value) []uint32 {
 	return fr.tuples[off : off+w]
 }
 
-// GetMeta returns the tracer-owned metadata attached to v in this frame,
-// or nil.
-func (fr *Frame) GetMeta(v *ir.Value) any {
-	if len(fr.meta) == 0 {
-		return nil
+// layout returns the frame's value-slot count and call-tuple words: from
+// the compiled code for interpreter frames, from the function's cached
+// layout for frames built by hand.
+func (fr *Frame) layout() (slots, words int) {
+	if fr.code != nil {
+		return fr.code.nslots, fr.code.tupleWords
 	}
-	return fr.meta[v.Slot()]
-}
-
-// SetMeta attaches tracer-owned metadata to v in this frame.
-func (fr *Frame) SetMeta(v *ir.Value, x any) {
-	if len(fr.meta) == 0 {
-		n := fr.Fn.Layout().NumSlots
-		if cap(fr.meta) < n {
-			fr.meta = make([]any, n)
-		} else {
-			fr.meta = fr.meta[:n]
-		}
-	}
-	fr.meta[v.Slot()] = x
-}
-
-// DelMeta removes v's metadata. Unlike SetMeta(v, nil) it never allocates
-// the metadata file.
-func (fr *Frame) DelMeta(v *ir.Value) {
-	if len(fr.meta) > 0 {
-		fr.meta[v.Slot()] = nil
-	}
+	fr.Fn.EnsureLayout()
+	lay := fr.Fn.Layout()
+	return lay.NumSlots, lay.TupleWords
 }
 
 // Tracer observes execution. All methods may be no-ops. Slices passed to
@@ -145,13 +134,16 @@ type Interp struct {
 	Tr  Tracer            // observation hook, may be nil
 
 	Steps    uint64 // IR values evaluated
-	MaxSteps uint64 // execution budget; 0 means the default limit
+	MaxSteps uint64 // execution budget; 0 means the default of 4·10⁹
 
 	// StubHits counts executions of trap instructions, keyed by the name
 	// of the function the trap sits in. Populated lazily on the first hit;
 	// zero for runs that never leave the traced region.
 	StubHits map[string]int
 
+	prog *Program
+	// frames holds one reusable frame per call depth.
+	frames   []*Frame
 	nativeSP uint32
 	epoch    uint64
 }
@@ -167,10 +159,22 @@ var errHalted = errors.New("halted")
 // ErrTrap is returned when execution reaches an untraced path.
 var ErrTrap = errors.New("irexec: trap: input exercised an untraced path")
 
-// New prepares an interpreter over fresh memory.
+// ErrMaxSteps is returned, wrapped with the name of the executing
+// function, when execution exceeds the step budget.
+var ErrMaxSteps = errors.New("irexec: step budget exceeded")
+
+// New prepares an interpreter over fresh memory, with a private Program
+// for mod.
 func New(mod *ir.Module, input machine.Input, out io.Writer) (*Interp, error) {
+	return NewProgram(mod).NewInterp(input, out)
+}
+
+// NewInterp prepares an interpreter for one input over fresh memory. The
+// interpreters of one Program share its compiled code and may run
+// concurrently.
+func (p *Program) NewInterp(input machine.Input, out io.Writer) (*Interp, error) {
 	mem := machine.NewMemory()
-	if err := mem.WriteBytes(isa.DataBase, mod.Data); err != nil {
+	if err := mem.WriteBytes(isa.DataBase, p.mod.Data); err != nil {
 		return nil, err
 	}
 	lib, err := machine.NewLibState(mem, input, out)
@@ -178,10 +182,10 @@ func New(mod *ir.Module, input machine.Input, out io.Writer) (*Interp, error) {
 		return nil, err
 	}
 	return &Interp{
-		Mod:      mod,
+		Mod:      p.mod,
 		Mem:      mem,
 		Lib:      lib,
-		MaxSteps: 4_000_000_000,
+		prog:     p,
 		nativeSP: NativeStackTop,
 	}, nil
 }
@@ -198,14 +202,15 @@ func Run(mod *ir.Module, input machine.Input, out io.Writer, tr Tracer) (Result,
 
 // Run executes from the module entry until exit.
 func (ip *Interp) Run() (Result, error) {
-	args := make([]uint32, len(ip.Mod.Entry.Params))
-	for i, p := range ip.Mod.Entry.Params {
+	entry := ip.Mod.Entry
+	args := make([]uint32, len(entry.Params))
+	for i, p := range entry.Params {
 		if p.RegHint == isa.ESP {
 			args[i] = isa.StackTop
 		}
 	}
-	dest := make([]uint32, ip.Mod.Entry.NumRet)
-	err := ip.call(ip.Mod.Entry, args, nil, nil, dest)
+	dest := make([]uint32, entry.NumRet)
+	err := ip.call(ip.prog.entry(entry), args, nil, nil, dest)
 	if err != nil && !errors.Is(err, errHalted) {
 		return Result{}, err
 	}
@@ -215,342 +220,311 @@ func (ip *Interp) Run() (Result, error) {
 	return Result{ExitCode: ip.Lib.ExitCode, Steps: ip.Steps}, nil
 }
 
-// newFrame takes a recycled frame from the pool, sizes its slices for f's
-// dense layout and binds the parameters. All call-state allocation lives
-// here (the former lazy tuple-map initialization at the individual call-op
-// sites included); in steady state every slice is reused.
-func (ip *Interp) newFrame(f *ir.Func, args []uint32, caller *Frame, site *ir.Value) *Frame {
-	f.EnsureLayout()
-	lay := f.Layout()
-	fr := framePool.Get().(*Frame)
+// newFrame takes the frame for the next call depth, sizes its slices for
+// c and binds the parameters. In steady state every slice is reused.
+func (ip *Interp) newFrame(c *code, args []uint32, caller *Frame, site *ir.Value) *Frame {
+	depth := 0
+	if caller != nil {
+		depth = caller.Depth + 1
+	}
+	if depth == len(ip.frames) {
+		ip.frames = append(ip.frames, new(Frame))
+	}
+	fr := ip.frames[depth]
 	ip.epoch++
-	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch = f, caller, site, ip.epoch
+	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch, fr.Depth = c.fn, caller, site, ip.epoch, depth
+	fr.code = c
 	fr.SP0 = 0
-	if cap(fr.regs) < lay.NumSlots {
-		fr.regs = make([]uint32, lay.NumSlots)
-	} else {
-		fr.regs = fr.regs[:lay.NumSlots]
-		clear(fr.regs)
+	fr.regs = resize(fr.regs, c.nslots+len(c.consts))
+	clear(fr.regs[:c.nslots])
+	copy(fr.regs[c.nslots:], c.consts)
+	fr.tuples = resize(fr.tuples, c.tupleWords)
+	clear(fr.tuples)
+	fr.argbuf = resize(fr.argbuf, c.maxArgs)
+	fr.phibuf = resize(fr.phibuf, c.maxPhis)
+	for i, s := range c.params {
+		fr.regs[s] = args[i]
 	}
-	if cap(fr.tuples) < lay.TupleWords {
-		fr.tuples = make([]uint32, lay.TupleWords)
-	} else {
-		fr.tuples = fr.tuples[:lay.TupleWords]
-		clear(fr.tuples)
-	}
-	if cap(fr.argbuf) < lay.MaxArgs {
-		fr.argbuf = make([]uint32, lay.MaxArgs)
-	} else {
-		fr.argbuf = fr.argbuf[:lay.MaxArgs]
-	}
-	if cap(fr.phibuf) < lay.MaxPhis {
-		fr.phibuf = make([]uint32, lay.MaxPhis)
-	} else {
-		fr.phibuf = fr.phibuf[:lay.MaxPhis]
-	}
-	fr.meta = fr.meta[:0]
-	for i, p := range f.Params {
-		fr.regs[p.Slot()] = args[i]
-		if p.RegHint == isa.ESP {
-			fr.SP0 = args[i]
-		}
+	if c.espParam >= 0 {
+		fr.SP0 = args[c.espParam]
 	}
 	return fr
 }
 
-// freeFrame clears the frame's pointer-carrying state and returns it to the
-// pool. Frames on error paths are simply dropped (the run is terminal).
-func freeFrame(fr *Frame) {
-	if m := fr.meta[:cap(fr.meta)]; len(m) > 0 {
-		clear(m)
+// resize returns s with length n, reusing its backing array when large
+// enough. The contents are unspecified.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
 	}
-	fr.Fn, fr.Caller, fr.CallSite = nil, nil, nil
-	framePool.Put(fr)
+	return s[:n]
 }
 
-// call runs one activation of f. The return values are written into dest
-// (the caller's tuple-arena window for the call site, or a fresh slice for
-// the entry call); at most len(dest) values are stored.
-func (ip *Interp) call(f *ir.Func, args []uint32, caller *Frame, site *ir.Value, dest []uint32) error {
-	if len(args) != len(f.Params) {
-		return fmt.Errorf("irexec: call to %s with %d args, want %d", f.Name, len(args), len(f.Params))
+// call runs one activation of e's function. The return values are written
+// into dest (the caller's tuple-arena window for the call site, or a fresh
+// slice for the entry call); at most len(dest) values are stored.
+func (ip *Interp) call(e *fnCode, args []uint32, caller *Frame, site *ir.Value, dest []uint32) error {
+	if len(args) != len(e.fn.Params) {
+		return fmt.Errorf("irexec: call to %s with %d args, want %d", e.fn.Name, len(args), len(e.fn.Params))
 	}
-	fr := ip.newFrame(f, args, caller, site)
+	fr := ip.newFrame(ip.prog.code(e), args, caller, site)
 	savedNative := ip.nativeSP
 	err := ip.run(fr, dest)
 	ip.nativeSP = savedNative
-	if err == nil {
-		freeFrame(fr)
-	}
 	return err
 }
 
-// run executes fr's function body until it returns, traps or errors.
+// run executes fr's compiled function until it returns, traps or errors.
 func (ip *Interp) run(fr *Frame, dest []uint32) error {
-	f := fr.Fn
-	if ip.Tr != nil {
-		ip.Tr.FnEnter(fr)
+	c := fr.code
+	tr := ip.Tr
+	if tr != nil {
+		tr.FnEnter(fr)
 	}
-
-	cur := f.Entry()
-	var prev *ir.Block
-	for {
-		// Phis evaluate simultaneously against the incoming edge.
-		if len(cur.Phis) > 0 {
-			idx := -1
-			for i, p := range cur.Preds {
-				if p == prev {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				return fmt.Errorf("irexec: %s: edge b%d->b%d unknown", f.Name, blockID(prev), cur.ID)
-			}
-			tmp := fr.phibuf[:len(cur.Phis)]
-			for i, phi := range cur.Phis {
-				if phi.Args[idx] == nil {
-					return fmt.Errorf("irexec: %s: phi %s missing arg %d", f.Name, phi, idx)
-				}
-				tmp[i] = fr.Get(phi.Args[idx])
-			}
-			for i, phi := range cur.Phis {
-				fr.regs[phi.Slot()] = tmp[i]
-				if ip.Tr != nil {
-					ip.Tr.Phi(fr, phi, phi.Args[idx], tmp[i])
-				}
-			}
+	limit := ip.MaxSteps
+	if limit == 0 {
+		limit = defaultMaxSteps
+	}
+	regs := fr.regs
+	insts := c.insts
+	pc := c.edges[0].pc
+	if c.edges[0].n != 0 {
+		if err := ip.phis(fr, &c.edges[0]); err != nil {
+			return err
 		}
-		for _, v := range cur.Insts {
-			ip.Steps++
-			if ip.Steps > ip.MaxSteps {
-				return fmt.Errorf("irexec: step budget exceeded in %s", f.Name)
+	}
+	for {
+		in := &insts[pc]
+		pc++
+		ip.Steps++
+		if ip.Steps > limit {
+			return fmt.Errorf("%w in %s", ErrMaxSteps, c.fn.Name)
+		}
+		var res uint32
+		switch in.op {
+		case opConst:
+			res = in.x
+		case opSP0:
+			res = fr.SP0
+		case opAdd:
+			res = regs[in.a] + regs[in.b]
+		case opSub:
+			res = regs[in.a] - regs[in.b]
+		case opMul:
+			res = regs[in.a] * regs[in.b]
+		case opDiv:
+			d := regs[in.b]
+			if d == 0 {
+				return fmt.Errorf("irexec: division by zero in %s", c.fn.Name)
 			}
-			switch v.Op {
-			case ir.OpJmp:
-				prev, cur = cur, cur.Succs[0]
-			case ir.OpBr:
-				if fr.Get(v.Args[0]) != 0 {
-					prev, cur = cur, cur.Succs[0]
-				} else {
-					prev, cur = cur, cur.Succs[1]
+			res = uint32(int32(regs[in.a]) / int32(d))
+		case opMod:
+			d := regs[in.b]
+			if d == 0 {
+				return fmt.Errorf("irexec: division by zero in %s", c.fn.Name)
+			}
+			res = uint32(int32(regs[in.a]) % int32(d))
+		case opAnd:
+			res = regs[in.a] & regs[in.b]
+		case opOr:
+			res = regs[in.a] | regs[in.b]
+		case opXor:
+			res = regs[in.a] ^ regs[in.b]
+		case opShl:
+			res = regs[in.a] << (regs[in.b] & 31)
+		case opShr:
+			res = regs[in.a] >> (regs[in.b] & 31)
+		case opSar:
+			res = uint32(int32(regs[in.a]) >> (regs[in.b] & 31))
+		case opNeg:
+			res = -regs[in.a]
+		case opNot:
+			res = ^regs[in.a]
+		case opSubreg8:
+			res = regs[in.a]&^0xFF | regs[in.b]&0xFF
+		case opMov:
+			res = regs[in.a]
+		case opSext8:
+			res = uint32(int32(int8(regs[in.a])))
+		case opSext16:
+			res = uint32(int32(int16(regs[in.a])))
+		case opZext8:
+			res = regs[in.a] & 0xFF
+		case opZext16:
+			res = regs[in.a] & 0xFFFF
+		case opCmp:
+			if evalCond(in.cond, regs[in.a], regs[in.b]) {
+				res = 1
+			}
+		case opLoad:
+			lv, err := ip.Mem.Load(regs[in.a], in.size)
+			if err != nil {
+				return fmt.Errorf("irexec: %s: %w", c.fn.Name, err)
+			}
+			if in.signed {
+				switch in.size {
+				case 1:
+					lv = uint32(int32(int8(lv)))
+				case 2:
+					lv = uint32(int32(int16(lv)))
 				}
-			case ir.OpSwitch:
-				sel := fr.Get(v.Args[0])
-				next := cur.Succs[len(v.Cases)]
-				for i, c := range v.Cases {
-					if c.Val == sel {
-						next = cur.Succs[i]
-						break
-					}
+			}
+			res = lv
+		case opStore:
+			if err := ip.Mem.Store(regs[in.a], regs[in.b], in.size); err != nil {
+				return fmt.Errorf("irexec: %s: %w", c.fn.Name, err)
+			}
+		case opAlloca:
+			ip.nativeSP = (ip.nativeSP - in.x) &^ (in.y - 1)
+			res = ip.nativeSP
+		case opCall, opCallInd:
+			argv := fr.operands(in)
+			target, args := in.callee, argv
+			if in.op == opCallInd {
+				f := ip.Mod.FuncAt(argv[0])
+				if f == nil {
+					return fmt.Errorf("irexec: %s: indirect call to unknown 0x%x", c.fn.Name, argv[0])
 				}
-				prev, cur = cur, next
-			case ir.OpRet:
-				n := len(v.Args)
-				if n > len(dest) {
-					n = len(dest)
+				target, args = ip.prog.entry(f), argv[1:]
+			}
+			if tr != nil {
+				tr.CallPre(fr, in.v, argv)
+			}
+			dest := fr.tuples[in.x : in.x+in.y]
+			if err := ip.call(target, args, fr, in.v, dest); err != nil {
+				return err
+			}
+			if len(dest) > 0 {
+				res = dest[0]
+			}
+			regs[in.dst] = res
+			if tr != nil {
+				tr.Exec(fr, in.v, argv, res)
+			}
+			continue
+		case opCallExt, opCallExtRaw:
+			argv := fr.operands(in)
+			ret, err := ip.extCall(fr, in, argv)
+			if err != nil {
+				return err
+			}
+			fr.tuples[in.x] = ret
+			res = ret
+			if ip.Lib.Halted {
+				if tr != nil {
+					tr.Exec(fr, in.v, argv, res)
 				}
-				for i := 0; i < n; i++ {
-					dest[i] = fr.Get(v.Args[i])
-				}
-				if ip.Tr != nil {
-					ip.Tr.FnExit(fr, v, dest[:n])
-				}
-				return nil
-			case ir.OpTrap:
-				if ip.StubHits == nil {
-					ip.StubHits = make(map[string]int)
-				}
-				ip.StubHits[f.Name]++
-				return fmt.Errorf("%w (in %s)", ErrTrap, f.Name)
-			default:
-				if err := ip.exec(fr, v); err != nil {
+				return errHalted
+			}
+		case opExtract:
+			res = fr.tuples[in.x]
+		case opJmp, opBr, opSwitch:
+			ei := in.x
+			if in.op == opBr && regs[in.a] == 0 {
+				ei++
+			} else if in.op == opSwitch {
+				ei += caseIndex(c.cases[in.y:in.y+in.b], regs[in.a])
+			}
+			e := &c.edges[ei]
+			if e.n != 0 {
+				if err := ip.phis(fr, e); err != nil {
 					return err
 				}
-				continue
 			}
-			break // control transferred
+			pc = e.pc
+			continue
+		case opRet:
+			n := min(int(in.n), len(dest))
+			for i, r := range c.ops[in.ops : in.ops+uint32(n)] {
+				dest[i] = regs[r]
+			}
+			if tr != nil {
+				tr.FnExit(fr, in.v, dest[:n])
+			}
+			return nil
+		case opTrap:
+			if ip.StubHits == nil {
+				ip.StubHits = make(map[string]int)
+			}
+			ip.StubHits[c.fn.Name]++
+			return fmt.Errorf("%w (in %s)", ErrTrap, c.fn.Name)
+		default: // opBad
+			return c.errs[in.x]
+		}
+		if tr != nil {
+			argv := fr.operands(in)
+			regs[in.dst] = res
+			tr.Exec(fr, in.v, argv, res)
+		} else {
+			regs[in.dst] = res
 		}
 	}
 }
 
-func blockID(b *ir.Block) int {
-	if b == nil {
-		return -1
-	}
-	return b.ID
-}
-
-func (ip *Interp) exec(fr *Frame, v *ir.Value) error {
-	argv := fr.argbuf[:len(v.Args)]
-	for i, a := range v.Args {
-		argv[i] = fr.Get(a)
-	}
-	var res uint32
-	switch v.Op {
-	case ir.OpConst:
-		res = uint32(v.Const)
-	case ir.OpSP0:
-		res = fr.SP0
-	case ir.OpAdd:
-		res = argv[0] + argv[1]
-	case ir.OpSub:
-		res = argv[0] - argv[1]
-	case ir.OpMul:
-		res = argv[0] * argv[1]
-	case ir.OpDiv:
-		if argv[1] == 0 {
-			return fmt.Errorf("irexec: division by zero in %s", fr.Fn.Name)
-		}
-		res = uint32(int32(argv[0]) / int32(argv[1]))
-	case ir.OpMod:
-		if argv[1] == 0 {
-			return fmt.Errorf("irexec: division by zero in %s", fr.Fn.Name)
-		}
-		res = uint32(int32(argv[0]) % int32(argv[1]))
-	case ir.OpAnd:
-		res = argv[0] & argv[1]
-	case ir.OpOr:
-		res = argv[0] | argv[1]
-	case ir.OpXor:
-		res = argv[0] ^ argv[1]
-	case ir.OpShl:
-		res = argv[0] << (argv[1] & 31)
-	case ir.OpShr:
-		res = argv[0] >> (argv[1] & 31)
-	case ir.OpSar:
-		res = uint32(int32(argv[0]) >> (argv[1] & 31))
-	case ir.OpNeg:
-		res = -argv[0]
-	case ir.OpNot:
-		res = ^argv[0]
-	case ir.OpSubreg8:
-		res = argv[0]&^0xFF | argv[1]&0xFF
-	case ir.OpSext:
-		switch v.Size {
-		case 1:
-			res = uint32(int32(int8(argv[0])))
-		case 2:
-			res = uint32(int32(int16(argv[0])))
-		default:
-			res = argv[0]
-		}
-	case ir.OpZext:
-		switch v.Size {
-		case 1:
-			res = argv[0] & 0xFF
-		case 2:
-			res = argv[0] & 0xFFFF
-		default:
-			res = argv[0]
-		}
-	case ir.OpCmp:
-		if evalCond(v.Cond, argv[0], argv[1]) {
-			res = 1
-		}
-	case ir.OpLoad:
-		lv, err := ip.Mem.Load(argv[0], v.Size)
-		if err != nil {
-			return fmt.Errorf("irexec: %s: %w", fr.Fn.Name, err)
-		}
-		if v.Signed {
-			switch v.Size {
-			case 1:
-				lv = uint32(int32(int8(lv)))
-			case 2:
-				lv = uint32(int32(int16(lv)))
-			}
-		}
-		res = lv
-	case ir.OpStore:
-		if err := ip.Mem.Store(argv[0], argv[1], v.Size); err != nil {
-			return fmt.Errorf("irexec: %s: %w", fr.Fn.Name, err)
-		}
-	case ir.OpAlloca:
-		sz := (v.AllocSize + 3) &^ 3
-		al := v.Align
-		if al < 4 {
-			al = 4
-		}
-		ip.nativeSP = (ip.nativeSP - sz) &^ (al - 1)
-		res = ip.nativeSP
-	case ir.OpCall:
-		if ip.Tr != nil {
-			ip.Tr.CallPre(fr, v, argv)
-		}
-		dest := fr.Tuple(v)
-		if err := ip.call(v.Callee, argv, fr, v, dest); err != nil {
-			return err
-		}
-		if len(dest) > 0 {
-			res = dest[0]
-		}
-	case ir.OpCallInd:
-		target := ip.Mod.FuncAt(argv[0])
-		if target == nil {
-			return fmt.Errorf("irexec: %s: indirect call to unknown 0x%x", fr.Fn.Name, argv[0])
-		}
-		if ip.Tr != nil {
-			ip.Tr.CallPre(fr, v, argv)
-		}
-		dest := fr.Tuple(v)
-		if err := ip.call(target, argv[1:], fr, v, dest); err != nil {
-			return err
-		}
-		if len(dest) > 0 {
-			res = dest[0]
-		}
-	case ir.OpCallExt:
-		arg := func(i int) (uint32, error) {
-			if i >= len(argv) {
-				return 0, fmt.Errorf("irexec: %s: %s reads arg %d beyond %d",
-					fr.Fn.Name, v.Sym, i, len(argv))
-			}
-			return argv[i], nil
-		}
-		ret, err := ip.Lib.Call(v.Sym, arg)
-		if err != nil {
-			return err
-		}
-		fr.Tuple(v)[0] = ret
-		res = ret
-		if ip.Lib.Halted {
-			if ip.Tr != nil {
-				ip.Tr.Exec(fr, v, argv, res)
-			}
-			return errHalted
-		}
-	case ir.OpCallExtRaw:
-		base := argv[0]
-		arg := func(i int) (uint32, error) {
-			return ip.Mem.Load(base+uint32(4*i), 4)
-		}
-		ret, err := ip.Lib.Call(v.Sym, arg)
-		if err != nil {
-			return err
-		}
-		fr.Tuple(v)[0] = ret
-		res = ret
-		if ip.Lib.Halted {
-			if ip.Tr != nil {
-				ip.Tr.Exec(fr, v, argv, res)
-			}
-			return errHalted
-		}
-	case ir.OpExtract:
-		tup := fr.Tuple(v.Args[0])
-		if v.Idx >= len(tup) {
-			return fmt.Errorf("irexec: %s: extract %d of %d-tuple", fr.Fn.Name, v.Idx, len(tup))
-		}
-		res = tup[v.Idx]
+// operands evaluates in's operands into the frame's argument buffer.
+func (fr *Frame) operands(in *inst) []uint32 {
+	argv := fr.argbuf[:in.n]
+	switch len(argv) {
+	case 0:
+	case 1:
+		argv[0] = fr.regs[in.a]
+	case 2:
+		argv[0], argv[1] = fr.regs[in.a], fr.regs[in.b]
 	default:
-		return fmt.Errorf("irexec: %s: cannot execute %s", fr.Fn.Name, v.Op)
+		for i, r := range fr.code.ops[in.ops : in.ops+in.n] {
+			argv[i] = fr.regs[r]
+		}
 	}
-	fr.regs[v.Slot()] = res
-	if ip.Tr != nil {
-		ip.Tr.Exec(fr, v, argv, res)
+	return argv
+}
+
+// caseIndex returns the position of the first case equal to sel, or
+// len(cases) (the default successor) when none is.
+func caseIndex(cases []uint32, sel uint32) uint32 {
+	for i, c := range cases {
+		if c == sel {
+			return uint32(i)
+		}
+	}
+	return uint32(len(cases))
+}
+
+// phis performs an edge's simultaneous phi assignment, or reports the
+// edge's error.
+func (ip *Interp) phis(fr *Frame, e *edge) error {
+	if e.n < 0 {
+		return fr.code.errs[e.mv]
+	}
+	moves := fr.code.moves[e.mv : e.mv+uint32(e.n)]
+	tmp := fr.phibuf[:len(moves)]
+	for i, m := range moves {
+		tmp[i] = fr.regs[m.src]
+	}
+	for i, m := range moves {
+		fr.regs[m.dst] = tmp[i]
+		if ip.Tr != nil {
+			ip.Tr.Phi(fr, m.phi, m.in, tmp[i])
+		}
 	}
 	return nil
+}
+
+// extCall runs a library call: OpCallExt passes its operands, OpCallExtRaw
+// the emulated-stack words at its single operand.
+func (ip *Interp) extCall(fr *Frame, in *inst, argv []uint32) (uint32, error) {
+	if in.op == opCallExtRaw {
+		base := argv[0]
+		return ip.Lib.Call(in.v.Sym, func(i int) (uint32, error) {
+			return ip.Mem.Load(base+uint32(4*i), 4)
+		})
+	}
+	return ip.Lib.Call(in.v.Sym, func(i int) (uint32, error) {
+		if i >= len(argv) {
+			return 0, fmt.Errorf("irexec: %s: %s reads arg %d beyond %d",
+				fr.Fn.Name, in.v.Sym, i, len(argv))
+		}
+		return argv[i], nil
+	})
 }
 
 func evalCond(c isa.Cond, a, b uint32) bool {

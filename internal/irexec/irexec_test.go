@@ -2,6 +2,7 @@ package irexec_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"wytiwyg/internal/ir"
@@ -185,14 +186,43 @@ func TestStepBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ip.MaxSteps = 1000
-	if _, err := ip.Run(); err == nil {
-		t.Error("step budget not enforced")
+	if _, err := ip.Run(); !errors.Is(err, irexec.ErrMaxSteps) {
+		t.Errorf("err = %v, want ErrMaxSteps", err)
+	}
+}
+
+// TestMaxStepsBudgets pins the budget's edges on a program of exactly 2
+// values (a constant and the exit call): a zero MaxSteps means the default
+// budget (not "none"), a budget of 1 stops at the second value, and a
+// budget equal to the value count suffices. An exceeded budget fails with
+// ErrMaxSteps, naming the function, and counts the value that exceeded it.
+func TestMaxStepsBudgets(t *testing.T) {
+	cases := []struct {
+		budget uint64
+		ok     bool
+	}{{0, true}, {1, false}, {2, true}, {3, true}}
+	for _, c := range cases {
+		ip, err := irexec.New(buildExitModule(5), machine.Input{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip.MaxSteps = c.budget
+		res, err := ip.Run()
+		switch {
+		case c.ok && (err != nil || res.ExitCode != 5 || res.Steps != 2):
+			t.Errorf("budget %d: res=%+v err=%v, want exit 5 after 2 values", c.budget, res, err)
+		case !c.ok && !errors.Is(err, irexec.ErrMaxSteps):
+			t.Errorf("budget %d: err = %v, want ErrMaxSteps", c.budget, err)
+		case !c.ok && (ip.Steps != c.budget+1 || !strings.Contains(err.Error(), "_start")):
+			t.Errorf("budget %d: steps=%d err=%v, want %d steps and the function named",
+				c.budget, ip.Steps, err, c.budget+1)
+		}
 	}
 }
 
 func TestConstOperandsPositionIndependent(t *testing.T) {
 	// A value may reference a constant defined later in the block (passes
-	// hoist uses above definitions); Frame.Get must still see it.
+	// hoist uses above definitions); the operand must still see it.
 	m := ir.NewModule("t")
 	f := m.NewFunc("_start", 0x1000)
 	f.NumRet = 0

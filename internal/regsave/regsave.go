@@ -58,60 +58,31 @@ type fnReg struct {
 	r isa.Reg
 }
 
-// symbol tags a register's incoming value in one frame. Frames are recycled
-// between activations, so symbols carry the activation epoch rather than the
-// frame pointer.
-type symbol struct {
-	epoch uint64
-	fn    *ir.Func
-	reg   isa.Reg
-}
+// sym is a register symbol in one activation's slot table: sym r+1 tags
+// the value register r held at the activation's entry, and 0 means no
+// symbol. Symbols flow only within their activation — through phis,
+// reloads of the activation's own spill slots, and its call sites'
+// forwarding records — so the owning function and epoch are those of the
+// frame whose table holds the symbol.
+type sym uint8
 
-// shadowEntry is one address's saved symbol; a nil sym means absent.
-type shadowEntry struct {
-	epoch uint64
-	sym   *symbol
-}
+func symOf(r isa.Reg) sym { return sym(r) + 1 }
 
-// fwdRecord remembers symbols forwarded through a call site so extracts can
-// inherit them.
-type fwdRecord struct {
-	syms [isa.NumRegs]*symbol
-}
+func (s sym) reg() isa.Reg { return isa.Reg(s - 1) }
 
 // Tracer is the instrumentation runtime of the first refinement.
 type Tracer struct {
 	arg      map[fnReg]bool
 	violated map[fnReg]bool
 	forwards map[fnReg]map[fnReg]bool
-	shadow   irexec.Shadow[shadowEntry]
-	// syms and recs are the slabs per-activation symbols and per-call
-	// forwarding records are carved from: one allocation per slabSize
-	// objects instead of one per parameter or call.
-	syms []symbol
-	recs []fwdRecord
-}
-
-// slabSize is the number of symbols or records one slab holds.
-const slabSize = 256
-
-// newSymbol returns a fresh symbol carved from the current slab.
-func (t *Tracer) newSymbol(s symbol) *symbol {
-	if len(t.syms) == cap(t.syms) {
-		t.syms = make([]symbol, 0, slabSize)
-	}
-	t.syms = append(t.syms, s)
-	return &t.syms[len(t.syms)-1]
-}
-
-// newRecord returns a zeroed forwarding record carved from the current
-// slab.
-func (t *Tracer) newRecord() *fwdRecord {
-	if len(t.recs) == cap(t.recs) {
-		t.recs = make([]fwdRecord, 0, slabSize)
-	}
-	t.recs = append(t.recs, fwdRecord{})
-	return &t.recs[len(t.recs)-1]
+	// shadow holds the symbols spilled to memory, by address: the storing
+	// activation's epoch shifted left by 8, or'ed with the symbol (0 means
+	// absent).
+	shadow irexec.Shadow[uint64]
+	// syms holds each live activation's symbols by value slot. The tuple
+	// words of a call site hold its forwarding record: the symbol passed
+	// in each register, which an extract of that register inherits.
+	syms irexec.Slots[sym]
 }
 
 // NewTracer returns an empty analysis.
@@ -145,11 +116,10 @@ func (t *Tracer) SeedStatic(f *ir.Func, liveIn [isa.NumRegs]bool) {
 	}
 }
 
-// Fork returns a fresh, independent tracer for one input's run. Symbols,
-// shadow entries and frame metadata are run-local (they are keyed by frame
-// identity), so per-input tracers observe exactly what one shared
-// sequential tracer would; the classification sets they produce merge with
-// Join.
+// Fork returns a fresh, independent tracer for one input's run. Symbols
+// and shadow entries are run-local (they are keyed by activation), so
+// per-input tracers observe exactly what one shared sequential tracer
+// would; the classification sets they produce merge with Join.
 func (t *Tracer) Fork() irexec.Tracer { return NewTracer() }
 
 // Join folds a forked tracer's observations into t. All three result
@@ -179,17 +149,20 @@ func (t *Tracer) Join(o irexec.Tracer) {
 
 const frameLimit = 1 << 16
 
-func (t *Tracer) meta(fr *irexec.Frame, v *ir.Value) *symbol {
-	s, _ := fr.GetMeta(v).(*symbol)
-	return s
+// at returns v's symbol in the window w.
+func at(w []sym, v *ir.Value) sym {
+	if i := v.Slot(); uint(i) < uint(len(w)) {
+		return w[i]
+	}
+	return 0
 }
 
-func (t *Tracer) markArg(s *symbol) {
-	t.arg[fnReg{s.fn, s.reg}] = true
+func (t *Tracer) markArg(f *ir.Func, s sym) {
+	t.arg[fnReg{f, s.reg()}] = true
 }
 
-func (t *Tracer) addForward(s *symbol, callee *ir.Func, r isa.Reg) {
-	k := fnReg{s.fn, s.reg}
+func (t *Tracer) addForward(f *ir.Func, s sym, callee *ir.Func, r isa.Reg) {
+	k := fnReg{f, s.reg()}
 	m := t.forwards[k]
 	if m == nil {
 		m = make(map[fnReg]bool)
@@ -200,24 +173,24 @@ func (t *Tracer) addForward(s *symbol, callee *ir.Func, r isa.Reg) {
 
 // FnEnter assigns symbols to the incoming registers.
 func (t *Tracer) FnEnter(fr *irexec.Frame) {
+	w := t.syms.Enter(fr)
 	for _, p := range fr.Fn.Params {
-		if p.RegHint == isa.ESP {
-			continue
+		if p.RegHint != isa.ESP {
+			w[p.Slot()] = symOf(p.RegHint)
 		}
-		fr.SetMeta(p, t.newSymbol(symbol{epoch: fr.Epoch, fn: fr.Fn, reg: p.RegHint}))
 	}
 }
 
 // FnExit checks the second saved-register condition: the register holds its
 // own symbol at return.
 func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
+	w := t.syms.Window(fr)
 	for i, a := range ret.Args {
 		r := isa.Reg(i)
 		if r == isa.ESP {
 			continue
 		}
-		s := t.meta(fr, a)
-		if s == nil || s.epoch != fr.Epoch || s.reg != r {
+		if at(w, a) != symOf(r) {
 			t.violated[fnReg{fr.Fn, r}] = true
 		}
 	}
@@ -228,8 +201,9 @@ func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {}
 
 // Phi propagates symbols through SSA joins.
 func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
-	if s := t.meta(fr, incoming); s != nil {
-		fr.SetMeta(phi, s)
+	w := t.syms.Window(fr)
+	if s := at(w, incoming); s != 0 {
+		w[phi.Slot()] = s
 	}
 }
 
@@ -245,73 +219,70 @@ func (t *Tracer) invalidateShadow(addr uint32, size uint8) {
 
 // Exec observes one executed instruction.
 func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	w := t.syms.Window(fr)
 	switch v.Op {
 	case ir.OpStore:
-		if s := t.meta(fr, v.Args[0]); s != nil {
-			t.markArg(s) // symbol used as an address
+		if s := at(w, v.Args[0]); s != 0 {
+			t.markArg(fr.Fn, s) // symbol used as an address
 		}
 		addr := args[0]
 		t.invalidateShadow(addr, v.Size)
-		if s := t.meta(fr, v.Args[1]); s != nil {
+		if s := at(w, v.Args[1]); s != 0 {
 			if t.inOwnFrame(fr, addr) && v.Size == 4 {
-				t.shadow.Set(addr, shadowEntry{epoch: fr.Epoch, sym: s})
+				t.shadow.Set(addr, fr.Epoch<<8|uint64(s))
 			} else {
-				t.markArg(s) // written somewhere else
+				t.markArg(fr.Fn, s) // written somewhere else
 			}
 		}
 	case ir.OpLoad:
-		if s := t.meta(fr, v.Args[0]); s != nil {
-			t.markArg(s)
+		if s := at(w, v.Args[0]); s != 0 {
+			t.markArg(fr.Fn, s)
 		}
-		if e := t.shadow.Get(args[0]); e.sym != nil && e.epoch == fr.Epoch && v.Size == 4 {
-			fr.SetMeta(v, e.sym)
+		if e := t.shadow.Get(args[0]); e != 0 && e>>8 == fr.Epoch && v.Size == 4 {
+			w[v.Slot()] = sym(e)
 		}
 	case ir.OpCall, ir.OpCallInd:
-		base := 0
-		var callees []*ir.Func
-		if v.Op == ir.OpCallInd {
-			base = 1
-			if s := t.meta(fr, v.Args[0]); s != nil {
-				t.markArg(s) // symbol used as a call target
-			}
-			callees = v.Targets
+		base, callees := 0, v.Targets
+		if v.Op == ir.OpCall {
+			callees = nil
 		} else {
-			callees = []*ir.Func{v.Callee}
+			base = 1
+			if s := at(w, v.Args[0]); s != 0 {
+				t.markArg(fr.Fn, s) // symbol used as a call target
+			}
 		}
-		rec := t.newRecord()
+		rec := t.syms.Tuple(fr, v)
+		clear(rec)
 		for i := base; i < len(v.Args); i++ {
 			r := isa.Reg(i - base)
-			s := t.meta(fr, v.Args[i])
-			if s == nil || r == isa.ESP {
+			s := at(w, v.Args[i])
+			if s == 0 || r == isa.ESP {
 				continue
 			}
+			if v.Op == ir.OpCall {
+				t.addForward(fr.Fn, s, v.Callee, r)
+			}
 			for _, c := range callees {
-				t.addForward(s, c, r)
+				t.addForward(fr.Fn, s, c, r)
 			}
-			rec.syms[r] = s
+			if int(r) < len(rec) {
+				rec[r] = s
+			}
 		}
-		fr.SetMeta(v, rec)
 	case ir.OpExtract:
-		call := v.Args[0]
-		if rec, ok := fr.GetMeta(call).(*fwdRecord); ok {
-			if v.Idx < len(rec.syms) {
-				if s := rec.syms[v.Idx]; s != nil {
-					fr.SetMeta(v, s)
+		if call := v.Args[0]; call.Op == ir.OpCall || call.Op == ir.OpCallInd {
+			if rec := t.syms.Tuple(fr, call); v.Idx < len(rec) {
+				if s := rec[v.Idx]; s != 0 {
+					w[v.Slot()] = s
 				}
-			}
-		}
-	case ir.OpCallExt, ir.OpCallExtRaw:
-		for _, a := range v.Args {
-			if s := t.meta(fr, a); s != nil {
-				t.markArg(s)
 			}
 		}
 	case ir.OpPhi:
 		// Handled by the Phi hook.
 	default:
 		for _, a := range v.Args {
-			if s := t.meta(fr, a); s != nil {
-				t.markArg(s)
+			if s := at(w, a); s != 0 {
+				t.markArg(fr.Fn, s)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func (h *hookFixture) storePtr(addr uint32) {
 }
 
 // has reports whether the address map holds a pointer at addr.
-func (h *hookFixture) has(addr uint32) bool { return h.tr.addrMap.Get(addr).Var != nil }
+func (h *hookFixture) has(addr uint32) bool { return h.tr.addrMap.Get(addr).id != 0 }
 
 func (h *hookFixture) expect(t *testing.T, what string, present, absent []uint32) {
 	t.Helper()
@@ -120,7 +120,7 @@ func TestAddrMapExternEffectsAcrossPages(t *testing.T) {
 	}
 	h.tr.Exec(h.fr, h.memcpy, []uint32{0x4ff8, 0x1ff8, 16}, 0x4ff8)
 	h.expect(t, "memcpy", []uint32{0x4ff8, 0x5000, 0x5008}, []uint32{0x4ffc, 0x5004})
-	if got := h.tr.addrMap.Get(0x5000); got.Var == nil || got.Var.SPOff != -64 || got.Off != 0 {
+	if got := h.tr.addrMap.Get(0x5000); got.id == 0 || h.tr.varOf(got).SPOff != -64 || got.off != 0 {
 		t.Errorf("memcpy: copied pointer = %+v, want the sp0-64 base", got)
 	}
 }

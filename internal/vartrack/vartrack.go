@@ -2,8 +2,8 @@
 // (§4.2, Figure 5): object-bounds recovery. Every direct stack reference
 // identified by the stack-reference refinement becomes the base pointer of a
 // candidate StackVar. As the instrumented program runs, the runtime tracks
-// PointerInfo metadata — which StackVar a value refers to and at what offset
-// — through the core tracing operations:
+// pointer metadata — which StackVar a value refers to and at what offset —
+// through the core tracing operations:
 //
 //	derive   pointer ± constant (and alignment ANDs)
 //	derive2  pointer ± non-constant (the known-pointer operand wins)
@@ -63,10 +63,13 @@ func (v *StackVar) String() string {
 	return fmt.Sprintf("var%d@%d[%d,%d)", v.ID, v.SPOff, v.Low, v.High)
 }
 
-// PointerInfo associates a runtime value with a stack variable.
-type PointerInfo struct {
-	Var *StackVar // the variable the value points into
-	Off int32     // displacement from the variable's base
+// ptr is a value's pointer metadata: the StackVar it points into, by ID
+// plus one (0: the value is no known pointer), and its displacement from
+// the variable's base. It holds no Go pointer, so the slot tables and the
+// address map cost the garbage collector nothing.
+type ptr struct {
+	id  int32
+	off int32
 }
 
 // Result is everything symbolization needs.
@@ -87,21 +90,28 @@ type Tracer struct {
 	ip   *irexec.Interp
 	offs map[*ir.Func]stackref.Offsets
 
-	res    *Result
-	nextID int
-	// addrMap records the pointers stored to memory, by address (a nil
-	// Var means absent).
-	addrMap irexec.Shadow[PointerInfo]
-	// order remembers base-pointer values in StackVar allocation order, so
-	// Join can renumber a forked tracer's variables exactly as a sequential
-	// run would have.
+	res *Result
+	// vars holds the StackVars by ID; order remembers their base-pointer
+	// values, so Join can renumber a forked tracer's variables exactly as
+	// a sequential run would have.
+	vars  []*StackVar
 	order []*ir.Value
+	// addrMap records the pointers stored to memory, by address.
+	addrMap irexec.Shadow[ptr]
+	// pis holds each live activation's pointer metadata by value slot. The
+	// tuple words of a call site hold the metadata of the callee's return
+	// values, for the extracts.
+	pis irexec.Slots[ptr]
 
-	// pending carries argument metadata from CallPre to the callee's
-	// FnEnter; lastExit carries return metadata from FnExit to the
-	// caller's Exec of the call.
-	pending  []pendingCall
-	lastExit *exitRecord
+	// pendArgs and pendOff carry argument metadata from CallPre to the
+	// callee's FnEnter: a stack of groups, group i starting at
+	// pendArgs[pendOff[i]]. exitFn and exitPIs carry return metadata from
+	// FnExit to the caller's Exec of the call (exitFn is nil when none is
+	// pending).
+	pendArgs []ptr
+	pendOff  []int
+	exitFn   *ir.Func
+	exitPIs  []ptr
 
 	// tabs holds each executed function's direct-reference table, built on
 	// first use; lastFn/lastTab memoize the most recent lookup.
@@ -112,29 +122,13 @@ type Tracer struct {
 
 // directRef is one slot of a function's direct-reference table, indexed by
 // Value.Slot: whether the value is a direct stack reference, its sp0
-// displacement, and its base-pointer metadata. The metadata is built on the
-// value's first execution (allocating its StackVar exactly when an
-// uncached lookup would) and then shared: no hook mutates a PointerInfo.
+// displacement, and the ID plus one of its StackVar. The variable is
+// allocated on the value's first execution (exactly when an uncached
+// lookup would allocate it); id is 0 until then.
 type directRef struct {
 	ok  bool
 	off int32
-	pi  *PointerInfo
-}
-
-type pendingCall struct {
-	call *ir.Value
-	pis  []*PointerInfo
-}
-
-type exitRecord struct {
-	fn  *ir.Func
-	pis []*PointerInfo
-}
-
-// retRecord hangs off the call value in the caller frame so extracts can
-// pick up returned pointer metadata.
-type retRecord struct {
-	pis []*PointerInfo
+	id  int32
 }
 
 // NewTracer builds the runtime over the direct-reference table produced by
@@ -162,8 +156,8 @@ func (t *Tracer) varFor(fn *ir.Func, v *ir.Value, spoff int32) *StackVar {
 	if sv, ok := t.res.Vars[v]; ok {
 		return sv
 	}
-	sv := &StackVar{ID: t.nextID, Fn: fn, SPOff: spoff}
-	t.nextID++
+	sv := &StackVar{ID: len(t.vars), Fn: fn, SPOff: spoff}
+	t.vars = append(t.vars, sv)
 	t.res.Vars[v] = sv
 	t.res.ByFn[fn] = append(t.res.ByFn[fn], sv)
 	t.order = append(t.order, v)
@@ -222,30 +216,37 @@ func (t *Tracer) Join(o irexec.Tracer) {
 	}
 }
 
-func (t *Tracer) pi(fr *irexec.Frame, v *ir.Value) *PointerInfo {
-	p, _ := fr.GetMeta(v).(*PointerInfo)
-	return p
+// at returns v's pointer metadata in the window w.
+func at(w []ptr, v *ir.Value) ptr {
+	if i := v.Slot(); uint(i) < uint(len(w)) {
+		return w[i]
+	}
+	return ptr{}
 }
 
-func (t *Tracer) setPI(fr *irexec.Frame, v *ir.Value, p *PointerInfo) {
-	fr.SetMeta(v, p)
-}
+// varOf returns the StackVar p points into; p must be a pointer.
+func (t *Tracer) varOf(p ptr) *StackVar { return t.vars[p.id-1] }
 
 // direct returns the base-pointer metadata when v is a direct stack
 // reference of the executing function.
-func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) *PointerInfo {
-	tab := t.table(fr.Fn)
-	if tab == nil {
-		return nil
+func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) (ptr, bool) {
+	tab := t.lastTab
+	if fr.Fn != t.lastFn {
+		tab = t.table(fr.Fn)
 	}
-	d := &tab[v.Slot()]
-	if !d.ok {
-		return nil
+	if i := v.Slot(); uint(i) >= uint(len(tab)) || !tab[i].ok {
+		return ptr{}, false
 	}
-	if d.pi == nil {
-		d.pi = &PointerInfo{Var: t.varFor(fr.Fn, v, d.off)}
+	return t.base(fr, v, &tab[v.Slot()]), true
+}
+
+// base returns the base-pointer metadata of the direct reference v,
+// allocating its StackVar on the first execution.
+func (t *Tracer) base(fr *irexec.Frame, v *ir.Value, d *directRef) ptr {
+	if d.id == 0 {
+		d.id = int32(t.varFor(fr.Fn, v, d.off).ID) + 1
 	}
-	return d.pi
+	return ptr{id: d.id}
 }
 
 // table returns f's direct-reference table (nil when f has no direct
@@ -253,9 +254,6 @@ func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) *PointerInfo {
 // not change while the tracer observes it, which holds for a refinement
 // replay.
 func (t *Tracer) table(f *ir.Func) []directRef {
-	if f == t.lastFn {
-		return t.lastTab
-	}
 	tab, ok := t.tabs[f]
 	if !ok {
 		tab = buildTable(f, t.offs[f])
@@ -293,17 +291,11 @@ func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
 	return tab
 }
 
-// updateBounds implements the deferred-initialization rules of §4.2.4 for
-// a size-byte dereference through p.
-func (t *Tracer) updateBounds(p *PointerInfo, size uint8) {
-	t.boundRange(p, int64(size))
-}
-
-func (t *Tracer) link(a, b *StackVar) {
-	if a == nil || b == nil || a == b {
+func (t *Tracer) link(a, b ptr) {
+	if a.id == b.id {
 		return
 	}
-	t.res.Linked = append(t.res.Linked, [2]*StackVar{a, b})
+	t.res.Linked = append(t.res.Linked, [2]*StackVar{t.varOf(a), t.varOf(b)})
 }
 
 // invalidate drops every recorded pointer a size-byte store at addr
@@ -315,42 +307,39 @@ func (t *Tracer) invalidate(addr uint32, size uint8) {
 // FnEnter binds incoming pointer metadata to parameters; the ESP parameter
 // is the frame's own sp0 base pointer.
 func (t *Tracer) FnEnter(fr *irexec.Frame) {
-	var pend *pendingCall
-	if n := len(t.pending); n > 0 {
-		pend = &t.pending[n-1]
-		t.pending = t.pending[:n-1]
+	w := t.pis.Enter(fr)
+	var pend []ptr
+	if n := len(t.pendOff); n > 0 {
+		off := t.pendOff[n-1]
+		pend = t.pendArgs[off:]
+		t.pendArgs, t.pendOff = t.pendArgs[:off], t.pendOff[:n-1]
 	}
 	for i, p := range fr.Fn.Params {
-		if d := t.direct(fr, p); d != nil {
-			t.setPI(fr, p, d)
-			continue
-		}
-		if pend != nil && i < len(pend.pis) && pend.pis[i] != nil {
-			t.setPI(fr, p, pend.pis[i])
+		if d, ok := t.direct(fr, p); ok {
+			w[p.Slot()] = d
+		} else if i < len(pend) {
+			w[p.Slot()] = pend[i]
 		}
 	}
 }
 
 // FnExit captures returned pointer metadata for the caller.
 func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
-	rec := &exitRecord{fn: fr.Fn, pis: make([]*PointerInfo, len(ret.Args))}
-	for i, a := range ret.Args {
-		rec.pis[i] = t.pi(fr, a)
+	w := t.pis.Window(fr)
+	t.exitFn, t.exitPIs = fr.Fn, t.exitPIs[:0]
+	for _, a := range ret.Args {
+		t.exitPIs = append(t.exitPIs, at(w, a))
 	}
-	t.lastExit = rec
 }
 
 // Phi is the copy operation: metadata follows the selected incoming value.
 func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
-	if d := t.direct(fr, phi); d != nil {
-		t.setPI(fr, phi, d)
+	w := t.pis.Window(fr)
+	if d, ok := t.direct(fr, phi); ok {
+		w[phi.Slot()] = d
 		return
 	}
-	if p := t.pi(fr, incoming); p != nil {
-		t.setPI(fr, phi, p)
-	} else {
-		fr.DelMeta(phi)
-	}
+	w[phi.Slot()] = at(w, incoming)
 }
 
 // CallPre marshals argument metadata to the callee (fnenter's register
@@ -360,116 +349,123 @@ func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {
 	if call.Op == ir.OpCallInd {
 		base = 1
 	}
-	pis := make([]*PointerInfo, len(call.Args)-base)
-	for i := base; i < len(call.Args); i++ {
-		pis[i-base] = t.pi(fr, call.Args[i])
+	w := t.pis.Window(fr)
+	t.pendOff = append(t.pendOff, len(t.pendArgs))
+	for _, a := range call.Args[base:] {
+		t.pendArgs = append(t.pendArgs, at(w, a))
 	}
-	t.pending = append(t.pending, pendingCall{call: call, pis: pis})
 }
 
 // Exec dispatches the core tracing operations.
 func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	w := t.pis.Window(fr)
 	// Direct stack references are base pointers of their own variables and
 	// are never treated as derived (§4.1 produced them; §4.2 starts here).
-	if d := t.direct(fr, v); d != nil {
-		t.setPI(fr, v, d)
+	if d, ok := t.direct(fr, v); ok {
+		w[v.Slot()] = d
 		return
 	}
 	// Clear any metadata from a previous execution of this value (loops):
 	// each execution recomputes it from scratch.
-	fr.DelMeta(v)
+	w[v.Slot()] = ptr{}
 	switch v.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpSubreg8:
-		aPI := t.pi(fr, v.Args[0])
-		bPI := t.pi(fr, v.Args[1])
+		a := at(w, v.Args[0])
+		b := at(w, v.Args[1])
 		switch {
-		case aPI != nil && bPI != nil:
+		case a.id != 0 && b.id != 0:
 			if v.Op == ir.OpSub {
 				// Pointer difference: both operands belong to the same
 				// object (link).
-				t.link(aPI.Var, bPI.Var)
+				t.link(a, b)
 			}
 			// ptr+ptr or ptr&ptr: result is no pointer.
-		case aPI != nil:
+		case a.id != 0:
 			// derive/derive2: offset advances by the value delta, which is
 			// exact for every arithmetic form.
-			np := &PointerInfo{Var: aPI.Var, Off: aPI.Off + int32(res-args[0])}
-			t.setPI(fr, v, np)
+			w[v.Slot()] = ptr{id: a.id, off: a.off + int32(res-args[0])}
 			if v.Op == ir.OpAnd && v.Args[1].Op == ir.OpConst {
-				if al := alignOf(uint32(v.Args[1].Const)); al > aPI.Var.Align {
-					aPI.Var.Align = al
-				}
+				t.align(a, uint32(v.Args[1].Const))
 			}
-		case bPI != nil && v.Op == ir.OpAdd:
-			np := &PointerInfo{Var: bPI.Var, Off: bPI.Off + int32(res-args[1])}
-			t.setPI(fr, v, np)
-		case bPI != nil && v.Op == ir.OpAnd:
-			np := &PointerInfo{Var: bPI.Var, Off: bPI.Off + int32(res-args[1])}
-			t.setPI(fr, v, np)
+		case b.id != 0 && v.Op == ir.OpAdd:
+			w[v.Slot()] = ptr{id: b.id, off: b.off + int32(res-args[1])}
+		case b.id != 0 && v.Op == ir.OpAnd:
+			w[v.Slot()] = ptr{id: b.id, off: b.off + int32(res-args[1])}
 			if v.Args[0].Op == ir.OpConst {
-				if al := alignOf(uint32(v.Args[0].Const)); al > bPI.Var.Align {
-					bPI.Var.Align = al
-				}
+				t.align(b, uint32(v.Args[0].Const))
 			}
 		}
 	case ir.OpCmp:
-		aPI := t.pi(fr, v.Args[0])
-		bPI := t.pi(fr, v.Args[1])
-		if aPI != nil && bPI != nil {
-			t.link(aPI.Var, bPI.Var)
+		a := at(w, v.Args[0])
+		b := at(w, v.Args[1])
+		if a.id != 0 && b.id != 0 {
+			t.link(a, b)
 		}
 	case ir.OpLoad:
-		if p := t.pi(fr, v.Args[0]); p != nil {
-			t.updateBounds(p, v.Size)
+		if p := at(w, v.Args[0]); p.id != 0 {
+			t.boundRange(p, int64(v.Size))
 		}
-		if e := t.addrMap.Get(args[0]); e.Var != nil && v.Size == 4 {
-			t.setPI(fr, v, &PointerInfo{Var: e.Var, Off: e.Off})
+		if e := t.addrMap.Get(args[0]); e.id != 0 && v.Size == 4 {
+			w[v.Slot()] = e
 		}
 	case ir.OpStore:
 		addr := args[0]
-		if p := t.pi(fr, v.Args[0]); p != nil {
-			t.updateBounds(p, v.Size)
+		if p := at(w, v.Args[0]); p.id != 0 {
+			t.boundRange(p, int64(v.Size))
 		}
 		t.invalidate(addr, v.Size)
-		if p := t.pi(fr, v.Args[1]); p != nil && v.Size == 4 {
-			t.addrMap.Set(addr, *p)
+		if p := at(w, v.Args[1]); p.id != 0 && v.Size == 4 {
+			t.addrMap.Set(addr, p)
 		}
 	case ir.OpCall, ir.OpCallInd:
 		// The callee has run; attach its returned metadata for extracts.
-		if t.lastExit != nil {
-			matches := (v.Op == ir.OpCall && v.Callee == t.lastExit.fn)
-			if v.Op == ir.OpCallInd {
-				for _, tgt := range v.Targets {
-					if tgt == t.lastExit.fn {
-						matches = true
-					}
-				}
-				if !matches && t.ip != nil {
-					matches = t.ip.Mod.FuncAt(args[0]) == t.lastExit.fn
-				}
+		rets := t.pis.Tuple(fr, v)
+		clear(rets)
+		if t.exitFn != nil {
+			if t.returnsTo(v, args) {
+				copy(rets, t.exitPIs)
 			}
-			if matches {
-				fr.SetMeta(v, &retRecord{pis: t.lastExit.pis})
-			}
-			t.lastExit = nil
+			t.exitFn = nil
 		}
 	case ir.OpExtract:
 		parent := v.Args[0]
 		// External calls carry their (single) result metadata directly on
 		// the call value (the DeriveRet constraint).
 		if parent.Op == ir.OpCallExt || parent.Op == ir.OpCallExtRaw {
-			if p := t.pi(fr, parent); p != nil && v.Idx == 0 {
-				t.setPI(fr, v, p)
+			if p := at(w, parent); p.id != 0 && v.Idx == 0 {
+				w[v.Slot()] = p
 			}
 			return
 		}
-		if rec, ok := fr.GetMeta(parent).(*retRecord); ok {
-			if v.Idx < len(rec.pis) && rec.pis[v.Idx] != nil {
-				t.setPI(fr, v, rec.pis[v.Idx])
+		if parent.Op == ir.OpCall || parent.Op == ir.OpCallInd {
+			if rets := t.pis.Tuple(fr, parent); v.Idx < len(rets) {
+				w[v.Slot()] = rets[v.Idx]
 			}
 		}
 	case ir.OpCallExt:
-		t.extCall(fr, v, args, res)
+		t.extCall(fr, w, v, args, res)
+	}
+}
+
+// returnsTo reports whether the pending return metadata comes from the
+// callee of call: its direct callee, one of its indirect targets, or the
+// function at its runtime target address.
+func (t *Tracer) returnsTo(call *ir.Value, args []uint32) bool {
+	if call.Op == ir.OpCall {
+		return call.Callee == t.exitFn
+	}
+	for _, tgt := range call.Targets {
+		if tgt == t.exitFn {
+			return true
+		}
+	}
+	return t.ip != nil && t.ip.Mod.FuncAt(args[0]) == t.exitFn
+}
+
+// align records the alignment an AND with mask imposes on p's variable.
+func (t *Tracer) align(p ptr, mask uint32) {
+	if al, sv := alignOf(mask), t.varOf(p); al > sv.Align {
+		sv.Align = al
 	}
 }
 
@@ -483,16 +479,16 @@ func alignOf(mask uint32) uint32 {
 }
 
 // extCall applies the §5.3 constraint database.
-func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+func (t *Tracer) extCall(fr *irexec.Frame, w []ptr, v *ir.Value, args []uint32, res uint32) {
 	sig, ok := extdb.Lookup(v.Sym)
 	if !ok {
 		return
 	}
-	argPI := func(i int) *PointerInfo {
+	argPI := func(i int) ptr {
 		if i < 0 || i >= len(v.Args) {
-			return nil
+			return ptr{}
 		}
-		return t.pi(fr, v.Args[i])
+		return at(w, v.Args[i])
 	}
 	argVal := func(i int) uint32 {
 		if i < 0 || i >= len(args) {
@@ -513,7 +509,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 	for _, eff := range sig.Effects {
 		switch eff.Kind {
 		case extdb.ObjectSize:
-			if p := argPI(eff.A); p != nil {
+			if p := argPI(eff.A); p.id != 0 {
 				size := int64(argVal(eff.B))
 				if eff.C >= 0 {
 					size *= int64(argVal(eff.C))
@@ -521,12 +517,12 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 				t.boundRange(p, size)
 			}
 		case extdb.ZeroTerminated:
-			if p := argPI(eff.A); p != nil {
+			if p := argPI(eff.A); p.id != 0 {
 				t.boundRange(p, int64(cstrLen(argVal(eff.A)))+1)
 			}
 		case extdb.DeriveRet:
-			if p := argPI(eff.A); p != nil && res != 0 {
-				t.setPI(fr, v, &PointerInfo{Var: p.Var, Off: p.Off + int32(res-argVal(eff.A))})
+			if p := argPI(eff.A); p.id != 0 && res != 0 {
+				w[v.Slot()] = ptr{id: p.id, off: p.off + int32(res-argVal(eff.A))}
 			}
 		case extdb.Clear:
 			var n int64
@@ -537,7 +533,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 			}
 			// The external function writes n bytes through the pointer:
 			// that bounds the object like any other store.
-			if p := argPI(eff.A); p != nil {
+			if p := argPI(eff.A); p.id != 0 {
 				t.boundRange(p, n)
 			}
 			if n > 0 {
@@ -551,15 +547,15 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 				n = int64(cstrLen(argVal(eff.B))) + 1
 			}
 			// n bytes are read from src and written to dst.
-			if p := argPI(eff.A); p != nil {
+			if p := argPI(eff.A); p.id != 0 {
 				t.boundRange(p, n)
 			}
-			if p := argPI(eff.B); p != nil {
+			if p := argPI(eff.B); p.id != 0 {
 				t.boundRange(p, n)
 			}
 			dst, src := argVal(eff.A), argVal(eff.B)
 			for i := int64(0); i+3 < n; i += 4 {
-				if e := t.addrMap.Get(src + uint32(i)); e.Var != nil {
+				if e := t.addrMap.Get(src + uint32(i)); e.id != 0 {
 					t.addrMap.Set(dst+uint32(i), e)
 				} else {
 					t.addrMap.Clear(dst+uint32(i), 1)
@@ -584,7 +580,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 					continue
 				}
 				if format[i] == 's' {
-					if p := argPI(argIdx); p != nil {
+					if p := argPI(argIdx); p.id != 0 {
 						t.boundRange(p, int64(cstrLen(argVal(argIdx)))+1)
 					}
 				}
@@ -600,12 +596,12 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 // [0,20)); accesses at negative offsets do NOT pull the base in, so an
 // out-of-bounds base pointer such as a loop end pointer never inflates the
 // object past its true extent (§4.2.4).
-func (t *Tracer) boundRange(p *PointerInfo, n int64) {
+func (t *Tracer) boundRange(p ptr, n int64) {
 	if n <= 0 {
 		return
 	}
-	v := p.Var
-	lo, hi := p.Off, p.Off+int32(n)
+	v := t.varOf(p)
+	lo, hi := p.off, p.off+int32(n)
 	if lo > 0 {
 		lo = 0
 	}
@@ -620,7 +616,7 @@ func (t *Tracer) boundRange(p *PointerInfo, n int64) {
 			v.High = hi
 		}
 	}
-	if v.SPOff+p.Off >= 4 {
+	if v.SPOff+p.off >= 4 {
 		slots := t.res.ArgSlots[v.Fn]
 		if slots == nil {
 			slots = make(map[int]bool)
