@@ -229,13 +229,13 @@ type Pipeline struct {
 	SPOffsets map[*ir.Func]stackref.Offsets
 	// VarResult is the raw object-bounds analysis output.
 	VarResult *vartrack.Result
+	// Recovered is the symbolized stack layout (Figure 7's subject).
+	Recovered *layout.Program
 
 	// replayValues counts the IR values the interpreter evaluated in the
 	// regsave (index 0) and symbolize (index 1) replays, summed over the
 	// inputs (see ReplayValues).
 	replayValues [2]uint64
-	// Recovered is the symbolized stack layout (Figure 7's subject).
-	Recovered *layout.Program
 }
 
 // ReplayValues returns the number of IR values the interpreter evaluated

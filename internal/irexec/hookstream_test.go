@@ -228,9 +228,9 @@ func diffModule(t *testing.T, name string, mod *ir.Module, inputs []machine.Inpu
 // output and memory. The lifted module additionally runs with a step
 // budget that cuts the train input in half, and a module lifted from the
 // tiny input 1 alone replays the ref input, which reaches trap stubs where
-// it leaves that input's coverage. The ref input is scaled to
-// 6, as in the other corpus-wide pipeline tests; at full size astar's ref
-// alone is 113M values as lifted. Under -short only mcf runs.
+// it leaves that input's coverage. The ref input is scaled to 6, as in the
+// other corpus-wide pipeline tests; at full size astar's ref alone is 113M
+// values as lifted. Under -short only mcf runs.
 func TestHookStreamMatchesTreeWalker(t *testing.T) {
 	var traps atomic.Int32
 	t.Run("corpus", func(t *testing.T) {
@@ -282,8 +282,8 @@ func diffProgram(t *testing.T, p progs.Program, prof gen.Profile) bool {
 }
 
 // TestHookStreamRandomModules checks 200 random irgen modules the same
-// way, each under the default budget and under budgets that stop it
-// before its first value, halfway and one value short.
+// way, each under the default budget and under budgets that stop it at
+// its second value, halfway and one value short.
 func TestHookStreamRandomModules(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		mod := irgen.Build(seed, int32(seed*7-300), int32(seed%13-6))

@@ -71,16 +71,6 @@ type Frame struct {
 	phibuf []uint32
 }
 
-// Get returns the current value of an SSA value in this frame. Constants
-// evaluate positionally-independently (passes may move their uses above
-// their definition point).
-func (fr *Frame) Get(v *ir.Value) uint32 {
-	if v.Op == ir.OpConst {
-		return uint32(v.Const)
-	}
-	return fr.regs[v.Slot()]
-}
-
 // Tuple returns the results of a call value, or nil if the value produces
 // no tuple. The slice aliases the frame's tuple arena and is only valid
 // while the frame is live.

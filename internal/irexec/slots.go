@@ -13,8 +13,8 @@ import "wytiwyg/internal/ir"
 // pointer-free E the table costs the garbage collector nothing either. A
 // tracer calls Enter from its FnEnter hook to give the new activation a
 // cleared window; frames built outside the interpreter get one on first
-// use. The zero Slots is empty and ready to use; it is not
-// safe for concurrent use.
+// use. The zero Slots is empty and ready to use; it is not safe for
+// concurrent use.
 type Slots[E any] struct {
 	wins [][]E // by Frame.Depth
 	// last and lastWin memoize the most recent window lookup. The
@@ -56,21 +56,6 @@ func (s *Slots[E]) window(fr *Frame) []E {
 		}
 	}
 	return s.Enter(fr)
-}
-
-// Get returns v's entry in fr (the zero E when absent).
-func (s *Slots[E]) Get(fr *Frame, v *ir.Value) E {
-	w := s.Window(fr)
-	if i := v.Slot(); uint(i) < uint(len(w)) {
-		return w[i]
-	}
-	var zero E
-	return zero
-}
-
-// Set stores v's entry in fr.
-func (s *Slots[E]) Set(fr *Frame, v *ir.Value, e E) {
-	s.Window(fr)[v.Slot()] = e
 }
 
 // Tuple returns the entries of call's result words in fr, or nil when the

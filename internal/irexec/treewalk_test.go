@@ -14,7 +14,8 @@ import (
 // treeWalker is the reference interpreter the compiled one is checked
 // against: it walks the IR itself, evaluating each block's phis against
 // the incoming edge (a scan of Preds), fetching every operand through
-// Frame.Get and dispatching on ir.Op. Apart from setting Frame.Depth,
+// Frame.Get (declared here, as only the reference uses it) and
+// dispatching on ir.Op. Apart from setting Frame.Depth,
 // which the tracer slot tables need, and dropping the old per-frame
 // metadata file, its code is the interpreter as it was before
 // compilation.
@@ -31,6 +32,16 @@ type treeWalker struct {
 
 	nativeSP uint32
 	epoch    uint64
+}
+
+// Get returns the current value of an SSA value in this frame. Constants
+// evaluate positionally-independently (passes may move their uses above
+// their definition point).
+func (fr *Frame) Get(v *ir.Value) uint32 {
+	if v.Op == ir.OpConst {
+		return uint32(v.Const)
+	}
+	return fr.regs[v.Slot()]
 }
 
 // treeFramePool recycles the reference interpreter's frames.

@@ -47,9 +47,9 @@ func TestShadowInvalidationAcrossPages(t *testing.T) {
 		if c.store != c.slot {
 			tr.Exec(fr, clobber, []uint32{c.store, 0}, 0)
 		}
-		tr.syms.Set(fr, reload, 0)
+		tr.syms.Window(fr)[reload.Slot()] = 0
 		tr.Exec(fr, reload, []uint32{c.slot}, 0)
-		kept := tr.syms.Get(fr, reload) != 0
+		kept := tr.syms.Window(fr)[reload.Slot()] != 0
 		if kept == c.lost {
 			t.Errorf("sp0 %#x: spill at %#x, store at %#x: symbol kept = %v, want %v",
 				c.sp0, c.slot, c.store, kept, !c.lost)

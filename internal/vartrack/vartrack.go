@@ -250,7 +250,7 @@ func (t *Tracer) base(fr *irexec.Frame, v *ir.Value, d *directRef) ptr {
 }
 
 // table returns f's direct-reference table (nil when f has no direct
-// references). Slots index the layout f executes under; the module must
+// references) and memoizes it as the last lookup. Slots index the layout f executes under; the module must
 // not change while the tracer observes it, which holds for a refinement
 // replay.
 func (t *Tracer) table(f *ir.Func) []directRef {
