@@ -55,7 +55,9 @@ const minSamples = 3
 
 // requiredBenchmarks must be present in a valid artifact's current
 // section; they are the numbers the project's acceptance criteria track.
-var requiredBenchmarks = []string{"BenchmarkStep", "BenchmarkRun"}
+// BenchmarkRunBlockHook is the tracer's path, BenchmarkRun the validation
+// runs' and BenchmarkStep the per-instruction reference the tests use.
+var requiredBenchmarks = []string{"BenchmarkStep", "BenchmarkRun", "BenchmarkRunBlockHook"}
 
 // Metrics is one benchmark's aggregate over all samples of a run.
 type Metrics struct {

@@ -15,7 +15,8 @@ func metrics(ns string, samples int) string {
 // current renders a "current" section holding the required benchmarks.
 func current(samples int) string {
 	return `{"BenchmarkStep": ` + metrics("4.5", samples) +
-		`, "BenchmarkRun": ` + metrics("2.4", samples) + `}`
+		`, "BenchmarkRun": ` + metrics("2.4", samples) +
+		`, "BenchmarkRunBlockHook": ` + metrics("3.9", samples) + `}`
 }
 
 // TestCheckData runs -check's validation over accepted and rejected
@@ -40,6 +41,8 @@ func TestCheckData(t *testing.T) {
 		{"missing mode", `{"current": ` + current(1) + `}`, `unknown "mode"`},
 		{"missing required benchmark", `{"mode": "smoke", "current": {"BenchmarkStep": ` + metrics("4.5", 1) + `}}`,
 			"missing BenchmarkRun"},
+		{"missing the tracer's benchmark", `{"mode": "smoke", "current": {"BenchmarkStep": ` + metrics("4.5", 1) +
+			`, "BenchmarkRun": ` + metrics("2.4", 1) + `}}`, "missing BenchmarkRunBlockHook"},
 		{"full with too few samples", `{"mode": "full", "current": ` + current(2) + `}`, "only 2 samples"},
 		{"speedup in smoke mode", `{"mode": "smoke", "baseline": ` + current(1) +
 			`, "current": ` + current(1) + `, "speedup": {"BenchmarkStep": 1}}`, "smoke ratios are noise"},

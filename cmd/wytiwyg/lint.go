@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"wytiwyg/internal/analysis"
@@ -18,19 +17,6 @@ import (
 // The lint subcommand: run the pipeline through refinement on one or more
 // programs and print the static verification report instead of
 // recompiling. Exit status 1 means at least one proven violation (Error).
-
-func parseLintMode(s string) core.LintMode {
-	switch s {
-	case "off":
-		return core.LintOff
-	case "warn":
-		return core.LintWarn
-	case "fail":
-		return core.LintFail
-	}
-	fail("unknown -lint mode %q (want off, warn, fail)", s)
-	return core.LintOff
-}
 
 // lintTarget is one program to audit.
 type lintTarget struct {
@@ -84,14 +70,7 @@ func lintMain(args []string) int {
 		return 2
 	}
 	if *inputsFlag != "" {
-		var inputs []machine.Input
-		for _, f := range strings.Split(*inputsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fail("bad input %q", f)
-			}
-			inputs = append(inputs, machine.Input{Ints: []int32{int32(v)}})
-		}
+		inputs := machineInputs(*inputsFlag)
 		for i := range targets {
 			targets[i].inputs = inputs
 		}

@@ -117,7 +117,10 @@ func main() {
 	if !ok {
 		fail("unknown profile %q", *profName)
 	}
-	lint := parseLintMode(*lintMode)
+	lint, err := core.ParseLintMode(*lintMode)
+	if err != nil {
+		fail("unknown -lint mode %q (want off, warn, fail)", *lintMode)
+	}
 	cache := openCache(*cacheOn, *cacheDir)
 
 	var src string
@@ -141,14 +144,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *inputsFlag != "" {
-		inputs = nil
-		for _, f := range strings.Split(*inputsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fail("bad input %q", f)
-			}
-			inputs = append(inputs, machine.Input{Ints: []int32{int32(v)}})
-		}
+		inputs = machineInputs(*inputsFlag)
 	}
 	if len(inputs) == 0 {
 		inputs = []machine.Input{{}}
@@ -403,6 +399,33 @@ func printStubRate(out *obj.Image, inputs []machine.Input) {
 	for _, fn := range fns {
 		fmt.Printf("  stub hit: %s (%d)\n", fn, hits[fn])
 	}
+}
+
+// parseInputs parses a comma-separated -inputs value into integers.
+func parseInputs(s string) ([]int32, error) {
+	var vs []int32
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad input %q", f)
+		}
+		vs = append(vs, int32(v))
+	}
+	return vs, nil
+}
+
+// machineInputs parses a -inputs value into one trace input per integer,
+// exiting on a bad field.
+func machineInputs(s string) []machine.Input {
+	vs, err := parseInputs(s)
+	if err != nil {
+		fail("%v", err)
+	}
+	inputs := make([]machine.Input, len(vs))
+	for i, v := range vs {
+		inputs[i] = machine.Input{Ints: []int32{v}}
+	}
+	return inputs
 }
 
 func fail(format string, args ...any) {

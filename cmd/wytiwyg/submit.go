@@ -10,8 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"wytiwyg/internal/serve"
 )
@@ -60,13 +58,10 @@ func submitMain(args []string) int {
 		job.Source = string(data)
 	}
 	if *inputsFlag != "" {
-		for _, f := range strings.Split(*inputsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "wytiwyg submit: bad input %q\n", f)
-				return 1
-			}
-			job.Inputs = append(job.Inputs, int32(v))
+		var err error
+		if job.Inputs, err = parseInputs(*inputsFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)
+			return 1
 		}
 	}
 

@@ -5,8 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
@@ -71,14 +69,7 @@ func typesMain(args []string) int {
 		return 2
 	}
 	if *inputsFlag != "" {
-		inputs = nil
-		for _, f := range strings.Split(*inputsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fail("bad input %q", f)
-			}
-			inputs = append(inputs, machine.Input{Ints: []int32{int32(v)}})
-		}
+		inputs = machineInputs(*inputsFlag)
 	}
 
 	img, err := gen.Build(src, prof, "input")

@@ -58,6 +58,19 @@ const (
 	LintFail
 )
 
+// ParseLintMode parses a verification mode name: off, warn or fail.
+func ParseLintMode(s string) (LintMode, error) {
+	switch s {
+	case "off":
+		return LintOff, nil
+	case "warn":
+		return LintWarn, nil
+	case "fail":
+		return LintFail, nil
+	}
+	return LintOff, fmt.Errorf("unknown lint mode %q", s)
+}
+
 // Options configures a pipeline run.
 type Options struct {
 	// Jobs bounds the worker pool used for refinement runs and

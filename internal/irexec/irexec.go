@@ -343,7 +343,7 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 		case opZext16:
 			res = regs[in.a] & 0xFFFF
 		case opCmp:
-			if evalCond(in.cond, regs[in.a], regs[in.b]) {
+			if in.cond.Eval(regs[in.a], regs[in.b]) {
 				res = 1
 			}
 		case opLoad:
@@ -515,30 +515,4 @@ func (ip *Interp) extCall(fr *Frame, in *inst, argv []uint32) (uint32, error) {
 		}
 		return argv[i], nil
 	})
-}
-
-func evalCond(c isa.Cond, a, b uint32) bool {
-	switch c {
-	case isa.CondEQ:
-		return a == b
-	case isa.CondNE:
-		return a != b
-	case isa.CondLT:
-		return int32(a) < int32(b)
-	case isa.CondLE:
-		return int32(a) <= int32(b)
-	case isa.CondGT:
-		return int32(a) > int32(b)
-	case isa.CondGE:
-		return int32(a) >= int32(b)
-	case isa.CondB:
-		return a < b
-	case isa.CondBE:
-		return a <= b
-	case isa.CondA:
-		return a > b
-	case isa.CondAE:
-		return a >= b
-	}
-	return false
 }

@@ -306,7 +306,7 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 			res = argv[0]
 		}
 	case ir.OpCmp:
-		if evalCond(v.Cond, argv[0], argv[1]) {
+		if v.Cond.Eval(argv[0], argv[1]) {
 			res = 1
 		}
 	case ir.OpLoad:

@@ -104,6 +104,37 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond%d", uint8(c))
 }
 
+// Eval reports whether c holds after the compare a,b: the flags x86 leaves
+// after CMP a,b (signed < is sf≠of, unsigned < is cf, and so on). TEST's
+// flags are those of the compare r,0 on its result r. It is the ISA's one
+// condition evaluator, shared by the emulator, the IR interpreter and
+// constant folding. An out-of-range condition is false.
+func (c Cond) Eval(a, b uint32) bool {
+	switch c {
+	case CondEQ:
+		return a == b
+	case CondNE:
+		return a != b
+	case CondLT:
+		return int32(a) < int32(b)
+	case CondLE:
+		return int32(a) <= int32(b)
+	case CondGT:
+		return int32(a) > int32(b)
+	case CondGE:
+		return int32(a) >= int32(b)
+	case CondB:
+		return a < b
+	case CondBE:
+		return a <= b
+	case CondA:
+		return a > b
+	case CondAE:
+		return a >= b
+	}
+	return false
+}
+
 // Negate returns the condition that is true exactly when c is false.
 func (c Cond) Negate() Cond {
 	switch c {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -51,6 +52,69 @@ func TestCondNegate(t *testing.T) {
 		if p[0].Negate() != p[1] {
 			t.Errorf("%v.Negate() = %v, want %v", p[0], p[0].Negate(), p[1])
 		}
+	}
+}
+
+// condEdges are the operand values where signed and unsigned order and
+// overflow part ways: 0, 1, -1, MinInt32 and MaxInt32.
+var condEdges = []uint32{0, 1, math.MaxUint32, 1 << 31, math.MaxInt32}
+
+// testFlagsEval is the TEST flag predicate written out from the flags
+// TEST leaves on its result r: zf = r==0, sf = r<0 signed, cf = of = false.
+func testFlagsEval(c Cond, r uint32) bool {
+	switch c {
+	case CondEQ:
+		return r == 0
+	case CondNE:
+		return r != 0
+	case CondLT:
+		return int32(r) < 0
+	case CondLE:
+		return r == 0 || int32(r) < 0
+	case CondGT:
+		return r != 0 && int32(r) >= 0
+	case CondGE:
+		return int32(r) >= 0
+	case CondB:
+		return false
+	case CondBE:
+		return r == 0
+	case CondA:
+		return r != 0
+	case CondAE:
+		return true
+	}
+	return false
+}
+
+// TestCondEval checks every condition against Go's own comparisons on
+// every pair of edge values, and the identity the emulator relies on:
+// TEST's flags on r are those of the compare r,0.
+func TestCondEval(t *testing.T) {
+	for _, a := range condEdges {
+		for _, b := range condEdges {
+			sa, sb := int32(a), int32(b)
+			want := [NumConds]bool{
+				CondEQ: a == b, CondNE: a != b,
+				CondLT: sa < sb, CondLE: sa <= sb, CondGT: sa > sb, CondGE: sa >= sb,
+				CondB: a < b, CondBE: a <= b, CondA: a > b, CondAE: a >= b,
+			}
+			for c := Cond(0); c < NumConds; c++ {
+				if got := c.Eval(a, b); got != want[c] {
+					t.Errorf("%s.Eval(%d, %d) = %v, want %v", c, sa, sb, got, want[c])
+				}
+			}
+		}
+	}
+	for _, r := range condEdges {
+		for c := Cond(0); c < NumConds; c++ {
+			if got, want := c.Eval(r, 0), testFlagsEval(c, r); got != want {
+				t.Errorf("%s.Eval(%d, 0) = %v, want %v as after TEST", c, int32(r), got, want)
+			}
+		}
+	}
+	if NumConds.Eval(0, 0) {
+		t.Error("an out-of-range condition holds")
 	}
 }
 

@@ -20,6 +20,10 @@ const (
 	StackTop  uint32 = 0xF000_0000
 	ExtBase   uint32 = 0xFF00_0000
 
+	// DataSize bounds an image's globals and constant data: the data
+	// section ends where the input strings start.
+	DataSize = InputBase - DataBase
+
 	// InstrSize is the fixed encoded size of every instruction.
 	InstrSize = 16
 )

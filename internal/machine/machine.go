@@ -138,16 +138,16 @@ func stubFunc(sym string) string {
 }
 
 // flags is the lazily evaluated flags register. CMP/CMPI record their raw
-// operands and TEST records its result; nothing else in the ISA writes
-// flags. A consumer (JCC or SET) evaluates just the one condition it needs
-// via eval. The predicates are the standard x86 identities the previous
-// eager zf/sf/of/cf encoding computed (signed < is sf≠of after a
+// operands; TEST records its result r as the compare r,0, which leaves the
+// same flags (zf = r==0, sf = r<0, cf = of = 0). Nothing else in the ISA
+// writes flags. A consumer (JCC or SET) evaluates just the one condition
+// it needs via eval. The predicates are the standard x86 identities the
+// previous eager zf/sf/of/cf encoding computed (signed < is sf≠of after a
 // subtraction, unsigned < is cf, and so on), so consumers observe exactly
 // the same outcomes — only the work moves from every compare to the
 // compares a branch actually reads.
 type flags struct {
-	a, b uint32 // CMP/CMPI operands; TEST stores its masked result in a
-	test bool   // the last producer was TEST
+	a, b uint32 // the compared operands
 }
 
 // ErrMaxSteps is returned when execution exceeds the step budget.
@@ -246,59 +246,8 @@ func (m *Machine) pop() (uint32, error) {
 }
 
 // eval evaluates a condition against the recorded compare, exactly as the
-// eager flag encoding would after CMP a,b (or TEST a,b) the way x86 does.
-func (f flags) eval(c isa.Cond) bool {
-	if f.test {
-		// After TEST: zf = r==0, sf = r<0 signed, cf = of = false.
-		r := f.a
-		switch c {
-		case isa.CondEQ:
-			return r == 0
-		case isa.CondNE:
-			return r != 0
-		case isa.CondLT:
-			return int32(r) < 0
-		case isa.CondLE:
-			return r == 0 || int32(r) < 0
-		case isa.CondGT:
-			return r != 0 && int32(r) >= 0
-		case isa.CondGE:
-			return int32(r) >= 0
-		case isa.CondB:
-			return false
-		case isa.CondBE:
-			return r == 0
-		case isa.CondA:
-			return r != 0
-		case isa.CondAE:
-			return true
-		}
-		return false
-	}
-	switch c {
-	case isa.CondEQ:
-		return f.a == f.b
-	case isa.CondNE:
-		return f.a != f.b
-	case isa.CondLT:
-		return int32(f.a) < int32(f.b)
-	case isa.CondLE:
-		return int32(f.a) <= int32(f.b)
-	case isa.CondGT:
-		return int32(f.a) > int32(f.b)
-	case isa.CondGE:
-		return int32(f.a) >= int32(f.b)
-	case isa.CondB:
-		return f.a < f.b
-	case isa.CondBE:
-		return f.a <= f.b
-	case isa.CondA:
-		return f.a > f.b
-	case isa.CondAE:
-		return f.a >= f.b
-	}
-	return false
-}
+// eager flag encoding would after CMP a,b the way x86 does.
+func (f flags) eval(c isa.Cond) bool { return c.Eval(f.a, f.b) }
 
 // opCost is the per-opcode cycle cost, applied by table lookup on the
 // dispatch path. Indexed by the full uint8 opcode space so no bounds check
@@ -322,26 +271,16 @@ var opCost = [256]uint64{
 	isa.SYS: costCall, isa.HALT: 0,
 }
 
-// exec dispatches one control-transferring instruction (everything
-// straight-line executes through the uop dispatch in superblock.go;
-// decodeUop routes only control transfers, SYS, HALT and undecodable
-// opcodes here). Control transfers
-// are where block events fire, which is why superblock dispatch funnels
-// terminators through this one path.
+// exec dispatches one control instruction that the uop dispatch in
+// superblock.go does not execute inline: JMPR, CALL, CALLR, RET, SYS, HALT
+// and undecodable opcodes (decodeUop makes JMP and JCC uJmp/uJcc, which
+// run executes through transferTo). Control transfers are where block
+// events fire.
 func (m *Machine) exec(in *isa.Instr) error {
 	next := m.pc + isa.InstrSize
 	m.Cycles += opCost[in.Op]
 
 	switch in.Op {
-	case isa.JMP:
-		next = uint32(in.Imm)
-		m.emit(Transfer{Kind: TransferJump, From: m.pc, To: next})
-	case isa.JCC:
-		taken := m.flags.eval(in.Cond)
-		if taken {
-			next = uint32(in.Imm)
-		}
-		m.emit(Transfer{Kind: TransferBranch, From: m.pc, To: next, Taken: taken})
 	case isa.JMPR:
 		next = m.Regs[in.Src]
 		m.emit(Transfer{Kind: TransferJump, From: m.pc, To: next})
@@ -411,12 +350,6 @@ func (m *Machine) syscall(num int32) error {
 		return fmt.Errorf("machine: unknown syscall %d at pc=0x%x", num, m.pc)
 	}
 }
-
-// Run executes until halt or error through superblock dispatch (see
-// superblock.go), with or without BlockHook. A manual Step loop is the
-// per-instruction reference: both produce identical registers, memory,
-// Steps, Cycles and block event streams.
-func (m *Machine) Run() error { return m.runSuper() }
 
 // Result summarizes one complete execution.
 type Result struct {

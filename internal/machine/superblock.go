@@ -1,8 +1,9 @@
-// Superblock dispatch: the emulator's answer to per-instruction
-// fetch/decode/dispatch cost. The code section of an image is immutable, so
-// every instruction is pre-decoded once, at load time, into a flat "uop"
-// with its operands resolved (register numbers, addressing-mode fields and
-// immediates pulled out of the isa.Instr encoding, the cycle cost attached).
+// Superblock dispatch: the emulator's one instruction interpreter, and its
+// answer to per-instruction fetch/decode/dispatch cost. The code section of
+// an image is immutable, so every instruction is pre-decoded once, at load
+// time, into a flat "uop" with its operands resolved (register numbers,
+// addressing-mode fields and immediates pulled out of the isa.Instr
+// encoding, the cycle cost attached).
 // A superblock is the maximal straight-line run of non-control uops starting
 // at an entry PC; because instructions are fixed-size and the code is
 // immutable, the run starting at every instruction index is a pure function
@@ -14,15 +15,17 @@
 // loop over pre-decoded uops, one batched Steps/Cycles update, and a single
 // per-instruction execution of the terminator (which is where all control
 // transfers and block events happen — so the BlockHook event stream is
-// byte-identical to per-instruction stepping, and tracing stays on this
-// path). Flags are lazy: CMP/TEST record their operands and conditions are
-// evaluated only when a consumer (JCC/SET) is reached; see the flags type
-// in machine.go.
+// byte-identical to executing one instruction at a time, and tracing stays
+// on this path). Flags are lazy: CMP/TEST record their operands and
+// conditions are evaluated only when a consumer (JCC/SET) is reached; see
+// the flags type in machine.go.
 //
-// Fallbacks that preserve exact observational equivalence:
-//   - Execution nearing MaxSteps: a superblock whose batch would overshoot
-//     the budget is abandoned and the rest of the run is stepped
-//     per-instruction, so ErrMaxSteps hits at exactly the same instruction.
+// Two cases keep exact observational equivalence with executing one
+// instruction at a time:
+//   - A limit inside a superblock (the MaxSteps budget, or Step's limit of
+//     one instruction): run executes only the batch's first limit−Steps
+//     uops and charges exactly their cost, so ErrMaxSteps hits at exactly
+//     the same instruction and Step executes exactly one.
 //   - Mid-run errors (memory faults, division by zero): the uop loop
 //     restores pc to the faulting instruction and accounts Steps/Cycles for
 //     exactly the instructions that executed, including the faulting one.
@@ -38,8 +41,8 @@ import (
 	"wytiwyg/internal/isa"
 )
 
-// ukind is a pre-decoded opcode. Straight-line kinds are executed by
-// stepUop; uCtl marks instructions (control transfers, SYS, HALT, anything
+// ukind is a pre-decoded opcode. Straight-line kinds are executed by run's
+// uop loop; uCtl marks instructions (control transfers, SYS, HALT, anything
 // undecodable) that must go through the machine's full exec path.
 type ukind uint8
 
@@ -98,9 +101,9 @@ const (
 	uPop
 
 	// Fast-dispatched control transfers. Like uCtl they terminate
-	// superblock runs, but Step and runSuper execute them inline through
-	// transferTo instead of paying exec's instruction re-read; imm holds
-	// the branch target and ext the JCC condition.
+	// superblock runs, but run executes them inline through transferTo
+	// instead of paying exec's instruction re-read; imm holds the branch
+	// target and ext the JCC condition.
 	uJmp
 	uJcc
 )
@@ -254,233 +257,6 @@ func (m *Machine) uaddr(u *uop) uint32 {
 	return a
 }
 
-// Per-instruction and superblock dispatch below both contain a copy of the
-// same uop switch. This is deliberate: Go cannot inline a 40-case switch
-// through a function call, and the call itself is a measurable fraction of
-// per-instruction cost, so Step executes its uop inline (m.pc is already
-// the instruction's address, so fault paths return directly) while
-// runSuper's inner loop executes the same switch with deferred Steps/Cycles
-// accounting (fault paths go through uopFault to settle the partial batch).
-// The two copies MUST implement identical semantics; the corpus-wide
-// differential tests in superblock_test.go compare registers, memory
-// digests, Steps, Cycles and event streams across both dispatchers and are
-// the guard against drift. Register fields are indexed as u.dst&7 (etc.):
-// the mask is a no-op — decode only ever stores 0..NumRegs-1 or noReg8,
-// and noReg8 never reaches an index expression — but it proves to the
-// compiler that the index is in range, eliding the bounds check on every
-// register-file access.
-
-// Step executes one instruction through the pre-decoded program: an inline
-// uop dispatch for straight-line instructions, the full exec path for
-// control transfers (and SYS/HALT). A Step loop is the per-instruction
-// reference that superblock execution batches; the differential tests
-// compare Run against it.
-func (m *Machine) Step() error {
-	if m.halted {
-		return nil
-	}
-	if m.Steps >= m.MaxSteps {
-		return ErrMaxSteps
-	}
-	off := m.pc - isa.CodeBase
-	i := off / isa.InstrSize
-	if off%isa.InstrSize != 0 || i >= uint32(len(m.prog)) {
-		return m.badPC()
-	}
-	m.Steps++
-	u := &m.prog[i]
-	if u.k == uCtl {
-		return m.exec(&m.code[i])
-	}
-	// Cycles are charged before the operation, exactly like exec, so a
-	// faulting instruction is already paid for when the error returns.
-	m.Cycles += uint64(u.cost)
-	switch u.k {
-	case uNop:
-
-	case uMov:
-		m.Regs[u.dst&7] = m.Regs[u.src&7]
-	case uMovI:
-		m.Regs[u.dst&7] = uint32(u.imm)
-	case uMovLo8:
-		m.Regs[u.dst&7] = m.Regs[u.dst&7]&^0xFF | m.Regs[u.src&7]&0xFF
-
-	case uLoad4:
-		a := m.uaddr(u)
-		v, ok := m.Mem.load32Fast(a)
-		if !ok {
-			var err error
-			if v, err = m.Mem.Load(a, 4); err != nil {
-				return err
-			}
-		}
-		m.Regs[u.dst&7] = v
-	case uLoad:
-		v, err := m.Mem.Load(m.uaddr(u), u.size())
-		if err != nil {
-			return err
-		}
-		if u.signed() {
-			switch u.size() {
-			case 1:
-				v = uint32(int32(int8(v)))
-			case 2:
-				v = uint32(int32(int16(v)))
-			}
-		}
-		m.Regs[u.dst&7] = v
-	case uLoadLo8:
-		v, err := m.Mem.Load(m.uaddr(u), 1)
-		if err != nil {
-			return err
-		}
-		m.Regs[u.dst&7] = m.Regs[u.dst&7]&^0xFF | v&0xFF
-	case uStore4:
-		a := m.uaddr(u)
-		if !m.Mem.store32Fast(a, m.Regs[u.src&7]) {
-			if err := m.Mem.Store(a, m.Regs[u.src&7], 4); err != nil {
-				return err
-			}
-		}
-	case uStore:
-		if err := m.Mem.Store(m.uaddr(u), m.Regs[u.src&7], u.size()); err != nil {
-			return err
-		}
-	case uStoreI:
-		if err := m.Mem.Store(m.uaddr(u), uint32(u.imm), u.size()); err != nil {
-			return err
-		}
-	case uLea:
-		m.Regs[u.dst&7] = m.uaddr(u)
-
-	case uAdd:
-		m.Regs[u.dst&7] += m.Regs[u.src&7]
-	case uSub:
-		m.Regs[u.dst&7] -= m.Regs[u.src&7]
-	case uAnd:
-		m.Regs[u.dst&7] &= m.Regs[u.src&7]
-	case uOr:
-		m.Regs[u.dst&7] |= m.Regs[u.src&7]
-	case uXor:
-		m.Regs[u.dst&7] ^= m.Regs[u.src&7]
-	case uShl:
-		m.Regs[u.dst&7] <<= m.Regs[u.src&7] & 31
-	case uShr:
-		m.Regs[u.dst&7] >>= m.Regs[u.src&7] & 31
-	case uSar:
-		m.Regs[u.dst&7] = uint32(int32(m.Regs[u.dst&7]) >> (m.Regs[u.src&7] & 31))
-	case uMul:
-		m.Regs[u.dst&7] *= m.Regs[u.src&7]
-	case uDiv, uMod:
-		d := int32(m.Regs[u.src&7])
-		if d == 0 {
-			return fmt.Errorf("machine: division by zero at pc=0x%x", m.pc)
-		}
-		n := int32(m.Regs[u.dst&7])
-		if u.k == uDiv {
-			m.Regs[u.dst&7] = uint32(n / d)
-		} else {
-			m.Regs[u.dst&7] = uint32(n % d)
-		}
-
-	case uAddI:
-		m.Regs[u.dst&7] += uint32(u.imm)
-	case uSubI:
-		m.Regs[u.dst&7] -= uint32(u.imm)
-	case uAndI:
-		m.Regs[u.dst&7] &= uint32(u.imm)
-	case uOrI:
-		m.Regs[u.dst&7] |= uint32(u.imm)
-	case uXorI:
-		m.Regs[u.dst&7] ^= uint32(u.imm)
-	case uShlI:
-		m.Regs[u.dst&7] <<= uint32(u.imm) & 31
-	case uShrI:
-		m.Regs[u.dst&7] >>= uint32(u.imm) & 31
-	case uSarI:
-		m.Regs[u.dst&7] = uint32(int32(m.Regs[u.dst&7]) >> (uint32(u.imm) & 31))
-	case uMulI:
-		m.Regs[u.dst&7] *= uint32(u.imm)
-	case uDivI, uModI:
-		if u.imm == 0 {
-			return fmt.Errorf("machine: division by zero at pc=0x%x", m.pc)
-		}
-		n := int32(m.Regs[u.dst&7])
-		if u.k == uDivI {
-			m.Regs[u.dst&7] = uint32(n / u.imm)
-		} else {
-			m.Regs[u.dst&7] = uint32(n % u.imm)
-		}
-
-	case uNeg:
-		m.Regs[u.dst&7] = -m.Regs[u.dst&7]
-	case uNot:
-		m.Regs[u.dst&7] = ^m.Regs[u.dst&7]
-
-	case uCmp:
-		m.flags = flags{a: m.Regs[u.dst&7], b: m.Regs[u.src&7]}
-	case uCmpI:
-		m.flags = flags{a: m.Regs[u.dst&7], b: uint32(u.imm)}
-	case uTest:
-		m.flags = flags{a: m.Regs[u.dst&7] & m.Regs[u.src&7], test: true}
-	case uSet:
-		if m.flags.eval(u.cond()) {
-			m.Regs[u.dst&7] = 1
-		} else {
-			m.Regs[u.dst&7] = 0
-		}
-
-	case uJmp:
-		to := uint32(u.imm)
-		if m.BlockHook == nil {
-			m.pc = to // nothing to report
-			return nil
-		}
-		m.transferTo(TransferJump, to, false)
-		return nil
-	case uJcc:
-		to := m.pc + isa.InstrSize
-		taken := m.flags.eval(u.cond())
-		if taken {
-			to = uint32(u.imm)
-		}
-		if m.BlockHook == nil {
-			m.pc = to
-			return nil
-		}
-		m.transferTo(TransferBranch, to, taken)
-		return nil
-
-	case uPush, uPushI:
-		// ESP moves before the store, so on a fault ESP stays decremented —
-		// the same order Machine.push uses for exec's CALL path.
-		v := uint32(u.imm)
-		if u.k == uPush {
-			v = m.Regs[u.src&7]
-		}
-		sp := m.Regs[isa.ESP] - 4
-		m.Regs[isa.ESP] = sp
-		if !m.Mem.store32Fast(sp, v) {
-			if err := m.Mem.Store(sp, v, 4); err != nil {
-				return err
-			}
-		}
-	case uPop:
-		sp := m.Regs[isa.ESP]
-		v, ok := m.Mem.load32Fast(sp)
-		if !ok {
-			var err error
-			if v, err = m.Mem.Load(sp, 4); err != nil {
-				return err
-			}
-		}
-		m.Regs[isa.ESP] += 4
-		m.Regs[u.dst&7] = v
-	}
-	m.pc += isa.InstrSize
-	return nil
-}
-
 // uopFault settles machine state when uop j of the superblock starting at
 // instruction index i faults: pc points at the faulting instruction, Steps
 // counts the instructions that executed (including the faulting one) and
@@ -500,15 +276,44 @@ func (m *Machine) badPC() error {
 	return fmt.Errorf("machine: pc=0x%x: %w", m.pc, err)
 }
 
-// runSuper is Run's superblock dispatch loop: per superblock, one round of
-// halted/budget/fetch checks, a tight loop over the pre-decoded body with
-// the uop switch inlined (see the dispatch-copy comment above Step), one
-// batched Steps/Cycles update, then the terminator through the full
-// per-instruction exec path (control transfers, block events).
-func (m *Machine) runSuper() error {
+// Run executes until halt or error. Steps stop at MaxSteps with
+// ErrMaxSteps; a manual Step loop executes the same instructions and
+// leaves identical registers, memory, Steps, Cycles and block events.
+func (m *Machine) Run() error {
+	if err := m.run(m.MaxSteps); err != nil || m.halted {
+		return err
+	}
+	return ErrMaxSteps
+}
+
+// Step executes one instruction. It is run with a limit of one more step,
+// so it shares Run's dispatch code and differs from it only in where the
+// batch is cut.
+func (m *Machine) Step() error {
+	if m.halted {
+		return nil
+	}
+	if m.Steps >= m.MaxSteps {
+		return ErrMaxSteps
+	}
+	return m.run(m.Steps + 1)
+}
+
+// run is the emulator's one dispatch loop. It executes until the program
+// halts, an error occurs, or Steps reaches limit (returning nil then):
+// per superblock, one round of halted/limit/fetch checks, a tight loop
+// over the pre-decoded body with the uop switch inlined, one batched
+// Steps/Cycles update, then the terminator — JMP/JCC inline through
+// transferTo, everything else through exec. A batch that would pass limit
+// runs only its first limit−Steps uops. Register fields are indexed as
+// u.dst&7 (etc.): the mask is a no-op — decode only ever stores
+// 0..NumRegs-1 or noReg8, and noReg8 never reaches an index expression —
+// but it proves to the compiler that the index is in range, eliding the
+// bounds check on every register-file access.
+func (m *Machine) run(limit uint64) error {
 	for !m.halted {
-		if m.Steps >= m.MaxSteps {
-			return ErrMaxSteps
+		if m.Steps >= limit {
+			return nil
 		}
 		off := m.pc - isa.CodeBase
 		i := off / isa.InstrSize
@@ -516,11 +321,8 @@ func (m *Machine) runSuper() error {
 			return m.badPC()
 		}
 		if n := uint32(m.runLen[i]); n > 0 {
-			if m.Steps+uint64(n) > m.MaxSteps {
-				// The batch would overshoot the step budget: finish the
-				// execution per-instruction so ErrMaxSteps lands on exactly
-				// the same instruction as per-instruction dispatch.
-				return m.runStepwise()
+			if left := limit - m.Steps; uint64(n) > left {
+				n = uint32(left)
 			}
 			body := m.prog[i : i+n]
 			pc := m.pc
@@ -653,7 +455,7 @@ func (m *Machine) runSuper() error {
 				case uCmpI:
 					m.flags = flags{a: m.Regs[u.dst&7], b: uint32(u.imm)}
 				case uTest:
-					m.flags = flags{a: m.Regs[u.dst&7] & m.Regs[u.src&7], test: true}
+					m.flags = flags{a: m.Regs[u.dst&7] & m.Regs[u.src&7]}
 				case uSet:
 					if m.flags.eval(u.cond()) {
 						m.Regs[u.dst&7] = 1
@@ -690,20 +492,19 @@ func (m *Machine) runSuper() error {
 				pc += isa.InstrSize
 			}
 			m.Steps += uint64(n)
-			m.Cycles += m.runCost[i]
+			m.Cycles += m.runCost[i] - m.runCost[i+n]
 			m.pc = pc
 			i += n
-			if m.Steps >= m.MaxSteps {
-				return ErrMaxSteps
+			if m.Steps >= limit {
+				return nil
 			}
 			if i >= uint32(len(m.prog)) {
 				return m.badPC()
 			}
 		}
 		// The terminator (or a control instruction sitting directly at the
-		// entry PC) executes exactly like one per-instruction step: JMP/JCC
-		// inline (charging their cost like Step does before its switch),
-		// everything else through exec (which charges its own).
+		// entry PC): JMP/JCC inline, charging their cost before the
+		// transfer, everything else through exec (which charges its own).
 		m.Steps++
 		switch u := &m.prog[i]; u.k {
 		case uJmp:
@@ -730,17 +531,6 @@ func (m *Machine) runSuper() error {
 			if err := m.exec(&m.code[i]); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// runStepwise executes per-instruction until halt or error — the dispatch
-// mode superblock execution falls back to near the step budget.
-func (m *Machine) runStepwise() error {
-	for !m.halted {
-		if err := m.Step(); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -1,6 +1,10 @@
 package minicc
 
-import "fmt"
+import (
+	"fmt"
+
+	"wytiwyg/internal/isa"
+)
 
 // Check type-checks a program in place: it resolves names, annotates every
 // expression with its type, collects each function's locals, and marks
@@ -15,11 +19,22 @@ func Check(prog *Program) error {
 		c.externs[e.Name] = e
 	}
 	c.globals = make(map[string]*GlobalDecl)
+	var data uint64 // the data section's size up to g, laid out as codegen does
 	for _, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
 			return fmt.Errorf("minicc: duplicate global %q", g.Name)
 		}
 		c.globals[g.Name] = g
+		// Checked before codegen allocates the section: globals past it
+		// would overlap the program inputs and the heap.
+		a := uint64(max(g.Type.Align(), 1))
+		data = (data+a-1)/a*a + uint64(g.Type.Size())
+		if g.HasStr {
+			data += uint64(len(g.InitStr)) + 4 // the string, its NUL and padding
+		}
+		if data > uint64(isa.DataSize) {
+			return fmt.Errorf("minicc: globals up to %q are larger than the %d-byte data section", g.Name, isa.DataSize)
+		}
 	}
 	c.funcs = make(map[string]*FuncDecl)
 	for _, f := range prog.Funcs {

@@ -41,6 +41,9 @@ func TestParseErrors(t *testing.T) {
 		{"global-array-wraps", "int g[1073741825]; int main() { return g[0]; }"},
 		{"struct-field-wraps", "struct s { int x[1073741825]; }; int main() { return 0; }"},
 		{"struct-total-over-int32", "struct s { char a[2147483647]; char b; }; int main() { return 0; }"},
+		// Globals past the data section would overlap the inputs and the heap.
+		{"global-past-data-section", "int g[67108865]; int main() { return g[0]; }"},
+		{"globals-sum-past-data-section", "char a[100000000]; char b[100000000]; int main() { return a[0] + b[0]; }"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -69,6 +72,7 @@ func TestCheckErrors(t *testing.T) {
 		{"deref-int", "int main() { int x; return *x; }", ""},
 		{"member-of-int", "int main() { int x; return x.y; }", ""},
 		{"unknown-member", "struct s { int a; }; int main() { struct s v; return v.b; }", ""},
+		{"globals-past-data-section", "char a[100000000]; char big[100000000]; int main() { return 0; }", "big"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

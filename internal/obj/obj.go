@@ -123,6 +123,9 @@ func (im *Image) Validate() error {
 	if !isa.IsCodeAddr(im.Entry, len(im.Code)) {
 		return fmt.Errorf("obj: entry 0x%x outside code", im.Entry)
 	}
+	if len(im.Data) > int(isa.DataSize) {
+		return fmt.Errorf("obj: %d bytes of data exceed the %d-byte data section", len(im.Data), isa.DataSize)
+	}
 	for i := range im.Code {
 		in := &im.Code[i]
 		switch in.Op {

@@ -65,6 +65,18 @@ func TestValidateBadSize(t *testing.T) {
 	}
 }
 
+func TestValidateDataSize(t *testing.T) {
+	img := validImage()
+	img.Data = make([]byte, isa.DataSize)
+	if err := img.Validate(); err != nil {
+		t.Errorf("full data section rejected: %v", err)
+	}
+	img.Data = make([]byte, isa.DataSize+1)
+	if img.Validate() == nil {
+		t.Error("data past the input region accepted")
+	}
+}
+
 func TestAddrConversions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if IndexOf(AddrOf(i)) != i {

@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"wytiwyg/internal/ir"
-	"wytiwyg/internal/isa"
-)
+import "wytiwyg/internal/ir"
 
 // FoldConstants folds constant expressions and applies algebraic
 // simplifications in place. Returns the number of rewritten values.
@@ -171,7 +168,7 @@ func foldValue(f *ir.Func, v *ir.Value) bool {
 		a, aok := cval(v.Args[0])
 		b, bok := cval(v.Args[1])
 		if aok && bok {
-			if evalCond(v.Cond, uint32(a), uint32(b)) {
+			if v.Cond.Eval(uint32(a), uint32(b)) {
 				makeConst(v, 1)
 			} else {
 				makeConst(v, 0)
@@ -245,32 +242,6 @@ func foldBin(op ir.Op, a, b int32) (int32, bool) {
 		return a >> (uint32(b) & 31), true
 	}
 	return 0, false
-}
-
-func evalCond(c isa.Cond, a, b uint32) bool {
-	switch c {
-	case isa.CondEQ:
-		return a == b
-	case isa.CondNE:
-		return a != b
-	case isa.CondLT:
-		return int32(a) < int32(b)
-	case isa.CondLE:
-		return int32(a) <= int32(b)
-	case isa.CondGT:
-		return int32(a) > int32(b)
-	case isa.CondGE:
-		return int32(a) >= int32(b)
-	case isa.CondB:
-		return a < b
-	case isa.CondBE:
-		return a <= b
-	case isa.CondA:
-		return a > b
-	case isa.CondAE:
-		return a >= b
-	}
-	return false
 }
 
 // insertBefore places nv immediately before anchor within block b.

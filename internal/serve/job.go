@@ -84,9 +84,10 @@ func (r *Runner) build(job *Job) (*obj.Image, []machine.Input, string, error) {
 
 // options maps a normalized job onto pipeline options.
 func (r *Runner) options(job *Job) core.Options {
+	lint, _ := core.ParseLintMode(job.Lint) // Normalize validated it
 	return core.Options{
 		Jobs:          r.Jobs,
-		Lint:          job.LintMode(),
+		Lint:          lint,
 		Cache:         r.Cache,
 		VSA:           job.VSA,
 		Types:         job.Types,

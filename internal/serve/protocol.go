@@ -33,7 +33,9 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
+	"wytiwyg/internal/minicc/gen"
 )
 
 // ProtocolVersion identifies the request/response schema. It is part of
@@ -105,28 +107,24 @@ func (j *Job) Normalize() error {
 	if len(j.Inputs) > maxInputs {
 		return fmt.Errorf("serve: %d inputs, at most %d allowed", len(j.Inputs), maxInputs)
 	}
+	if j.Bench != "" {
+		if _, ok := progs.ByName(j.Bench); !ok {
+			return fmt.Errorf("serve: unknown benchmark %q", j.Bench)
+		}
+	}
 	if j.Profile == "" {
 		j.Profile = "gcc12-O3"
 	}
-	switch j.Lint {
-	case "":
+	if _, ok := gen.ProfileByName(j.Profile); !ok {
+		return fmt.Errorf("serve: unknown profile %q", j.Profile)
+	}
+	if j.Lint == "" {
 		j.Lint = "warn"
-	case "off", "warn", "fail":
-	default:
-		return fmt.Errorf("serve: unknown lint mode %q", j.Lint)
+	}
+	if _, err := core.ParseLintMode(j.Lint); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-// LintMode translates the normalized lint field.
-func (j *Job) LintMode() core.LintMode {
-	switch j.Lint {
-	case "off":
-		return core.LintOff
-	case "fail":
-		return core.LintFail
-	}
-	return core.LintWarn
 }
 
 // Digest content-addresses the normalized job: every field that can

@@ -187,8 +187,9 @@ func TestServeRejectsBadJobs(t *testing.T) {
 	stopServer(t, c, done)
 }
 
-// An oversized body is refused with 413 and a job with too many inputs
-// with 400, and neither reaches the single-flight group or the cache.
+// An oversized body is refused with 413, and a job with too many inputs or
+// an unknown profile or benchmark with 400; none reaches the single-flight
+// group, a worker or the cache.
 func TestServeRejectsOversizedJobs(t *testing.T) {
 	cache, err := refcache.Open(t.TempDir())
 	if err != nil {
@@ -204,6 +205,8 @@ func TestServeRejectsOversizedJobs(t *testing.T) {
 			http.StatusRequestEntityTooLarge},
 		{"one input over the cap", `{"kind":"lint","bench":"mcf","inputs":[` + inputs + `]}`,
 			http.StatusBadRequest},
+		{"unknown profile", `{"kind":"lint","bench":"mcf","profile":"gcc99-O9"}`, http.StatusBadRequest},
+		{"unknown benchmark", `{"kind":"lint","bench":"nosuchbench"}`, http.StatusBadRequest},
 	} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(c.body)))
