@@ -60,13 +60,17 @@ step "examples" check_examples
 # not duplicate this step. The interpreter's hook-stream differential
 # (compiled interpreter against the reference tree-walker, the inputs of a
 # module running concurrently over one shared compiled Program) joins it
-# with -short: mcf of the corpus plus the random and failure-path modules.
-# That is the set the blanket step also runs; it is named here so every
-# differential of the emulator and the interpreter reports in one step.
+# with -short: mcf of the corpus plus the random and failure-path modules,
+# unfiltered and under the replay tracers' observation filters. So does the
+# filter-soundness test (each refinement replay's results with its filter
+# equal to its results without, mcf only under -short). That is the set
+# the blanket step also runs; it is named here so every differential of
+# the emulator and the interpreter reports in one step.
 check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
     go test -race -short -run 'TestHookStream' -count=1 ./internal/irexec/
+    go test -race -short -run 'TestReplayFilterSound' -count=1 ./internal/core/
 }
 step "superblock and hook-stream differentials (-race)" check_race_differentials
 

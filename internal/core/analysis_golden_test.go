@@ -86,8 +86,9 @@ func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) (digest, le
 	}
 	fix := pl.Fixpoints()
 	rsValues, symValues := pl.ReplayValues()
-	ledger = fmt.Sprintf("steps=%d values=%d/%d fixpoints=%d/%d oracle=%d promoted=%d instrs=%d cycles=%d",
-		steps, rsValues, symValues, fix.Computed, fix.Reused, oracleCalls, slots, len(out.Code), res.Cycles)
+	rsHooks, symHooks := pl.ReplayHooks()
+	ledger = fmt.Sprintf("steps=%d values=%d/%d hooks=%d/%d fixpoints=%d/%d oracle=%d promoted=%d instrs=%d cycles=%d",
+		steps, rsValues, symValues, rsHooks, symHooks, fix.Computed, fix.Reused, oracleCalls, slots, len(out.Code), res.Cycles)
 	return hex.EncodeToString(sum[:]), ledger
 }
 
@@ -107,7 +108,9 @@ func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) (digest, le
 // The same runs fill testdata/ledger.txt, the work ledger: per program
 // and profile, the tracer's instruction count over the trace inputs, the
 // IR values the regsave and symbolize replays evaluated over the same
-// inputs (Pipeline.ReplayValues), the VSA fixpoints the pipeline computed and reused, the optimizer's
+// inputs (Pipeline.ReplayValues) and the Exec and Phi hooks their
+// filtered tracers received (Pipeline.ReplayHooks), the VSA fixpoints
+// the pipeline computed and reused, the optimizer's
 // oracle-factory calls, the promoted slots, the recompiled instruction
 // count and the recompiled binary's cycles on the ref input. Every
 // figure is deterministic, so a change that claims to save analysis work
@@ -125,8 +128,8 @@ func TestAnalysisGolden(t *testing.T) {
 	})
 	matchGolden(t, "testdata/ledger.txt", []string{
 		"Work ledger of the TestAnalysisGolden runs: tracer steps over the trace inputs,",
-		"IR values of the regsave/symbolize replays, VSA fixpoints computed/reused,",
-		"oracle-factory calls, promoted slots, recompiled instructions and recompiled",
-		"cycles on the ref input.",
+		"IR values and Exec+Phi hook calls of the regsave/symbolize replays, VSA fixpoints",
+		"computed/reused, oracle-factory calls, promoted slots, recompiled instructions and",
+		"recompiled cycles on the ref input.",
 	}, ledger)
 }

@@ -245,10 +245,11 @@ type Pipeline struct {
 	// Recovered is the symbolized stack layout (Figure 7's subject).
 	Recovered *layout.Program
 
-	// replayValues counts the IR values the interpreter evaluated in the
-	// regsave (index 0) and symbolize (index 1) replays, summed over the
-	// inputs (see ReplayValues).
-	replayValues [2]uint64
+	// replayValues and replayHooks count the IR values the interpreter
+	// evaluated and the Exec and Phi hooks it called in the regsave (index
+	// 0) and symbolize (index 1) replays, summed over the inputs (see
+	// ReplayValues and ReplayHooks).
+	replayValues, replayHooks [2]uint64
 }
 
 // ReplayValues returns the number of IR values the interpreter evaluated
@@ -258,6 +259,14 @@ type Pipeline struct {
 // did not run, such as on a pipeline served from the cache.
 func (p *Pipeline) ReplayValues() (regsave, symbolize uint64) {
 	return p.replayValues[0], p.replayValues[1]
+}
+
+// ReplayHooks returns the number of Exec and Phi hook calls the two
+// refinement replays made, summed over the inputs, in the order of
+// ReplayValues. Each replay's tracer observes only the instructions its
+// filter keeps, so these fall short of the value counts.
+func (p *Pipeline) ReplayHooks() (regsave, symbolize uint64) {
+	return p.replayHooks[0], p.replayHooks[1]
 }
 
 // jobs returns the effective worker count.
@@ -379,10 +388,12 @@ func (p *Pipeline) coldCands() []*coldrec.Candidate {
 }
 
 // replayTracer is a refinement tracer: it observes each input on a
-// private Fork, joins the forks back, and reads interpreter state through
-// Bind.
+// private Fork, joins the forks back, reads interpreter state through
+// Bind, and filters the hooks it acts on statically (Observes, shared by
+// every fork).
 type replayTracer interface {
 	irexec.Tracer
+	irexec.Observer
 	Fork() irexec.Tracer
 	Join(irexec.Tracer)
 	Bind(*irexec.Interp)
@@ -391,12 +402,17 @@ type replayTracer interface {
 // runAll executes the current module under every input with a tracer
 // attached, discarding program output. Each input runs on a private fork
 // of tr; the forks run concurrently over the worker pool, sharing one
-// compiled Program of the module, and join in input order, so the merged
-// observations are identical for every worker count (including 1). It
-// returns the number of IR values evaluated, summed over the inputs.
-func (p *Pipeline) runAll(tr replayTracer) (uint64, error) {
-	prog := irexec.NewProgram(p.Mod)
-	steps := make([]uint64, len(p.Inputs))
+// compiled Program of the module built with tr's filter, and join in
+// input order, so the merged observations are identical for every worker
+// count (including 1). It returns the IR values evaluated and the hooks
+// called, summed over the inputs.
+func (p *Pipeline) runAll(tr replayTracer) (values, hooks uint64, err error) {
+	return p.replay(irexec.NewProgram(p.Mod, tr), tr)
+}
+
+// replay is runAll over a given Program of the current module.
+func (p *Pipeline) replay(prog *irexec.Program, tr replayTracer) (values, hooks uint64, err error) {
+	res := make([]irexec.Result, len(p.Inputs))
 	subs, err := par.Map(p.jobs(), len(p.Inputs), func(i int) (irexec.Tracer, error) {
 		sub := tr.Fork().(replayTracer)
 		ip, err := prog.NewInterp(p.Inputs[i], io.Discard)
@@ -405,22 +421,22 @@ func (p *Pipeline) runAll(tr replayTracer) (uint64, error) {
 		}
 		ip.Tr = sub
 		sub.Bind(ip)
-		res, err := ip.Run()
+		r, err := ip.Run()
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
 		}
-		steps[i] = res.Steps
+		res[i] = r
 		return sub, nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var total uint64
 	for i, sub := range subs {
 		tr.Join(sub)
-		total += steps[i]
+		values += res[i].Steps
+		hooks += res[i].Hooks
 	}
-	return total, nil
+	return values, hooks, nil
 }
 
 // RefineRegSave runs the saved-register refinement (§4.1): dynamic
@@ -435,11 +451,11 @@ func (p *Pipeline) RefineRegSave() error {
 			"run them once, in order regsave → varargs → stackref → symbolize")
 	}
 	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
-	n, err := p.runAll(tr)
+	n, hooks, err := p.runAll(tr)
 	if err != nil {
 		return err
 	}
-	p.replayValues[0] = n
+	p.replayValues[0], p.replayHooks[0] = n, hooks
 	// Cold functions never execute during refinement runs (the replayed
 	// inputs are exactly the traced ones), so their register classes come
 	// from the static liveness estimate instead of traced evidence.
@@ -476,8 +492,9 @@ func (p *Pipeline) RefineVarArgs() error {
 // OpCallExtRaw value and preserves every executed path, so the variadic
 // observations taken before the rewrite are exactly those a separate
 // replay after it would take. The embedded regsave tracer receives every
-// hook; varargs observes nothing but OpCallExtRaw executions, which is all
-// Exec forwards to it.
+// hook the replay's filter passes; varargs observes nothing but
+// OpCallExtRaw executions, which is all Exec forwards to it. The filter
+// observes what either tracer's filter does.
 type regsaveTracer struct {
 	*regsave.Tracer
 	va *varargs.Tracer
@@ -493,6 +510,10 @@ func (t *regsaveTracer) Join(o irexec.Tracer) {
 	ot := o.(*regsaveTracer)
 	t.Tracer.Join(ot.Tracer)
 	t.va.Join(ot.va)
+}
+
+func (t *regsaveTracer) Observes(f *ir.Func) irexec.Filter {
+	return irexec.Union(t.Tracer, t.va).Observes(f)
 }
 
 func (t *regsaveTracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
@@ -585,11 +606,11 @@ func (p *Pipeline) lintGate(stage string) error {
 // phases. It returns the recovered layout.
 func (p *Pipeline) RefineSymbolize() (*layout.Program, error) {
 	tr := vartrack.NewTracer(p.SPOffsets)
-	n, err := p.runAll(tr)
+	n, hooks, err := p.runAll(tr)
 	if err != nil {
 		return nil, err
 	}
-	p.replayValues[1] = n
+	p.replayValues[1], p.replayHooks[1] = n, hooks
 	p.VarResult = tr.Result()
 	p.injectColdVars()
 	prog, err := symbolize.ApplyJobs(p.Mod, p.SPOffsets, p.VarResult, p.jobs())

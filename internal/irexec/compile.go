@@ -16,8 +16,14 @@ import (
 // module (one refinement replay over all its inputs), and the module must
 // not change while any interpreter of the Program runs. A refinement that
 // rewrites the module builds a new Program for its next replay.
+//
+// A Program built with an Observer bakes each function's Filter into the
+// compiled code: Exec fires only for the instructions, and Phi only for
+// the phi moves, the filter observes. Without one, every instruction and
+// phi move is observed.
 type Program struct {
 	mod *ir.Module
+	obs Observer // nil: observe everything
 	// fns holds an entry for every function of the module; it is
 	// read-only after NewProgram.
 	fns map[*ir.Func]*fnCode
@@ -34,9 +40,10 @@ type fnCode struct {
 	code atomic.Pointer[code]
 }
 
-// NewProgram prepares mod for execution. It compiles nothing yet.
-func NewProgram(mod *ir.Module) *Program {
-	p := &Program{mod: mod, fns: make(map[*ir.Func]*fnCode, len(mod.Funcs)+1)}
+// NewProgram prepares mod for execution under the filters of obs, which
+// may be nil (observe everything). It compiles nothing yet.
+func NewProgram(mod *ir.Module, obs Observer) *Program {
+	p := &Program{mod: mod, obs: obs, fns: make(map[*ir.Func]*fnCode, len(mod.Funcs)+1)}
 	for _, f := range mod.Funcs {
 		p.fns[f] = &fnCode{fn: f}
 	}
@@ -131,15 +138,25 @@ const (
 	opTrap
 )
 
+// flags are a compiled instruction's boolean attributes.
+type flags uint8
+
+const (
+	flagSigned flags = 1 << iota // sign-extending load
+	flagHook                     // the filter observes it: Exec fires
+)
+
 // inst is one compiled instruction. Operands are register-file indices:
 // a value's Slot, or an index into the constant area behind the slots.
+// It is 48 bytes; the flags share the first word with the opcode, width
+// and condition.
 type inst struct {
-	op     op
-	size   uint8    // memory access width
-	signed bool     // sign-extending load
-	cond   isa.Cond // comparison condition
-	dst    uint32   // the result register: the value's slot
-	a, b   uint32   // the first two operand registers
+	op    op
+	size  uint8    // memory access width
+	flags flags    // flagSigned, flagHook
+	cond  isa.Cond // comparison condition
+	dst   uint32   // the result register: the value's slot
+	a, b  uint32   // the first two operand registers
 	// ops and n locate every operand register in code.ops, for the
 	// tracer's argument slice and for calls and returns.
 	ops, n uint32
@@ -174,6 +191,7 @@ type edge struct {
 type move struct {
 	dst, src uint32
 	phi, in  *ir.Value // the phi and its incoming value on this edge
+	hook     bool      // the filter observes it: Phi fires
 }
 
 // code is one compiled function.
@@ -203,6 +221,7 @@ type code struct {
 type compiler struct {
 	p      *Program
 	c      *code
+	flt    Filter            // nil: observe everything
 	consts map[uint32]uint32 // constant value -> register
 	start  map[*ir.Block]uint32
 }
@@ -218,6 +237,9 @@ func (p *Program) compile(f *ir.Func) *code {
 	lay := f.Layout()
 	c := &code{fn: f, nslots: lay.NumSlots, tupleWords: lay.TupleWords, espParam: -1}
 	k := &compiler{p: p, c: c, consts: make(map[uint32]uint32), start: make(map[*ir.Block]uint32)}
+	if p.obs != nil {
+		k.flt = p.obs.Observes(f)
+	}
 	for i, prm := range f.Params {
 		c.params = append(c.params, uint32(prm.Slot()))
 		if prm.RegHint == isa.ESP {
@@ -339,6 +361,9 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 	if len(v.Args) > 1 {
 		in.b = c.ops[in.ops+1]
 	}
+	if k.flt == nil || k.flt.Exec(v) {
+		in.flags |= flagHook
+	}
 	if o, ok := binOps[v.Op]; ok {
 		in.op, in.cond = o, v.Cond
 		return in
@@ -365,7 +390,10 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 			in.op = opZext16
 		}
 	case ir.OpLoad:
-		in.op, in.size, in.signed = opLoad, v.Size, v.Signed
+		in.op, in.size = opLoad, v.Size
+		if v.Signed {
+			in.flags |= flagSigned
+		}
 	case ir.OpStore:
 		in.op, in.size = opStore, v.Size
 	case ir.OpAlloca:
@@ -468,7 +496,8 @@ func (k *compiler) edge(prev, b *ir.Block) edge {
 			c.moves = c.moves[:e.mv]
 			return k.errEdge(fmt.Errorf("irexec: %s: phi %s missing arg %d", c.fn.Name, phi, idx))
 		}
-		c.moves = append(c.moves, move{dst: uint32(phi.Slot()), src: src, phi: phi, in: in})
+		c.moves = append(c.moves, move{dst: uint32(phi.Slot()), src: src, phi: phi, in: in,
+			hook: k.flt == nil || k.flt.Phi(phi, in)})
 	}
 	e.n = int32(len(b.Phis))
 	c.maxPhis = max(c.maxPhis, len(b.Phis))

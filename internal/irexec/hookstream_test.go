@@ -18,6 +18,9 @@ import (
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/regsave"
+	"wytiwyg/internal/varargs"
+	"wytiwyg/internal/vartrack"
 )
 
 // recorder is a Tracer that folds the full hook stream into a running
@@ -108,6 +111,7 @@ type outcome struct {
 	res    irexec.Result
 	err    string
 	steps  uint64
+	hooks  uint64
 	stubs  map[string]int
 	out    string
 	mem    [32]byte
@@ -116,8 +120,8 @@ type outcome struct {
 }
 
 func (o outcome) String() string {
-	return fmt.Sprintf("res=%+v err=%q steps=%d stubs=%v out=%d bytes events=%d",
-		o.res, o.err, o.steps, o.stubs, len(o.out), o.events)
+	return fmt.Sprintf("res=%+v err=%q steps=%d hooks=%d stubs=%v out=%d bytes events=%d",
+		o.res, o.err, o.steps, o.hooks, o.stubs, len(o.out), o.events)
 }
 
 func errString(err error) string {
@@ -137,18 +141,19 @@ func runCompiled(prog *irexec.Program, in machine.Input, budget uint64, r *recor
 	ip.Tr = r
 	ip.MaxSteps = budget
 	res, err := ip.Run()
-	return outcome{res: res, err: errString(err), steps: ip.Steps, stubs: ip.StubHits,
+	return outcome{res: res, err: errString(err), steps: ip.Steps, hooks: ip.Hooks, stubs: ip.StubHits,
 		out: out.String(), mem: ip.Mem.Digest(), events: r.n, hash: r.h}
 }
 
-// runReference runs one input on the reference tree-walker.
-func runReference(mod *ir.Module, in machine.Input, budget uint64, r *recorder) outcome {
+// runReference runs one input on the reference tree-walker under the
+// filters of obs.
+func runReference(mod *ir.Module, obs irexec.Observer, in machine.Input, budget uint64, r *recorder) outcome {
 	if budget == 0 {
 		budget = 4_000_000_000
 	}
 	var out bytes.Buffer
-	res, steps, stubs, mem, err := irexec.RunReference(mod, in, &out, r, budget)
-	o := outcome{res: res, err: errString(err), steps: steps, stubs: stubs,
+	res, steps, hooks, stubs, mem, err := irexec.RunReference(mod, in, &out, r, obs, budget)
+	o := outcome{res: res, err: errString(err), steps: steps, hooks: hooks, stubs: stubs,
 		out: out.String(), events: r.n, hash: r.h}
 	if mem != nil {
 		o.mem = mem.Digest()
@@ -157,35 +162,38 @@ func runReference(mod *ir.Module, in machine.Input, budget uint64, r *recorder) 
 }
 
 // diff runs one input under both interpreters with the step budget budget
-// (0: the default) and reports any difference in the hook stream or the
-// run's outcome. It returns the compiled run's outcome.
-func diff(t *testing.T, name string, prog *irexec.Program, mod *ir.Module, in machine.Input, budget uint64) outcome {
+// (0: the default) and the hook filters of obs (nil: none), and reports
+// any difference in the hook stream or the run's outcome. It returns the
+// compiled run's outcome.
+func diff(t *testing.T, name string, mod *ir.Module, obs irexec.Observer, in machine.Input, budget uint64) outcome {
 	t.Helper()
-	return check(t, name, prog, mod, in, budget, runCompiled(prog, in, budget, &recorder{}))
+	prog := irexec.NewProgram(mod, obs)
+	return check(t, name, prog, mod, obs, in, budget, runCompiled(prog, in, budget, &recorder{}))
 }
 
-// check compares the compiled run's outcome got with the reference run.
-func check(t *testing.T, name string, prog *irexec.Program, mod *ir.Module, in machine.Input, budget uint64, got outcome) outcome {
+// check compares the compiled run's outcome got, over prog, with the
+// reference run under the filters of obs.
+func check(t *testing.T, name string, prog *irexec.Program, mod *ir.Module, obs irexec.Observer, in machine.Input, budget uint64, got outcome) outcome {
 	t.Helper()
-	want := runReference(mod, in, budget, &recorder{})
-	same := got.res == want.res && got.err == want.err && got.steps == want.steps &&
+	want := runReference(mod, obs, in, budget, &recorder{})
+	same := got.res == want.res && got.err == want.err && got.steps == want.steps && got.hooks == want.hooks &&
 		maps.Equal(got.stubs, want.stubs) && got.out == want.out && got.mem == want.mem
 	if !same {
 		t.Errorf("%s (budget %d): compiled %v, reference %v", name, budget, got, want)
 	}
 	if got.events != want.events || got.hash != want.hash {
 		t.Errorf("%s (budget %d): hook streams differ (%d vs %d events)\n%s",
-			name, budget, got.events, want.events, divergence(prog, mod, in, budget))
+			name, budget, got.events, want.events, divergence(prog, mod, obs, in, budget))
 	}
 	return got
 }
 
 // divergence replays a mismatching run in capture mode and renders the
 // events around the first difference.
-func divergence(prog *irexec.Program, mod *ir.Module, in machine.Input, budget uint64) string {
+func divergence(prog *irexec.Program, mod *ir.Module, obs irexec.Observer, in machine.Input, budget uint64) string {
 	a, b := &recorder{keep: true}, &recorder{keep: true}
 	runCompiled(prog, in, budget, a)
-	runReference(mod, in, budget, b)
+	runReference(mod, obs, in, budget, b)
 	i := uint64(0)
 	for i < uint64(min(len(a.hashes), len(b.hashes))) && a.hashes[i] == b.hashes[i] {
 		i++
@@ -193,16 +201,17 @@ func divergence(prog *irexec.Program, mod *ir.Module, in machine.Input, budget u
 	from := max(i, 3) - 3
 	a, b = &recorder{from: from, to: i + 1}, &recorder{from: from, to: i + 1}
 	runCompiled(prog, in, budget, a)
-	runReference(mod, in, budget, b)
+	runReference(mod, obs, in, budget, b)
 	return "compiled:\n" + strings.Join(a.lines, "\n") + "\nreference:\n" + strings.Join(b.lines, "\n")
 }
 
-// diffModule checks every input of mod. As in a refinement replay, the
-// compiled runs share one Program and run concurrently, so functions
-// compile lazily while other inputs execute them.
-func diffModule(t *testing.T, name string, mod *ir.Module, inputs []machine.Input) []outcome {
+// diffModule checks every input of mod under the filters of obs. As in a
+// refinement replay, the compiled runs share one Program and run
+// concurrently, so functions compile lazily while other inputs execute
+// them.
+func diffModule(t *testing.T, name string, mod *ir.Module, obs irexec.Observer, inputs []machine.Input) []outcome {
 	t.Helper()
-	prog := irexec.NewProgram(mod)
+	prog := irexec.NewProgram(mod, obs)
 	outs := make([]outcome, len(inputs))
 	var wg sync.WaitGroup
 	for i, in := range inputs {
@@ -214,7 +223,7 @@ func diffModule(t *testing.T, name string, mod *ir.Module, inputs []machine.Inpu
 	}
 	wg.Wait()
 	for i, in := range inputs {
-		check(t, fmt.Sprintf("%s input %d", name, i), prog, mod, in, 0, outs[i])
+		check(t, fmt.Sprintf("%s input %d", name, i), prog, mod, obs, in, 0, outs[i])
 	}
 	return outs
 }
@@ -224,8 +233,12 @@ func diffModule(t *testing.T, name string, mod *ir.Module, inputs []machine.Inpu
 // reference tree-walker, at the two ends of the refinement pipeline: the
 // module as lifted (register signatures, the emulated stack, raw variadic
 // calls) and as symbolized (allocas, SP0, promoted stack arguments). Each
-// run must produce the same hook stream, value count, result, error,
-// output and memory. The lifted module additionally runs with a step
+// run must produce the same hook stream, value and hook counts, result,
+// error, output and memory. The two refinement replays' module states
+// also run under their tracers' filters (the lifted module under regsave's
+// and varargs', the stack-referenced one under vartrack's), the reference
+// asking the filter before each Exec and Phi hook where the compiled code
+// reads the bits compiled from it. The lifted module additionally runs with a step
 // budget that cuts the train input in half, and a module lifted from the
 // tiny input 1 alone replays the ref input, which reaches trap stubs where
 // it leaves that input's coverage. The ref input is scaled to 6, as in the
@@ -267,18 +280,25 @@ func diffProgram(t *testing.T, p progs.Program, prof gen.Profile) bool {
 	if err != nil {
 		t.Fatalf("%s: lift: %v", name, err)
 	}
-	outs := diffModule(t, name+" lifted", pl.Mod, p.Inputs())
-	diff(t, name+" lifted, half budget", irexec.NewProgram(pl.Mod), pl.Mod, p.Train, outs[0].steps/2)
-	if err := pl.Refine(); err != nil {
-		t.Fatalf("%s: refine: %v", name, err)
+	outs := diffModule(t, name+" lifted", pl.Mod, nil, p.Inputs())
+	diff(t, name+" lifted, half budget", pl.Mod, nil, p.Train, outs[0].steps/2)
+	diffModule(t, name+" lifted, regsave filter", pl.Mod, irexec.Union(regsave.NewTracer(), varargs.NewTracer()), p.Inputs())
+	for _, stage := range []func() error{pl.RefineRegSave, pl.RefineVarArgs, pl.RefineStackRef} {
+		if err := stage(); err != nil {
+			t.Fatalf("%s: refine: %v", name, err)
+		}
 	}
-	diffModule(t, name+" symbolized", pl.Mod, p.Inputs())
+	diffModule(t, name+" stackref, vartrack filter", pl.Mod, vartrack.NewTracer(pl.SPOffsets), p.Inputs())
+	if _, err := pl.RefineSymbolize(); err != nil {
+		t.Fatalf("%s: symbolize: %v", name, err)
+	}
+	diffModule(t, name+" symbolized", pl.Mod, nil, p.Inputs())
 
 	part, err := core.LiftBinary(img, []machine.Input{{Ints: []int32{1}}})
 	if err != nil {
 		t.Fatalf("%s: lift input 1: %v", name, err)
 	}
-	return len(diffModule(t, name+" lifted from input 1", part.Mod, []machine.Input{p.Ref})[0].stubs) > 0
+	return len(diffModule(t, name+" lifted from input 1", part.Mod, nil, []machine.Input{p.Ref})[0].stubs) > 0
 }
 
 // TestHookStreamRandomModules checks 200 random irgen modules the same
@@ -288,9 +308,9 @@ func TestHookStreamRandomModules(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		mod := irgen.Build(seed, int32(seed*7-300), int32(seed%13-6))
 		name := fmt.Sprintf("irgen seed %d", seed)
-		o := diffModule(t, name, mod, []machine.Input{{}})[0]
+		o := diffModule(t, name, mod, nil, []machine.Input{{}})[0]
 		for _, budget := range []uint64{1, o.steps / 2, o.steps - 1} {
-			diff(t, name, irexec.NewProgram(mod), mod, machine.Input{}, budget)
+			diff(t, name, mod, nil, machine.Input{}, budget)
 		}
 	}
 }
@@ -305,20 +325,20 @@ func TestHookStreamFailures(t *testing.T) {
 		z := konst(f, b, 0)
 		b.Append(f.NewValue(op, x, z))
 		exitWith(f, b, x)
-		diffModule(t, op.String()+" by zero", m, []machine.Input{{}})
+		diffModule(t, op.String()+" by zero", m, nil, []machine.Input{{}})
 	}
 
 	m, f, b := entryModule()
 	konst(f, b, 1)
 	b.Append(f.NewValue(ir.OpTrap))
-	diffModule(t, "trap", m, []machine.Input{{}})
+	diffModule(t, "trap", m, nil, []machine.Input{{}})
 
 	m, f, b = entryModule()
 	ld := f.NewValue(ir.OpLoad, konst(f, b, 16))
 	ld.Size = 4
 	b.Append(ld)
 	exitWith(f, b, ld)
-	diffModule(t, "null-page load", m, []machine.Input{{}})
+	diffModule(t, "null-page load", m, nil, []machine.Input{{}})
 
 	m, f, b = entryModule()
 	join := f.NewBlock(0)
@@ -327,7 +347,7 @@ func TestHookStreamFailures(t *testing.T) {
 	join.Preds = []*ir.Block{b}
 	phi := join.AddPhi(f.NewValue(ir.OpPhi, nil))
 	exitWith(f, join, phi)
-	diffModule(t, "phi without incoming value", m, []machine.Input{{}})
+	diffModule(t, "phi without incoming value", m, nil, []machine.Input{{}})
 
 	// A counting loop: i = phi(0, i+1); exit when i reaches 5.
 	m, f, b = entryModule()
@@ -345,9 +365,9 @@ func TestHookStreamFailures(t *testing.T) {
 	loop.Succs = []*ir.Block{loop, done}
 	done.Preds = []*ir.Block{loop}
 	exitWith(f, done, next)
-	o := diffModule(t, "loop", m, []machine.Input{{}})[0]
+	o := diffModule(t, "loop", m, nil, []machine.Input{{}})[0]
 	for budget := uint64(1); budget <= o.steps+1; budget++ {
-		diff(t, "loop", irexec.NewProgram(m), m, machine.Input{}, budget)
+		diff(t, "loop", m, nil, machine.Input{}, budget)
 	}
 }
 

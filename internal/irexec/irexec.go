@@ -16,6 +16,12 @@
 // one frame per call depth, so a steady-state call/ret cycle allocates
 // nothing. Tracers keep their per-value metadata in typed Slots tables,
 // indexed by the same dense value slots (ir/layout.go).
+//
+// A refinement tracer acts on few of the instructions it sees, so a
+// Program can be built with the tracer's static observation filter
+// (Observer, filter.go): the compiled code then calls Exec and Phi only
+// for the instructions and phi moves the tracer can act on. Without a
+// filter every executed instruction reaches the tracer.
 package irexec
 
 import (
@@ -97,7 +103,9 @@ func (fr *Frame) layout() (slots, words int) {
 
 // Tracer observes execution. All methods may be no-ops. Slices passed to
 // the hooks (args, rets) alias interpreter scratch buffers and must not be
-// retained past the call.
+// retained past the call. Under a Program built with an Observer, Exec and
+// Phi fire only where the function's Filter observes; the other hooks
+// always fire.
 type Tracer interface {
 	// FnEnter fires after parameters are bound.
 	FnEnter(fr *Frame)
@@ -124,6 +132,7 @@ type Interp struct {
 	Tr  Tracer            // observation hook, may be nil
 
 	Steps    uint64 // IR values evaluated
+	Hooks    uint64 // Exec and Phi calls made to Tr
 	MaxSteps uint64 // execution budget; 0 means the default of 4·10⁹
 
 	// StubHits counts executions of trap instructions, keyed by the name
@@ -142,6 +151,7 @@ type Interp struct {
 type Result struct {
 	ExitCode int32  // the program's exit status
 	Steps    uint64 // IR values evaluated
+	Hooks    uint64 // Exec and Phi calls made to the tracer
 }
 
 var errHalted = errors.New("halted")
@@ -154,9 +164,9 @@ var ErrTrap = errors.New("irexec: trap: input exercised an untraced path")
 var ErrMaxSteps = errors.New("irexec: step budget exceeded")
 
 // New prepares an interpreter over fresh memory, with a private Program
-// for mod.
+// for mod that observes everything.
 func New(mod *ir.Module, input machine.Input, out io.Writer) (*Interp, error) {
-	return NewProgram(mod).NewInterp(input, out)
+	return NewProgram(mod, nil).NewInterp(input, out)
 }
 
 // NewInterp prepares an interpreter for one input over fresh memory. The
@@ -207,7 +217,7 @@ func (ip *Interp) Run() (Result, error) {
 	if !ip.Lib.Halted {
 		return Result{}, fmt.Errorf("irexec: program finished without exiting")
 	}
-	return Result{ExitCode: ip.Lib.ExitCode, Steps: ip.Steps}, nil
+	return Result{ExitCode: ip.Lib.ExitCode, Steps: ip.Steps, Hooks: ip.Hooks}, nil
 }
 
 // newFrame takes the frame for the next call depth, sizes its slices for
@@ -351,7 +361,7 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 			if err != nil {
 				return fmt.Errorf("irexec: %s: %w", c.fn.Name, err)
 			}
-			if in.signed {
+			if in.flags&flagSigned != 0 {
 				switch in.size {
 				case 1:
 					lv = uint32(int32(int8(lv)))
@@ -388,7 +398,8 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 				res = dest[0]
 			}
 			regs[in.dst] = res
-			if tr != nil {
+			if tr != nil && in.flags&flagHook != 0 {
+				ip.Hooks++
 				tr.Exec(fr, in.v, argv, res)
 			}
 			continue
@@ -401,7 +412,8 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 			fr.tuples[in.x] = ret
 			res = ret
 			if ip.Lib.Halted {
-				if tr != nil {
+				if tr != nil && in.flags&flagHook != 0 {
+					ip.Hooks++
 					tr.Exec(fr, in.v, argv, res)
 				}
 				return errHalted
@@ -441,9 +453,10 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 		default: // opBad
 			return c.errs[in.x]
 		}
-		if tr != nil {
+		if tr != nil && in.flags&flagHook != 0 {
 			argv := fr.operands(in)
 			regs[in.dst] = res
+			ip.Hooks++
 			tr.Exec(fr, in.v, argv, res)
 		} else {
 			regs[in.dst] = res
@@ -480,7 +493,7 @@ func caseIndex(cases []uint32, sel uint32) uint32 {
 }
 
 // phis performs an edge's simultaneous phi assignment, or reports the
-// edge's error.
+// edge's error. Phi fires for the observed moves.
 func (ip *Interp) phis(fr *Frame, e *edge) error {
 	if e.n < 0 {
 		return fr.code.errs[e.mv]
@@ -492,7 +505,8 @@ func (ip *Interp) phis(fr *Frame, e *edge) error {
 	}
 	for i, m := range moves {
 		fr.regs[m.dst] = tmp[i]
-		if ip.Tr != nil {
+		if m.hook && ip.Tr != nil {
+			ip.Hooks++
 			ip.Tr.Phi(fr, m.phi, m.in, tmp[i])
 		}
 	}

@@ -16,16 +16,21 @@ import (
 // the incoming edge (a scan of Preds), fetching every operand through
 // Frame.Get (declared here, as only the reference uses it) and
 // dispatching on ir.Op. Apart from setting Frame.Depth,
-// which the tracer slot tables need, and dropping the old per-frame
-// metadata file, its code is the interpreter as it was before
-// compilation.
+// which the tracer slot tables need, dropping the old per-frame
+// metadata file, and asking an Observer's filters before each Exec and
+// Phi hook, its code is the interpreter as it was before compilation.
 type treeWalker struct {
 	Mod *ir.Module
 	Mem *machine.Memory
 	Lib *machine.LibState
 	Tr  Tracer
+	// Obs filters the Exec and Phi hooks (nil: every one fires); filters
+	// memoizes its per-function filters.
+	Obs     Observer
+	filters map[*ir.Func]Filter
 
 	Steps    uint64
+	Hooks    uint64
 	MaxSteps uint64
 
 	StubHits map[string]int
@@ -48,20 +53,50 @@ func (fr *Frame) Get(v *ir.Value) uint32 {
 var treeFramePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // RunReference runs mod under one input on the reference tree-walker with
-// the step budget maxSteps, returning what the compiled interpreter's Run
-// returns plus the final Steps, StubHits and memory.
-func RunReference(mod *ir.Module, input machine.Input, out io.Writer, tr Tracer, maxSteps uint64) (Result, uint64, map[string]int, *machine.Memory, error) {
+// the step budget maxSteps and the hook filters of obs (nil: none),
+// returning what the compiled interpreter's Run returns plus the final
+// Steps, Hooks, StubHits and memory.
+func RunReference(mod *ir.Module, input machine.Input, out io.Writer, tr Tracer, obs Observer, maxSteps uint64) (Result, uint64, uint64, map[string]int, *machine.Memory, error) {
 	mem := machine.NewMemory()
 	if err := mem.WriteBytes(isa.DataBase, mod.Data); err != nil {
-		return Result{}, 0, nil, nil, err
+		return Result{}, 0, 0, nil, nil, err
 	}
 	lib, err := machine.NewLibState(mem, input, out)
 	if err != nil {
-		return Result{}, 0, nil, nil, err
+		return Result{}, 0, 0, nil, nil, err
 	}
-	ip := &treeWalker{Mod: mod, Mem: mem, Lib: lib, Tr: tr, MaxSteps: maxSteps, nativeSP: NativeStackTop}
+	ip := &treeWalker{Mod: mod, Mem: mem, Lib: lib, Tr: tr, Obs: obs, MaxSteps: maxSteps, nativeSP: NativeStackTop}
 	res, err := ip.Run()
-	return res, ip.Steps, ip.StubHits, mem, err
+	return res, ip.Steps, ip.Hooks, ip.StubHits, mem, err
+}
+
+// filter returns f's filter, nil when every hook fires.
+func (ip *treeWalker) filter(f *ir.Func) Filter {
+	if ip.Obs == nil {
+		return nil
+	}
+	flt, ok := ip.filters[f]
+	if !ok {
+		if ip.filters == nil {
+			ip.filters = make(map[*ir.Func]Filter)
+		}
+		f.EnsureLayout()
+		flt = ip.Obs.Observes(f)
+		ip.filters[f] = flt
+	}
+	return flt
+}
+
+// hookExec fires the Exec hook if the filter observes v.
+func (ip *treeWalker) hookExec(fr *Frame, v *ir.Value, argv []uint32, res uint32) {
+	if ip.Tr == nil {
+		return
+	}
+	if flt := ip.filter(fr.Fn); flt != nil && !flt.Exec(v) {
+		return
+	}
+	ip.Hooks++
+	ip.Tr.Exec(fr, v, argv, res)
 }
 
 // Run executes from the module entry until exit.
@@ -80,7 +115,7 @@ func (ip *treeWalker) Run() (Result, error) {
 	if !ip.Lib.Halted {
 		return Result{}, fmt.Errorf("irexec: program finished without exiting")
 	}
-	return Result{ExitCode: ip.Lib.ExitCode, Steps: ip.Steps}, nil
+	return Result{ExitCode: ip.Lib.ExitCode, Steps: ip.Steps, Hooks: ip.Hooks}, nil
 }
 
 // newFrame takes a recycled frame from the pool, sizes its slices for f's
@@ -184,7 +219,11 @@ func (ip *treeWalker) run(fr *Frame, dest []uint32) error {
 			}
 			for i, phi := range cur.Phis {
 				fr.regs[phi.Slot()] = tmp[i]
-				if ip.Tr != nil {
+				if ip.Tr == nil {
+					continue
+				}
+				if flt := ip.filter(f); flt == nil || flt.Phi(phi, phi.Args[idx]) {
+					ip.Hooks++
 					ip.Tr.Phi(fr, phi, phi.Args[idx], tmp[i])
 				}
 			}
@@ -376,9 +415,7 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 		fr.Tuple(v)[0] = ret
 		res = ret
 		if ip.Lib.Halted {
-			if ip.Tr != nil {
-				ip.Tr.Exec(fr, v, argv, res)
-			}
+			ip.hookExec(fr, v, argv, res)
 			return errHalted
 		}
 	case ir.OpCallExtRaw:
@@ -393,9 +430,7 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 		fr.Tuple(v)[0] = ret
 		res = ret
 		if ip.Lib.Halted {
-			if ip.Tr != nil {
-				ip.Tr.Exec(fr, v, argv, res)
-			}
+			ip.hookExec(fr, v, argv, res)
 			return errHalted
 		}
 	case ir.OpExtract:
@@ -408,8 +443,6 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 		return fmt.Errorf("irexec: %s: cannot execute %s", fr.Fn.Name, v.Op)
 	}
 	fr.regs[v.Slot()] = res
-	if ip.Tr != nil {
-		ip.Tr.Exec(fr, v, argv, res)
-	}
+	ip.hookExec(fr, v, argv, res)
 	return nil
 }

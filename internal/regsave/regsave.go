@@ -238,6 +238,9 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if s := at(w, v.Args[0]); s != 0 {
 			t.markArg(fr.Fn, s)
 		}
+		// Each execution recomputes the symbol: a reload that once read a
+		// spill keeps nothing when it reads another address.
+		w[v.Slot()] = 0
 		if e := t.shadow.Get(args[0]); e != 0 && e>>8 == fr.Epoch && v.Size == 4 {
 			w[v.Slot()] = sym(e)
 		}
@@ -270,11 +273,10 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 			}
 		}
 	case ir.OpExtract:
+		w[v.Slot()] = 0
 		if call := v.Args[0]; call.Op == ir.OpCall || call.Op == ir.OpCallInd {
 			if rec := t.syms.Tuple(fr, call); v.Idx < len(rec) {
-				if s := rec[v.Idx]; s != 0 {
-					w[v.Slot()] = s
-				}
+				w[v.Slot()] = rec[v.Idx]
 			}
 		}
 	case ir.OpPhi:
@@ -287,6 +289,124 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		}
 	}
 }
+
+// Observes implements irexec.Observer with a may-hold-symbol fixpoint over
+// f's SSA form. Symbols enter an activation's table only through FnEnter
+// (non-ESP parameters), Phi (from the incoming value), a 4-byte Load of
+// the activation's own spill (so only in a function that stores a
+// may-symbol value) and an Extract of an internal call's forwarding
+// record (so only for a register whose argument may hold a symbol). Every
+// other slot stays zero. The filter observes:
+//
+//   - Store, Call and CallInd, always (they update the shadow, the
+//     forwarding records and the forwarding constraints);
+//   - Load, when its address or its result may hold a symbol;
+//   - Extract, when its result may;
+//   - any other instruction, when one of its operands may (markArg);
+//   - a phi move, when its incoming value may.
+//
+// A skipped hook would read only zero symbols and write zero into a slot
+// that is always zero.
+func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
+	may := maySymbol(f)
+	obs := irexec.NewSlotSet(f)
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			switch v.Op {
+			case ir.OpStore, ir.OpCall, ir.OpCallInd:
+				obs.Add(v)
+			case ir.OpLoad:
+				if may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0]) {
+					obs.Add(v)
+				}
+			case ir.OpExtract:
+				if may.Has(v) {
+					obs.Add(v)
+				}
+			default:
+				for _, a := range v.Args {
+					if may.Has(a) {
+						obs.Add(v)
+						break
+					}
+				}
+			}
+		}
+	}
+	return &filter{may: may, obs: obs}
+}
+
+// maySymbol returns the values of f that may hold a register symbol.
+func maySymbol(f *ir.Func) irexec.SlotSet {
+	may := irexec.NewSlotSet(f)
+	for _, p := range f.Params {
+		if p.RegHint != isa.ESP {
+			may.Add(p)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		// Spills carry symbols to reloads: any 4-byte load may read one
+		// once the function stores a may-symbol value.
+		spills := false
+		for _, b := range f.Blocks {
+			for _, v := range b.Insts {
+				if v.Op == ir.OpStore && len(v.Args) > 1 && may.Has(v.Args[1]) {
+					spills = true
+				}
+			}
+		}
+		for _, b := range f.Blocks {
+			for _, phi := range b.Phis {
+				for _, a := range phi.Args {
+					if a != nil && may.Has(a) {
+						changed = may.Add(phi) || changed
+						break
+					}
+				}
+			}
+			for _, v := range b.Insts {
+				switch v.Op {
+				case ir.OpLoad:
+					if spills && v.Size == 4 {
+						changed = may.Add(v) || changed
+					}
+				case ir.OpExtract:
+					if len(v.Args) > 0 && forwards(v.Args[0], v.Idx, may) {
+						changed = may.Add(v) || changed
+					}
+				}
+			}
+		}
+	}
+	return may
+}
+
+// forwards reports whether call's forwarding record may hold a symbol in
+// register idx: call is an internal call whose argument for that register
+// may hold one.
+func forwards(call *ir.Value, idx int, may irexec.SlotSet) bool {
+	base := 0
+	switch call.Op {
+	case ir.OpCall:
+	case ir.OpCallInd:
+		base = 1
+	default:
+		return false
+	}
+	i := base + idx
+	return idx >= 0 && isa.Reg(idx) != isa.ESP && i < len(call.Args) && may.Has(call.Args[i])
+}
+
+// filter is regsave's observation filter for one function.
+type filter struct {
+	may irexec.SlotSet // values that may hold a symbol
+	obs irexec.SlotSet // instructions whose Exec can act
+}
+
+func (fl *filter) Exec(v *ir.Value) bool { return fl.obs.Has(v) }
+
+func (fl *filter) Phi(phi, in *ir.Value) bool { return fl.may.Has(in) }
 
 // Classes holds the per-function classification of every register.
 type Classes map[*ir.Func]*[isa.NumRegs]Class

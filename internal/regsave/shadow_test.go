@@ -56,3 +56,40 @@ func TestShadowInvalidationAcrossPages(t *testing.T) {
 		}
 	}
 }
+
+// A reload recomputes its symbol on every execution: once it reads an
+// address without a spill, it holds no symbol, even if an earlier
+// execution reloaded a spilled EBX. Returning that reload as EBX then
+// violates the saved-register condition.
+func TestReloadDropsStaleSymbol(t *testing.T) {
+	mod := ir.NewModule("t")
+	f := mod.NewFunc("f", isa.CodeBase)
+	b := f.NewBlock(isa.CodeBase)
+	sp := f.NewParam(isa.ESP, "esp")
+	ebx := f.NewParam(isa.EBX, "ebx")
+	k := b.Append(f.NewValue(ir.OpConst))
+	spill := b.Append(f.NewValue(ir.OpStore, k, ebx))
+	spill.Size = 4
+	reload := b.Append(f.NewValue(ir.OpLoad, k))
+	reload.Size = 4
+	rets := make([]*ir.Value, isa.NumRegs)
+	for r := range rets {
+		rets[r] = k
+	}
+	rets[isa.ESP], rets[isa.EBX] = sp, reload
+	ret := b.Append(f.NewValue(ir.OpRet, rets...))
+	f.NumRet = len(rets)
+	f.EnsureLayout()
+
+	const sp0, slot, other = 0x3100, 0x3000, 0x3010
+	tr := NewTracer()
+	fr := &irexec.Frame{Fn: f, SP0: sp0, Epoch: 1}
+	tr.FnEnter(fr)
+	tr.Exec(fr, spill, []uint32{slot, 7}, 0)
+	tr.Exec(fr, reload, []uint32{slot}, 7)
+	tr.Exec(fr, reload, []uint32{other}, 0)
+	tr.FnExit(fr, ret, nil)
+	if c := tr.Classify(mod)[f][isa.EBX]; c == Saved {
+		t.Errorf("ebx returned from a reload of another address classifies as %v", c)
+	}
+}

@@ -71,6 +71,17 @@ func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val ui
 // CallPre implements irexec.Tracer.
 func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {}
 
+// Observes implements irexec.Observer: Exec acts on OpCallExtRaw only,
+// Phi on nothing.
+func (t *Tracer) Observes(f *ir.Func) irexec.Filter { return rawCalls{} }
+
+// rawCalls is varargs' observation filter, the same for every function.
+type rawCalls struct{}
+
+func (rawCalls) Exec(v *ir.Value) bool { return v.Op == ir.OpCallExtRaw }
+
+func (rawCalls) Phi(phi, in *ir.Value) bool { return false }
+
 // Exec watches raw variadic calls and derives their exact signatures.
 func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
 	if v.Op != ir.OpCallExtRaw || t.ip == nil {

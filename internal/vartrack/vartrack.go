@@ -291,6 +291,96 @@ func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
 	return tab
 }
 
+// Observes implements irexec.Observer with a may-hold-pointer fixpoint
+// over f's SSA form. Pointer metadata enters an activation's table only
+// for parameters, direct references, Add/Sub/And/Subreg8 with a may
+// operand, phis of may values, 4-byte loads (from the address map),
+// extracts (from a call's returned metadata) and CallExt (the DeriveRet
+// constraint); every other slot stays zero. The filter observes:
+//
+//   - direct references, Store, Call, CallInd, CallExt, CallExtRaw and
+//     Extract, always;
+//   - Load, when its address or its result may hold a pointer;
+//   - Cmp, when both operands may (link);
+//   - Add, Sub, And and Subreg8, when the result may;
+//   - a phi move, when the phi is a direct reference or may hold a
+//     pointer;
+//
+// and nothing else. A skipped hook would read only zero metadata and
+// write zero into a slot that is always zero. The filter depends only on
+// the direct-reference table, so it holds for every fork.
+func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
+	direct := irexec.NewSlotSet(f)
+	for i, d := range buildTable(f, t.offs[f]) {
+		direct[i] = d.ok
+	}
+	may := mayPointer(f, direct)
+	obs := irexec.NewSlotSet(f)
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			switch {
+			case direct.Has(v):
+			case v.Op == ir.OpStore, v.Op == ir.OpCall, v.Op == ir.OpCallInd,
+				v.Op == ir.OpCallExt, v.Op == ir.OpCallExtRaw, v.Op == ir.OpExtract:
+			case v.Op == ir.OpLoad && (may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0])):
+			case v.Op == ir.OpCmp && len(v.Args) > 1 && may.Has(v.Args[0]) && may.Has(v.Args[1]):
+			case derives(v.Op) && may.Has(v):
+			default:
+				continue
+			}
+			obs.Add(v)
+		}
+	}
+	return &filter{may: may, obs: obs}
+}
+
+// derives reports whether op propagates a pointer operand's metadata.
+func derives(op ir.Op) bool {
+	return op == ir.OpAdd || op == ir.OpSub || op == ir.OpAnd || op == ir.OpSubreg8
+}
+
+// mayPointer returns the values of f that may hold pointer metadata, given
+// its direct references.
+func mayPointer(f *ir.Func, direct irexec.SlotSet) irexec.SlotSet {
+	may := append(irexec.SlotSet(nil), direct...)
+	for _, p := range f.Params {
+		may.Add(p)
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+			for _, phi := range b.Phis {
+				for _, a := range phi.Args {
+					if a != nil && may.Has(a) {
+						changed = may.Add(phi) || changed
+						break
+					}
+				}
+			}
+			for _, v := range b.Insts {
+				switch {
+				case v.Op == ir.OpLoad && v.Size == 4, v.Op == ir.OpExtract, v.Op == ir.OpCallExt:
+				case derives(v.Op) && len(v.Args) > 1 && (may.Has(v.Args[0]) || may.Has(v.Args[1])):
+				default:
+					continue
+				}
+				changed = may.Add(v) || changed
+			}
+		}
+	}
+	return may
+}
+
+// filter is vartrack's observation filter for one function.
+type filter struct {
+	may irexec.SlotSet // values that may hold pointer metadata
+	obs irexec.SlotSet // instructions whose Exec can act
+}
+
+func (fl *filter) Exec(v *ir.Value) bool { return fl.obs.Has(v) }
+
+func (fl *filter) Phi(phi, in *ir.Value) bool { return fl.may.Has(phi) }
+
 func (t *Tracer) link(a, b ptr) {
 	if a.id == b.id {
 		return
