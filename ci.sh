@@ -65,12 +65,16 @@ step "examples" check_examples
 # filter-soundness test (each refinement replay's results with its filter
 # equal to its results without, mcf only under -short). That is the set
 # the blanket step also runs; it is named here so every differential of
-# the emulator and the interpreter reports in one step.
+# the emulator and the interpreter reports in one step. Last, the
+# hook-stream fuzz target explores new random modules, arguments and step
+# budgets for 10 s, without the race detector (each input runs on one
+# goroutine).
 check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
     go test -race -short -run 'TestHookStream' -count=1 ./internal/irexec/
     go test -race -short -run 'TestReplayFilterSound' -count=1 ./internal/core/
+    go test -run '^$' -fuzz '^FuzzHookStream$' -fuzztime 10s ./internal/irexec/
 }
 step "superblock and hook-stream differentials (-race)" check_race_differentials
 

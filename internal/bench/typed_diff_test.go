@@ -48,8 +48,7 @@ func (r *typedRecorder) FnEnter(fr *irexec.Frame) {}
 func (r *typedRecorder) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) {
 	delete(r.live, fr)
 }
-func (r *typedRecorder) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32)    {}
-func (r *typedRecorder) CallPre(fr *irexec.Frame, _ *ir.Value, _ []uint32) {}
+func (r *typedRecorder) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32) {}
 func (r *typedRecorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
 	if t, ok := r.slotType[v]; ok {
 		r.live[fr] = append(r.live[fr], liveSlot{

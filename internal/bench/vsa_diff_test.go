@@ -51,7 +51,6 @@ func (r *vsaRecorder) add(e uint64, v *ir.Value, addr uint64) {
 func (r *vsaRecorder) FnEnter(fr *irexec.Frame)                           {}
 func (r *vsaRecorder) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) {}
 func (r *vsaRecorder) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32)     {}
-func (r *vsaRecorder) CallPre(fr *irexec.Frame, _ *ir.Value, _ []uint32)  {}
 func (r *vsaRecorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
 	switch r.watch[v] {
 	case watchAccess:

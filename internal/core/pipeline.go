@@ -388,15 +388,13 @@ func (p *Pipeline) coldCands() []*coldrec.Candidate {
 }
 
 // replayTracer is a refinement tracer: it observes each input on a
-// private Fork, joins the forks back, reads interpreter state through
-// Bind, and filters the hooks it acts on statically (Observes, shared by
-// every fork).
+// private Fork, joins the forks back, and filters the hooks it acts on
+// statically (Observes, shared by every fork).
 type replayTracer interface {
 	irexec.Tracer
 	irexec.Observer
 	Fork() irexec.Tracer
 	Join(irexec.Tracer)
-	Bind(*irexec.Interp)
 }
 
 // runAll executes the current module under every input with a tracer
@@ -420,7 +418,6 @@ func (p *Pipeline) replay(prog *irexec.Program, tr replayTracer) (values, hooks 
 			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
 		}
 		ip.Tr = sub
-		sub.Bind(ip)
 		r, err := ip.Run()
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement run, input %d: %w", i, err)
@@ -499,8 +496,6 @@ type regsaveTracer struct {
 	*regsave.Tracer
 	va *varargs.Tracer
 }
-
-func (t *regsaveTracer) Bind(ip *irexec.Interp) { t.va.Bind(ip) }
 
 func (t *regsaveTracer) Fork() irexec.Tracer {
 	return &regsaveTracer{t.Tracer.Fork().(*regsave.Tracer), t.va.Fork().(*varargs.Tracer)}

@@ -11,6 +11,8 @@ package ir
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -338,6 +340,49 @@ func (m *Module) FuncByName(name string) *Func {
 		}
 	}
 	return nil
+}
+
+// IndirectGroups returns the functions that share a signature because they
+// appear together as targets of an indirect call, directly or through a
+// chain of such calls. Each group has at least two members, sorted by
+// name.
+func (m *Module) IndirectGroups() [][]*Func {
+	parent := make(map[*Func]*Func)
+	var find func(f *Func) *Func
+	find = func(f *Func) *Func {
+		p, ok := parent[f]
+		if !ok || p == f {
+			parent[f] = f
+			return f
+		}
+		r := find(p)
+		parent[f] = r
+		return r
+	}
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for _, v := range b.Insts {
+				if v.Op == OpCallInd && len(v.Targets) > 1 {
+					for _, tgt := range v.Targets[1:] {
+						parent[find(v.Targets[0])] = find(tgt)
+					}
+				}
+			}
+		}
+	}
+	byRoot := make(map[*Func][]*Func)
+	for f := range parent {
+		r := find(f)
+		byRoot[r] = append(byRoot[r], f)
+	}
+	var out [][]*Func
+	for _, g := range byRoot {
+		if len(g) > 1 {
+			slices.SortFunc(g, func(a, b *Func) int { return strings.Compare(a.Name, b.Name) })
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // ParamByReg returns the parameter carrying virtual register r, or nil.

@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,5 +173,35 @@ func TestOpClassifiers(t *testing.T) {
 	}
 	if !ir.OpAdd.IsBinALU() || !ir.OpSar.IsBinALU() || ir.OpNeg.IsBinALU() {
 		t.Error("IsBinALU wrong")
+	}
+}
+
+// IndirectGroups unions the targets of each indirect call transitively
+// and leaves out functions that share no indirect call site.
+func TestIndirectGroups(t *testing.T) {
+	m := ir.NewModule("t")
+	fs := map[string]*ir.Func{}
+	for i, n := range []string{"main", "c", "b", "a", "d", "f", "e"} {
+		fs[n] = m.NewFunc(n, uint32(0x1000+0x100*i))
+	}
+	b := fs["main"].NewBlock(0)
+	for _, targets := range [][]string{{"c", "b"}, {"a", "b"}, {"d"}, {"f", "e"}} {
+		call := fs["main"].NewValue(ir.OpCallInd, b.Append(fs["main"].NewValue(ir.OpConst)))
+		for _, n := range targets {
+			call.Targets = append(call.Targets, fs[n])
+		}
+		b.Append(call)
+	}
+	var got []string
+	for _, g := range m.IndirectGroups() {
+		var names []string
+		for _, f := range g {
+			names = append(names, f.Name)
+		}
+		got = append(got, strings.Join(names, ","))
+	}
+	slices.Sort(got)
+	if want := []string{"a,b,c", "e,f"}; !slices.Equal(got, want) {
+		t.Errorf("groups = %v, want %v", got, want)
 	}
 }

@@ -98,22 +98,18 @@ func (t regsaveVarargs) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res u
 func TestCallRetZeroAlloc(t *testing.T) {
 	tracers := []struct {
 		name string
-		tr   func(mod *ir.Module, ip *irexec.Interp) irexec.Tracer
+		tr   func(mod *ir.Module) irexec.Tracer
 	}{
-		{"bare", func(*ir.Module, *irexec.Interp) irexec.Tracer { return nil }},
-		{"regsave+varargs", func(_ *ir.Module, ip *irexec.Interp) irexec.Tracer {
-			va := varargs.NewTracer()
-			va.Bind(ip)
-			return regsaveVarargs{regsave.NewTracer(), va}
+		{"bare", func(*ir.Module) irexec.Tracer { return nil }},
+		{"regsave+varargs", func(*ir.Module) irexec.Tracer {
+			return regsaveVarargs{regsave.NewTracer(), varargs.NewTracer()}
 		}},
-		{"vartrack", func(mod *ir.Module, ip *irexec.Interp) irexec.Tracer {
+		{"vartrack", func(mod *ir.Module) irexec.Tracer {
 			offs := make(map[*ir.Func]stackref.Offsets)
 			for _, f := range mod.Funcs {
 				offs[f] = stackref.Analyze(f)
 			}
-			tr := vartrack.NewTracer(offs)
-			tr.Bind(ip)
-			return tr
+			return vartrack.NewTracer(offs)
 		}},
 	}
 	for _, tc := range tracers {
@@ -123,7 +119,7 @@ func TestCallRetZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ip.Tr = tc.tr(mod, ip)
+			ip.Tr = tc.tr(mod)
 			ip.MaxSteps = ^uint64(0)
 			args := []uint32{isa.StackTop, 5, 7}
 			dest := make([]uint32, wrap.NumRet)

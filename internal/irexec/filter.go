@@ -5,8 +5,8 @@ import "wytiwyg/internal/ir"
 // Observer is implemented by a tracer whose Exec and Phi hooks act on only
 // some of a function's instructions and phi moves. A Program built with an
 // Observer asks it once per function, when it compiles the function, and
-// calls Exec and Phi only where the returned Filter says so; FnEnter,
-// FnExit and CallPre always fire.
+// calls Exec and Phi only where the returned Filter says so; FnEnter and
+// FnExit always fire.
 //
 // A Filter must be sound for every tracer the Program's interpreters run:
 // a hook it skips must be one that would have changed nothing. The usual

@@ -98,10 +98,6 @@ func (r *recorder) Phi(fr *irexec.Frame, phi, in *ir.Value, val uint32) {
 	r.event('P', fr, phi.ID, in.ID, nil, val)
 }
 
-func (r *recorder) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {
-	r.event('C', fr, call.ID, -1, args, 0)
-}
-
 func (r *recorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
 	r.event('V', fr, v.ID, -1, args, res)
 }
@@ -313,6 +309,27 @@ func TestHookStreamRandomModules(t *testing.T) {
 			diff(t, name, mod, nil, machine.Input{}, budget)
 		}
 	}
+}
+
+// FuzzHookStream is the random-module differential as a native fuzz
+// target: the fuzzer picks the irgen seed, the arguments _start passes to
+// f and a step budget of at most 65,536 values, which cuts some runs short
+// and keeps every input fast. Each module runs on both interpreters
+// unfiltered and under regsave's and varargs' filters. The seed corpus
+// holds seeds of TestHookStreamRandomModules, run to completion and cut
+// after one value.
+func FuzzHookStream(f *testing.F) {
+	for _, seed := range []int64{1, 2, 17, 64, 200} {
+		f.Add(seed, int32(seed*7-300), int32(seed%13-6), uint16(0xFFFF))
+	}
+	f.Add(int64(3), int32(-279), int32(-3), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, a, b int32, cut uint16) {
+		mod := irgen.Build(seed, a, b)
+		name := fmt.Sprintf("irgen seed %d f(%d, %d)", seed, a, b)
+		budget := uint64(cut) + 1
+		diff(t, name, mod, nil, machine.Input{}, budget)
+		diff(t, name+", regsave filter", mod, irexec.Union(regsave.NewTracer(), varargs.NewTracer()), machine.Input{}, budget)
+	})
 }
 
 // TestHookStreamFailures checks the failure paths one by one: division

@@ -61,6 +61,9 @@ type Frame struct {
 	// caller's depth plus one otherwise. Live activations have distinct
 	// depths, which is how Slots keeps one table window per activation.
 	Depth int
+	// Mem is the address space the activation runs in, for tracers that
+	// read program memory (C strings, variadic arguments).
+	Mem *machine.Memory
 
 	// code is the compiled function; nil for frames built outside the
 	// interpreter.
@@ -104,10 +107,18 @@ func (fr *Frame) layout() (slots, words int) {
 // Tracer observes execution. All methods may be no-ops. Slices passed to
 // the hooks (args, rets) alias interpreter scratch buffers and must not be
 // retained past the call. Under a Program built with an Observer, Exec and
-// Phi fire only where the function's Filter observes; the other hooks
+// Phi fire only where the function's Filter observes; FnEnter and FnExit
 // always fire.
+//
+// An internal call (OpCall/OpCallInd) reaches the tracer as the callee's
+// FnEnter and FnExit, in which fr.Caller and fr.CallSite name the calling
+// activation and the call: a tracer reads the call's operands from the
+// caller's slots on entry and writes into the call's tuple words on exit,
+// as the paper's fnenter and fnexit do. No state needs to carry a call
+// between hooks.
 type Tracer interface {
-	// FnEnter fires after parameters are bound.
+	// FnEnter fires after parameters are bound, before the function's
+	// first instruction.
 	FnEnter(fr *Frame)
 	// FnExit fires just before the frame is popped, with the OpRet
 	// instruction and the return values.
@@ -115,10 +126,6 @@ type Tracer interface {
 	// Phi fires for each phi when control enters a block, with the selected
 	// incoming SSA value and its runtime value.
 	Phi(fr *Frame, phi *ir.Value, incoming *ir.Value, val uint32)
-	// CallPre fires before an internal call (OpCall/OpCallInd) transfers
-	// control, with the evaluated arguments; FnEnter for the callee follows
-	// immediately.
-	CallPre(fr *Frame, call *ir.Value, args []uint32)
 	// Exec fires after an instruction computed its result. For calls, args
 	// holds the evaluated arguments and result the first return value.
 	Exec(fr *Frame, v *ir.Value, args []uint32, result uint32)
@@ -228,7 +235,7 @@ func (ip *Interp) newFrame(c *code, args []uint32, caller *Frame, site *ir.Value
 		depth = caller.Depth + 1
 	}
 	if depth == len(ip.frames) {
-		ip.frames = append(ip.frames, new(Frame))
+		ip.frames = append(ip.frames, &Frame{Mem: ip.Mem})
 	}
 	fr := ip.frames[depth]
 	ip.epoch++
@@ -386,9 +393,6 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 					return fmt.Errorf("irexec: %s: indirect call to unknown 0x%x", c.fn.Name, argv[0])
 				}
 				target, args = ip.prog.entry(f), argv[1:]
-			}
-			if tr != nil {
-				tr.CallPre(fr, in.v, argv)
 			}
 			dest := fr.tuples[in.x : in.x+in.y]
 			if err := ip.call(target, args, fr, in.v, dest); err != nil {

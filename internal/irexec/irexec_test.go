@@ -104,16 +104,21 @@ func TestAllocaAndMemory(t *testing.T) {
 	}
 }
 
-// countingTracer verifies the hook contract: FnEnter/FnExit pairing and
-// Exec/Phi/CallPre invocations.
+// countingTracer verifies the hook contract: FnEnter/FnExit pairing, the
+// internal calls FnEnter sees through Frame.CallSite with the memory set,
+// and Exec/Phi invocations.
 type countingTracer struct {
-	enters, exits, execs, phis, callpres int
+	enters, exits, execs, phis, calls int
 }
 
-func (c *countingTracer) FnEnter(fr *irexec.Frame)                           { c.enters++ }
+func (c *countingTracer) FnEnter(fr *irexec.Frame) {
+	c.enters++
+	if fr.CallSite != nil && fr.Caller != nil && fr.Mem != nil {
+		c.calls++
+	}
+}
 func (c *countingTracer) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) { c.exits++ }
 func (c *countingTracer) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32)     { c.phis++ }
-func (c *countingTracer) CallPre(fr *irexec.Frame, _ *ir.Value, _ []uint32)  { c.callpres++ }
 func (c *countingTracer) Exec(fr *irexec.Frame, _ *ir.Value, _ []uint32, _ uint32) {
 	c.execs++
 }
@@ -163,8 +168,8 @@ func TestTracerHooks(t *testing.T) {
 	if tr.exits != 1 { // _start exits via external, callee via ret
 		t.Errorf("exits = %d, want 1", tr.exits)
 	}
-	if tr.callpres != 1 {
-		t.Errorf("callpres = %d, want 1", tr.callpres)
+	if tr.calls != 1 {
+		t.Errorf("calls = %d, want 1", tr.calls)
 	}
 	if tr.execs == 0 {
 		t.Error("no Exec events")

@@ -501,7 +501,6 @@ type tupleTracer struct {
 func (tr *tupleTracer) FnEnter(fr *irexec.Frame)                                            {}
 func (tr *tupleTracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32)               {}
 func (tr *tupleTracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {}
-func (tr *tupleTracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32)             {}
 func (tr *tupleTracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
 	if v.Op == ir.OpCall {
 		tr.got = append(tr.got, fr.Tuple(v)...)

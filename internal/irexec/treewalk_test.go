@@ -15,8 +15,8 @@ import (
 // against: it walks the IR itself, evaluating each block's phis against
 // the incoming edge (a scan of Preds), fetching every operand through
 // Frame.Get (declared here, as only the reference uses it) and
-// dispatching on ir.Op. Apart from setting Frame.Depth,
-// which the tracer slot tables need, dropping the old per-frame
+// dispatching on ir.Op. Apart from setting Frame.Depth and Frame.Mem,
+// which the tracers need, dropping the old per-frame
 // metadata file, and asking an Observer's filters before each Exec and
 // Phi hook, its code is the interpreter as it was before compilation.
 type treeWalker struct {
@@ -127,7 +127,7 @@ func (ip *treeWalker) newFrame(f *ir.Func, args []uint32, caller *Frame, site *i
 	lay := f.Layout()
 	fr := treeFramePool.Get().(*Frame)
 	ip.epoch++
-	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch = f, caller, site, ip.epoch
+	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch, fr.Mem = f, caller, site, ip.epoch, ip.Mem
 	fr.Depth = 0
 	if caller != nil {
 		fr.Depth = caller.Depth + 1
@@ -167,7 +167,7 @@ func (ip *treeWalker) newFrame(f *ir.Func, args []uint32, caller *Frame, site *i
 // freeFrame clears the frame's pointer-carrying state and returns it to the
 // pool. Frames on error paths are simply dropped (the run is terminal).
 func freeFrame(fr *Frame) {
-	fr.Fn, fr.Caller, fr.CallSite = nil, nil, nil
+	fr.Fn, fr.Caller, fr.CallSite, fr.Mem = nil, nil, nil, nil
 	treeFramePool.Put(fr)
 }
 
@@ -375,9 +375,6 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 		ip.nativeSP = (ip.nativeSP - sz) &^ (al - 1)
 		res = ip.nativeSP
 	case ir.OpCall:
-		if ip.Tr != nil {
-			ip.Tr.CallPre(fr, v, argv)
-		}
 		dest := fr.Tuple(v)
 		if err := ip.call(v.Callee, argv, fr, v, dest); err != nil {
 			return err
@@ -389,9 +386,6 @@ func (ip *treeWalker) exec(fr *Frame, v *ir.Value) error {
 		target := ip.Mod.FuncAt(argv[0])
 		if target == nil {
 			return fmt.Errorf("irexec: %s: indirect call to unknown 0x%x", fr.Fn.Name, argv[0])
-		}
-		if ip.Tr != nil {
-			ip.Tr.CallPre(fr, v, argv)
 		}
 		dest := fr.Tuple(v)
 		if err := ip.call(target, argv[1:], fr, v, dest); err != nil {

@@ -23,7 +23,7 @@ package regsave
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/irexec"
@@ -58,6 +58,10 @@ type fnReg struct {
 	r isa.Reg
 }
 
+// forward is a forwarding constraint: the class of register from joins
+// the class of register to.
+type forward struct{ from, to fnReg }
+
 // sym is a register symbol in one activation's slot table: sym r+1 tags
 // the value register r held at the activation's entry, and 0 means no
 // symbol. Symbols flow only within their activation — through phis,
@@ -74,7 +78,7 @@ func (s sym) reg() isa.Reg { return isa.Reg(s - 1) }
 type Tracer struct {
 	arg      map[fnReg]bool
 	violated map[fnReg]bool
-	forwards map[fnReg]map[fnReg]bool
+	forwards map[forward]bool
 	// shadow holds the symbols spilled to memory, by address: the storing
 	// activation's epoch shifted left by 8, or'ed with the symbol (0 means
 	// absent).
@@ -90,7 +94,7 @@ func NewTracer() *Tracer {
 	return &Tracer{
 		arg:      make(map[fnReg]bool),
 		violated: make(map[fnReg]bool),
-		forwards: make(map[fnReg]map[fnReg]bool),
+		forwards: make(map[forward]bool),
 	}
 }
 
@@ -129,22 +133,9 @@ func (t *Tracer) Fork() irexec.Tracer { return NewTracer() }
 // tracer observing all inputs sequentially.
 func (t *Tracer) Join(o irexec.Tracer) {
 	ot := o.(*Tracer)
-	for k := range ot.arg {
-		t.arg[k] = true
-	}
-	for k := range ot.violated {
-		t.violated[k] = true
-	}
-	for k, tos := range ot.forwards {
-		m := t.forwards[k]
-		if m == nil {
-			m = make(map[fnReg]bool, len(tos))
-			t.forwards[k] = m
-		}
-		for to := range tos {
-			m[to] = true
-		}
-	}
+	maps.Copy(t.arg, ot.arg)
+	maps.Copy(t.violated, ot.violated)
+	maps.Copy(t.forwards, ot.forwards)
 }
 
 const frameLimit = 1 << 16
@@ -162,17 +153,15 @@ func (t *Tracer) markArg(f *ir.Func, s sym) {
 }
 
 func (t *Tracer) addForward(f *ir.Func, s sym, callee *ir.Func, r isa.Reg) {
-	k := fnReg{f, s.reg()}
-	m := t.forwards[k]
-	if m == nil {
-		m = make(map[fnReg]bool)
-		t.forwards[k] = m
-	}
-	m[fnReg{callee, r}] = true
+	t.forwards[forward{fnReg{f, s.reg()}, fnReg{callee, r}}] = true
 }
 
-// FnEnter assigns symbols to the incoming registers.
+// FnEnter records the internal call that entered fr in its caller, then
+// assigns symbols to the incoming registers.
 func (t *Tracer) FnEnter(fr *irexec.Frame) {
+	if fr.Caller != nil {
+		t.call(fr.Caller, fr.CallSite)
+	}
 	w := t.syms.Enter(fr)
 	for _, p := range fr.Fn.Params {
 		if p.RegHint != isa.ESP {
@@ -196,9 +185,6 @@ func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
 	}
 }
 
-// CallPre implements irexec.Tracer (call handling happens in Exec).
-func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {}
-
 // Phi propagates symbols through SSA joins.
 func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
 	w := t.syms.Window(fr)
@@ -215,6 +201,41 @@ func (t *Tracer) inOwnFrame(fr *irexec.Frame, addr uint32) bool {
 // overlaps, including 4-byte entries starting up to 3 bytes below it.
 func (t *Tracer) invalidateShadow(addr uint32, size uint8) {
 	t.shadow.Clear(addr-3, uint32(size)+3)
+}
+
+// call observes the internal call v in fr as control enters its callee:
+// an indirect call's target symbol is an argument use, and each symbol
+// passed in a register is forwarded to every static callee and recorded
+// in the call's tuple words for the extracts.
+func (t *Tracer) call(fr *irexec.Frame, v *ir.Value) {
+	w := t.syms.Window(fr)
+	base, callees := 0, v.Targets
+	if v.Op == ir.OpCall {
+		callees = nil
+	} else {
+		base = 1
+		if s := at(w, v.Args[0]); s != 0 {
+			t.markArg(fr.Fn, s) // symbol used as a call target
+		}
+	}
+	rec := t.syms.Tuple(fr, v)
+	clear(rec)
+	for i := base; i < len(v.Args); i++ {
+		r := isa.Reg(i - base)
+		s := at(w, v.Args[i])
+		if s == 0 || r == isa.ESP {
+			continue
+		}
+		if v.Op == ir.OpCall {
+			t.addForward(fr.Fn, s, v.Callee, r)
+		}
+		for _, c := range callees {
+			t.addForward(fr.Fn, s, c, r)
+		}
+		if int(r) < len(rec) {
+			rec[r] = s
+		}
+	}
 }
 
 // Exec observes one executed instruction.
@@ -245,33 +266,8 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 			w[v.Slot()] = sym(e)
 		}
 	case ir.OpCall, ir.OpCallInd:
-		base, callees := 0, v.Targets
-		if v.Op == ir.OpCall {
-			callees = nil
-		} else {
-			base = 1
-			if s := at(w, v.Args[0]); s != 0 {
-				t.markArg(fr.Fn, s) // symbol used as a call target
-			}
-		}
-		rec := t.syms.Tuple(fr, v)
-		clear(rec)
-		for i := base; i < len(v.Args); i++ {
-			r := isa.Reg(i - base)
-			s := at(w, v.Args[i])
-			if s == 0 || r == isa.ESP {
-				continue
-			}
-			if v.Op == ir.OpCall {
-				t.addForward(fr.Fn, s, v.Callee, r)
-			}
-			for _, c := range callees {
-				t.addForward(fr.Fn, s, c, r)
-			}
-			if int(r) < len(rec) {
-				rec[r] = s
-			}
-		}
+		// Handled by the callee's FnEnter. Without this case an unfiltered
+		// replay would mark every symbol passed to a callee an argument.
 	case ir.OpExtract:
 		w[v.Slot()] = 0
 		if call := v.Args[0]; call.Op == ir.OpCall || call.Op == ir.OpCallInd {
@@ -296,13 +292,14 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 // the activation's own spill (so only in a function that stores a
 // may-symbol value) and an Extract of an internal call's forwarding
 // record (so only for a register whose argument may hold a symbol). Every
-// other slot stays zero. The filter observes:
+// other slot stays zero. Internal calls act in the callee's FnEnter, which
+// always fires. The filter observes:
 //
-//   - Store, Call and CallInd, always (they update the shadow, the
-//     forwarding records and the forwarding constraints);
+//   - Store, always (it updates the shadow);
 //   - Load, when its address or its result may hold a symbol;
 //   - Extract, when its result may;
-//   - any other instruction, when one of its operands may (markArg);
+//   - any other instruction but an internal call, when one of its
+//     operands may (markArg);
 //   - a phi move, when its incoming value may.
 //
 // A skipped hook would read only zero symbols and write zero into a slot
@@ -313,8 +310,10 @@ func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
 	for _, b := range f.Blocks {
 		for _, v := range b.Insts {
 			switch v.Op {
-			case ir.OpStore, ir.OpCall, ir.OpCallInd:
+			case ir.OpStore:
 				obs.Add(v)
+			case ir.OpCall, ir.OpCallInd:
+				// Acts in the callee's FnEnter.
 			case ir.OpLoad:
 				if may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0]) {
 					obs.Add(v)
@@ -435,18 +434,15 @@ func (t *Tracer) Classify(mod *ir.Module) Classes {
 	// it forwards to.
 	for changed := true; changed; {
 		changed = false
-		for k, tos := range t.forwards {
-			for to := range tos {
-				if state[to] > state[k] {
-					state[k] = state[to]
-					changed = true
-				}
+		for fw := range t.forwards {
+			if state[fw.to] > state[fw.from] {
+				state[fw.from] = state[fw.to]
+				changed = true
 			}
 		}
 	}
 	// Unify indirect-call groups.
-	groups := indirectGroups(mod)
-	for _, g := range groups {
+	for _, g := range mod.IndirectGroups() {
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			var max Class
 			for _, f := range g {
@@ -462,47 +458,6 @@ func (t *Tracer) Classify(mod *ir.Module) Classes {
 	for _, f := range mod.Funcs {
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			out[f][r] = state[fnReg{f, r}]
-		}
-	}
-	return out
-}
-
-// indirectGroups unions functions that appear together as targets of an
-// indirect call or tail-call dispatch.
-func indirectGroups(mod *ir.Module) [][]*ir.Func {
-	parent := make(map[*ir.Func]*ir.Func)
-	var find func(f *ir.Func) *ir.Func
-	find = func(f *ir.Func) *ir.Func {
-		if parent[f] == nil || parent[f] == f {
-			parent[f] = f
-			return f
-		}
-		root := find(parent[f])
-		parent[f] = root
-		return root
-	}
-	union := func(a, b *ir.Func) { parent[find(a)] = find(b) }
-	for _, f := range mod.Funcs {
-		for _, b := range f.Blocks {
-			for _, v := range b.Insts {
-				if v.Op == ir.OpCallInd && len(v.Targets) > 0 {
-					for _, tgt := range v.Targets[1:] {
-						union(v.Targets[0], tgt)
-					}
-				}
-			}
-		}
-	}
-	byRoot := make(map[*ir.Func][]*ir.Func)
-	for f := range parent {
-		r := find(f)
-		byRoot[r] = append(byRoot[r], f)
-	}
-	var out [][]*ir.Func
-	for _, g := range byRoot {
-		if len(g) > 1 {
-			sort.Slice(g, func(i, j int) bool { return g[i].Name < g[j].Name })
-			out = append(out, g)
 		}
 	}
 	return out

@@ -88,7 +88,7 @@ func ApplyJobs(mod *ir.Module, offs map[*ir.Func]stackref.Offsets,
 		}
 		argCount[f] = n
 	}
-	for _, group := range indirectGroups(mod) {
+	for _, group := range mod.IndirectGroups() {
 		max := 0
 		for _, f := range group {
 			if argCount[f] > max {
@@ -681,44 +681,6 @@ func replaceRefs(fi *fnInfo, offs stackref.Offsets) error {
 		}
 	}
 	return nil
-}
-
-// indirectGroups mirrors regsave's grouping: functions reachable from the
-// same indirect call site share a signature.
-func indirectGroups(mod *ir.Module) [][]*ir.Func {
-	parent := make(map[*ir.Func]*ir.Func)
-	var find func(f *ir.Func) *ir.Func
-	find = func(f *ir.Func) *ir.Func {
-		if parent[f] == nil || parent[f] == f {
-			parent[f] = f
-			return f
-		}
-		r := find(parent[f])
-		parent[f] = r
-		return r
-	}
-	for _, f := range mod.Funcs {
-		for _, b := range f.Blocks {
-			for _, v := range b.Insts {
-				if v.Op == ir.OpCallInd && len(v.Targets) > 1 {
-					for _, tgt := range v.Targets[1:] {
-						parent[find(v.Targets[0])] = find(tgt)
-					}
-				}
-			}
-		}
-	}
-	byRoot := map[*ir.Func][]*ir.Func{}
-	for f := range parent {
-		byRoot[find(f)] = append(byRoot[find(f)], f)
-	}
-	var out [][]*ir.Func
-	for _, g := range byRoot {
-		if len(g) > 1 {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // RecoveredLayout derives the recovered stack layout from the allocas that

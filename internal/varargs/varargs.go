@@ -18,7 +18,6 @@ import (
 
 // Tracer records observed argument counts per raw variadic call site.
 type Tracer struct {
-	ip *irexec.Interp
 	// Counts is the maximal observed argument count per call site.
 	Counts map[*ir.Value]int
 	// failed records why a site's count could not be derived: its extern
@@ -33,10 +32,6 @@ func NewTracer() *Tracer {
 		failed: make(map[*ir.Value]error),
 	}
 }
-
-// Bind gives the tracer access to the interpreter's memory (the core
-// pipeline calls this before each run).
-func (t *Tracer) Bind(ip *irexec.Interp) { t.ip = ip }
 
 // Fork returns a fresh tracer for one input's run; per-input argument
 // counts merge with Join.
@@ -68,9 +63,6 @@ func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {}
 // Phi implements irexec.Tracer.
 func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {}
 
-// CallPre implements irexec.Tracer.
-func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {}
-
 // Observes implements irexec.Observer: Exec acts on OpCallExtRaw only,
 // Phi on nothing.
 func (t *Tracer) Observes(f *ir.Func) irexec.Filter { return rawCalls{} }
@@ -84,7 +76,7 @@ func (rawCalls) Phi(phi, in *ir.Value) bool { return false }
 
 // Exec watches raw variadic calls and derives their exact signatures.
 func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	if v.Op != ir.OpCallExtRaw || t.ip == nil {
+	if v.Op != ir.OpCallExtRaw {
 		return
 	}
 	sig, ok := extdb.Lookup(v.Sym)
@@ -99,12 +91,12 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		}
 		// The format string is fixed argument eff.A; arguments live on the
 		// emulated stack at the call's ESP.
-		fmtAddr, err := t.ip.Mem.Load(args[0]+uint32(4*eff.A), 4)
+		fmtAddr, err := fr.Mem.Load(args[0]+uint32(4*eff.A), 4)
 		if err != nil {
 			t.failed[v] = err
 			return
 		}
-		format, err := t.ip.Mem.CString(fmtAddr)
+		format, err := fr.Mem.CString(fmtAddr)
 		if err != nil {
 			t.failed[v] = err
 			return

@@ -65,7 +65,6 @@ int main() {
 		t.Fatal(err)
 	}
 	ip.Tr = tr
-	tr.Bind(ip)
 	if _, err := ip.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +147,7 @@ int main() {
 		t.Fatal(err)
 	}
 	tr := varargs.NewTracer()
-	tr.Bind(ip)
-	tr.Exec(&irexec.Frame{Fn: fn}, site, []uint32{0x1000}, 0)
+	tr.Exec(&irexec.Frame{Fn: fn, Mem: ip.Mem}, site, []uint32{0x1000}, 0)
 	err = varargs.Apply(p.Mod, tr)
 	if err == nil {
 		t.Fatal("raw call to an unknown extern accepted")

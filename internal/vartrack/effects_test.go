@@ -51,7 +51,6 @@ main:
 		t.Fatal(err)
 	}
 	ip.Tr = tr
-	tr.Bind(ip)
 	if _, err := ip.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,6 @@ type Result struct {
 
 // Tracer is the §4.2 instrumentation runtime.
 type Tracer struct {
-	ip   *irexec.Interp
 	offs map[*ir.Func]stackref.Offsets
 
 	res *Result
@@ -102,16 +101,6 @@ type Tracer struct {
 	// tuple words of a call site hold the metadata of the callee's return
 	// values, for the extracts.
 	pis irexec.Slots[ptr]
-
-	// pendArgs and pendOff carry argument metadata from CallPre to the
-	// callee's FnEnter: a stack of groups, group i starting at
-	// pendArgs[pendOff[i]]. exitFn and exitPIs carry return metadata from
-	// FnExit to the caller's Exec of the call (exitFn is nil when none is
-	// pending).
-	pendArgs []ptr
-	pendOff  []int
-	exitFn   *ir.Func
-	exitPIs  []ptr
 
 	// tabs holds each executed function's direct-reference table, built on
 	// first use; lastFn/lastTab memoize the most recent lookup.
@@ -145,9 +134,6 @@ func NewTracer(offs map[*ir.Func]stackref.Offsets) *Tracer {
 	}
 }
 
-// Bind gives the tracer interpreter access (memory for the §5.3 effects).
-func (t *Tracer) Bind(ip *irexec.Interp) { t.ip = ip }
-
 // Result returns the accumulated analysis results.
 func (t *Tracer) Result() *Result { return t.res }
 
@@ -165,8 +151,8 @@ func (t *Tracer) varFor(fn *ir.Func, v *ir.Value, spoff int32) *StackVar {
 }
 
 // Fork returns a fresh tracer over the same direct-reference table for one
-// input's run. Each fork tracks its own StackVars, address map and
-// marshalling state; Join folds the fork's observations back.
+// input's run. Each fork tracks its own StackVars, address map and slot
+// tables; Join folds the fork's observations back.
 func (t *Tracer) Fork() irexec.Tracer { return NewTracer(t.offs) }
 
 // Join merges a forked tracer's result into t. StackVars are keyed by
@@ -298,8 +284,7 @@ func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
 // extracts (from a call's returned metadata) and CallExt (the DeriveRet
 // constraint); every other slot stays zero. The filter observes:
 //
-//   - direct references, Store, Call, CallInd, CallExt, CallExtRaw and
-//     Extract, always;
+//   - direct references, Store, CallExt, CallExtRaw and Extract, always;
 //   - Load, when its address or its result may hold a pointer;
 //   - Cmp, when both operands may (link);
 //   - Add, Sub, And and Subreg8, when the result may;
@@ -320,8 +305,7 @@ func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
 		for _, v := range b.Insts {
 			switch {
 			case direct.Has(v):
-			case v.Op == ir.OpStore, v.Op == ir.OpCall, v.Op == ir.OpCallInd,
-				v.Op == ir.OpCallExt, v.Op == ir.OpCallExtRaw, v.Op == ir.OpExtract:
+			case v.Op == ir.OpStore, v.Op == ir.OpCallExt, v.Op == ir.OpCallExtRaw, v.Op == ir.OpExtract:
 			case v.Op == ir.OpLoad && (may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0])):
 			case v.Op == ir.OpCmp && len(v.Args) > 1 && may.Has(v.Args[0]) && may.Has(v.Args[1]):
 			case derives(v.Op) && may.Has(v):
@@ -394,31 +378,39 @@ func (t *Tracer) invalidate(addr uint32, size uint8) {
 	t.addrMap.Clear(addr-3, uint32(size)+3)
 }
 
-// FnEnter binds incoming pointer metadata to parameters; the ESP parameter
-// is the frame's own sp0 base pointer.
+// FnEnter is fnenter: it binds the metadata of the call's arguments, read
+// from the caller's table, to the parameters; a parameter that is a direct
+// reference (the ESP parameter) is the frame's own sp0 base pointer.
 func (t *Tracer) FnEnter(fr *irexec.Frame) {
-	w := t.pis.Enter(fr)
-	var pend []ptr
-	if n := len(t.pendOff); n > 0 {
-		off := t.pendOff[n-1]
-		pend = t.pendArgs[off:]
-		t.pendArgs, t.pendOff = t.pendArgs[:off], t.pendOff[:n-1]
+	var caller []ptr
+	var args []*ir.Value
+	if call := fr.CallSite; call != nil {
+		caller, args = t.pis.Window(fr.Caller), call.Args
+		if call.Op == ir.OpCallInd {
+			args = args[1:]
+		}
 	}
+	w := t.pis.Enter(fr)
 	for i, p := range fr.Fn.Params {
 		if d, ok := t.direct(fr, p); ok {
 			w[p.Slot()] = d
-		} else if i < len(pend) {
-			w[p.Slot()] = pend[i]
+		} else if i < len(args) {
+			w[p.Slot()] = at(caller, args[i])
 		}
 	}
 }
 
-// FnExit captures returned pointer metadata for the caller.
+// FnExit is fnexit: it writes the returned values' metadata into the
+// call's tuple words in the caller's table, for the extracts.
 func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
+	if fr.Caller == nil {
+		return
+	}
 	w := t.pis.Window(fr)
-	t.exitFn, t.exitPIs = fr.Fn, t.exitPIs[:0]
-	for _, a := range ret.Args {
-		t.exitPIs = append(t.exitPIs, at(w, a))
+	tup := t.pis.Tuple(fr.Caller, fr.CallSite)
+	clear(tup)
+	for i, a := range ret.Args[:min(len(ret.Args), len(tup))] {
+		tup[i] = at(w, a)
 	}
 }
 
@@ -430,20 +422,6 @@ func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val ui
 		return
 	}
 	w[phi.Slot()] = at(w, incoming)
-}
-
-// CallPre marshals argument metadata to the callee (fnenter's register
-// list).
-func (t *Tracer) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {
-	base := 0
-	if call.Op == ir.OpCallInd {
-		base = 1
-	}
-	w := t.pis.Window(fr)
-	t.pendOff = append(t.pendOff, len(t.pendArgs))
-	for _, a := range call.Args[base:] {
-		t.pendArgs = append(t.pendArgs, at(w, a))
-	}
 }
 
 // Exec dispatches the core tracing operations.
@@ -507,16 +485,6 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if p := at(w, v.Args[1]); p.id != 0 && v.Size == 4 {
 			t.addrMap.Set(addr, p)
 		}
-	case ir.OpCall, ir.OpCallInd:
-		// The callee has run; attach its returned metadata for extracts.
-		rets := t.pis.Tuple(fr, v)
-		clear(rets)
-		if t.exitFn != nil {
-			if t.returnsTo(v, args) {
-				copy(rets, t.exitPIs)
-			}
-			t.exitFn = nil
-		}
 	case ir.OpExtract:
 		parent := v.Args[0]
 		// External calls carry their (single) result metadata directly on
@@ -535,21 +503,6 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 	case ir.OpCallExt:
 		t.extCall(fr, w, v, args, res)
 	}
-}
-
-// returnsTo reports whether the pending return metadata comes from the
-// callee of call: its direct callee, one of its indirect targets, or the
-// function at its runtime target address.
-func (t *Tracer) returnsTo(call *ir.Value, args []uint32) bool {
-	if call.Op == ir.OpCall {
-		return call.Callee == t.exitFn
-	}
-	for _, tgt := range call.Targets {
-		if tgt == t.exitFn {
-			return true
-		}
-	}
-	return t.ip != nil && t.ip.Mod.FuncAt(args[0]) == t.exitFn
 }
 
 // align records the alignment an AND with mask imposes on p's variable.
@@ -587,10 +540,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, w []ptr, v *ir.Value, args []uint32, 
 		return args[i]
 	}
 	cstrLen := func(addr uint32) int32 {
-		if t.ip == nil {
-			return 0
-		}
-		s, err := t.ip.Mem.CString(addr)
+		s, err := fr.Mem.CString(addr)
 		if err != nil {
 			return 0
 		}
@@ -653,10 +603,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, w []ptr, v *ir.Value, args []uint32, 
 			}
 		case extdb.FormatStr:
 			// %s arguments are NUL-terminated reads of their objects.
-			if t.ip == nil {
-				continue
-			}
-			format, err := t.ip.Mem.CString(argVal(eff.A))
+			format, err := fr.Mem.CString(argVal(eff.A))
 			if err != nil {
 				continue
 			}

@@ -38,7 +38,6 @@ func trace(t *testing.T, src string, prof gen.Profile, inputs []machine.Input) (
 			t.Fatal(err)
 		}
 		ip.Tr = tr
-		tr.Bind(ip)
 		if _, err := ip.Run(); err != nil {
 			t.Fatal(err)
 		}
