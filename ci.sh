@@ -65,16 +65,21 @@ step "examples" check_examples
 # filter-soundness test (each refinement replay's results with its filter
 # equal to its results without, mcf only under -short). That is the set
 # the blanket step also runs; it is named here so every differential of
-# the emulator and the interpreter reports in one step. Last, the
-# hook-stream fuzz target explores new random modules, arguments and step
-# budgets for 10 s, without the race detector (each input runs on one
-# goroutine).
+# the emulator and the interpreter reports in one step. Last, three fuzz
+# targets run for 10 s each, without the race detector (each input runs on
+# one goroutine): the hook-stream target explores new random modules,
+# arguments and step budgets, FuzzMiniC feeds inline mini-C (the daemon's
+# untrusted source) through the whole compiler, and FuzzJobDigest checks
+# that normalizing a daemon job twice changes neither the job nor its
+# digest.
 check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
     go test -race -short -run 'TestHookStream' -count=1 ./internal/irexec/
     go test -race -short -run 'TestReplayFilterSound' -count=1 ./internal/core/
     go test -run '^$' -fuzz '^FuzzHookStream$' -fuzztime 10s ./internal/irexec/
+    go test -run '^$' -fuzz '^FuzzMiniC$' -fuzztime 10s ./internal/minicc/
+    go test -run '^$' -fuzz '^FuzzJobDigest$' -fuzztime 10s ./internal/serve/
 }
 step "superblock and hook-stream differentials (-race)" check_race_differentials
 

@@ -177,7 +177,7 @@ func main() {
 		fail("lift: %v", err)
 	}
 	fmt.Printf("trace: %d instructions covered, %d functions recovered, %d tail calls\n",
-		len(p.Trace.Executed), len(p.Rec.Funcs), len(p.Rec.TailCalls))
+		p.Trace.Covered(), len(p.Rec.Funcs), len(p.Rec.TailCalls))
 
 	if err := p.Refine(); err != nil {
 		fail("refinement lifting: %v", err)

@@ -2,6 +2,7 @@ package coldrec
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,13 +27,10 @@ func discoverAsm(t *testing.T, src string) (*obj.Image, *tracer.CFG, *funcrec.Re
 func discoverImg(t *testing.T, img *obj.Image) (*obj.Image, *tracer.CFG, *funcrec.Result, *Result) {
 	t.Helper()
 	tr := tracer.New(img)
-	if _, err := tr.Run(machine.Input{}, nil); err != nil {
+	if _, err := tr.Run(machine.Input{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tr.BuildCFG()
 	rec, err := funcrec.Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,17 +304,40 @@ cold_disp:
 	}
 }
 
-// Merge must be fully reversible: after Unmerge the CFG and function set are
-// byte-identical to the pre-merge state (the lift-failure rollback path).
+// Merge must be fully reversible: after Unmerge the CFG, the function set
+// and the traced indirect call site's targets are identical to the
+// pre-merge state (the lift-failure rollback path).
 func TestMergeUnmergeRoundtrip(t *testing.T) {
-	_, cfg, rec, res := discoverAsm(t, hotPrefix+`
-cold_add:
-    load4 eax, [esp+4]
-    addi eax, 3
-    ret
-`)
+	b := asm.NewBuilder("t")
+	b.Func("main")
+	b.MovLabelAddr(isa.EBX, "cold_add") // taken address in traced code
+	b.MovLabelAddr(isa.ECX, "hot")
+	b.CallR(isa.ECX) // traced indirect site; Merge widens it with cold_add
+	b.Halt()
+	b.Func("hot")
+	b.MovI(isa.EAX, 1)
+	b.Ret()
+	b.Func("cold_add")
+	b.Load(isa.EAX, isa.MemRef{Base: isa.ESP, Index: isa.NoReg, Scale: 1, Disp: 4}, 4, false)
+	b.BinI(isa.ADDI, isa.EAX, 3)
+	b.Ret()
+	img, err := b.Link("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, cfg, rec, res := discoverImg(t, img)
 	if len(res.Cands) != 1 {
 		t.Fatalf("got %d candidates, want 1 (%+v)", len(res.Cands), res.Rejected)
+	}
+	entry := res.Cands[0].Entry
+	site := img.Entry + 2*isa.InstrSize
+	if img.Code[obj.IndexOf(site)].Op != isa.CALLR {
+		t.Fatalf("no callr at %#x", site)
+	}
+	targets := func() []uint32 { return cfg.Trace.Targets(site) }
+	preTargets := targets()
+	if len(preTargets) != 1 {
+		t.Fatalf("traced callr targets %v, want one", preTargets)
 	}
 	preBlocks := len(cfg.Blocks)
 	preFuncs := len(rec.Funcs)
@@ -324,9 +345,11 @@ cold_add:
 	if len(cfg.Blocks) == preBlocks {
 		t.Error("merge added no blocks")
 	}
-	entry := res.Cands[0].Entry
 	if rec.ByEntry[entry] == nil || rec.Owner[entry] == nil {
 		t.Error("merged function not registered")
+	}
+	if got := targets(); !slices.Contains(got, entry) {
+		t.Errorf("merged callr targets %v lack the cold entry %#x", got, entry)
 	}
 	Unmerge(cfg, rec, res)
 	if len(cfg.Blocks) != preBlocks || len(rec.Funcs) != preFuncs {
@@ -335,6 +358,9 @@ cold_add:
 	}
 	if rec.ByEntry[entry] != nil || rec.Owner[entry] != nil {
 		t.Error("unmerge left the cold function registered")
+	}
+	if got := targets(); !reflect.DeepEqual(got, preTargets) {
+		t.Errorf("unmerge left callr targets %v, want %v", got, preTargets)
 	}
 }
 

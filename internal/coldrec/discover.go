@@ -96,7 +96,7 @@ func (d *scanner) build(entry uint32, all map[uint32]bool) (*Candidate, string) 
 		if !isa.IsCodeAddr(pc, d.n) {
 			return nil, fmt.Sprintf("control reaches 0x%x outside the code section", pc)
 		}
-		if d.t.Executed[pc] {
+		if d.t.Ran(pc) {
 			return nil, fmt.Sprintf("overlaps traced code at 0x%x", pc)
 		}
 		f, reason := d.classify(pc, entry, all)

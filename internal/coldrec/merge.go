@@ -5,6 +5,7 @@ import (
 
 	"wytiwyg/internal/funcrec"
 	"wytiwyg/internal/isa"
+	"wytiwyg/internal/obj"
 	"wytiwyg/internal/tracer"
 )
 
@@ -12,11 +13,10 @@ import (
 // dynamic structures exactly if lifting the merged module fails.
 type mergeLog struct {
 	merged    bool
-	blocks    []uint32 // keys added to cfg.Blocks
-	funcs     []uint32 // entries added to rec (Funcs/ByEntry)
-	tails     []uint32 // sites added to cfg.TailJumps and rec.TailCalls
-	callSites []uint32 // sites whose CallTargets map Merge created
-	callPairs [][2]uint32
+	blocks    []uint32    // keys added to cfg.Blocks
+	funcs     []uint32    // entries added to rec (Funcs/ByEntry)
+	tails     []uint32    // sites added to cfg.TailJumps and rec.TailCalls
+	callPairs [][2]uint32 // (indirect call site, dispatch target) pairs added
 }
 
 // Merge splices the accepted candidates into the dynamic structures in
@@ -57,10 +57,7 @@ func Merge(cfg *tracer.CFG, rec *funcrec.Result, res *Result) {
 	// inputs exercised; other inputs may dispatch to a recovered cold
 	// function through the same site.
 	for i := range t.Img.Code {
-		if t.Img.Code[i].Op != isa.CALLR {
-			continue
-		}
-		if site := isa.CodeBase + uint32(i)*isa.InstrSize; t.Executed[site] {
+		if site := obj.AddrOf(i); t.Img.Code[i].Op == isa.CALLR && t.Ran(site) {
 			res.widen(t, site)
 		}
 	}
@@ -70,15 +67,8 @@ func Merge(cfg *tracer.CFG, rec *funcrec.Result, res *Result) {
 // widen adds the recovered dispatch set to the call site's target set,
 // logging each addition.
 func (r *Result) widen(t *tracer.Trace, site uint32) {
-	s := t.CallTargets[site]
-	if s == nil {
-		s = make(map[uint32]bool)
-		t.CallTargets[site] = s
-		r.log.callSites = append(r.log.callSites, site)
-	}
 	for _, e := range r.Dispatch {
-		if !s[e] {
-			s[e] = true
+		if t.AddIndirect(site, e) {
 			r.log.callPairs = append(r.log.callPairs, [2]uint32{site, e})
 		}
 	}
@@ -112,12 +102,7 @@ func Unmerge(cfg *tracer.CFG, rec *funcrec.Result, res *Result) {
 		delete(rec.TailCalls, site)
 	}
 	for _, pair := range res.log.callPairs {
-		if s := t.CallTargets[pair[0]]; s != nil {
-			delete(s, pair[1])
-		}
-	}
-	for _, site := range res.log.callSites {
-		delete(t.CallTargets, site)
+		t.RemoveIndirect(pair[0], pair[1])
 	}
 	res.log = mergeLog{}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wytiwyg/internal/isa"
@@ -126,30 +127,19 @@ func (p *Pipeline) funcBytes(entry uint32) []byte {
 func (p *Pipeline) funcKeyFor(name string, entry uint32) refcache.Key {
 	own := p.funcBytes(entry)
 	// Collect direct callees from the trace's observed call edges that
-	// originate inside this function's blocks.
-	calleeSet := make(map[uint32]bool)
+	// originate inside this function's blocks; a call always ends its block.
+	var callees []uint32
 	var extNames []string
 	if fr := p.Rec.ByEntry[entry]; fr != nil {
 		for _, start := range fr.Blocks {
-			b := p.CFG.Blocks[start]
-			if b == nil {
-				continue
-			}
-			for addr := start; addr <= b.End; addr += isa.InstrSize {
-				for target := range p.Trace.CallTargets[addr] {
-					calleeSet[target] = true
-				}
-				if name, ok := p.Trace.ExtCalls[addr]; ok {
-					extNames = append(extNames, name)
-				}
+			if b := p.CFG.Blocks[start]; b != nil && b.CallSite {
+				callees = append(callees, p.Trace.Targets(b.End)...)
+				extNames = append(extNames, p.Trace.ExtCall(b.End)...)
 			}
 		}
 	}
-	callees := make([]uint32, 0, len(calleeSet))
-	for a := range calleeSet {
-		callees = append(callees, a)
-	}
-	sort.Slice(callees, func(i, j int) bool { return callees[i] < callees[j] })
+	slices.Sort(callees)
+	callees = slices.Compact(callees)
 	sort.Strings(extNames)
 	h := sha256.New()
 	for _, a := range callees {

@@ -313,7 +313,7 @@ func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipe
 	p := newPipeline(img, inputs, opts)
 	err := p.timed("trace", func() error {
 		p.Trace = tracer.New(img)
-		return p.Trace.RunAllJobs(inputs, io.Discard, p.jobs())
+		return p.Trace.RunAll(inputs, p.jobs())
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing: %w", err)
@@ -328,15 +328,11 @@ func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipe
 // function recovery, optional cold-code discovery, and lifting — on
 // p.Trace.
 func (p *Pipeline) buildFromTrace() error {
-	err := p.timed("cfg", func() error {
-		cfg, err := p.Trace.BuildCFG()
-		p.CFG = cfg
-		return err
+	p.timed("cfg", func() error {
+		p.CFG = p.Trace.BuildCFG()
+		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("core: cfg: %w", err)
-	}
-	err = p.timed("funcrec", func() error {
+	err := p.timed("funcrec", func() error {
 		rec, err := funcrec.Recover(p.CFG)
 		p.Rec = rec
 		return err
@@ -749,15 +745,7 @@ func (p *Pipeline) lintFuncs() {
 			}
 		}
 		if p.Cache != nil && !hit[i] {
-			var vars []layout.Var
-			if fr := p.Recovered.Frame(f.Name); fr != nil {
-				vars = fr.Vars
-			}
-			p.Cache.PutFunc(keys[i], &refcache.FuncEntry{
-				Func:  f.Name,
-				Frame: vars,
-				Diags: reps[i].Diags,
-			})
+			p.Cache.PutFunc(keys[i], &refcache.FuncEntry{Func: f.Name, Diags: reps[i].Diags})
 		}
 	}
 }

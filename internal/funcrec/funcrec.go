@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"wytiwyg/internal/isa"
+	"wytiwyg/internal/obj"
 	"wytiwyg/internal/tracer"
 )
 
@@ -42,9 +43,11 @@ type Result struct {
 func Recover(cfg *tracer.CFG) (*Result, error) {
 	t := cfg.Trace
 	entries := map[uint32]bool{t.Img.Entry: true}
-	for _, s := range t.CallTargets {
-		for to := range s {
-			entries[to] = true
+	for i := range t.Img.Code {
+		if op := t.Img.Code[i].Op; op == isa.CALL || op == isa.CALLR {
+			for _, to := range t.Targets(obj.AddrOf(i)) {
+				entries[to] = true
+			}
 		}
 	}
 
@@ -208,7 +211,7 @@ func nameFor(t *tracer.Trace, entry uint32) string {
 // reported.
 func (r *Result) crossCheck(t *tracer.Trace) error {
 	for _, s := range t.Img.Syms {
-		if !t.Executed[s.Addr] {
+		if !t.Ran(s.Addr) {
 			continue
 		}
 		if _, ok := r.ByEntry[s.Addr]; ok {

@@ -20,13 +20,10 @@ func traceSrc(t *testing.T, src string, prof gen.Profile, inputs []machine.Input
 	if len(inputs) == 0 {
 		inputs = []machine.Input{{}}
 	}
-	if err := tr.RunAll(inputs, nil); err != nil {
+	if err := tr.RunAll(inputs, 1); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tr.BuildCFG()
 	res, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,14 +193,10 @@ shared:
 		t.Fatal(err)
 	}
 	tr := tracer.New(img)
-	if _, err := tr.Run(machine.Input{}, nil); err != nil {
+	if _, err := tr.Run(machine.Input{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Recover(cfg)
+	res, err := Recover(tr.BuildCFG())
 	if err != nil {
 		t.Fatal(err)
 	}

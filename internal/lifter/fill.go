@@ -248,7 +248,7 @@ func (l *fnLift) liftControl(b *ir.Block, mb *tracer.Block, pc uint32, in *isa.I
 		st.Size = 4
 		call := l.f.NewValue(ir.OpCallInd, append([]*ir.Value{tv}, l.regArgs(b)...)...)
 		call.NumRet = isa.NumRegs
-		for _, t := range tracer.Targets(l.cfg.Trace.CallTargets, pc) {
+		for _, t := range l.cfg.Trace.Targets(pc) {
 			callee := l.mod.FuncAt(t)
 			if callee == nil {
 				return fmt.Errorf("indirect call target 0x%x not recovered", t)

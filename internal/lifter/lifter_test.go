@@ -24,13 +24,10 @@ func liftProgram(t *testing.T, src string, prof gen.Profile, inputs []machine.In
 		inputs = []machine.Input{{}}
 	}
 	tr := tracer.New(img)
-	if err := tr.RunAll(inputs, nil); err != nil {
+	if err := tr.RunAll(inputs, 1); err != nil {
 		t.Fatalf("%s: trace: %v", prof.Name, err)
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatalf("%s: cfg: %v", prof.Name, err)
-	}
+	cfg := tr.BuildCFG()
 	rec, err := funcrec.Recover(cfg)
 	if err != nil {
 		t.Fatalf("%s: funcrec: %v", prof.Name, err)

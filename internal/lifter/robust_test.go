@@ -114,13 +114,10 @@ func TestRandomProgramsNeverPanic(t *testing.T) {
 		}
 		halted++
 		tr := tracer.New(img)
-		if _, err := tr.Run(machine.Input{}, nil); err != nil {
+		if _, err := tr.Run(machine.Input{}); err != nil {
 			continue
 		}
-		cfg, err := tr.BuildCFG()
-		if err != nil {
-			continue
-		}
+		cfg := tr.BuildCFG()
 		rec, err := funcrec.Recover(cfg)
 		if err != nil {
 			continue

@@ -215,42 +215,48 @@ int main() {
 	}
 }
 
+// BadCheckSrcs are invalid programs Compile must reject (exported for the
+// fuzz seeds in package minicc_test).
+var BadCheckSrcs = []string{
+	`int f() { return x; }`,                                              // undefined ident
+	`int f() { int a; a = "s"; return 0; }`,                              // string to int
+	`int f(int a) { a(); return 0; }`,                                    // call non-fn
+	`int f() { int a[2]; return a; }`,                                    // array return (ptr to int mismatch)
+	`void f() { return 1; }`,                                             // value in void fn
+	`int f() { return; }`,                                                // missing value
+	`int f() { 1 = 2; return 0; }`,                                       // not lvalue
+	`int f() { int *p; p = 5; return 0; }`,                               // int to ptr
+	`int f() { struct q s; return 0; }`,                                  // unknown struct
+	`struct s { int a; }; int f() { struct s v; return v.b; }`,           // no field
+	`int f() { int a; int a; return 0; }`,                                // redeclared
+	`int f() { switch (1) { case 1: break; case 1: break; } return 0; }`, // dup case
+	`int g(int a) { return a; } int f() { return g(); }`,                 // arity
+	`int f() { void *p; return *p; }`,                                    // deref void*
+}
+
 func TestCheckErrors(t *testing.T) {
-	bad := []string{
-		`int f() { return x; }`,                                              // undefined ident
-		`int f() { int a; a = "s"; return 0; }`,                              // string to int
-		`int f(int a) { a(); return 0; }`,                                    // call non-fn
-		`int f() { int a[2]; return a; }`,                                    // array return (ptr to int mismatch)
-		`void f() { return 1; }`,                                             // value in void fn
-		`int f() { return; }`,                                                // missing value
-		`int f() { 1 = 2; return 0; }`,                                       // not lvalue
-		`int f() { int *p; p = 5; return 0; }`,                               // int to ptr
-		`int f() { struct q s; return 0; }`,                                  // unknown struct
-		`struct s { int a; }; int f() { struct s v; return v.b; }`,           // no field
-		`int f() { int a; int a; return 0; }`,                                // redeclared
-		`int f() { switch (1) { case 1: break; case 1: break; } return 0; }`, // dup case
-		`int g(int a) { return a; } int f() { return g(); }`,                 // arity
-		`int f() { void *p; return *p; }`,                                    // deref void*
-	}
-	for _, src := range bad {
+	for _, src := range BadCheckSrcs {
 		if _, err := Compile(src); err == nil {
 			t.Errorf("accepted invalid program: %s", src)
 		}
 	}
 }
 
+// BadParseSrcs are sources Parse must reject (exported for the fuzz seeds
+// in package minicc_test).
+var BadParseSrcs = []string{
+	`int f( { return 0; }`,
+	`int f() { if return; }`,
+	`int f() { int a[0]; return 0; }`,
+	`int f() { for (;; { } return 0; }`,
+	`int 3x() { return 0; }`,
+	`int f() { return 1 +; }`,
+	`int f() { switch(1) { foo; } return 0; }`,
+	`struct s { int a; } int f() { return 0; }`, // missing ; after struct
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		`int f( { return 0; }`,
-		`int f() { if return; }`,
-		`int f() { int a[0]; return 0; }`,
-		`int f() { for (;; { } return 0; }`,
-		`int 3x() { return 0; }`,
-		`int f() { return 1 +; }`,
-		`int f() { switch(1) { foo; } return 0; }`,
-		`struct s { int a; } int f() { return 0; }`, // missing ; after struct
-	}
-	for _, src := range bad {
+	for _, src := range BadParseSrcs {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("parsed invalid program: %s", src)
 		}

@@ -56,14 +56,13 @@ func NewKey(tag string, parts ...[]byte) Key {
 	return k
 }
 
-// FuncEntry is the cached refinement outcome for one function: its
-// recovered frame layout and the per-function verification findings.
+// FuncEntry is the cached per-function verification outcome: a hit skips
+// that function's lint pass. Entries written with the former "frame" field
+// still decode; JSON ignores it.
 type FuncEntry struct {
 	// Func is the function's recovered name (diagnostic only; the key
 	// carries the identity).
 	Func string `json:"func"`
-	// Frame lists the recovered local stack objects, sorted by offset.
-	Frame []layout.Var `json:"frame"`
 	// Diags holds the function's lint findings from the run that produced
 	// the entry.
 	Diags []analysis.Diag `json:"diags"`

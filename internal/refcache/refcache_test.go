@@ -14,10 +14,6 @@ import (
 func testFuncEntry() *FuncEntry {
 	return &FuncEntry{
 		Func: "main",
-		Frame: []layout.Var{
-			{Name: "v1", Offset: -8, Size: 4},
-			{Name: "v2", Offset: -4, Size: 4},
-		},
 		Diags: []analysis.Diag{
 			{Check: "bounds", Severity: analysis.Warn, Func: "main",
 				Loc: "main:b2:4", Msg: "unbounded index"},
@@ -50,6 +46,30 @@ func TestFuncEntryRoundTrip(t *testing.T) {
 	}
 	if n, err := c.Len(); n != 1 || err != nil {
 		t.Errorf("Len = %d, %v, want 1, nil", n, err)
+	}
+}
+
+// An entry written while FuncEntry still carried the recovered frame must
+// keep decoding as a hit: the unknown field is ignored.
+func TestFuncEntryOldFrameDecodes(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKey("func", []byte("pass-1"), []byte("main"))
+	old := struct {
+		*FuncEntry
+		Frame []layout.Var `json:"frame"`
+	}{testFuncEntry(), []layout.Var{{Name: "v1", Offset: -8, Size: 4}}}
+	if err := c.put(k, old); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.GetFunc(k)
+	if !ok {
+		t.Fatal("an entry with a frame field missed")
+	}
+	if want := testFuncEntry(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }
 

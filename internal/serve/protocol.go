@@ -14,11 +14,11 @@
 //   - request-level single-flight dedup: concurrent requests for the
 //     same job digest join one in-flight computation and all receive the
 //     identical response;
-//   - per-function incremental re-lift: a pipeline run with the shared
-//     cache attached reuses the function-granularity entries of every
-//     function whose code (and traced callees) did not change, so
-//     submitting a slightly modified binary recomputes only the
-//     modified functions' results.
+//   - per-function lint reuse: a pipeline run with the shared cache
+//     attached reuses the function-granularity entries of every function
+//     whose code (and traced callees) did not change. A hit skips only
+//     that function's analysis.LintFunc; the trace, the lift and both
+//     refinement replays still run for a modified binary.
 //
 // Responses carry per-request statistics — cache hit rate, per-stage
 // wall-clock timings, and the queue depth at admission — next to a

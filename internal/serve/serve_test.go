@@ -317,7 +317,7 @@ int tweaked(int n) {
 }
 `
 
-// Per-function incremental re-lift: submitting a binary where only one
+// Per-function lint reuse: submitting a binary where only one
 // function changed reuses the unchanged functions' cache entries — the
 // response's func-granularity counters must show both hits (the
 // unchanged function) and misses (the edited function, and its callers
@@ -346,7 +346,7 @@ func TestServeIncrementalFuncReuse(t *testing.T) {
 		t.Error("edited binary served warm — the job digest missed the source change")
 	}
 	if second.Stats.FuncHits == 0 {
-		t.Error("edited binary reused no function entries — incremental re-lift not happening")
+		t.Error("edited binary reused no function entries — per-function lint reuse not happening")
 	}
 	if second.Stats.FuncMisses == 0 {
 		t.Error("edited binary missed nothing — the edited function was served stale")

@@ -1,7 +1,8 @@
 package tracer_test
 
 import (
-	"reflect"
+	"fmt"
+	"slices"
 	"testing"
 
 	"wytiwyg/internal/bench/progs"
@@ -12,14 +13,29 @@ import (
 	"wytiwyg/internal/tracer"
 )
 
+// refTrace holds the stepwise reference's observations in plain maps.
+type refTrace struct {
+	Executed    map[uint32]bool            // every instruction that ran
+	CallTargets map[uint32]map[uint32]bool // call site -> lifted callees
+	ExtCalls    map[uint32]string          // call site -> external name
+	JumpTargets map[uint32]map[uint32]bool // jump/branch site -> destinations
+	RetSites    map[uint32]bool            // executed rets
+}
+
 // stepwiseTrace is the independent reference for Trace.RunAll: it runs
 // every input through a manual Step loop and derives each control transfer
 // from the decoded instruction at the executed pc, with the target read
 // from the instruction's operands (calls) or the next pc (jumps and
-// branches). It shares nothing with the tracer but the Trace maps.
-func stepwiseTrace(t *testing.T, img *obj.Image, inputs []machine.Input) *tracer.Trace {
+// branches). It shares nothing with the tracer.
+func stepwiseTrace(t *testing.T, img *obj.Image, inputs []machine.Input) *refTrace {
 	t.Helper()
-	ref := tracer.New(img)
+	ref := &refTrace{
+		Executed:    make(map[uint32]bool),
+		CallTargets: make(map[uint32]map[uint32]bool),
+		ExtCalls:    make(map[uint32]string),
+		JumpTargets: make(map[uint32]map[uint32]bool),
+		RetSites:    make(map[uint32]bool),
+	}
 	add := func(m map[uint32]map[uint32]bool, from, to uint32) {
 		if m[from] == nil {
 			m[from] = make(map[uint32]bool)
@@ -66,10 +82,21 @@ func stepwiseTrace(t *testing.T, img *obj.Image, inputs []machine.Input) *tracer
 	return ref
 }
 
+// sortedKeys returns a reference target set in ascending order.
+func sortedKeys(s map[uint32]bool) []uint32 {
+	var out []uint32
+	for a := range s {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // TestTraceMatchesStepwise requires the tracer, which observes superblock
-// dispatch through BlockHook, to record exactly what the stepwise
-// reference derives, for every corpus program under every profile and its
-// trace inputs (only mcf under -short).
+// dispatch through BlockHook, to report through its methods exactly what
+// the stepwise reference derives, instruction by instruction, for every
+// corpus program under every profile and its trace inputs (only mcf under
+// -short).
 func TestTraceMatchesStepwise(t *testing.T) {
 	for _, p := range progs.All {
 		if testing.Short() && p.Name != "mcf" {
@@ -84,22 +111,40 @@ func TestTraceMatchesStepwise(t *testing.T) {
 					t.Fatalf("build: %v", err)
 				}
 				got := tracer.New(img)
-				if err := got.RunAll(p.Inputs(), nil); err != nil {
+				if err := got.RunAll(p.Inputs(), 1); err != nil {
 					t.Fatalf("trace: %v", err)
 				}
 				want := stepwiseTrace(t, img, p.Inputs())
-				for _, f := range []struct {
-					name      string
-					got, want any
-				}{
-					{"Executed", got.Executed, want.Executed},
-					{"CallTargets", got.CallTargets, want.CallTargets},
-					{"ExtCalls", got.ExtCalls, want.ExtCalls},
-					{"JumpTargets", got.JumpTargets, want.JumpTargets},
-					{"RetSites", got.RetSites, want.RetSites},
-				} {
-					if !reflect.DeepEqual(f.got, f.want) {
-						t.Errorf("%s differs from the stepwise reference", f.name)
+				if got.Covered() != len(want.Executed) {
+					t.Errorf("Covered = %d, reference %d", got.Covered(), len(want.Executed))
+				}
+				for i := range img.Code {
+					pc := obj.AddrOf(i)
+					op := img.Code[i].Op
+					var wantTargets []uint32
+					var wantExt []string
+					switch op {
+					case isa.CALL, isa.CALLR:
+						wantTargets = sortedKeys(want.CallTargets[pc])
+						if name, ok := want.ExtCalls[pc]; ok {
+							wantExt = []string{name}
+						}
+					case isa.JMP, isa.JMPR, isa.JCC:
+						wantTargets = sortedKeys(want.JumpTargets[pc])
+					}
+					for _, f := range []struct {
+						name      string
+						got, want any
+					}{
+						{"Ran", got.Ran(pc), want.Executed[pc]},
+						{"Targets", got.Targets(pc), wantTargets},
+						{"ExtCall", got.ExtCall(pc), wantExt},
+						{"ret", got.Ran(pc) && op == isa.RET, want.RetSites[pc]},
+					} {
+						// Printed, an empty list and a nil one compare equal.
+						if fmt.Sprint(f.got) != fmt.Sprint(f.want) {
+							t.Fatalf("%s at %#x (%v) = %v, reference %v", f.name, pc, op, f.got, f.want)
+						}
 					}
 				}
 			})

@@ -1,13 +1,13 @@
 // Package tracer performs dynamic control-flow recovery: it runs a binary in
 // the emulator under a set of user-provided inputs, recording every executed
-// block and every control transfer. This is the reproduction's
+// instruction and every control transfer. This is the reproduction's
 // analogue of BinRec's S2E-based binary tracer, including the merge of
 // per-input CFGs into one trace (Figure 4's "Merge CFGs" step).
 package tracer
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"sort"
 
 	"wytiwyg/internal/isa"
@@ -16,123 +16,183 @@ import (
 	"wytiwyg/internal/par"
 )
 
-// Trace is the merged dynamic CFG information for one binary.
+// Per-instruction flags of a Trace.
+const (
+	ran   uint8 = 1 << iota // the instruction executed under some input
+	fell                    // a JCC fell through to the next instruction
+	taken                   // a JCC branched to its target
+)
+
+// Trace is the merged dynamic CFG information for one binary, read through
+// its methods. It holds one byte of flags per instruction and, for the
+// indirect sites (CALLR, JMPR), a sorted list of observed targets. Every
+// other transfer is read from the instruction once it ran: a JMP or a
+// direct CALL reaches its immediate (an external when that is an external
+// address), a RET returns, and a JCC's flags say which of its two outcomes
+// were seen.
 type Trace struct {
 	Img *obj.Image // the traced binary
-	// Executed marks every instruction address that ran under any input.
-	Executed map[uint32]bool
-	// CallTargets maps a call-site address to the set of observed callee
-	// entry addresses (lifted code only; external calls are not included).
-	CallTargets map[uint32]map[uint32]bool
-	// ExtCalls maps a call-site address to the external function name.
-	ExtCalls map[uint32]string
-	// JumpTargets maps each jump/branch site to its observed targets
-	// (needed for indirect jumps; direct branches record their one or two
-	// outcomes).
-	JumpTargets map[uint32]map[uint32]bool
-	// RetSites marks addresses of executed ret instructions.
-	RetSites map[uint32]bool
 	// Inputs counts the merged runs.
 	Inputs int
+
+	flags []uint8    // per instruction
+	ind   [][]uint32 // per instruction: an indirect site's targets, ascending
 }
 
 // New returns an empty trace for an image.
 func New(img *obj.Image) *Trace {
-	return &Trace{
-		Img:         img,
-		Executed:    make(map[uint32]bool),
-		CallTargets: make(map[uint32]map[uint32]bool),
-		ExtCalls:    make(map[uint32]string),
-		JumpTargets: make(map[uint32]map[uint32]bool),
-		RetSites:    make(map[uint32]bool),
+	return &Trace{Img: img, flags: make([]uint8, len(img.Code)), ind: make([][]uint32, len(img.Code))}
+}
+
+// Ran reports whether the instruction at pc executed under any input.
+func (t *Trace) Ran(pc uint32) bool {
+	return isa.IsCodeAddr(pc, len(t.flags)) && t.flags[obj.IndexOf(pc)]&ran != 0
+}
+
+// Covered returns the number of instructions that executed.
+func (t *Trace) Covered() int {
+	n := 0
+	for _, f := range t.flags {
+		if f&ran != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// outcomes returns the opcode at pc and every destination its transfers
+// were seen to reach, ascending, so external addresses come last. An
+// indirect site also reports the targets AddIndirect gave it.
+func (t *Trace) outcomes(pc uint32) (op isa.Op, to []uint32) {
+	if !isa.IsCodeAddr(pc, len(t.flags)) {
+		return op, nil
+	}
+	i := obj.IndexOf(pc)
+	in, f := &t.Img.Code[i], t.flags[i]
+	switch {
+	case in.Op == isa.JMPR || in.Op == isa.CALLR:
+		to = append(to, t.ind[i]...)
+	case f&ran == 0:
+	case in.Op == isa.JMP || in.Op == isa.CALL:
+		to = []uint32{uint32(in.Imm)}
+	case in.Op == isa.JCC:
+		if f&fell != 0 {
+			to = append(to, pc+isa.InstrSize)
+		}
+		if f&taken != 0 {
+			to = append(to, uint32(in.Imm))
+		}
+		slices.Sort(to)
+		to = slices.Compact(to)
+	}
+	return in.Op, to
+}
+
+// extStart returns the index of the first external address in an
+// ascending destination list.
+func extStart(to []uint32) int {
+	return sort.Search(len(to), func(i int) bool { return isa.IsExtAddr(to[i]) })
+}
+
+// Targets returns the observed targets of the control transfer at pc, in
+// ascending order: a call's callees in lifted code (ExtCall reports its
+// externals), a jump's destinations, a conditional branch's taken target
+// and fall-through. It is empty for an instruction that is not a call or
+// a jump or that did not run, except at an indirect site AddIndirect
+// widened.
+func (t *Trace) Targets(pc uint32) []uint32 {
+	op, to := t.outcomes(pc)
+	if op == isa.CALL || op == isa.CALLR {
+		to = to[:extStart(to)]
+	}
+	return to
+}
+
+// ExtCall returns the names of the external functions the call at pc
+// reached, in address order: at most one for a direct CALL, any number for
+// a CALLR.
+func (t *Trace) ExtCall(pc uint32) []string {
+	op, to := t.outcomes(pc)
+	if op != isa.CALL && op != isa.CALLR {
+		return nil
+	}
+	var names []string
+	for _, a := range to[extStart(to):] {
+		name, _ := t.Img.ExtName(a)
+		names = append(names, name)
+	}
+	return names
+}
+
+// AddIndirect adds to to the targets of the indirect site (CALLR or JMPR)
+// at pc and reports whether it was new. The tracer records every observed
+// indirect transfer this way; cold-code recovery widens an indirect call's
+// dispatch set with it.
+func (t *Trace) AddIndirect(pc, to uint32) bool {
+	s := &t.ind[obj.IndexOf(pc)]
+	j, found := slices.BinarySearch(*s, to)
+	if !found {
+		*s = slices.Insert(*s, j, to)
+	}
+	return !found
+}
+
+// RemoveIndirect removes to from the targets of the indirect site at pc,
+// undoing an AddIndirect that reported true.
+func (t *Trace) RemoveIndirect(pc, to uint32) {
+	s := &t.ind[obj.IndexOf(pc)]
+	if j, found := slices.BinarySearch(*s, to); found {
+		*s = slices.Delete(*s, j, j+1)
 	}
 }
 
-func addTarget(m map[uint32]map[uint32]bool, from, to uint32) {
-	s := m[from]
-	if s == nil {
-		s = make(map[uint32]bool)
-		m[from] = s
-	}
-	s[to] = true
-}
-
-// Run executes the binary under one input and merges the observed control
-// flow into the trace. Program output is written to out (may be nil).
-func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) {
-	m, err := machine.New(t.Img, input, out)
+// Run executes the binary under one input and records the observed control
+// flow into the trace; the program's output is discarded. A failed run
+// leaves part of its observations in t, so its caller must discard the
+// trace (RunAll traces every input into a trace of its own).
+func (t *Trace) Run(input machine.Input) (machine.Result, error) {
+	m, err := machine.New(t.Img, input, nil)
 	if err != nil {
 		return machine.Result{}, err
 	}
-	// One BlockHook carries both observations: each reported block covers
-	// the instructions [start, end], and a block that ended at a control
-	// transfer carries it in tr. Coverage goes to a dense bitmap indexed by
-	// instruction number; the machine reports only blocks it executed, so
-	// both ends are in range.
-	cov := make([]bool, len(t.Img.Code))
+	// Each reported block covers the instructions [start, end], and a block
+	// that ended at a control transfer carries it in tr; the machine
+	// reports only blocks it executed, so both ends are in range. Only a
+	// branch's direction and an indirect site's target are not implied by
+	// the instruction that ran.
+	flags, code := t.flags, t.Img.Code
 	m.BlockHook = func(start, end uint32, tr machine.Transfer, term bool) {
-		for i := (start - isa.CodeBase) / isa.InstrSize; i <= (end-isa.CodeBase)/isa.InstrSize; i++ {
-			cov[i] = true
+		e := obj.IndexOf(end)
+		for i := obj.IndexOf(start); i <= e; i++ {
+			flags[i] |= ran
 		}
-		if term {
-			t.addTransfer(tr)
+		switch {
+		case !term || tr.Kind == machine.TransferRet:
+		case tr.Kind == machine.TransferBranch && tr.Taken:
+			flags[e] |= taken
+		case tr.Kind == machine.TransferBranch:
+			flags[e] |= fell
+		case code[e].Op == isa.JMPR || code[e].Op == isa.CALLR:
+			t.AddIndirect(tr.From, tr.To)
 		}
 	}
 	if err := m.Run(); err != nil {
 		return machine.Result{}, fmt.Errorf("tracer: %w", err)
 	}
-	// A failed run's trace is dropped by every caller, so coverage folds
-	// in only once the run succeeded.
-	for i, hit := range cov {
-		if hit {
-			t.Executed[obj.AddrOf(i)] = true
-		}
-	}
 	t.Inputs++
 	return machine.Result{ExitCode: m.ExitCode(), Cycles: m.TotalCycles(), Steps: m.Steps}, nil
 }
 
-// addTransfer folds one observed control transfer into the trace.
-func (t *Trace) addTransfer(tr machine.Transfer) {
-	switch tr.Kind {
-	case machine.TransferCall:
-		addTarget(t.CallTargets, tr.From, tr.To)
-	case machine.TransferExt:
-		name, _ := t.Img.ExtName(tr.To)
-		t.ExtCalls[tr.From] = name
-	case machine.TransferJump:
-		addTarget(t.JumpTargets, tr.From, tr.To)
-	case machine.TransferBranch:
-		addTarget(t.JumpTargets, tr.From, tr.To)
-	case machine.TransferRet:
-		t.RetSites[tr.From] = true
-	}
-}
-
-// RunAll merges traces for several inputs (incremental lifting's "provide
-// more inputs until coverage suffices").
-func (t *Trace) RunAll(inputs []machine.Input, out io.Writer) error {
-	return t.RunAllJobs(inputs, out, 1)
-}
-
-// RunAllJobs is RunAll over a bounded worker pool: every input is traced
-// into its own fresh Trace and the per-input traces are merged into t in
-// input order. Because a Trace is a collection of sets and Merge is a
-// union, the merged result is identical for every worker count; the
-// per-input program output is discarded (out only receives output under
-// jobs == 1, where inputs run in order).
-func (t *Trace) RunAllJobs(inputs []machine.Input, out io.Writer, jobs int) error {
-	if par.N(jobs) == 1 || len(inputs) == 1 {
-		for i := range inputs {
-			if _, err := t.Run(inputs[i], out); err != nil {
-				return fmt.Errorf("input %d: %w", i, err)
-			}
-		}
-		return nil
-	}
+// RunAll traces every input into its own Trace over a pool of jobs workers
+// (inline when jobs is 1; values < 1 mean one per CPU) and merges the
+// traces into t in input order (incremental lifting's "provide more inputs
+// until coverage suffices"). Because a Trace is a collection of sets and
+// Merge is a union, the result is identical for every worker count. On
+// error t is unchanged.
+func (t *Trace) RunAll(inputs []machine.Input, jobs int) error {
 	subs, err := par.Map(jobs, len(inputs), func(i int) (*Trace, error) {
 		sub := New(t.Img)
-		if _, err := sub.Run(inputs[i], io.Discard); err != nil {
+		if _, err := sub.Run(inputs[i]); err != nil {
 			return nil, fmt.Errorf("input %d: %w", i, err)
 		}
 		return sub, nil
@@ -148,37 +208,13 @@ func (t *Trace) RunAllJobs(inputs []machine.Input, out io.Writer, jobs int) erro
 
 // Merge folds another trace for the same image into t.
 func (t *Trace) Merge(o *Trace) {
-	for a := range o.Executed {
-		t.Executed[a] = true
-	}
-	for from, s := range o.CallTargets {
-		for to := range s {
-			addTarget(t.CallTargets, from, to)
+	for i, f := range o.flags {
+		t.flags[i] |= f
+		for _, to := range o.ind[i] {
+			t.AddIndirect(obj.AddrOf(i), to)
 		}
-	}
-	for from, name := range o.ExtCalls {
-		t.ExtCalls[from] = name
-	}
-	for from, s := range o.JumpTargets {
-		for to := range s {
-			addTarget(t.JumpTargets, from, to)
-		}
-	}
-	for a := range o.RetSites {
-		t.RetSites[a] = true
 	}
 	t.Inputs += o.Inputs
-}
-
-// Targets returns the sorted observed targets of a transfer site.
-func Targets(m map[uint32]map[uint32]bool, from uint32) []uint32 {
-	s := m[from]
-	out := make([]uint32, 0, len(s))
-	for a := range s {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Block is a recovered basic block: a maximal run of executed instructions
@@ -207,68 +243,59 @@ type CFG struct {
 	TailJumps map[uint32]bool
 }
 
-// BuildCFG derives basic blocks from the merged trace.
-func (t *Trace) BuildCFG() (*CFG, error) {
+// BuildCFG derives basic blocks from the merged trace, scanning the
+// instructions in address order.
+func (t *Trace) BuildCFG() *CFG {
 	img := t.Img
-	leaders := map[uint32]bool{img.Entry: true}
+	// A block starts at the entry, at every observed transfer target and
+	// after every executed transfer (the fall-through or return site), as
+	// far as those instructions ran.
+	leader := make([]bool, len(img.Code))
 	mark := func(a uint32) {
-		if t.Executed[a] {
-			leaders[a] = true
+		if t.Ran(a) {
+			leader[obj.IndexOf(a)] = true
 		}
 	}
-	for from, s := range t.JumpTargets {
-		for to := range s {
-			mark(to)
+	mark(img.Entry)
+	for i, in := range img.Code {
+		if pc := obj.AddrOf(i); in.Op.IsControl() && in.Op != isa.HALT && t.Ran(pc) {
+			for _, to := range t.Targets(pc) {
+				mark(to)
+			}
+			mark(pc + isa.InstrSize)
 		}
-		mark(from + isa.InstrSize) // instruction after a branch
-	}
-	for from, s := range t.CallTargets {
-		for to := range s {
-			mark(to)
-		}
-		mark(from + isa.InstrSize) // return site
-	}
-	for from := range t.ExtCalls {
-		mark(from + isa.InstrSize)
-	}
-	for from := range t.RetSites {
-		mark(from + isa.InstrSize)
 	}
 
 	cfg := &CFG{Trace: t, Blocks: make(map[uint32]*Block), TailJumps: make(map[uint32]bool)}
-	for start := range leaders {
-		if !t.Executed[start] {
+	for i, isLeader := range leader {
+		if !isLeader {
 			continue
 		}
+		start := obj.AddrOf(i)
 		blk := &Block{Start: start}
 		pc := start
+		// Every instruction walked ran, so it is in the code section.
 		for {
-			in, err := img.InstrAt(pc)
-			if err != nil {
-				return nil, fmt.Errorf("tracer: block at 0x%x: %w", start, err)
-			}
+			in := &img.Code[obj.IndexOf(pc)]
 			next := pc + isa.InstrSize
 			if in.Op.IsControl() {
 				blk.End = pc
 				switch in.Op {
-				case isa.JMP, isa.JMPR:
-					blk.Succs = Targets(t.JumpTargets, pc)
-				case isa.JCC:
-					blk.Succs = Targets(t.JumpTargets, pc)
+				case isa.JMP, isa.JMPR, isa.JCC:
+					blk.Succs = t.Targets(pc)
 				case isa.CALL, isa.CALLR:
 					blk.CallSite = true
-					if t.Executed[next] {
+					if t.Ran(next) {
 						blk.Succs = []uint32{next}
 					}
 				case isa.RET:
 					blk.IsRet = true
-				case isa.HALT:
 				}
 				break
 			}
-			if leaders[next] || !t.Executed[next] {
+			if !t.Ran(next) || leader[obj.IndexOf(next)] {
 				blk.End = pc
-				if t.Executed[next] && leaders[next] {
+				if t.Ran(next) {
 					blk.Succs = []uint32{next}
 				}
 				break
@@ -277,7 +304,7 @@ func (t *Trace) BuildCFG() (*CFG, error) {
 		}
 		cfg.Blocks[start] = blk
 	}
-	return cfg, nil
+	return cfg
 }
 
 // BlockStarts returns the sorted block start addresses.

@@ -1,11 +1,14 @@
 package tracer_test
 
 import (
+	"reflect"
 	"testing"
 
 	"wytiwyg/internal/asm"
+	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/obj"
 	"wytiwyg/internal/tracer"
 )
 
@@ -31,7 +34,7 @@ double:
 		t.Fatal(err)
 	}
 	tr := tracer.New(img)
-	res, err := tr.Run(machine.Input{}, nil)
+	res, err := tr.Run(machine.Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,19 +45,20 @@ double:
 		t.Errorf("Inputs = %d", tr.Inputs)
 	}
 	dblAddr, _ := img.SymAddr("double")
-	foundCall := false
-	for _, targets := range tr.CallTargets {
-		if targets[dblAddr] {
-			foundCall = true
+	callSite := img.Entry + isa.InstrSize
+	if got := tr.Targets(callSite); !reflect.DeepEqual(got, []uint32{dblAddr}) {
+		t.Errorf("call targets = %v, want [%#x]", got, dblAddr)
+	}
+	rets := 0
+	for i, in := range img.Code {
+		if in.Op == isa.RET && tr.Ran(obj.AddrOf(i)) {
+			rets++
 		}
 	}
-	if !foundCall {
-		t.Error("call to double not recorded")
+	if rets != 1 {
+		t.Errorf("executed rets = %d", rets)
 	}
-	if len(tr.RetSites) != 1 {
-		t.Errorf("RetSites = %d", len(tr.RetSites))
-	}
-	if len(tr.Executed) == 0 {
+	if tr.Covered() == 0 {
 		t.Error("no executed instructions recorded")
 	}
 }
@@ -75,13 +79,10 @@ main:
 		t.Fatal(err)
 	}
 	tr := tracer.New(img)
-	if _, err := tr.Run(machine.Input{}, nil); err != nil {
+	if _, err := tr.Run(machine.Input{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tr.BuildCFG()
 	// Blocks: entry (movi/movi), loop body, halt.
 	if len(cfg.Blocks) != 3 {
 		t.Errorf("blocks = %d: %v", len(cfg.Blocks), cfg.BlockStarts())
@@ -109,28 +110,28 @@ int main() {
 		t.Fatal(err)
 	}
 	t1 := tracer.New(img)
-	if _, err := t1.Run(machine.Input{Ints: []int32{5}}, nil); err != nil {
+	if _, err := t1.Run(machine.Input{Ints: []int32{5}}); err != nil {
 		t.Fatal(err)
 	}
 	t2 := tracer.New(img)
-	if _, err := t2.Run(machine.Input{Ints: []int32{-5}}, nil); err != nil {
+	if _, err := t2.Run(machine.Input{Ints: []int32{-5}}); err != nil {
 		t.Fatal(err)
 	}
-	only1 := len(t1.Executed)
+	only1 := t1.Covered()
 	t1.Merge(t2)
-	if len(t1.Executed) <= only1 {
-		t.Errorf("merge did not add coverage: %d -> %d", only1, len(t1.Executed))
+	if t1.Covered() <= only1 {
+		t.Errorf("merge did not add coverage: %d -> %d", only1, t1.Covered())
 	}
 	if t1.Inputs != 2 {
 		t.Errorf("Inputs after merge = %d", t1.Inputs)
 	}
 	// RunAll behaves like sequential runs.
 	t3 := tracer.New(img)
-	if err := t3.RunAll([]machine.Input{{Ints: []int32{5}}, {Ints: []int32{-5}}}, nil); err != nil {
+	if err := t3.RunAll([]machine.Input{{Ints: []int32{5}}, {Ints: []int32{-5}}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(t3.Executed) != len(t1.Executed) {
-		t.Errorf("RunAll coverage %d != merged %d", len(t3.Executed), len(t1.Executed))
+	if t3.Covered() != t1.Covered() {
+		t.Errorf("RunAll coverage %d != merged %d", t3.Covered(), t1.Covered())
 	}
 }
 
@@ -159,23 +160,20 @@ main:
 	tr := tracer.New(img)
 	if err := tr.RunAll([]machine.Input{
 		{Ints: []int32{0}}, {Ints: []int32{1}},
-	}, nil); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The jmpr site must have both observed targets.
 	found := false
-	for _, targets := range tr.JumpTargets {
-		if len(targets) == 2 {
+	for i, in := range img.Code {
+		if in.Op == isa.JMPR && len(tr.Targets(obj.AddrOf(i))) == 2 {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("indirect jump targets not merged across inputs")
 	}
-	cfg, err := tr.BuildCFG()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tr.BuildCFG()
 	if len(cfg.Blocks) < 3 {
 		t.Errorf("blocks = %d", len(cfg.Blocks))
 	}
