@@ -116,11 +116,12 @@ step "ablation smoke" go run ./cmd/experiments -exp ablation -progs mcf -scale 2
 step "partial-coverage smoke" go test -run 'TestStaticRecover' -count=1 ./internal/core/
 
 # Serve smoke: the recompilation daemon end to end. Start a daemon on a
-# throwaway unix socket and cache, submit the same binary twice, and check
-# (a) the repeat submission is answered warm from the shared cache, and
-# (b) both the cold and the warm payloads are byte-identical to the same
-# job run in-process (`submit -local`) — the determinism invariant
-# observed at the serving surface. Then drain gracefully.
+# throwaway unix socket and cache, submit the same recompile job twice, and
+# check (a) the repeat submission is answered warm from the shared cache,
+# and (b) both the cold and the warm payloads are byte-identical to the
+# same job run in-process (`submit -local`) — the determinism invariant
+# observed at the serving surface. Then the same for a lint job, which
+# pins the lint diagnostics across serving paths. Then drain gracefully.
 check_serve() {
     go build -o /tmp/wytiwyg-ci ./cmd/wytiwyg
     d=$(mktemp -d /tmp/wytiwyg-ci-serve.XXXXXX)
@@ -138,18 +139,20 @@ check_serve() {
         fi
         sleep 0.1
     done
-    /tmp/wytiwyg-ci submit -addr "$sock" -bench mcf -json >"$d/cold.json" 2>"$d/cold.err"
-    /tmp/wytiwyg-ci submit -addr "$sock" -bench mcf -json >"$d/warm.json" 2>"$d/warm.err"
-    if ! grep -q '^stats: warm' "$d/warm.err"; then
-        echo "serve smoke: repeat submission was not served warm" >&2
-        cat "$d/warm.err" >&2
-        exit 1
-    fi
-    /tmp/wytiwyg-ci submit -local -bench mcf -json >"$d/local.json" 2>/dev/null
-    if ! diff "$d/cold.json" "$d/warm.json" || ! diff "$d/cold.json" "$d/local.json"; then
-        echo "serve smoke: daemon payload differs between cold/warm/local runs" >&2
-        exit 1
-    fi
+    for kind in recompile lint; do
+        /tmp/wytiwyg-ci submit -addr "$sock" -kind $kind -bench mcf -json >"$d/cold.json" 2>"$d/cold.err"
+        /tmp/wytiwyg-ci submit -addr "$sock" -kind $kind -bench mcf -json >"$d/warm.json" 2>"$d/warm.err"
+        if ! grep -q '^stats: warm' "$d/warm.err"; then
+            echo "serve smoke: repeat $kind submission was not served warm" >&2
+            cat "$d/warm.err" >&2
+            exit 1
+        fi
+        /tmp/wytiwyg-ci submit -local -kind $kind -bench mcf -json >"$d/local.json" 2>/dev/null
+        if ! diff "$d/cold.json" "$d/warm.json" || ! diff "$d/cold.json" "$d/local.json"; then
+            echo "serve smoke: $kind payload differs between cold/warm/local runs" >&2
+            exit 1
+        fi
+    done
     /tmp/wytiwyg-ci submit -addr "$sock" -shutdown >/dev/null
     i=0
     while kill -0 "$pid" 2>/dev/null; do

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wytiwyg -src prog.c [-profile gcc12-O3] [-inputs 3,9] [-emit ir|asm|layout] [-sanitize]
-//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-cache] [-timings] [-vsa] [-types]
+//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-timings] [-vsa] [-types]
 //	wytiwyg lint [-src prog.c | -bench hmmer | -all] [-json] [-j 8] [-cache] [-vsa] [-types]
 //	wytiwyg types [-src prog.c | -bench hmmer] [-json] [-truth] [-j 8]
 //	wytiwyg serve [-addr unix:/tmp/wytiwyg.sock] [-cache-dir DIR] [-j 8] [-workers 4]
@@ -42,11 +42,12 @@
 //
 // -j bounds the refinement worker pool (0, the default, means one worker
 // per CPU); every output is byte-identical regardless of the worker count.
-// -cache memoizes refinement results in a content-addressed on-disk cache
-// so repeat runs on unchanged binaries skip recomputation; -cache-dir
-// overrides its location ($WYTIWYG_CACHE or the user cache directory by
-// default). -timings prints the per-stage wall-clock breakdown and, with
-// -vsa or -types, how many VSA fixpoints were computed and reused.
+// -timings prints the per-stage wall-clock breakdown and, with -vsa or
+// -types, how many VSA fixpoints were computed and reused. The lint
+// subcommand's -cache memoizes its layout and report in a
+// content-addressed on-disk cache so repeat runs on unchanged binaries
+// skip recomputation; -cache-dir overrides its location ($WYTIWYG_CACHE
+// or the user cache directory by default).
 package main
 
 import (
@@ -100,8 +101,6 @@ func main() {
 	staticFlag := flag.Bool("static-recover", false, "statically recover untraced functions, admitting only VSA-verified layouts")
 	debugPasses := flag.Bool("debug-passes", false, "re-verify IR invariants between every optimization pass")
 	jobs := flag.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
-	cacheOn := flag.Bool("cache", false, "memoize refinement results in the on-disk cache")
-	cacheDir := flag.String("cache-dir", "", "cache directory (implies -cache)")
 	timings := flag.Bool("timings", false, "print the per-stage wall-clock breakdown")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -121,7 +120,6 @@ func main() {
 	if err != nil {
 		fail("unknown -lint mode %q (want off, warn, fail)", *lintMode)
 	}
-	cache := openCache(*cacheOn, *cacheDir)
 
 	var src string
 	var inputs []machine.Input
@@ -171,7 +169,7 @@ func main() {
 	}
 
 	p, err := core.LiftBinaryOpts(img, inputs,
-		core.Options{Jobs: *jobs, Lint: lint, Cache: cache, VSA: *vsaFlag,
+		core.Options{Jobs: *jobs, Lint: lint, VSA: *vsaFlag,
 			Types: *typesFlag, StaticRecover: *staticFlag})
 	if err != nil {
 		fail("lift: %v", err)
@@ -210,10 +208,6 @@ func main() {
 	if *timings {
 		printTimings(p.Times)
 	}
-	if cache != nil {
-		fmt.Printf("cache: %s (%s)\n", cache.Stats(), cache.Dir())
-	}
-
 	if *sanitizeFlag {
 		checks := sanitize.Apply(p.Mod)
 		fmt.Printf("sanitizer: %d stack-bounds checks inserted\n", checks)

@@ -72,14 +72,12 @@ func submitMain(args []string) int {
 			return 1
 		}
 		r := &serve.Runner{Jobs: *jobs, Cache: openCache(*cacheOn, *cacheDir)}
-		pay, info, err := r.Run(job)
+		pay, _, err := r.Run(job)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)
 			return 1
 		}
 		resp = &serve.Response{Payload: pay}
-		resp.Stats.FuncHits = info.FuncHits
-		resp.Stats.FuncMisses = info.FuncMisses
 	} else {
 		var err error
 		resp, err = serve.Dial(*addr).Submit(job)
@@ -168,16 +166,15 @@ func printPayload(p *serve.Payload, asJSON bool) error {
 // stdout a pure function of the payload.
 func printStats(st *serve.Stats, local bool) {
 	if local {
-		fmt.Fprintf(os.Stderr, "stats: local run, %d func cache hit(s), %d miss(es)\n",
-			st.FuncHits, st.FuncMisses)
+		fmt.Fprintln(os.Stderr, "stats: local run")
 		return
 	}
 	how := "executed"
 	if st.Warm {
 		how = "warm"
 	}
-	fmt.Fprintf(os.Stderr, "stats: %s, hit rate %.2f (%d func hit(s), %d miss(es)), queue depth %d, %.2fms\n",
-		how, st.HitRate, st.FuncHits, st.FuncMisses, st.QueueDepth, st.TotalMs)
+	fmt.Fprintf(os.Stderr, "stats: %s, queue depth %d, %.2fms\n",
+		how, st.QueueDepth, st.TotalMs)
 	for _, s := range st.Stages {
 		fmt.Fprintf(os.Stderr, "  stage %-10s %8.2fms\n", s.Stage, s.Ms)
 	}

@@ -244,7 +244,9 @@ func CheckBounds(f *ir.Func, rep *Report) BoundsStats {
 		if !ok {
 			continue // unreachable
 		}
-		evalBlock(b, env.Clone(), func(v *ir.Value, env boundsEnv) {
+		// No two of Solve's states share storage, so replaying the block
+		// in its own in-state disturbs no other block's.
+		evalBlock(b, env, func(v *ir.Value, env boundsEnv) {
 			var addr *ir.Value
 			switch v.Op {
 			case ir.OpLoad, ir.OpStore:

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"slices"
 	"sort"
 
 	"wytiwyg/internal/isa"
@@ -86,75 +83,6 @@ func ProgramKey(img *obj.Image, inputs []machine.Input, opts Options) refcache.K
 // options.
 func (p *Pipeline) programKey() refcache.Key {
 	return ProgramKey(p.Img, p.Inputs, p.Options)
-}
-
-// funcBytes serializes one recovered function's machine code: each traced
-// block's start address followed by its encoded instructions. The traced
-// block set is part of the content — the same bytes reached by different
-// control flow are a different function to the refinement.
-func (p *Pipeline) funcBytes(entry uint32) []byte {
-	fr := p.Rec.ByEntry[entry]
-	if fr == nil {
-		return nil
-	}
-	var out []byte
-	var buf [isa.InstrSize]byte
-	for _, start := range fr.Blocks {
-		b := p.CFG.Blocks[start]
-		if b == nil {
-			continue
-		}
-		out = binary.LittleEndian.AppendUint32(out, start)
-		lo := (start - isa.CodeBase) / isa.InstrSize
-		hi := (b.End - isa.CodeBase) / isa.InstrSize
-		for i := lo; i <= hi && int(i) < len(p.Img.Code); i++ {
-			isa.Encode(buf[:], &p.Img.Code[i])
-			out = append(out, buf[:]...)
-		}
-	}
-	return out
-}
-
-// funcKey is the content address of one function's refinement outcome. It
-// covers the pass version, the input set, the function's own traced code
-// and a digest of every direct callee observed during tracing (internal
-// callees by their code, external ones by name) — the interprocedural
-// facts a function's refinement consumes (saved-register classes, argument
-// slots, variadic signatures) are derived from exactly those callees'
-// behaviour. Deeper indirect dependencies are deliberately not hashed;
-// this is the precision/reuse tradeoff of incremental lifting, and the
-// entries only feed the per-function verification findings, never the IR.
-func (p *Pipeline) funcKeyFor(name string, entry uint32) refcache.Key {
-	own := p.funcBytes(entry)
-	// Collect direct callees from the trace's observed call edges that
-	// originate inside this function's blocks; a call always ends its block.
-	var callees []uint32
-	var extNames []string
-	if fr := p.Rec.ByEntry[entry]; fr != nil {
-		for _, start := range fr.Blocks {
-			if b := p.CFG.Blocks[start]; b != nil && b.CallSite {
-				callees = append(callees, p.Trace.Targets(b.End)...)
-				extNames = append(extNames, p.Trace.ExtCall(b.End)...)
-			}
-		}
-	}
-	slices.Sort(callees)
-	callees = slices.Compact(callees)
-	sort.Strings(extNames)
-	h := sha256.New()
-	for _, a := range callees {
-		h.Write(p.funcBytes(a))
-	}
-	for _, n := range extNames {
-		fmt.Fprintf(h, "%d:%s", len(n), n)
-	}
-	return refcache.NewKey("func",
-		[]byte(PassVersion),
-		encodeInputs(p.Inputs),
-		[]byte(name),
-		own,
-		h.Sum(nil),
-	)
 }
 
 // RecoverLayout is the cached front door of the pipeline: recover the

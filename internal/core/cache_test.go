@@ -57,3 +57,30 @@ func TestProgramKeyOptions(t *testing.T) {
 		t.Errorf("table lists %d options, Options has %d fields", len(table), typ.NumField())
 	}
 }
+
+// A second Refine of the same program on the same cache finds its program
+// entry already in place and writes nothing.
+func TestRefineTwiceAddsNoPut(t *testing.T) {
+	img, err := gen.Build(pipelineSrc, gen.GCC12O3, "gcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := refcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []machine.Input{{Ints: []int32{54, 24}}}
+	opts := core.Options{Lint: core.LintWarn, Cache: cache}
+	for run := 1; run <= 2; run++ {
+		p, err := core.LiftBinaryOpts(img, inputs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Refine(); err != nil {
+			t.Fatal(err)
+		}
+		if s := cache.Stats(); s.Puts != 1 {
+			t.Errorf("after run %d: stats = %+v, want Puts 1", run, s)
+		}
+	}
+}

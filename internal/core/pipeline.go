@@ -78,7 +78,8 @@ type Options struct {
 	Jobs int
 	// Lint selects the post-refinement verification behaviour.
 	Lint LintMode
-	// Cache, when non-nil, memoizes refinement results across runs.
+	// Cache, when non-nil, receives the finished program's layout and
+	// report under its program key; RecoverLayout serves them back.
 	Cache *refcache.Cache
 	// VSA enables the value-set analysis stage after symbolization: every
 	// function's recovered layout is verified against a static
@@ -211,17 +212,6 @@ type Pipeline struct {
 	// replaced by trap stubs instead of failing the binary, keyed by
 	// function name with the causing error.
 	Degraded map[string]error
-
-	// FuncCacheHits counts the functions whose content-addressed cache key
-	// hit during this run (their per-function results were reused instead
-	// of recomputed). Unlike the shared Cache handle's Stats — which
-	// aggregate every concurrent pipeline sharing the handle — these
-	// counters are per-run, which is what a daemon needs to report an
-	// honest per-request hit rate for incremental re-lifts.
-	FuncCacheHits int
-	// FuncCacheMisses counts the functions whose key missed and whose
-	// results were computed and recorded this run (see FuncCacheHits).
-	FuncCacheMisses int
 
 	// Times records per-stage wall-clock costs in execution order.
 	Times []StageTime
@@ -714,39 +704,17 @@ func (p *Pipeline) admitCold() {
 }
 
 // lintFuncs runs the per-function verification checks over the worker pool
-// and merges the findings in module function order. With a cache attached,
-// a function whose content-addressed key hits reuses its recorded findings
-// and skips the checks; misses are computed and recorded.
+// and merges the findings in module function order.
 func (p *Pipeline) lintFuncs() {
 	funcs := p.Mod.Funcs
 	reps := make([]analysis.Report, len(funcs))
-	keys := make([]refcache.Key, len(funcs))
-	hit := make([]bool, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
-		if p.Cache != nil {
-			keys[i] = p.funcKeyFor(f.Name, f.Addr)
-			if e, ok := p.Cache.GetFunc(keys[i]); ok {
-				reps[i].Diags = e.Diags
-				hit[i] = true
-				return nil
-			}
-		}
 		analysis.LintFunc(f, p.Recovered.Frame(f.Name), p.Heights[f], &reps[i])
 		return nil
 	})
-	for i, f := range funcs {
+	for i := range reps {
 		p.Report.Merge(&reps[i])
-		if p.Cache != nil {
-			if hit[i] {
-				p.FuncCacheHits++
-			} else {
-				p.FuncCacheMisses++
-			}
-		}
-		if p.Cache != nil && !hit[i] {
-			p.Cache.PutFunc(keys[i], &refcache.FuncEntry{Func: f.Name, Diags: reps[i].Diags})
-		}
 	}
 }
 

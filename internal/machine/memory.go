@@ -113,25 +113,6 @@ func (m *Memory) store32Fast(addr uint32, v uint32) bool {
 	return false
 }
 
-// Load32 is Load(addr, 4) specialized for the emulator's dominant access
-// width: when the access stays inside the cached page, one comparison and
-// one bounds-checked slice read replace the size switch and page lookup.
-func (m *Memory) Load32(addr uint32) (uint32, error) {
-	if v, ok := m.load32Fast(addr); ok {
-		return v, nil
-	}
-	return m.Load(addr, 4)
-}
-
-// Store32 is Store(addr, v, 4) with the same cached-page fast path as
-// Load32.
-func (m *Memory) Store32(addr uint32, v uint32) error {
-	if m.store32Fast(addr, v) {
-		return nil
-	}
-	return m.Store(addr, v, 4)
-}
-
 // loadSlow assembles a load that straddles a page boundary byte by byte.
 func (m *Memory) loadSlow(addr uint32, size uint8) (uint32, error) {
 	var v uint32

@@ -3,7 +3,6 @@ package minicc
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // TypeKind discriminates Type.
@@ -156,9 +155,6 @@ func (t *Type) IsScalar() bool {
 // IsInteger reports int/char.
 func (t *Type) IsInteger() bool { return t.Kind == TInt || t.Kind == TChar }
 
-// IsPtr reports pointer (not array).
-func (t *Type) IsPtr() bool { return t.Kind == TPtr }
-
 // Decay converts arrays to element pointers (as in C expression contexts).
 func (t *Type) Decay() *Type {
 	if t.Kind == TArray {
@@ -207,15 +203,4 @@ func (t *Type) String() string {
 		return "struct " + t.Struct.Name
 	}
 	return "?"
-}
-
-// StructString renders a struct definition (for diagnostics).
-func (s *StructType) StructString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "struct %s {", s.Name)
-	for _, f := range s.Fields {
-		fmt.Fprintf(&b, " %s %s@%d;", f.Type, f.Name, f.Offset)
-	}
-	b.WriteString(" }")
-	return b.String()
 }

@@ -47,11 +47,6 @@ type Image struct {
 	Name string
 }
 
-// CodeEnd returns the first address past the code section.
-func (im *Image) CodeEnd() uint32 {
-	return isa.CodeBase + uint32(len(im.Code))*isa.InstrSize
-}
-
 // InstrAt returns the instruction at a code address.
 func (im *Image) InstrAt(addr uint32) (*isa.Instr, error) {
 	if !isa.IsCodeAddr(addr, len(im.Code)) {

@@ -1,12 +1,10 @@
 // Package refcache is the content-addressed refinement cache: recovered
 // stack layouts and verification findings persist across wytiwyg runs,
 // keyed by a hash of everything the result depends on — the pass version,
-// the traced input set, and the relevant machine code (the whole binary
-// for program-level entries, the function plus its traced callees for
-// function-level entries). Because keys are content hashes, invalidation
-// is automatic: recompiling a function, changing the input set, or bumping
-// the pass version changes the key and the stale entry is simply never
-// found again. Entries live as one JSON file per key under a cache
+// the traced input set, and the whole binary's machine code. Because keys
+// are content hashes, invalidation is automatic: recompiling a function,
+// changing the input set, or bumping the pass version changes the key and
+// the stale entry is simply never found again. Entries live as one JSON file per key under a cache
 // directory; a corrupted or truncated entry is indistinguishable from a
 // miss (it is deleted and recomputed), so the cache can never make a run
 // fail — only faster.
@@ -28,6 +26,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -54,18 +53,6 @@ func NewKey(tag string, parts ...[]byte) Key {
 	var k Key
 	h.Sum(k[:0])
 	return k
-}
-
-// FuncEntry is the cached per-function verification outcome: a hit skips
-// that function's lint pass. Entries written with the former "frame" field
-// still decode; JSON ignores it.
-type FuncEntry struct {
-	// Func is the function's recovered name (diagnostic only; the key
-	// carries the identity).
-	Func string `json:"func"`
-	// Diags holds the function's lint findings from the run that produced
-	// the entry.
-	Diags []analysis.Diag `json:"diags"`
 }
 
 // ProgramEntry is the cached outcome of a whole binary's refinement: the
@@ -243,7 +230,17 @@ var quarantineSeq atomic.Int64
 
 // put stores v under k. Entries are written to a temporary file and
 // renamed into place so readers never observe a half-written entry.
+//
+// A key that already holds an entry decoding under this format version is
+// left as it is: keys are content addresses, so that entry already holds
+// v, and renaming over an existing file can cost tens of milliseconds on
+// a journaling filesystem where a read costs microseconds. Foreign and
+// corrupt entries are replaced.
 func (c *Cache) put(k Key, v any) error {
+	p := c.path(k)
+	if old, err := os.ReadFile(p); err == nil && decode(old, reflect.New(reflect.TypeOf(v)).Interface()) == decodeOK {
+		return nil
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("refcache: encode: %w", err)
@@ -252,7 +249,6 @@ func (c *Cache) put(k Key, v any) error {
 	if err != nil {
 		return fmt.Errorf("refcache: encode: %w", err)
 	}
-	p := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("refcache: %w", err)
 	}
@@ -277,18 +273,6 @@ func (c *Cache) put(k Key, v any) error {
 	c.count(func(s *Stats) { s.Puts++ })
 	return nil
 }
-
-// GetFunc looks up a function-level entry.
-func (c *Cache) GetFunc(k Key) (*FuncEntry, bool) {
-	var e FuncEntry
-	if !c.get(k, &e) {
-		return nil, false
-	}
-	return &e, true
-}
-
-// PutFunc stores a function-level entry.
-func (c *Cache) PutFunc(k Key, e *FuncEntry) error { return c.put(k, e) }
 
 // GetProgram looks up a program-level entry.
 func (c *Cache) GetProgram(k Key) (*ProgramEntry, bool) {

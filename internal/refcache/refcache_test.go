@@ -11,65 +11,15 @@ import (
 	"wytiwyg/internal/layout"
 )
 
-func testFuncEntry() *FuncEntry {
-	return &FuncEntry{
-		Func: "main",
+func testProgramEntry() *ProgramEntry {
+	return &ProgramEntry{
+		Frames: map[string][]layout.Var{
+			"main": {{Name: "x", Offset: -4, Size: 4}},
+		},
 		Diags: []analysis.Diag{
 			{Check: "bounds", Severity: analysis.Warn, Func: "main",
 				Loc: "main:b2:4", Msg: "unbounded index"},
 		},
-	}
-}
-
-func TestFuncEntryRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := NewKey("func", []byte("pass-1"), []byte("main"))
-	if _, ok := c.GetFunc(k); ok {
-		t.Fatal("hit on an empty cache")
-	}
-	want := testFuncEntry()
-	if err := c.PutFunc(k, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetFunc(k)
-	if !ok {
-		t.Fatal("miss after put")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip changed the entry:\ngot  %+v\nwant %+v", got, want)
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Puts != 1 || s.Corrupt != 0 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 put", s)
-	}
-	if n, err := c.Len(); n != 1 || err != nil {
-		t.Errorf("Len = %d, %v, want 1, nil", n, err)
-	}
-}
-
-// An entry written while FuncEntry still carried the recovered frame must
-// keep decoding as a hit: the unknown field is ignored.
-func TestFuncEntryOldFrameDecodes(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := NewKey("func", []byte("pass-1"), []byte("main"))
-	old := struct {
-		*FuncEntry
-		Frame []layout.Var `json:"frame"`
-	}{testFuncEntry(), []layout.Var{{Name: "v1", Offset: -8, Size: 4}}}
-	if err := c.put(k, old); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetFunc(k)
-	if !ok {
-		t.Fatal("an entry with a frame field missed")
-	}
-	if want := testFuncEntry(); !reflect.DeepEqual(got, want) {
-		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }
 
@@ -84,12 +34,21 @@ func TestProgramEntryRoundTrip(t *testing.T) {
 		{Check: "height", Severity: analysis.Error, Func: "main", Msg: "imbalance"},
 	}}
 	k := NewKey("program", []byte("image"))
+	if _, ok := c.GetProgram(k); ok {
+		t.Fatal("hit on an empty cache")
+	}
 	if err := c.PutProgram(k, ProgramFromLayout(prog, rep)); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := c.GetProgram(k)
 	if !ok {
 		t.Fatal("miss after put")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Puts != 1 || s.Corrupt != 0 {
+		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 put", s)
+	}
+	if n, err := c.Len(); n != 1 || err != nil {
+		t.Errorf("Len = %d, %v, want 1, nil", n, err)
 	}
 	prog2, rep2 := LayoutFromProgram(e)
 	if got, want := prog2.Frame("main").String(), prog.Frame("main").String(); got != want {
@@ -129,15 +88,15 @@ func TestPersistsAcrossOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
-	if err := c1.PutFunc(k, testFuncEntry()); err != nil {
+	k := NewKey("program", []byte("x"))
+	if err := c1.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.GetFunc(k); !ok {
+	if _, ok := c2.GetProgram(k); !ok {
 		t.Error("entry not visible through a fresh handle on the same directory")
 	}
 }
@@ -149,14 +108,14 @@ func TestCorruptEntryRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
-	if err := c.PutFunc(k, testFuncEntry()); err != nil {
+	k := NewKey("program", []byte("x"))
+	if err := c.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(c.path(k), []byte("{truncated garb"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); ok {
+	if _, ok := c.GetProgram(k); ok {
 		t.Fatal("corrupt entry served as a hit")
 	}
 	if s := c.Stats(); s.Corrupt != 1 {
@@ -166,10 +125,10 @@ func TestCorruptEntryRecovered(t *testing.T) {
 		t.Errorf("corrupt entry not removed: %v", err)
 	}
 	// The slot is reusable: a recompute stores and serves normally.
-	if err := c.PutFunc(k, testFuncEntry()); err != nil {
+	if err := c.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); !ok {
+	if _, ok := c.GetProgram(k); !ok {
 		t.Error("miss after recomputing the corrupt entry")
 	}
 }
@@ -184,7 +143,7 @@ func TestForeignVersionSurvivesGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
+	k := NewKey("program", []byte("x"))
 	data, err := json.Marshal(envelope{Version: version + 1, Payload: []byte(`{}`)})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +154,7 @@ func TestForeignVersionSurvivesGet(t *testing.T) {
 	if err := os.WriteFile(c.path(k), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); ok {
+	if _, ok := c.GetProgram(k); ok {
 		t.Fatal("foreign-version entry served as a hit")
 	}
 	if s := c.Stats(); s.Foreign != 1 || s.Corrupt != 0 || s.Misses != 1 {
@@ -209,7 +168,7 @@ func TestForeignVersionSurvivesGet(t *testing.T) {
 		t.Error("foreign-version entry rewritten by get")
 	}
 	// A second get behaves identically — the entry keeps surviving.
-	if _, ok := c.GetFunc(k); ok {
+	if _, ok := c.GetProgram(k); ok {
 		t.Fatal("foreign-version entry served as a hit on the second get")
 	}
 	if s := c.Stats(); s.Foreign != 2 {
@@ -224,11 +183,11 @@ func TestUndecodablePayloadTreatedAsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
-	if err := c.PutFunc(k, testFuncEntry()); err != nil {
+	k := NewKey("program", []byte("x"))
+	if err := c.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte(`{"func":"main","frame":null,"diags":[{"check":"x","severity":"catastrophic","func":"main","msg":"m"}]}`)
+	payload := []byte(`{"frames":{},"diags":[{"check":"x","severity":"catastrophic","func":"main","msg":"m"}]}`)
 	data, err := json.Marshal(envelope{Version: version, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +195,57 @@ func TestUndecodablePayloadTreatedAsCorrupt(t *testing.T) {
 	if err := os.WriteFile(c.path(k), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); ok {
+	if _, ok := c.GetProgram(k); ok {
 		t.Fatal("undecodable payload served as a hit")
 	}
 	if s := c.Stats(); s.Corrupt != 1 {
 		t.Errorf("stats = %+v, want Corrupt 1", s)
+	}
+}
+
+// Entries are content-addressed, so a put over an entry that decodes
+// under this format version writes nothing: the entry already holds the
+// value. A foreign-version or corrupt entry under the key is replaced.
+func TestPutKeepsValidEntry(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKey("program", []byte("x"))
+	want := testProgramEntry()
+	if err := c.PutProgram(k, want); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(c.path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutProgram(k, want); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Puts != 1 {
+		t.Errorf("stats = %+v, want Puts 1 after a put over a valid entry", s)
+	}
+	if after, err := os.Stat(c.path(k)); err != nil || !os.SameFile(before, after) {
+		t.Errorf("put over a valid entry replaced the file (err %v)", err)
+	}
+	foreign, err := json.Marshal(envelope{Version: version + 1, Payload: []byte(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, old := range [][]byte{foreign, []byte("{truncated garb")} {
+		if err := os.WriteFile(c.path(k), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PutProgram(k, want); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.Puts != 2+i {
+			t.Errorf("stats = %+v, want Puts %d: entry %q not replaced", s, 2+i, old)
+		}
+		if got, ok := c.GetProgram(k); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("after replacing %q: got %+v, %v, want %+v", old, got, ok, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestCorruptRemovalDoesNotDeleteConcurrentPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
+	k := NewKey("program", []byte("x"))
 	if err := os.MkdirAll(filepath.Dir(c.path(k)), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -29,16 +30,16 @@ func TestCorruptRemovalDoesNotDeleteConcurrentPut(t *testing.T) {
 	}
 	c.onCorrupt = func() {
 		c.onCorrupt = nil // fire once
-		if err := c.PutFunc(k, testFuncEntry()); err != nil {
+		if err := c.PutProgram(k, testProgramEntry()); err != nil {
 			t.Errorf("racing put: %v", err)
 		}
 	}
-	if _, ok := c.GetFunc(k); !ok {
+	if _, ok := c.GetProgram(k); !ok {
 		t.Error("get lost the race with put: valid entry not served")
 	}
 	// The decisive assertion: the entry the racing put installed is still
 	// on disk and still valid.
-	if _, ok := c.GetFunc(k); !ok {
+	if _, ok := c.GetProgram(k); !ok {
 		t.Error("racing put's entry was deleted by the corrupt-removal path")
 	}
 	if s := c.Stats(); s.Corrupt != 0 {
@@ -56,14 +57,14 @@ func TestCorruptRemovalLeavesNoQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
-	if err := c.PutFunc(k, testFuncEntry()); err != nil {
+	k := NewKey("program", []byte("x"))
+	if err := c.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(c.path(k), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); ok {
+	if _, ok := c.GetProgram(k); ok {
 		t.Fatal("corrupt entry served as a hit")
 	}
 	if _, err := os.Stat(c.path(k)); !os.IsNotExist(err) {
@@ -103,9 +104,9 @@ func TestConcurrentGetPutStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("stress"))
-	want := testFuncEntry()
-	if err := c.PutFunc(k, want); err != nil {
+	k := NewKey("program", []byte("stress"))
+	want := testProgramEntry()
+	if err := c.PutProgram(k, want); err != nil {
 		t.Fatal(err)
 	}
 	const iters = 200
@@ -115,7 +116,7 @@ func TestConcurrentGetPutStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if err := c.PutFunc(k, want); err != nil {
+				if err := c.PutProgram(k, want); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -127,7 +128,7 @@ func TestConcurrentGetPutStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if e, ok := c.GetFunc(k); ok && e.Func != want.Func {
+				if e, ok := c.GetProgram(k); ok && !reflect.DeepEqual(e, want) {
 					t.Errorf("get served wrong data: %+v", e)
 					return
 				}
@@ -148,10 +149,10 @@ func TestConcurrentGetPutStress(t *testing.T) {
 	}()
 	wg.Wait()
 	// Quiesced: one final put must be durable and served.
-	if err := c.PutFunc(k, want); err != nil {
+	if err := c.PutProgram(k, want); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetFunc(k); !ok {
+	if _, ok := c.GetProgram(k); !ok {
 		t.Error("final get missed after final put — a removal deleted valid data")
 	}
 	if n := quarantineFiles(t, c.dir); n != 0 {
@@ -167,8 +168,8 @@ func TestEntryModeWorldReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKey("func", []byte("x"))
-	if err := c.PutFunc(k, testFuncEntry()); err != nil {
+	k := NewKey("program", []byte("x"))
+	if err := c.PutProgram(k, testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(c.path(k))
@@ -188,7 +189,7 @@ func TestLenReportsWalkError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutFunc(NewKey("func", []byte("a")), testFuncEntry()); err != nil {
+	if err := c.PutProgram(NewKey("program", []byte("a")), testProgramEntry()); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := c.Len(); n != 1 || err != nil {

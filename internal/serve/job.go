@@ -30,23 +30,12 @@ type Runner struct {
 	// this only shapes latency.
 	Jobs int
 	// Cache, when non-nil, is the shared content-addressed store: program
-	// and function entries memoize pipeline work across requests, and the
-	// daemon stores whole response payloads under the job digest.
+	// entries memoize pipeline work across requests, and the daemon stores
+	// whole response payloads under the job digest.
 	Cache *refcache.Cache
 	// Observer, when non-nil, receives every pipeline stage event of every
 	// run (a test and benchmarking seam; it must be goroutine-safe).
 	Observer func(core.StageEvent)
-}
-
-// RunInfo reports how one execution went, for the response's stats.
-type RunInfo struct {
-	// Times holds the pipeline's per-stage wall-clock costs.
-	Times []core.StageTime
-	// FuncHits and FuncMisses are the run's function-granularity cache
-	// counters (see core.Pipeline).
-	FuncHits int
-	// FuncMisses counts recomputed functions (see FuncHits).
-	FuncMisses int
 }
 
 // build compiles the job's program and returns the image, the resolved
@@ -97,8 +86,8 @@ func (r *Runner) options(job *Job) core.Options {
 }
 
 // Run executes one normalized job and returns its deterministic payload
-// plus the run's statistics raw material.
-func (r *Runner) Run(job *Job) (*Payload, *RunInfo, error) {
+// plus the pipeline's per-stage wall-clock costs.
+func (r *Runner) Run(job *Job) (*Payload, []core.StageTime, error) {
 	img, inputs, name, err := r.build(job)
 	if err != nil {
 		return nil, nil, err
@@ -106,8 +95,7 @@ func (r *Runner) Run(job *Job) (*Payload, *RunInfo, error) {
 	var p *core.Pipeline
 	if job.Kind == KindRecompile {
 		// Recompilation needs the refined IR, which a program-level cache
-		// hit does not carry: run the pipeline (its function-granularity
-		// entries still hit).
+		// hit does not carry: run the whole pipeline.
 		p, err = core.LiftBinaryOpts(img, inputs, r.options(job))
 		if err == nil {
 			err = p.Refine()
@@ -142,12 +130,7 @@ func (r *Runner) Run(job *Job) (*Payload, *RunInfo, error) {
 			return nil, nil, err
 		}
 	}
-	info := &RunInfo{
-		Times:      p.Times,
-		FuncHits:   p.FuncCacheHits,
-		FuncMisses: p.FuncCacheMisses,
-	}
-	return pay, info, nil
+	return pay, p.Times, nil
 }
 
 // recompile finishes a KindRecompile job: optimize, generate code, and

@@ -5,23 +5,23 @@
 // (package refcache) as a shared store across requests and across
 // daemon restarts.
 //
-// The deployment shape is many clients submitting overlapping binaries
-// where most functions are already warm. Three mechanisms deliver that:
+// The deployment shape is many clients submitting overlapping jobs. Two
+// mechanisms serve repeats without recomputation:
 //
 //   - a serve-level response cache: every job's deterministic payload is
 //     stored under a content address of the normalized job, so a repeat
 //     submission is answered without running the pipeline at all;
 //   - request-level single-flight dedup: concurrent requests for the
 //     same job digest join one in-flight computation and all receive the
-//     identical response;
-//   - per-function lint reuse: a pipeline run with the shared cache
-//     attached reuses the function-granularity entries of every function
-//     whose code (and traced callees) did not change. A hit skips only
-//     that function's analysis.LintFunc; the trace, the lift and both
-//     refinement replays still run for a modified binary.
+//     identical response.
 //
-// Responses carry per-request statistics — cache hit rate, per-stage
-// wall-clock timings, and the queue depth at admission — next to a
+// Below them, a lift or lint job whose program was already recovered
+// under the same options is served from its program entry
+// (core.RecoverLayout) without tracing or lifting; any changed binary runs
+// the whole pipeline.
+//
+// Responses carry per-request statistics — whether the response was warm,
+// per-stage wall-clock timings, and the queue depth at admission — next to a
 // payload that is byte-identical to the equivalent one-shot CLI run
 // (the determinism invariant extended to the serving surface; see
 // DESIGN.md §15).
@@ -221,14 +221,11 @@ type Stats struct {
 	// Warm reports that the whole payload was served from the shared
 	// response cache without running the pipeline.
 	Warm bool `json:"warm"`
-	// FuncHits counts functions whose per-function cache entries were
-	// reused during the run (0 when warm: nothing ran).
+	// FuncHits is always 0: the per-function cache it counted is gone.
+	// The field stays for clients that still read it.
 	FuncHits int `json:"func_hits"`
-	// FuncMisses counts functions recomputed during the run (see FuncHits).
+	// FuncMisses is always 0 (see FuncHits).
 	FuncMisses int `json:"func_misses"`
-	// HitRate is the request's cache efficiency: 1.0 for a warm response,
-	// else FuncHits over all functions looked up.
-	HitRate float64 `json:"hit_rate"`
 	// QueueDepth is the number of requests queued or executing at the
 	// moment this request was admitted (including itself).
 	QueueDepth int `json:"queue_depth"`

@@ -15,7 +15,7 @@ func FuzzJobDigest(f *testing.F) {
 	f.Add(KindLift, "astar", "", "gcc44-O3", "off", true, false, false, []byte{5, 0, 0, 0})
 	f.Add(KindLint, "", "int main() { return 0; }", "clang16-O3", "fail", true, true, true,
 		[]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add(KindRecompile, "", incrementalSrcA, "gcc12-O0", "warn", false, true, false, []byte{5, 0, 0, 0})
+	f.Add(KindRecompile, "", inlineSrc, "gcc12-O0", "warn", false, true, false, []byte{5, 0, 0, 0})
 	f.Add("bogus", "mcf", "int main() { return 0; }", "gcc3", "loud", false, false, true, []byte{7})
 	f.Fuzz(func(t *testing.T, kind, bench, source, profile, lint string, vsa, types, static bool, raw []byte) {
 		j := Job{Kind: kind, Bench: bench, Source: source, Profile: profile, Lint: lint,

@@ -19,8 +19,8 @@ import (
 // Config assembles a daemon.
 type Config struct {
 	// Cache is the shared content-addressed store (required): response
-	// payloads, program entries and function entries all live there, and
-	// several daemons may share one directory.
+	// payloads and program entries live there, and several daemons may
+	// share one directory.
 	Cache *refcache.Cache
 	// Jobs bounds each pipeline's internal worker pool (0 = one per CPU).
 	Jobs int
@@ -175,7 +175,6 @@ func (s *Server) execute(job *Job, digest string, depth int, start time.Time) *R
 			Payload: &cached,
 			Stats: Stats{
 				Warm:       true,
-				HitRate:    1,
 				QueueDepth: depth,
 				TotalMs:    roundMs(time.Since(start)),
 			},
@@ -186,7 +185,7 @@ func (s *Server) execute(job *Job, digest string, depth int, start time.Time) *R
 	s.mu.Lock()
 	s.executed++
 	s.mu.Unlock()
-	pay, info, err := s.runner.Run(job)
+	pay, times, err := s.runner.Run(job)
 	if err != nil {
 		return &Response{
 			Error: err.Error(),
@@ -196,17 +195,11 @@ func (s *Server) execute(job *Job, digest string, depth int, start time.Time) *R
 	if s.cache != nil {
 		s.cache.PutJSON(key, pay)
 	}
-	stats := Stats{
-		FuncHits:   info.FuncHits,
-		FuncMisses: info.FuncMisses,
+	return &Response{Payload: pay, Stats: Stats{
 		QueueDepth: depth,
-		Stages:     stageMs(info.Times),
+		Stages:     stageMs(times),
 		TotalMs:    roundMs(time.Since(start)),
-	}
-	if n := info.FuncHits + info.FuncMisses; n > 0 {
-		stats.HitRate = float64(info.FuncHits) / float64(n)
-	}
-	return &Response{Payload: pay, Stats: stats}
+	}}
 }
 
 // handleStats serves the daemon-level counter snapshot.
