@@ -65,13 +65,14 @@ step "examples" check_examples
 # filter-soundness test (each refinement replay's results with its filter
 # equal to its results without, mcf only under -short). That is the set
 # the blanket step also runs; it is named here so every differential of
-# the emulator and the interpreter reports in one step. Last, three fuzz
+# the emulator and the interpreter reports in one step. Last, four fuzz
 # targets run for 10 s each, without the race detector (each input runs on
 # one goroutine): the hook-stream target explores new random modules,
 # arguments and step budgets, FuzzMiniC feeds inline mini-C (the daemon's
-# untrusted source) through the whole compiler, and FuzzJobDigest checks
+# untrusted source) through the whole compiler, FuzzJobDigest checks
 # that normalizing a daemon job twice changes neither the job nor its
-# digest.
+# digest, and FuzzDecode feeds arbitrary bytes to the instruction decoder
+# (decode, encode, decode must agree).
 check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
@@ -80,6 +81,7 @@ check_race_differentials() {
     go test -run '^$' -fuzz '^FuzzHookStream$' -fuzztime 10s ./internal/irexec/
     go test -run '^$' -fuzz '^FuzzMiniC$' -fuzztime 10s ./internal/minicc/
     go test -run '^$' -fuzz '^FuzzJobDigest$' -fuzztime 10s ./internal/serve/
+    go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/isa/
 }
 step "superblock and hook-stream differentials (-race)" check_race_differentials
 

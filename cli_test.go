@@ -139,6 +139,61 @@ int main() {
 		}
 	})
 
+	t.Run("wytiwyg-types-truth", func(t *testing.T) {
+		out, err := exec.Command(wytiwyg, "types", "-bench", "mcf", "-truth").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		s := string(out)
+		for _, want := range []string{"func main:", "compiler ground truth:", "typed accuracy:"} {
+			if !strings.Contains(s, want) {
+				t.Errorf("output lacks %q:\n%s", want, s)
+			}
+		}
+	})
+
+	t.Run("wytiwyg-types-json", func(t *testing.T) {
+		out, err := exec.Command(wytiwyg, "types", "-bench", "mcf", "-truth", "-json").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		s := string(out)
+		for _, want := range []string{`"program": "mcf"`, `"report"`, `"precision"`, `"recall"`} {
+			if !strings.Contains(s, want) {
+				t.Errorf("JSON output lacks %q:\n%.600s", want, s)
+			}
+		}
+	})
+
+	t.Run("wytiwyg-submit-local-lint", func(t *testing.T) {
+		out, err := exec.Command(wytiwyg, "submit", "-local", "-kind", "lint", "-bench", "mcf").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		s := string(out)
+		for _, want := range []string{"lint mcf:", "lint: 0 error(s)"} {
+			if !strings.Contains(s, want) {
+				t.Errorf("output lacks %q:\n%s", want, s)
+			}
+		}
+	})
+
+	// Every subcommand that runs the pipeline names its program with
+	// exactly one of -src and -bench (and lint's -all stands alone).
+	t.Run("wytiwyg-conflicting-targets", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-src", srcFile, "-bench", "mcf"},
+			{"lint", "-src", srcFile, "-bench", "mcf"},
+			{"types", "-src", srcFile, "-bench", "mcf"},
+			{"submit", "-local", "-src", srcFile, "-bench", "mcf"},
+			{"lint", "-all", "-bench", "mcf"},
+		} {
+			if out, err := exec.Command(wytiwyg, args...).CombinedOutput(); err == nil {
+				t.Errorf("wytiwyg %s accepted:\n%.400s", strings.Join(args, " "), out)
+			}
+		}
+	})
+
 	t.Run("experiments-table1", func(t *testing.T) {
 		out, err := exec.Command(experiments, "-exp", "table1", "-scale", "2", "-progs", "mcf").CombinedOutput()
 		if err != nil {

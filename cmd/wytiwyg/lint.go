@@ -4,76 +4,52 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
-	"wytiwyg/internal/machine"
-	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/refcache"
+	"wytiwyg/internal/serve"
 )
 
 // The lint subcommand: run the pipeline through refinement on one or more
 // programs and print the static verification report instead of
 // recompiling. Exit status 1 means at least one proven violation (Error).
 
-// lintTarget is one program to audit.
-type lintTarget struct {
-	name   string
-	src    string
-	inputs []machine.Input
-}
-
 func lintMain(args []string) int {
 	fs := flag.NewFlagSet("lint", flag.ExitOnError)
-	srcPath := fs.String("src", "", "mini-C source file to lint")
-	benchName := fs.String("bench", "", "built-in benchmark name")
+	pf := addProgramFlags(fs, true)
 	all := fs.Bool("all", false, "lint every built-in benchmark")
-	profName := fs.String("profile", "gcc12-O3", "compiler profile")
-	inputsFlag := fs.String("inputs", "", "comma-separated integer inputs for tracing")
 	jsonOut := fs.Bool("json", false, "machine-readable JSON output")
-	vsaFlag := fs.Bool("vsa", false, "add the value-set analysis verifier's findings to the report")
-	typesFlag := fs.Bool("types", false, "add the type-recovery stage's typed-conflict findings to the report")
-	staticFlag := fs.Bool("static-recover", false, "statically recover untraced functions before linting")
 	jobs := fs.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	cacheOn := fs.Bool("cache", false, "memoize refinement results in the on-disk cache")
 	cacheDir := fs.String("cache-dir", "", "cache directory (implies -cache)")
 	fs.Parse(args)
 	cache := openCache(*cacheOn, *cacheDir)
 
-	prof, ok := gen.ProfileByName(*profName)
-	if !ok {
-		fail("unknown profile %q", *profName)
-	}
-
-	var targets []lintTarget
+	var targets []*serve.Job
 	switch {
+	case *all && pf.named():
+		fail("-all is exclusive with -src and -bench")
 	case *all:
 		for _, p := range progs.All {
-			targets = append(targets, lintTarget{name: p.Name, src: p.Src, inputs: p.Inputs()})
+			pf.bench = p.Name
+			job, err := pf.job(serve.KindLint, "")
+			if err != nil {
+				fail("%v", err)
+			}
+			targets = append(targets, job)
 		}
-	case *benchName != "":
-		p, ok := progs.ByName(*benchName)
-		if !ok {
-			fail("unknown benchmark %q", *benchName)
-		}
-		targets = append(targets, lintTarget{name: p.Name, src: p.Src, inputs: p.Inputs()})
-	case *srcPath != "":
-		data, err := os.ReadFile(*srcPath)
+	case pf.named():
+		job, err := pf.job(serve.KindLint, "")
 		if err != nil {
-			fail("read source: %v", err)
+			fail("%v", err)
 		}
-		targets = append(targets, lintTarget{name: *srcPath, src: string(data)})
+		targets = append(targets, job)
 	default:
 		fs.Usage()
 		return 2
-	}
-	if *inputsFlag != "" {
-		inputs := machineInputs(*inputsFlag)
-		for i := range targets {
-			targets[i].inputs = inputs
-		}
 	}
 
 	type jsonEntry struct {
@@ -83,12 +59,11 @@ func lintMain(args []string) int {
 	}
 	var entries []jsonEntry
 	errors := 0
-	for _, tgt := range targets {
-		rep, err := lintOne(tgt, prof,
-			core.Options{Jobs: *jobs, Lint: core.LintWarn, Cache: cache, VSA: *vsaFlag,
-				Types: *typesFlag, StaticRecover: *staticFlag})
+	for _, job := range targets {
+		name := pf.name(job)
+		rep, err := lintOne(job, *jobs, cache)
 		if err != nil {
-			fail("%s: %v", tgt.name, err)
+			fail("%s: %v", name, err)
 		}
 		errors += rep.Errors()
 		degraded := degradedFns(rep)
@@ -97,11 +72,11 @@ func lintMain(args []string) int {
 			if err != nil {
 				fail("encode report: %v", err)
 			}
-			entries = append(entries, jsonEntry{Program: tgt.name, Report: raw, Degraded: degraded})
+			entries = append(entries, jsonEntry{Program: name, Report: raw, Degraded: degraded})
 			continue
 		}
 		if len(targets) > 1 {
-			fmt.Printf("== %s\n", tgt.name)
+			fmt.Printf("== %s\n", name)
 		}
 		fmt.Print(rep.String())
 		for _, d := range degraded {
@@ -143,15 +118,16 @@ func degradedFns(rep *analysis.Report) []degradedFn {
 }
 
 // lintOne builds, lifts and refines one program with linting enabled and
-// returns the verification report. With a cache in the options, an
-// unchanged program is served from its recorded entry without re-running
-// the pipeline.
-func lintOne(tgt lintTarget, prof gen.Profile, opts core.Options) (*analysis.Report, error) {
-	img, err := gen.Build(tgt.src, prof, "input")
+// returns the verification report. With a cache, an unchanged program is
+// served from its recorded entry without re-running the pipeline.
+func lintOne(job *serve.Job, jobs int, cache *refcache.Cache) (*analysis.Report, error) {
+	img, inputs, _, err := job.Build()
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, err
 	}
-	p, err := core.RecoverLayout(img, tgt.inputs, opts)
+	opts := job.Options()
+	opts.Jobs, opts.Cache = jobs, cache
+	p, err := core.RecoverLayout(img, inputs, opts)
 	if err != nil {
 		return nil, fmt.Errorf("refine: %w", err)
 	}

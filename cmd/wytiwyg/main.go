@@ -6,12 +6,18 @@
 // Usage:
 //
 //	wytiwyg -src prog.c [-profile gcc12-O3] [-inputs 3,9] [-emit ir|asm|layout] [-sanitize]
-//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-timings] [-vsa] [-types]
-//	wytiwyg lint [-src prog.c | -bench hmmer | -all] [-json] [-j 8] [-cache] [-vsa] [-types]
+//	wytiwyg -bench hmmer [-profile gcc44-O3] [-j 8] [-timings] [-vsa] [-types] [-static-recover]
+//	wytiwyg lint [-src prog.c | -bench hmmer | -all] [-json] [-j 8] [-cache] [-vsa] [-types] [-static-recover]
 //	wytiwyg types [-src prog.c | -bench hmmer] [-json] [-truth] [-j 8]
 //	wytiwyg serve [-addr unix:/tmp/wytiwyg.sock] [-cache-dir DIR] [-j 8] [-workers 4]
 //	wytiwyg submit [-addr ...] -kind lift|lint|recompile [-src prog.c | -bench hmmer] [-json] [-local]
 //	wytiwyg submit [-addr ...] -ping | -stats | -shutdown
+//
+// The main command, lint, types and submit name their program with the
+// same flags: exactly one of -src and -bench, plus -profile and -inputs
+// (at most 64 inputs). They fill a serve.Job from them, which validates
+// (Job.Normalize) and resolves (Job.Build) the program exactly as the
+// daemon does.
 //
 // The serve subcommand runs the pipeline as a long-lived daemon behind a
 // local HTTP API (unix socket by default) with a shared on-disk cache;
@@ -57,21 +63,18 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"wytiwyg/internal/analysis"
-	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/machine"
-	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/profiling"
 	"wytiwyg/internal/sanitize"
+	"wytiwyg/internal/serve"
 	"wytiwyg/internal/symbolize"
 )
 
@@ -88,17 +91,11 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "submit" {
 		os.Exit(submitMain(os.Args[2:]))
 	}
-	srcPath := flag.String("src", "", "mini-C source file to recompile")
-	benchName := flag.String("bench", "", "built-in benchmark name (alternative to -src)")
-	profName := flag.String("profile", "gcc12-O3", "compiler profile: gcc12-O3, gcc12-O0, clang16-O3, gcc44-O3")
-	inputsFlag := flag.String("inputs", "", "comma-separated integer inputs for tracing/validation")
+	pf := addProgramFlags(flag.CommandLine, true)
 	emit := flag.String("emit", "", "additionally print: ir, asm, layout")
 	sanitizeFlag := flag.Bool("sanitize", false, "retrofit stack-bounds checks onto the recompiled binary")
 	lintMode := flag.String("lint", "warn", "post-refinement verification: off, warn, fail")
-	vsaFlag := flag.Bool("vsa", false, "run the value-set analysis stage: verify the layout and enable alias-oracle optimizations")
-	typesFlag := flag.Bool("types", false, "run the type-recovery stage: infer slot types and enable typed slot splitting in the optimizer")
 	emitTypes := flag.String("emit-types", "", "write the compiler's declared slot types (ground truth) to this JSON file")
-	staticFlag := flag.Bool("static-recover", false, "statically recover untraced functions, admitting only VSA-verified layouts")
 	debugPasses := flag.Bool("debug-passes", false, "re-verify IR invariants between every optimization pass")
 	jobs := flag.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	timings := flag.Bool("timings", false, "print the per-stage wall-clock breakdown")
@@ -112,47 +109,19 @@ func main() {
 	}
 	defer stopProf()
 
-	prof, ok := gen.ProfileByName(*profName)
-	if !ok {
-		fail("unknown profile %q", *profName)
-	}
-	lint, err := core.ParseLintMode(*lintMode)
-	if err != nil {
-		fail("unknown -lint mode %q (want off, warn, fail)", *lintMode)
-	}
-
-	var src string
-	var inputs []machine.Input
-	switch {
-	case *benchName != "":
-		p, ok := progs.ByName(*benchName)
-		if !ok {
-			fail("unknown benchmark %q", *benchName)
-		}
-		src = p.Src
-		inputs = p.Inputs()
-	case *srcPath != "":
-		data, err := os.ReadFile(*srcPath)
-		if err != nil {
-			fail("read source: %v", err)
-		}
-		src = string(data)
-	default:
+	if !pf.named() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *inputsFlag != "" {
-		inputs = machineInputs(*inputsFlag)
-	}
-	if len(inputs) == 0 {
-		inputs = []machine.Input{{}}
-	}
-
-	img, err := gen.Build(src, prof, "input")
+	job, err := pf.job(serve.KindRecompile, *lintMode)
 	if err != nil {
-		fail("compile: %v", err)
+		fail("%v", err)
 	}
-	fmt.Printf("input binary: %d instructions, profile %s\n", len(img.Code), prof.Name)
+	img, inputs, _, err := job.Build()
+	if err != nil {
+		fail("%v", err)
+	}
+	fmt.Printf("input binary: %d instructions, profile %s\n", len(img.Code), job.Profile)
 
 	var nativeOut bytes.Buffer
 	nat, err := machine.Execute(img, inputs[len(inputs)-1], &nativeOut)
@@ -168,9 +137,9 @@ func main() {
 		fmt.Printf("emit-types: wrote ground truth to %s\n", *emitTypes)
 	}
 
-	p, err := core.LiftBinaryOpts(img, inputs,
-		core.Options{Jobs: *jobs, Lint: lint, VSA: *vsaFlag,
-			Types: *typesFlag, StaticRecover: *staticFlag})
+	opts := job.Options()
+	opts.Jobs = *jobs
+	p, err := core.LiftBinaryOpts(img, inputs, opts)
 	if err != nil {
 		fail("lift: %v", err)
 	}
@@ -196,13 +165,13 @@ func main() {
 		fmt.Printf("lint: %d error(s), %d warning(s), %d info\n",
 			p.Report.Errors(), p.Report.Count(analysis.Warn), p.Report.Count(analysis.Info))
 	}
-	if *vsaFlag {
+	if job.VSA {
 		printVSAStats(p.VSAStats, *timings)
 	}
-	if *typesFlag {
+	if job.Types {
 		printTypeStats(p, *timings)
 	}
-	if *staticFlag {
+	if job.StaticRecover {
 		printStaticStats(p, *timings)
 	}
 	if *timings {
@@ -227,7 +196,7 @@ func main() {
 	} else {
 		opt.PipelineWith(p.Mod, pipeOpts)
 	}
-	if *timings && (*vsaFlag || *typesFlag) {
+	if *timings && (job.VSA || job.Types) {
 		// Deterministic counts, printed once the optimizer's oracle has
 		// made its requests.
 		fp := p.Fixpoints()
@@ -393,33 +362,6 @@ func printStubRate(out *obj.Image, inputs []machine.Input) {
 	for _, fn := range fns {
 		fmt.Printf("  stub hit: %s (%d)\n", fn, hits[fn])
 	}
-}
-
-// parseInputs parses a comma-separated -inputs value into integers.
-func parseInputs(s string) ([]int32, error) {
-	var vs []int32
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad input %q", f)
-		}
-		vs = append(vs, int32(v))
-	}
-	return vs, nil
-}
-
-// machineInputs parses a -inputs value into one trace input per integer,
-// exiting on a bad field.
-func machineInputs(s string) []machine.Input {
-	vs, err := parseInputs(s)
-	if err != nil {
-		fail("%v", err)
-	}
-	inputs := make([]machine.Input, len(vs))
-	for i, v := range vs {
-		inputs[i] = machine.Input{Ints: []int32{v}}
-	}
-	return inputs
 }
 
 func fail(format string, args ...any) {

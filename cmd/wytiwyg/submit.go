@@ -18,14 +18,8 @@ func submitMain(args []string) int {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", defaultSocket(), "daemon address: unix:/path/to.sock or host:port")
 	kind := fs.String("kind", "recompile", "job kind: lift, lint, recompile")
-	benchName := fs.String("bench", "", "built-in benchmark name (exclusive with -src)")
-	srcPath := fs.String("src", "", "mini-C source file (exclusive with -bench)")
-	profName := fs.String("profile", "", "compiler profile (daemon default gcc12-O3)")
-	inputsFlag := fs.String("inputs", "", "comma-separated integer inputs for tracing")
+	pf := addProgramFlags(fs, true)
 	lintMode := fs.String("lint", "", "verification mode: off, warn, fail")
-	vsaFlag := fs.Bool("vsa", false, "enable the value-set analysis stage")
-	typesFlag := fs.Bool("types", false, "enable the type-recovery stage")
-	staticFlag := fs.Bool("static-recover", false, "statically recover untraced functions")
 	local := fs.Bool("local", false, "run the job in-process instead of contacting a daemon")
 	jobs := fs.Int("j", 0, "with -local: refinement worker pool size (0 = one per CPU)")
 	cacheOn := fs.Bool("cache", false, "with -local: memoize results in the on-disk cache")
@@ -40,37 +34,14 @@ func submitMain(args []string) int {
 		return controlMain(*addr, *ping, *statsFlag, *shutdown)
 	}
 
-	job := &serve.Job{
-		Kind:          *kind,
-		Bench:         *benchName,
-		Profile:       *profName,
-		Lint:          *lintMode,
-		VSA:           *vsaFlag,
-		Types:         *typesFlag,
-		StaticRecover: *staticFlag,
-	}
-	if *srcPath != "" {
-		data, err := os.ReadFile(*srcPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wytiwyg submit: read source: %v\n", err)
-			return 1
-		}
-		job.Source = string(data)
-	}
-	if *inputsFlag != "" {
-		var err error
-		if job.Inputs, err = parseInputs(*inputsFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)
-			return 1
-		}
+	job, err := pf.job(*kind, *lintMode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)
+		return 1
 	}
 
 	var resp *serve.Response
 	if *local {
-		if err := job.Normalize(); err != nil {
-			fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)
-			return 1
-		}
 		r := &serve.Runner{Jobs: *jobs, Cache: openCache(*cacheOn, *cacheDir)}
 		pay, _, err := r.Run(job)
 		if err != nil {
@@ -79,7 +50,6 @@ func submitMain(args []string) int {
 		}
 		resp = &serve.Response{Payload: pay}
 	} else {
-		var err error
 		resp, err = serve.Dial(*addr).Submit(job)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wytiwyg submit: %v\n", err)

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"os"
 
-	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/layout"
-	"wytiwyg/internal/machine"
-	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
+	"wytiwyg/internal/serve"
 )
 
 // The types subcommand: run the pipeline through refinement with the
@@ -35,51 +33,30 @@ func writeTypedTruth(img *obj.Image, path string) error {
 
 func typesMain(args []string) int {
 	fs := flag.NewFlagSet("types", flag.ExitOnError)
-	srcPath := fs.String("src", "", "mini-C source file to type")
-	benchName := fs.String("bench", "", "built-in benchmark name")
-	profName := fs.String("profile", "gcc12-O3", "compiler profile")
-	inputsFlag := fs.String("inputs", "", "comma-separated integer inputs for tracing")
+	pf := addProgramFlags(fs, false)
 	jsonOut := fs.Bool("json", false, "machine-readable JSON output")
 	truth := fs.Bool("truth", false, "print the compiler's declared types and the precision/recall score")
 	jobs := fs.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	fs.Parse(args)
 
-	prof, ok := gen.ProfileByName(*profName)
-	if !ok {
-		fail("unknown profile %q", *profName)
-	}
-
-	var name, src string
-	var inputs []machine.Input
-	switch {
-	case *benchName != "":
-		p, ok := progs.ByName(*benchName)
-		if !ok {
-			fail("unknown benchmark %q", *benchName)
-		}
-		name, src, inputs = p.Name, p.Src, p.Inputs()
-	case *srcPath != "":
-		data, err := os.ReadFile(*srcPath)
-		if err != nil {
-			fail("read source: %v", err)
-		}
-		name, src = *srcPath, string(data)
-	default:
+	if !pf.named() {
 		fs.Usage()
 		return 2
 	}
-	if *inputsFlag != "" {
-		inputs = machineInputs(*inputsFlag)
-	}
-
-	img, err := gen.Build(src, prof, "input")
+	job, err := pf.job(serve.KindLint, "")
 	if err != nil {
-		fail("compile: %v", err)
+		fail("%v", err)
+	}
+	job.Types = true
+	img, inputs, _, err := job.Build()
+	if err != nil {
+		fail("%v", err)
 	}
 	// The cached front door (RecoverLayout) returns only the layout and
 	// report; the typed frames need the full refined pipeline.
-	p, err := core.LiftBinaryOpts(img, inputs,
-		core.Options{Jobs: *jobs, Lint: core.LintWarn, Types: true})
+	opts := job.Options()
+	opts.Jobs = *jobs
+	p, err := core.LiftBinaryOpts(img, inputs, opts)
 	if err != nil {
 		fail("lift: %v", err)
 	}
@@ -93,7 +70,7 @@ func typesMain(args []string) int {
 			Report    json.RawMessage `json:"report"`
 			Precision *float64        `json:"precision,omitempty"`
 			Recall    *float64        `json:"recall,omitempty"`
-		}{Program: name}
+		}{Program: pf.name(job)}
 		raw, err := p.TypeReport.JSON()
 		if err != nil {
 			fail("encode report: %v", err)

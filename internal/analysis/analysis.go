@@ -30,48 +30,6 @@ package analysis
 
 import "wytiwyg/internal/ir"
 
-// rpo returns f's blocks in reverse post order (entry first), restricted to
-// reachable blocks.
-func rpo(f *ir.Func) []*ir.Block {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
-// uses maps each value to its consumers within f.
-func uses(f *ir.Func) map[*ir.Value][]*ir.Value {
-	u := make(map[*ir.Value][]*ir.Value)
-	add := func(user *ir.Value) {
-		for _, a := range user.Args {
-			u[a] = append(u[a], user)
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			add(v)
-		}
-		for _, v := range b.Insts {
-			add(v)
-		}
-	}
-	return u
-}
-
 // constOf unwraps a constant operand.
 func constOf(v *ir.Value) (int32, bool) {
 	if v.Op == ir.OpConst {

@@ -68,7 +68,7 @@ type Result[S any] struct {
 // backward problems) so that acyclic regions converge in one pass; loops
 // iterate until their states stabilize or widening forces termination.
 func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
-	order := rpo(f)
+	order := ir.RPO(f)
 	if !p.Forward {
 		rev := make([]*ir.Block, len(order))
 		for i, b := range order {

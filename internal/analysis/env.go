@@ -67,17 +67,6 @@ func (e Env[T]) CopyFrom(src Env[T]) Env[T] {
 	return e
 }
 
-// Each calls fn on every present entry in slot order.
-func (e Env[T]) Each(fn func(slot int, x T)) {
-	for w, word := range e.has {
-		for word != 0 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			fn(i, e.vals[i])
-		}
-	}
-}
-
 // JoinFrom merges src into e entry by entry and reports whether e changed:
 // an entry missing from e takes src's entry (a change), and entries
 // present on both sides become join(e's, src's), a change when join

@@ -87,7 +87,7 @@ func Escape(f *ir.Func) EscapeFacts {
 			}
 		}
 	}
-	u := uses(f)
+	u := ir.BuildUses(f)
 	for v, root := range roots {
 		for _, use := range u[v] {
 			switch use.Op {

@@ -20,7 +20,6 @@ import (
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/obj"
-	"wytiwyg/internal/opt"
 )
 
 // Compile lowers a module to an executable image.
@@ -169,7 +168,7 @@ func (c *fnCG) emit() error {
 	c.computeTiles()
 	c.assignHomes()
 	// Compare/branch fusion.
-	uses := opt.BuildUses(c.f)
+	uses := ir.BuildUses(c.f)
 	c.fused = make(map[*ir.Value]bool)
 	for _, blk := range c.f.Blocks {
 		for _, v := range blk.Insts {

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"wytiwyg/internal/ir"
-	"wytiwyg/internal/opt"
 )
 
 // EAX fusion: an expression temporary with exactly one use in the
@@ -87,7 +86,7 @@ func (c *fnCG) computeEAXFusion() {
 	if c.g.opts.NoEAXFuse {
 		return
 	}
-	uses := opt.BuildUses(c.f)
+	uses := ir.BuildUses(c.f)
 	for _, blk := range c.order {
 		for i := 0; i+1 < len(blk.Insts); i++ {
 			v := blk.Insts[i]

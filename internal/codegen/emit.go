@@ -6,7 +6,6 @@ import (
 	"wytiwyg/internal/asm"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/isa"
-	"wytiwyg/internal/opt"
 )
 
 // Instruction emission. Values move through EAX (primary scratch) and
@@ -120,7 +119,7 @@ func (c *fnCG) memOperand(addr *ir.Value, scratch isa.Reg) isa.MemRef {
 }
 
 // cmpFusable reports whether a compare can fuse into its branch.
-func (c *fnCG) cmpFusable(uses opt.Uses, v *ir.Value) bool {
+func (c *fnCG) cmpFusable(uses ir.Uses, v *ir.Value) bool {
 	if v.Op != ir.OpCmp {
 		return false
 	}

@@ -3,7 +3,6 @@ package codegen
 import (
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/isa"
-	"wytiwyg/internal/opt"
 )
 
 // Address tiling: load/store addresses of the shape base + index*scale
@@ -79,7 +78,7 @@ func (c *fnCG) computeTiles() {
 	if c.g.opts.NoTiles {
 		return
 	}
-	uses := opt.BuildUses(c.f)
+	uses := ir.BuildUses(c.f)
 	interiors := make(map[*ir.Value][]*ir.Value)
 	for _, b := range c.f.Blocks {
 		for _, v := range b.Insts {

@@ -251,6 +251,53 @@ type Func struct {
 // Entry returns the entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
+// RPO returns f's reachable blocks in reverse post order (entry first).
+// The depth-first search visits successors in Succs order, so the order
+// is a pure function of the CFG.
+func RPO(f *Func) []*Block {
+	seen := make(map[*Block]bool, len(f.Blocks))
+	var post []*Block
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			dfs(s)
+		}
+		post = append(post, b)
+	}
+	dfs(f.Entry())
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
+}
+
+// Uses maps each value to the instructions that consume it, within one
+// function.
+type Uses map[*Value][]*Value
+
+// BuildUses scans a function and returns its use lists.
+func BuildUses(f *Func) Uses {
+	u := make(Uses)
+	add := func(user *Value) {
+		for _, a := range user.Args {
+			u[a] = append(u[a], user)
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Phis {
+			add(v)
+		}
+		for _, v := range b.Insts {
+			add(v)
+		}
+	}
+	return u
+}
+
 // NewBlock appends a new block.
 func (f *Func) NewBlock(addr uint32) *Block {
 	b := &Block{ID: f.nextBlockID, Func: f, Addr: addr}

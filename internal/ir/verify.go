@@ -242,27 +242,9 @@ func verifyDominance(f *Func) error {
 // (Cooper/Harvey/Kennedy iterative algorithm). The entry maps to itself;
 // unreachable blocks are absent from the result.
 func Dominators(f *Func) map[*Block]*Block {
-	// Reverse post order over reachable blocks.
-	seen := map[*Block]bool{}
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	entry := f.Entry()
-	dfs(entry)
-	rpo := make([]*Block, len(post))
-	rpoNum := make(map[*Block]int, len(post))
-	for i, b := range post {
-		rpo[len(post)-1-i] = b
-	}
+	rpo := RPO(f)
+	entry := rpo[0]
+	rpoNum := make(map[*Block]int, len(rpo))
 	for i, b := range rpo {
 		rpoNum[b] = i
 	}

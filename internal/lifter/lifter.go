@@ -33,15 +33,10 @@ import (
 // binaries.
 const EmuStackSize = 1 << 20
 
-// Lift translates every recovered function.
-func Lift(img *obj.Image, cfg *tracer.CFG, rec *funcrec.Result) (*ir.Module, error) {
-	return LiftJobs(img, cfg, rec, 1)
-}
-
-// LiftJobs is Lift over a bounded worker pool: function skeletons are
-// created sequentially in recovery order (which fixes the module's print
-// order and call-target identity), then each function body is lifted in
-// parallel. A fnLift only reads the shared CFG/recovery maps and writes
+// LiftJobs translates every recovered function over a bounded worker
+// pool: function skeletons are created sequentially in recovery order
+// (which fixes the module's print order and call-target identity), then
+// each function body is lifted in parallel. A fnLift only reads the shared CFG/recovery maps and writes
 // its own function — value IDs are per function — so the lifted module is
 // byte-identical at every worker count.
 func LiftJobs(img *obj.Image, cfg *tracer.CFG, rec *funcrec.Result, jobs int) (*ir.Module, error) {

@@ -32,7 +32,7 @@ func liftProgram(t *testing.T, src string, prof gen.Profile, inputs []machine.In
 	if err != nil {
 		t.Fatalf("%s: funcrec: %v", prof.Name, err)
 	}
-	mod, err := Lift(img, cfg, rec)
+	mod, err := LiftJobs(img, cfg, rec, 1)
 	if err != nil {
 		t.Fatalf("%s: lift: %v", prof.Name, err)
 	}

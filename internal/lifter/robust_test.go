@@ -2,7 +2,6 @@ package lifter_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"wytiwyg/internal/funcrec"
@@ -14,37 +13,10 @@ import (
 )
 
 // Robustness: every stage that consumes untrusted binary input — the
-// decoder, the image loader, the emulator, the tracer, the CFG builder
-// and the lifter — must reject garbage with an error, never a panic.
-// These tests feed each stage random input; any panic fails the test.
-
-// TestDecodeGarbageNeverPanics decodes random byte buffers. Buffers that
-// decode successfully must survive an encode/decode round trip.
-func TestDecodeGarbageNeverPanics(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	buf := make([]byte, isa.InstrSize)
-	ok := 0
-	for i := 0; i < 20000; i++ {
-		r.Read(buf)
-		in, err := isa.Decode(buf)
-		if err != nil {
-			continue
-		}
-		ok++
-		enc := make([]byte, isa.InstrSize)
-		isa.Encode(enc, &in)
-		back, err := isa.Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode of encoded instruction failed: %v (%+v)", err, in)
-		}
-		if !reflect.DeepEqual(in, back) {
-			t.Fatalf("decode/encode/decode mismatch:\n %+v\n %+v", in, back)
-		}
-	}
-	if ok == 0 {
-		t.Fatal("no random buffer decoded; generator or decoder too strict")
-	}
-}
+// image loader, the emulator, the tracer, the CFG builder and the lifter —
+// must reject garbage with an error, never a panic. These tests feed each
+// stage random input; any panic fails the test. The instruction decoder
+// has its own native fuzz target, isa.FuzzDecode.
 
 // randInstr builds a random instruction biased toward validity: register
 // fields in range, branch targets aligned inside the code section.
@@ -122,7 +94,7 @@ func TestRandomProgramsNeverPanic(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, err := lifter.Lift(img, cfg, rec); err != nil {
+		if _, err := lifter.LiftJobs(img, cfg, rec, 1); err != nil {
 			continue
 		}
 		lifted++

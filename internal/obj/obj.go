@@ -102,16 +102,6 @@ func (im *Image) SortSyms() {
 	sort.Slice(im.Syms, func(i, j int) bool { return im.Syms[i].Addr < im.Syms[j].Addr })
 }
 
-// Strip returns a copy of the image without symbols or ground truth,
-// modelling a stripped COTS binary.
-func (im *Image) Strip() *Image {
-	out := *im
-	out.Syms = nil
-	out.Truth = nil
-	out.TypedTruth = nil
-	return &out
-}
-
 // Validate performs basic structural checks: entry in range, branch targets
 // inside the code section or the PLT, scale values legal.
 func (im *Image) Validate() error {

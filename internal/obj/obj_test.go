@@ -96,18 +96,6 @@ func TestInstrAt(t *testing.T) {
 	}
 }
 
-func TestStrip(t *testing.T) {
-	img := validImage()
-	img.Syms = []Symbol{{Name: "main", Addr: isa.CodeBase}}
-	s := img.Strip()
-	if s.Syms != nil || s.Truth != nil {
-		t.Error("strip left metadata")
-	}
-	if len(img.Syms) != 1 {
-		t.Error("strip mutated original")
-	}
-}
-
 func TestSymLookup(t *testing.T) {
 	img := validImage()
 	img.Syms = []Symbol{

@@ -42,7 +42,7 @@ func Mem2RegLog(f *ir.Func, log *layout.Program) int {
 			continue
 		}
 		// Recompute uses per promotion: earlier rewrites change them.
-		if size, ok := promotable(a, BuildUses(f)); ok {
+		if size, ok := promotable(a, ir.BuildUses(f)); ok {
 			if log != nil && a.Const < 0 && !strings.HasPrefix(a.Name, "cp_") {
 				fr := log.Frame(f.Name)
 				if fr == nil {
@@ -74,7 +74,7 @@ func Mem2RegModule(m *ir.Module) int {
 }
 
 // promotable checks the use set and returns the uniform access size.
-func promotable(a *ir.Value, uses Uses) (uint8, bool) {
+func promotable(a *ir.Value, uses ir.Uses) (uint8, bool) {
 	if a.AllocSize > 4 {
 		return 0, false
 	}

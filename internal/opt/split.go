@@ -56,7 +56,7 @@ func SplitSlots(f *ir.Func, info TypedInfo) int {
 	if entry == nil {
 		return 0
 	}
-	uses := BuildUses(f)
+	uses := ir.BuildUses(f)
 	n := 0
 	// Snapshot the entry instructions: splitting appends new allocas.
 	insts := append([]*ir.Value{}, entry.Insts...)
@@ -97,7 +97,7 @@ func fieldAt(fields [][2]int64, off, sz int64) int {
 // [offset, size) equals one partition field exactly. Anything else (a
 // stored address, a call argument, variable indexing) escapes the slot
 // and vetoes the split.
-func splitOne(f *ir.Func, entry *ir.Block, a *ir.Value, fields [][2]int64, uses Uses) bool {
+func splitOne(f *ir.Func, entry *ir.Block, a *ir.Value, fields [][2]int64, uses ir.Uses) bool {
 	type acc struct {
 		v     *ir.Value // the load or store
 		field int

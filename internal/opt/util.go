@@ -1,33 +1,11 @@
 // Package opt implements the optimizer passes that run over the lifted IR —
 // the analogue of the LLVM pass pipeline in the paper's toolchain. It also
-// provides the shared SSA utilities (use lists, use replacement, dead-code
-// elimination) that the refinement passes build on.
+// provides the shared SSA utilities (use replacement, dead-code
+// elimination) that the refinement passes build on; use lists are
+// ir.BuildUses.
 package opt
 
 import "wytiwyg/internal/ir"
-
-// Uses maps each value to the instructions that consume it, within one
-// function.
-type Uses map[*ir.Value][]*ir.Value
-
-// BuildUses scans a function and returns its use lists.
-func BuildUses(f *ir.Func) Uses {
-	u := make(Uses)
-	add := func(user *ir.Value) {
-		for _, a := range user.Args {
-			u[a] = append(u[a], user)
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			add(v)
-		}
-		for _, v := range b.Insts {
-			add(v)
-		}
-	}
-	return u
-}
 
 // ReplaceUses rewrites every use of old inside f to new.
 func ReplaceUses(f *ir.Func, old, new *ir.Value) {
@@ -71,7 +49,7 @@ func hasSideEffects(v *ir.Value) bool {
 func DCE(f *ir.Func) int {
 	removed := 0
 	for {
-		uses := BuildUses(f)
+		uses := ir.BuildUses(f)
 		live := func(v *ir.Value) bool {
 			return hasSideEffects(v) || len(uses[v]) > 0
 		}
@@ -116,7 +94,7 @@ func DCEModule(m *ir.Module) int {
 // RemoveDeadAllocas deletes allocas with no remaining uses (typically after
 // mem2reg promoted them). Returns the number removed.
 func RemoveDeadAllocas(f *ir.Func) int {
-	uses := BuildUses(f)
+	uses := ir.BuildUses(f)
 	removed := 0
 	for _, b := range f.Blocks {
 		insts := b.Insts[:0]

@@ -509,9 +509,9 @@ func Apply(mod *ir.Module, classes Classes) error {
 	for _, f := range mod.Funcs {
 		rets[f] = map[isa.Reg]bool{isa.EAX: true, isa.ESP: true}
 	}
-	usesByFunc := make(map[*ir.Func]opt.Uses, len(mod.Funcs))
+	usesByFunc := make(map[*ir.Func]ir.Uses, len(mod.Funcs))
 	for _, f := range mod.Funcs {
-		usesByFunc[f] = opt.BuildUses(f)
+		usesByFunc[f] = ir.BuildUses(f)
 	}
 	for changed := true; changed; {
 		changed = false

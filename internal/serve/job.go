@@ -38,26 +38,29 @@ type Runner struct {
 	Observer func(core.StageEvent)
 }
 
-// build compiles the job's program and returns the image, the resolved
-// input set and the program's display name.
-func (r *Runner) build(job *Job) (*obj.Image, []machine.Input, string, error) {
-	prof, ok := gen.ProfileByName(job.Profile)
+// Build compiles the job's program and returns the image, the resolved
+// input set and the program's display name (the benchmark name, or
+// "source" for inline source). It is the only place a program is
+// resolved: the daemon, `submit -local` and every one-shot subcommand
+// call it.
+func (j *Job) Build() (*obj.Image, []machine.Input, string, error) {
+	prof, ok := gen.ProfileByName(j.Profile)
 	if !ok {
-		return nil, nil, "", fmt.Errorf("serve: unknown profile %q", job.Profile)
+		return nil, nil, "", fmt.Errorf("serve: unknown profile %q", j.Profile)
 	}
-	src, name := job.Source, "source"
+	src, name := j.Source, "source"
 	var inputs []machine.Input
-	if job.Bench != "" {
-		p, ok := progs.ByName(job.Bench)
+	if j.Bench != "" {
+		p, ok := progs.ByName(j.Bench)
 		if !ok {
-			return nil, nil, "", fmt.Errorf("serve: unknown benchmark %q", job.Bench)
+			return nil, nil, "", fmt.Errorf("serve: unknown benchmark %q", j.Bench)
 		}
 		src, name = p.Src, p.Name
 		inputs = p.Inputs()
 	}
-	if len(job.Inputs) > 0 {
+	if len(j.Inputs) > 0 {
 		inputs = nil
-		for _, v := range job.Inputs {
+		for _, v := range j.Inputs {
 			inputs = append(inputs, machine.Input{Ints: []int32{v}})
 		}
 	}
@@ -71,37 +74,37 @@ func (r *Runner) build(job *Job) (*obj.Image, []machine.Input, string, error) {
 	return img, inputs, name, nil
 }
 
-// options maps a normalized job onto pipeline options.
-func (r *Runner) options(job *Job) core.Options {
-	lint, _ := core.ParseLintMode(job.Lint) // Normalize validated it
+// Options maps a normalized job onto pipeline options. The job fixes
+// what is computed; the caller sets how (Jobs, Cache, Observer).
+func (j *Job) Options() core.Options {
+	lint, _ := core.ParseLintMode(j.Lint) // Normalize validated it
 	return core.Options{
-		Jobs:          r.Jobs,
 		Lint:          lint,
-		Cache:         r.Cache,
-		VSA:           job.VSA,
-		Types:         job.Types,
-		StaticRecover: job.StaticRecover,
-		Observer:      r.Observer,
+		VSA:           j.VSA,
+		Types:         j.Types,
+		StaticRecover: j.StaticRecover,
 	}
 }
 
 // Run executes one normalized job and returns its deterministic payload
 // plus the pipeline's per-stage wall-clock costs.
 func (r *Runner) Run(job *Job) (*Payload, []core.StageTime, error) {
-	img, inputs, name, err := r.build(job)
+	img, inputs, name, err := job.Build()
 	if err != nil {
 		return nil, nil, err
 	}
+	opts := job.Options()
+	opts.Jobs, opts.Cache, opts.Observer = r.Jobs, r.Cache, r.Observer
 	var p *core.Pipeline
 	if job.Kind == KindRecompile {
 		// Recompilation needs the refined IR, which a program-level cache
 		// hit does not carry: run the whole pipeline.
-		p, err = core.LiftBinaryOpts(img, inputs, r.options(job))
+		p, err = core.LiftBinaryOpts(img, inputs, opts)
 		if err == nil {
 			err = p.Refine()
 		}
 	} else {
-		p, err = core.RecoverLayout(img, inputs, r.options(job))
+		p, err = core.RecoverLayout(img, inputs, opts)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -160,27 +160,15 @@ func constOf(v *ir.Value) (int32, bool) {
 	return 0, false
 }
 
-// Apply canonicalizes every function: each non-parameter value with a known
-// displacement c is rewritten in place to `add esp, c` (or replaced by the
-// ESP parameter when c == 0). It returns the per-function offset maps of
-// the REWRITTEN module, which the symbolization refinement consumes.
-func Apply(mod *ir.Module) (map[*ir.Func]Offsets, error) {
-	out, funcErrs := ApplyJobs(mod, 1)
-	for _, f := range mod.Funcs {
-		if ferr := funcErrs[f]; ferr != nil {
-			return nil, ferr
-		}
-	}
-	if err := ir.Verify(mod); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ApplyJobs is Apply over a bounded worker pool. The analysis and rewrite
-// touch only the function they run on, so functions proceed independently;
-// results are collected in module function order. A function that cannot
-// be analyzed (no ESP parameter, or a panic during its rewrite) is reported
+// ApplyJobs canonicalizes every function over a bounded worker pool: each
+// non-parameter value with a known displacement c is rewritten in place to
+// `add esp, c` (or replaced by the ESP parameter when c == 0). It returns
+// the per-function offset maps of the REWRITTEN module, which the
+// symbolization refinement consumes.
+//
+// The analysis and rewrite touch only the function they run on, so
+// functions proceed independently; results are collected in module
+// function order. A function that cannot be analyzed (no ESP parameter, or a panic during its rewrite) is reported
 // in the per-function error map instead of failing the module — the caller
 // decides whether to degrade or abort, and is responsible for verifying the
 // module once it has dealt with the failures.

@@ -652,7 +652,7 @@ func rewriteCalls(fi *fnInfo, infos map[*ir.Func]*fnInfo, offs stackref.Offsets)
 // alloca+delta.
 func replaceRefs(fi *fnInfo, offs stackref.Offsets) error {
 	f := fi.f
-	uses := opt.BuildUses(f)
+	uses := ir.BuildUses(f)
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Insts); i++ {
 			v := b.Insts[i]

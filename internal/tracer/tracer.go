@@ -306,13 +306,3 @@ func (t *Trace) BuildCFG() *CFG {
 	}
 	return cfg
 }
-
-// BlockStarts returns the sorted block start addresses.
-func (c *CFG) BlockStarts() []uint32 {
-	out := make([]uint32, 0, len(c.Blocks))
-	for a := range c.Blocks {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -85,7 +85,7 @@ main:
 	cfg := tr.BuildCFG()
 	// Blocks: entry (movi/movi), loop body, halt.
 	if len(cfg.Blocks) != 3 {
-		t.Errorf("blocks = %d: %v", len(cfg.Blocks), cfg.BlockStarts())
+		t.Errorf("blocks = %d, want 3", len(cfg.Blocks))
 	}
 	// The loop block must have two successors (itself and the halt block).
 	loopStart, _ := img.SymAddr("main")
