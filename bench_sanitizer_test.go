@@ -5,11 +5,9 @@ import (
 
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/sanitize"
 )
 
@@ -50,8 +48,7 @@ func BenchmarkSanitizerOverhead(b *testing.B) {
 						b.Fatal("sanitizer instrumented nothing")
 					}
 				}
-				opt.Pipeline(pl.Mod)
-				out, err := codegen.Compile(pl.Mod, p.Name+"-san")
+				out, _, err := pl.Recompile(p.Name + "-san")
 				if err != nil {
 					b.Fatal(err)
 				}

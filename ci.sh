@@ -47,9 +47,14 @@ step "go build" go build ./...
 step "go vet (pipebench)" env GOFLAGS= GOPROXY=off go -C pipebench vet ./...
 step "go test" go test ./...
 step "go test -race" go test -race -short ./...
+# Every Table 1 profile: a proven violation can show at one profile only.
 step "wytiwyg lint (benchmark corpus)" sh -c '
+    set -e
     go build -o /tmp/wytiwyg-ci ./cmd/wytiwyg
-    /tmp/wytiwyg-ci lint -all'
+    for prof in gcc12-O3 gcc12-O0 clang16-O3 gcc44-O3; do
+        echo "-- lint -all -profile $prof"
+        /tmp/wytiwyg-ci lint -all -profile "$prof"
+    done'
 step "examples" check_examples
 
 # Superblock differential under the race detector: the full corpus run

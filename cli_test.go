@@ -118,16 +118,6 @@ int main() {
 		}
 	})
 
-	t.Run("wytiwyg-debug-passes", func(t *testing.T) {
-		out, err := exec.Command(wytiwyg, "-src", srcFile, "-debug-passes").CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "MATCH") {
-			t.Errorf("recompiled binary diverged under -debug-passes:\n%s", out)
-		}
-	})
-
 	t.Run("wytiwyg-lint-fail-mode", func(t *testing.T) {
 		// -lint fail on a clean program must not abort refinement.
 		out, err := exec.Command(wytiwyg, "-src", srcFile, "-lint", "fail").CombinedOutput()

@@ -66,12 +66,10 @@ import (
 	"time"
 
 	"wytiwyg/internal/analysis"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/obj"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/profiling"
 	"wytiwyg/internal/sanitize"
 	"wytiwyg/internal/serve"
@@ -96,7 +94,6 @@ func main() {
 	sanitizeFlag := flag.Bool("sanitize", false, "retrofit stack-bounds checks onto the recompiled binary")
 	lintMode := flag.String("lint", "warn", "post-refinement verification: off, warn, fail")
 	emitTypes := flag.String("emit-types", "", "write the compiler's declared slot types (ground truth) to this JSON file")
-	debugPasses := flag.Bool("debug-passes", false, "re-verify IR invariants between every optimization pass")
 	jobs := flag.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	timings := flag.Bool("timings", false, "print the per-stage wall-clock breakdown")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -181,20 +178,9 @@ func main() {
 		checks := sanitize.Apply(p.Mod)
 		fmt.Printf("sanitizer: %d stack-bounds checks inserted\n", checks)
 	}
-	pipeOpts := opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()}
-	if *debugPasses {
-		if _, err := opt.PipelineWithDebug(p.Mod, pipeOpts, func(pass string) error {
-			var rep analysis.Report
-			analysis.LintIR(p.Mod, &rep)
-			if rep.Errors() > 0 {
-				return fmt.Errorf("after pass %s:\n%s", pass, rep.String())
-			}
-			return nil
-		}); err != nil {
-			fail("debug-passes: %v", err)
-		}
-	} else {
-		opt.PipelineWith(p.Mod, pipeOpts)
+	out, _, err := p.Recompile("recovered")
+	if err != nil {
+		fail("recompile: %v", err)
 	}
 	if *timings && (job.VSA || job.Types) {
 		// Deterministic counts, printed once the optimizer's oracle has
@@ -226,10 +212,6 @@ func main() {
 		}
 	}
 
-	out, err := codegen.Compile(p.Mod, "recovered")
-	if err != nil {
-		fail("recompile: %v", err)
-	}
 	fmt.Printf("recovered binary: %d instructions\n", len(out.Code))
 	if *emit == "asm" {
 		for i, in := range out.Code {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"log"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 // Example walks the whole pipeline on a binary whose source is about to be
@@ -34,8 +32,7 @@ int main() { return fib(12); }
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "example-recovered")
+	out, _, err := p.Recompile("example-recovered")
 	if err != nil {
 		log.Fatal(err)
 	}

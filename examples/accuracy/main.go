@@ -16,7 +16,6 @@ import (
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/symbolize"
 )
 
@@ -55,7 +54,9 @@ func analyze(divisor int) result {
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}
-	opt.Pipeline(p.Mod)
+	if _, _, err := p.Recompile("fig2-rec"); err != nil {
+		log.Fatal(err)
+	}
 	rec := symbolize.RecoveredLayout(p.Mod).Frame("f1")
 	return result{truth: img.Truth.Frame("f1"), rec: rec}
 }

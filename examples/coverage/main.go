@@ -13,11 +13,9 @@ import (
 	"fmt"
 	"log"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 const src = `
@@ -114,8 +112,7 @@ func main() {
 			}
 			fmt.Printf("  %d/%d cold candidates admitted\n", admitted, len(p.ColdStats))
 		}
-		opt.Pipeline(p.Mod)
-		out, err := codegen.Compile(p.Mod, "coverage-rec")
+		out, _, err := p.Recompile("coverage-rec")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 const src = `
@@ -61,8 +59,7 @@ func buildRecompiled(inputs []machine.Input) func(machine.Input) (int32, string)
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "incremental-rec")
+	out, _, err := p.Recompile("incremental-rec")
 	if err != nil {
 		log.Fatal(err)
 	}

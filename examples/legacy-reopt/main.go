@@ -12,11 +12,9 @@ import (
 	"log"
 
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 func main() {
@@ -58,8 +56,7 @@ func main() {
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}
-	opt.Pipeline(p.Mod)
-	recovered, err := codegen.Compile(p.Mod, "recovered")
+	recovered, _, err := p.Recompile("recovered")
 	if err != nil {
 		log.Fatal(err)
 	}

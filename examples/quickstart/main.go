@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/symbolize"
 )
 
@@ -68,8 +66,11 @@ func main() {
 			f.Name, len(f.Params), f.StackArgs)
 	}
 
-	// 4. Optimize and inspect what symbolization unlocked.
-	opt.Pipeline(p.Mod)
+	// 4. Optimize and recompile, then inspect what symbolization unlocked.
+	out, _, err := p.Recompile("recovered")
+	if err != nil {
+		log.Fatal(err)
+	}
 	rec := symbolize.RecoveredLayout(p.Mod)
 	fmt.Println("recovered stack objects (after optimization):")
 	for _, name := range rec.FuncNames() {
@@ -78,11 +79,7 @@ func main() {
 		}
 	}
 
-	// 5. Recompile and compare.
-	out, err := codegen.Compile(p.Mod, "recovered")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 5. Compare.
 	var recOut bytes.Buffer
 	res, err := machine.Execute(out, machine.Input{}, &recOut)
 	if err != nil {

@@ -11,11 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/sanitize"
 )
 
@@ -49,8 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	checks := sanitize.Apply(p.Mod)
-	opt.Pipeline(p.Mod)
-	hardened, err := codegen.Compile(p.Mod, "hardened")
+	hardened, _, err := p.Recompile("hardened")
 	if err != nil {
 		log.Fatal(err)
 	}

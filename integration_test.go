@@ -7,11 +7,9 @@ import (
 
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 // Top-level integration: one benchmark program through the complete public
@@ -48,8 +46,7 @@ func TestEndToEndAllProfiles(t *testing.T) {
 			if pl.Recovered == nil || len(pl.Recovered.Frames) == 0 {
 				t.Fatal("no recovered layout")
 			}
-			opt.Pipeline(pl.Mod)
-			rec, err := codegen.Compile(pl.Mod, p.Name+"-rec")
+			rec, _, err := pl.Recompile(p.Name + "-rec")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +100,7 @@ int main() {
 	if err := pl.Refine(); err != nil {
 		t.Fatal(err)
 	}
-	opt.Pipeline(pl.Mod)
-	out, err := codegen.Compile(pl.Mod, "quickstart-rec")
+	out, _, err := pl.Recompile("quickstart-rec")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
+	"wytiwyg/internal/layout"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/obj"
 	"wytiwyg/internal/opt"
 )
 
@@ -53,7 +55,10 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 	}
 	row.Native = nat.Cycles
 
-	run := func(refine bool, copts core.Options, o opt.PipelineOpts) (Outcome, error) {
+	// run recompiles one variant: through the pipeline's back end when o
+	// is nil, or with the optimizer passes o disables (the sym-no-mem and
+	// sym-no-licm columns vary that stage on purpose).
+	run := func(refine bool, copts core.Options, o *opt.PipelineOpts) (Outcome, error) {
 		copts.Jobs = 1
 		pl, err := core.LiftBinaryOpts(img, p.Inputs(), copts)
 		if err != nil {
@@ -70,14 +75,19 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 				res.Admitted++
 			}
 		}
-		o.Oracle, o.Typed = pl.Oracle(), pl.TypedInfo()
-		promoted := opt.PipelineWith(pl.Mod, o)
-		for _, f := range promoted.Frames {
-			res.Promoted += len(f.Vars)
+		var out *obj.Image
+		var promoted *layout.Program
+		if o == nil {
+			out, promoted, err = pl.Recompile(p.Name)
+		} else {
+			promoted = opt.PipelineWith(pl.Mod, *o)
+			out, err = codegen.Compile(pl.Mod, p.Name)
 		}
-		out, err := codegen.Compile(pl.Mod, p.Name)
 		if err != nil {
 			return Outcome{}, err
+		}
+		for _, f := range promoted.Frames {
+			res.Promoted += len(f.Vars)
 		}
 		m, err := measure(out, p.Ref)
 		if err != nil {
@@ -98,18 +108,18 @@ func Ablation(p progs.Program, prof gen.Profile) (*AblationRow, error) {
 		{&row.Types, core.Options{Types: true}},
 		{&row.Static, core.Options{StaticRecover: true}},
 	} {
-		if *v.dst, err = run(true, v.copts, opt.PipelineOpts{}); err != nil {
+		if *v.dst, err = run(true, v.copts, nil); err != nil {
 			return nil, err
 		}
 	}
 	for _, v := range []struct {
 		dst    *uint64
 		refine bool
-		o      opt.PipelineOpts
+		o      *opt.PipelineOpts
 	}{
-		{&row.NoSym, false, opt.PipelineOpts{}},
-		{&row.SymNoMem, true, opt.PipelineOpts{NoMem2Reg: true, NoMemOpt: true}},
-		{&row.SymNoLICM, true, opt.PipelineOpts{NoLICM: true}},
+		{&row.NoSym, false, nil},
+		{&row.SymNoMem, true, &opt.PipelineOpts{NoMem2Reg: true, NoMemOpt: true}},
+		{&row.SymNoLICM, true, &opt.PipelineOpts{NoLICM: true}},
 	} {
 		res, err := run(v.refine, core.Options{}, v.o)
 		if err != nil {

@@ -18,13 +18,11 @@ import (
 	"math"
 
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/staticsym"
 	"wytiwyg/internal/symbolize"
 )
@@ -109,8 +107,7 @@ func RunProgram(p progs.Program, prof gen.Profile) (*Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s/%s: lift: %w", p.Name, prof.Name, err)
 	}
-	opt.Pipeline(pl.Mod)
-	noSymImg, err := codegen.Compile(pl.Mod, p.Name+"-nosym")
+	noSymImg, _, err := pl.Recompile(p.Name + "-nosym")
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s/%s: nosym codegen: %w", p.Name, prof.Name, err)
 	}
@@ -127,8 +124,7 @@ func RunProgram(p progs.Program, prof gen.Profile) (*Row, error) {
 	if err := pw.Refine(); err != nil {
 		return nil, fmt.Errorf("bench: %s/%s: refine: %w", p.Name, prof.Name, err)
 	}
-	promoted := opt.PipelineWith(pw.Mod, opt.PipelineOpts{})
-	symImg, err := codegen.Compile(pw.Mod, p.Name+"-sym")
+	symImg, promoted, err := pw.Recompile(p.Name + "-sym")
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s/%s: sym codegen: %w", p.Name, prof.Name, err)
 	}
@@ -199,8 +195,7 @@ func runStatic(img *obj.Image, p progs.Program) Measurement {
 	if _, err := staticsym.Apply(ps.Mod, ps.SPOffsets); err != nil {
 		return Measurement{Failed: true, Reason: err.Error()}
 	}
-	opt.Pipeline(ps.Mod)
-	swImg, err := codegen.Compile(ps.Mod, p.Name+"-sw")
+	swImg, _, err := ps.Recompile(p.Name + "-sw")
 	if err != nil {
 		return Measurement{Failed: true, Reason: err.Error()}
 	}

@@ -7,11 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 // Differential testing: generate random (but well-defined) mini-C programs
@@ -149,8 +147,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			if err := p.Refine(); err != nil {
 				t.Fatalf("refine: %v\n%s", err, src)
 			}
-			opt.Pipeline(p.Mod)
-			out, err := codegen.Compile(p.Mod, "fuzz-rec")
+			out, _, err := p.Recompile("fuzz-rec")
 			if err != nil {
 				t.Fatalf("codegen: %v\n%s", err, src)
 			}

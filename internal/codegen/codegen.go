@@ -163,8 +163,8 @@ type fnCG struct {
 func (c *fnCG) b() *asm.Builder { return c.g.b }
 
 func (c *fnCG) emit() error {
-	splitCriticalEdges(c.f)
-	c.order = linearize(c.f)
+	defer splitCriticalEdges(c.f)()
+	c.order = ir.RPOAll(c.f)
 	c.computeTiles()
 	c.assignHomes()
 	// Compare/branch fusion.

@@ -2,8 +2,11 @@ package codegen_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"wytiwyg/internal/bench"
+	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
@@ -251,5 +254,38 @@ int main() { return work(200); }`
 	if r2.Cycles >= nat.Cycles {
 		t.Errorf("symbolized recompile (%d cycles) not faster than the -O0 original (%d)",
 			r2.Cycles, nat.Cycles)
+	}
+}
+
+// Code generation leaves the module it compiles as it found it: the
+// forwarding blocks it puts on critical edges are removed again, so the IR
+// can be printed after recompiling (`wytiwyg -emit ir`). gobmk keeps such
+// edges after optimization, so -short keeps only it.
+func TestCompileLeavesModuleUnchanged(t *testing.T) {
+	corpus := progs.All
+	if testing.Short() {
+		gobmk, _ := progs.ByName("gobmk")
+		corpus = []progs.Program{gobmk}
+	}
+	for _, p := range corpus {
+		img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
+		if err != nil {
+			t.Fatalf("%s: build: %v", p.Name, err)
+		}
+		pl, err := core.LiftBinary(img, bench.Scaled(p, 2).Inputs())
+		if err != nil {
+			t.Fatalf("%s: lift: %v", p.Name, err)
+		}
+		if err := pl.Refine(); err != nil {
+			t.Fatalf("%s: refine: %v", p.Name, err)
+		}
+		opt.Pipeline(pl.Mod)
+		before := fmt.Sprint(pl.Mod)
+		if _, err := codegen.Compile(pl.Mod, p.Name); err != nil {
+			t.Fatalf("%s: codegen: %v", p.Name, err)
+		}
+		if fmt.Sprint(pl.Mod) != before {
+			t.Errorf("%s: codegen changed the module it compiled", p.Name)
+		}
 	}
 }

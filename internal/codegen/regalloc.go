@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"sort"
 
 	"wytiwyg/internal/ir"
@@ -14,9 +15,12 @@ import (
 
 // splitCriticalEdges inserts a forwarding block on every edge from a
 // multi-successor block into a multi-predecessor block, so phi copies have
-// an unambiguous insertion point.
-func splitCriticalEdges(f *ir.Func) {
-	for _, b := range append([]*ir.Block(nil), f.Blocks...) {
+// an unambiguous insertion point. It returns a function that removes the
+// forwarding blocks again, so code generation leaves the module's CFG as it
+// found it.
+func splitCriticalEdges(f *ir.Func) (undo func()) {
+	n := len(f.Blocks)
+	for _, b := range f.Blocks[:n] {
 		if len(b.Succs) < 2 {
 			continue
 		}
@@ -38,31 +42,14 @@ func splitCriticalEdges(f *ir.Func) {
 			}
 		}
 	}
-}
-
-// linearize returns blocks in reverse post order.
-func linearize(f *ir.Func) []*ir.Block {
-	seen := map[*ir.Block]bool{}
-	var order []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		if seen[b] {
-			return
+	return func() {
+		for _, nb := range f.Blocks[n:] {
+			b, s := nb.Preds[0], nb.Succs[0]
+			b.Succs[slices.Index(b.Succs, nb)] = s
+			s.Preds[slices.Index(s.Preds, nb)] = b
 		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		order = append(order, b)
+		f.Blocks = f.Blocks[:n]
 	}
-	dfs(f.Entry())
-	for _, b := range f.Blocks {
-		dfs(b)
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }
 
 var allocRegs = [3]isa.Reg{isa.EBX, isa.ESI, isa.EDI}

@@ -9,10 +9,8 @@ import (
 
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/refcache"
 )
 
@@ -71,16 +69,15 @@ func fingerprint(p *core.Pipeline) string {
 }
 
 // fingerprintFull extends fingerprint with the recompiled instruction
-// stream: the refined IR is optimized (with the pipeline's alias oracle
-// and typed partitions, where those stages ran) and run through codegen,
-// and every emitted instruction's disassembly is appended. The IR is
-// printed first — the optimizer mutates the module in place.
+// stream: the refined IR goes through the pipeline's back end
+// (Pipeline.Recompile), and every emitted instruction's disassembly is
+// appended. The IR is printed first — the optimizer mutates the module in
+// place.
 func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(fingerprint(p))
-	opt.PipelineWith(p.Mod, opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()})
-	out, err := codegen.Compile(p.Mod, name+"-rec")
+	out, _, err := p.Recompile(name + "-rec")
 	if err != nil {
 		t.Fatalf("%s: recompile: %v", name, err)
 	}
@@ -163,6 +160,10 @@ func TestWarmCacheSpeedup(t *testing.T) {
 	warm.Report.Sort()
 	if warm.Report.String() != cold.Report.String() {
 		t.Errorf("cached report differs:\n%s\nvs\n%s", warm.Report, cold.Report)
+	}
+	// A cache hit carries no IR, so there is nothing to recompile.
+	if _, _, err := warm.Recompile("warm"); err == nil {
+		t.Error("Recompile succeeded on a pipeline served from the cache")
 	}
 }
 

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"testing"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/irexec"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 const pipelineSrc = `
@@ -55,10 +53,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if p.RegClasses == nil || p.SPOffsets == nil || p.VarResult == nil || p.Recovered == nil {
 		t.Error("refinement state incomplete")
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "gcd-rec")
+	stages := len(p.Times)
+	out, _, err := p.Recompile("gcd-rec")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(p.Times) != stages {
+		t.Errorf("Recompile recorded stage times: %v", p.Times[stages:])
 	}
 	for _, input := range inputs {
 		var nat, rec bytes.Buffer
@@ -98,8 +99,7 @@ int main() {
 	if err := p1.Refine(); err != nil {
 		t.Fatal(err)
 	}
-	opt.Pipeline(p1.Mod)
-	rec1, err := codegen.Compile(p1.Mod, "rec1")
+	rec1, _, err := p1.Recompile("rec1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,7 @@ int main() {
 	if err := p2.Refine(); err != nil {
 		t.Fatal(err)
 	}
-	opt.Pipeline(p2.Mod)
-	rec2, err := codegen.Compile(p2.Mod, "rec2")
+	rec2, _, err := p2.Recompile("rec2")
 	if err != nil {
 		t.Fatal(err)
 	}

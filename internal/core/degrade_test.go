@@ -6,12 +6,10 @@ import (
 	"testing"
 
 	"wytiwyg/internal/analysis"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 )
 
 // A program with a function that only runs for large inputs: the pipeline
@@ -119,8 +117,7 @@ func TestRefineDegradesUnliftableFunction(t *testing.T) {
 		t.Error("main missing from recovered layout")
 	}
 
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "degrade-rec")
+	out, _, err := p.Recompile("degrade-rec")
 	if err != nil {
 		t.Fatal(err)
 	}

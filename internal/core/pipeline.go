@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"wytiwyg/internal/analysis"
+	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/coldrec"
 	"wytiwyg/internal/funcrec"
 	"wytiwyg/internal/ir"
@@ -766,6 +767,29 @@ func (p *Pipeline) Oracle() func(*ir.Func) opt.AliasOracle {
 		return nil
 	}
 	return func(f *ir.Func) opt.AliasOracle { return p.fix.get(f).Oracle() }
+}
+
+// Recompile is the pipeline's back end (Figure 4's last step): it runs the
+// stock optimizer over the module, with the pipeline's own alias oracle
+// and typed-slot partition when the VSA and type-recovery stages ran, and
+// generates the recovered binary, named name. It returns that image and
+// the stack objects mem2reg promoted to registers.
+//
+// Recompile works on any pipeline that has IR: refined, unrefined (the
+// no-symbolization baseline) or symbolized by another pass such as
+// staticsym. It fails on a pipeline served from the cache, which has none.
+// It records no stage time and fires no observer event. The optimizer
+// rewrites p.Mod in place; code generation leaves it unchanged.
+func (p *Pipeline) Recompile(name string) (*obj.Image, *layout.Program, error) {
+	if p.Mod == nil {
+		return nil, nil, fmt.Errorf("core: recompile %s: the pipeline has no IR (served from the cache)", name)
+	}
+	promoted := opt.PipelineWith(p.Mod, opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()})
+	img, err := codegen.Compile(p.Mod, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return img, promoted, nil
 }
 
 // Refine runs the complete refinement-lifting sequence on a lifted module:

@@ -8,12 +8,10 @@ import (
 
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/refcache"
 )
 
@@ -89,8 +87,7 @@ func staticRecompile(t *testing.T, jobs int, static bool) (*core.Pipeline, *obj.
 	if err := p.Refine(); err != nil {
 		t.Fatal(err)
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "static-cov-rec")
+	out, _, err := p.Recompile("static-cov-rec")
 	if err != nil {
 		t.Fatal(err)
 	}

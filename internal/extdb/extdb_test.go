@@ -4,23 +4,7 @@ import (
 	"testing"
 
 	"wytiwyg/internal/extdb"
-	"wytiwyg/internal/machine"
 )
-
-// Every function the simulated libc implements must be described in the
-// database, or the lifter will reject binaries using it.
-func TestDBCoversLibsim(t *testing.T) {
-	for _, name := range machine.ExtNames {
-		sig, ok := extdb.Lookup(name)
-		if !ok {
-			t.Errorf("external %q missing from the database", name)
-			continue
-		}
-		if sig.Name != name {
-			t.Errorf("signature name mismatch: %q vs %q", sig.Name, name)
-		}
-	}
-}
 
 func TestVariadicSignatures(t *testing.T) {
 	for _, name := range []string{"printf", "sprintf"} {

@@ -254,7 +254,15 @@ func (f *Func) Entry() *Block { return f.Blocks[0] }
 // RPO returns f's reachable blocks in reverse post order (entry first).
 // The depth-first search visits successors in Succs order, so the order
 // is a pure function of the CFG.
-func RPO(f *Func) []*Block {
+func RPO(f *Func) []*Block { return rpo(f, false) }
+
+// RPOAll returns all of f's blocks in reverse post order: the search
+// starts at the entry and is then re-seeded from every block in f.Blocks
+// order, so blocks unreachable from the entry are included, ahead of the
+// reachable ones. Passes that must visit every block use it.
+func RPOAll(f *Func) []*Block { return rpo(f, true) }
+
+func rpo(f *Func, all bool) []*Block {
 	seen := make(map[*Block]bool, len(f.Blocks))
 	var post []*Block
 	var dfs func(b *Block)
@@ -269,6 +277,11 @@ func RPO(f *Func) []*Block {
 		post = append(post, b)
 	}
 	dfs(f.Entry())
+	if all {
+		for _, b := range f.Blocks {
+			dfs(b)
+		}
+	}
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}

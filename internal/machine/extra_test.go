@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wytiwyg/internal/asm"
+	"wytiwyg/internal/extdb"
 	"wytiwyg/internal/isa"
 )
 
@@ -86,21 +87,24 @@ func TestStepAccessors(t *testing.T) {
 	}
 }
 
-func TestExternalRegistry(t *testing.T) {
-	for _, n := range ExtNames {
-		if !IsExternal(n) {
-			t.Errorf("IsExternal(%q) = false", n)
+// The simulated libc and the signature database describe the same
+// functions: an implemented function missing from the database is rejected
+// by the lifter, and a described one missing here faults at run time.
+func TestDBCoversLibsim(t *testing.T) {
+	for name := range extHandlers {
+		sig, ok := extdb.Lookup(name)
+		if !ok {
+			t.Errorf("external %q missing from the database", name)
+			continue
 		}
-		a, ok := ExtAddrFor(n)
-		if !ok || a < isa.ExtBase {
-			t.Errorf("ExtAddrFor(%q) = %#x, %v", n, a, ok)
+		if sig.Name != name {
+			t.Errorf("signature name mismatch: %q vs %q", sig.Name, name)
 		}
 	}
-	if IsExternal("no_such") {
-		t.Error("phantom external")
-	}
-	if _, ok := ExtAddrFor("no_such"); ok {
-		t.Error("phantom external address")
+	for name := range extdb.DB {
+		if _, ok := extHandlers[name]; !ok {
+			t.Errorf("database entry %q has no libc implementation", name)
+		}
 	}
 }
 

@@ -76,51 +76,9 @@ func (ls *LibState) Call(name string, arg func(i int) (uint32, error)) (uint32, 
 	return h(ls, arg)
 }
 
-// IsExternal reports whether a library function exists.
-func IsExternal(name string) bool {
-	_, ok := extHandlers[name]
-	return ok
-}
-
 // extHandler is the native implementation of one library function. arg
 // reads the i-th stack argument.
 type extHandler func(ls *LibState, arg func(i int) (uint32, error)) (uint32, error)
-
-// ExtNames lists every library function, in PLT order. The assembler
-// assigns PLT addresses in this order; extdb describes their pointer
-// behaviour.
-var ExtNames = []string{
-	"exit",
-	"putint",
-	"putchar",
-	"puts",
-	"printf",
-	"sprintf",
-	"malloc",
-	"free",
-	"memset",
-	"memcpy",
-	"strlen",
-	"strcmp",
-	"strcpy",
-	"strtok",
-	"atoi",
-	"abs",
-	"rand",
-	"srand",
-	"input_int",
-	"input_str",
-}
-
-// ExtAddrFor returns the canonical PLT address of a library function.
-func ExtAddrFor(name string) (uint32, bool) {
-	for i, n := range ExtNames {
-		if n == name {
-			return isa.ExtBase + uint32(i)*isa.InstrSize, true
-		}
-	}
-	return 0, false
-}
 
 var extHandlers = map[string]extHandler{
 	"exit": func(ls *LibState, arg func(int) (uint32, error)) (uint32, error) {

@@ -7,7 +7,7 @@ import "wytiwyg/internal/ir"
 // body approximation (the RPO range between header and latch) is safe
 // because only pure, non-trapping values move.
 func LICM(f *ir.Func) int {
-	order := rpoBlocks(f)
+	order := ir.RPOAll(f)
 	pos := make(map[*ir.Block]int, len(order))
 	for i, b := range order {
 		pos[b] = i

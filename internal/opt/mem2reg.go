@@ -183,7 +183,7 @@ func promoteAlloca(f *ir.Func, a *ir.Value, size uint8) {
 	}
 
 	// Process blocks in reverse post order.
-	order := rpoBlocks(f)
+	order := ir.RPOAll(f)
 	trySeal()
 	for _, b := range order {
 		insts := b.Insts[:0]
@@ -224,29 +224,4 @@ func promoteAlloca(f *ir.Func, a *ir.Value, size uint8) {
 	}
 	// Fix phi argument order: AddArg appended in b.Preds order already.
 	RemoveDeadAllocas(f)
-}
-
-// rpoBlocks returns the function's blocks in reverse post order.
-func rpoBlocks(f *ir.Func) []*ir.Block {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var order []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		order = append(order, b)
-	}
-	dfs(f.Entry())
-	for _, b := range f.Blocks {
-		dfs(b)
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }

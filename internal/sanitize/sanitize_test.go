@@ -3,12 +3,10 @@ package sanitize_test
 import (
 	"testing"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/sanitize"
 )
 
@@ -49,8 +47,7 @@ func TestSanitizerCatchesOverflow(t *testing.T) {
 	if checks == 0 {
 		t.Fatal("no checks inserted on a symbolized module")
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "vuln-san")
+	out, _, err := p.Recompile("vuln-san")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +125,7 @@ int main() {
 	if n := sanitize.Apply(p.Mod); n == 0 {
 		t.Fatal("no checks inserted")
 	}
-	opt.Pipeline(p.Mod)
-	out, err := codegen.Compile(p.Mod, "san")
+	out, _, err := p.Recompile("san")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,11 @@ import (
 
 	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/bench/progs"
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/obj"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/refcache"
 )
 
@@ -146,8 +144,7 @@ func (r *Runner) recompile(p *core.Pipeline, img *obj.Image, inputs []machine.In
 	sort.Strings(degraded)
 	pay.Degraded = degraded
 
-	opt.PipelineWith(p.Mod, opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()})
-	out, err := codegen.Compile(p.Mod, "recovered")
+	out, _, err := p.Recompile("recovered")
 	if err != nil {
 		return fmt.Errorf("serve: recompile: %w", err)
 	}

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"testing"
 
-	"wytiwyg/internal/codegen"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/irexec"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/opt"
 	"wytiwyg/internal/staticsym"
 )
 
@@ -115,8 +113,7 @@ int main() {
 			maxSize, fr)
 	}
 	// And optimization+recompilation still works.
-	opt.Pipeline(p.Mod)
-	img2, err := codegen.Compile(p.Mod, "sw")
+	img2, _, err := p.Recompile("sw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -412,6 +412,19 @@ func buildFrame(fi *fnInfo) {
 	entry := f.Entry()
 	var prefix []*ir.Value
 
+	// Each incoming stack argument is spilled as a whole 4-byte word
+	// (below). An argument-area object that covers only the start of its
+	// word, such as a char parameter's, is widened to the whole word,
+	// unless another object lies in the rest of it.
+	for _, v := range fi.vars {
+		for i := 0; i < fi.stackArgs; i++ {
+			slot := int32(4 + 4*i)
+			if v.lo >= 4 && v.lo <= slot && slot < v.hi && v.hi < slot+4 && !fi.occupied(v.hi, slot+4) {
+				v.hi = slot + 4
+			}
+		}
+	}
+
 	for i, v := range fi.vars {
 		size := uint32(v.hi - v.lo)
 		if size == 0 {
@@ -467,6 +480,16 @@ func buildFrame(fi *fnInfo) {
 		}
 	}
 	entry.Insts = append(prefix, entry.Insts...)
+}
+
+// occupied reports whether any variable overlaps [lo, hi).
+func (fi *fnInfo) occupied(lo, hi int32) bool {
+	for _, v := range fi.vars {
+		if v.lo < hi && lo < v.hi {
+			return true
+		}
+	}
+	return false
 }
 
 // markPlumbing flags the variables covering [lo, hi) as call-frame
