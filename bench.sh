@@ -15,12 +15,11 @@
 #     turn, so every benchmark's samples spread over the whole run instead
 #     of one contiguous window whose host load decides its min.
 #
-# The value-set analysis and interval-analysis benchmarks (BenchmarkVSAAnalyze,
-# BenchmarkCheckBounds) analyze a whole refined program per iteration and
-# the refinement-replay benchmark (BenchmarkReplay) replays one per
-# iteration, so they run under their own, much smaller fixed -benchtime
-# (20x) and are fed to the same benchjson run: the artifact holds only
-# `go test -bench` numbers.
+# The value-set analysis benchmark (BenchmarkVSAAnalyze) analyzes a whole
+# refined program per iteration and the refinement-replay benchmark
+# (BenchmarkReplay) replays one per iteration, so they run under their
+# own, much smaller fixed -benchtime (20x) and are fed to the same
+# benchjson run: the artifact holds only `go test -bench` numbers.
 #
 # Environment knobs: COUNT (samples per benchmark), BENCHTIME (go test
 # -benchtime value for the interpreter/emulator benchmarks). Run on an
@@ -34,7 +33,7 @@ BENCHTIME=${BENCHTIME:-2000000x}
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-for pkg in machine irexec vsa analysis core; do
+for pkg in machine irexec vsa core; do
     go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
 done
 
@@ -45,7 +44,6 @@ while [ "$i" -lt "$COUNT" ]; do
         "$bin/$pkg.test" -test.run '^$' -test.bench . -test.benchtime "$BENCHTIME" -test.count 1
     done
     "$bin/vsa.test" -test.run '^$' -test.bench 'VSAAnalyze' -test.benchtime 20x -test.count 1
-    "$bin/analysis.test" -test.run '^$' -test.bench 'CheckBounds' -test.benchtime 20x -test.count 1
     "$bin/core.test" -test.run '^$' -test.bench 'Replay$' -test.benchtime 20x -test.count 1
     i=$((i + 1))
 done | go run ./cmd/benchjson -mode full -o BENCH_interp.json

@@ -103,8 +103,7 @@ check_bench() {
         go run ./cmd/benchjson -mode smoke -o /tmp/wytiwyg-bench-smoke.json
     # The analysis and replay benchmarks only have to keep compiling and
     # running; their smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
-    go test -bench='VSAAnalyze|CheckBounds' -benchtime=1x -run '^$' \
-        ./internal/vsa/ ./internal/analysis/ >/dev/null
+    go test -bench='VSAAnalyze' -benchtime=1x -run '^$' ./internal/vsa/ >/dev/null
     go test -bench='Replay$' -benchtime=1x -run '^$' ./internal/core/ >/dev/null
     go run ./cmd/benchjson -check -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -check -o BENCH_interp.json

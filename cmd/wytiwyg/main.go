@@ -243,16 +243,17 @@ func main() {
 // appended only under -timings — the default output must stay byte-identical
 // across runs and worker counts (the determinism contract).
 func printVSAStats(stats []core.VSAStat, showTime bool) {
-	checked, cross, oof := 0, 0, 0
+	checked, cross, oos, oof := 0, 0, 0, 0
 	var elapsed time.Duration
 	for _, st := range stats {
 		checked += st.Checked
 		cross += st.CrossSlot
+		oos += st.OutOfSlot
 		oof += st.OutOfFrame
 		elapsed += st.Elapsed
 	}
-	fmt.Printf("vsa: %d accesses verified, %d cross-slot warning(s), %d out-of-frame error(s)",
-		checked, cross, oof)
+	fmt.Printf("vsa: %d accesses verified, %d cross-slot warning(s), %d out-of-slot and %d out-of-frame error(s)",
+		checked, cross, oos, oof)
 	if showTime {
 		fmt.Printf(" in %v", elapsed.Round(time.Microsecond))
 	}

@@ -30,7 +30,7 @@ func addProgramFlags(fs *flag.FlagSet, stages bool) *programFlags {
 	fs.StringVar(&pf.profile, "profile", "gcc12-O3", "compiler profile: gcc12-O3, gcc12-O0, clang16-O3, gcc44-O3")
 	fs.StringVar(&pf.inputs, "inputs", "", "comma-separated integer inputs for tracing and validation (at most 64)")
 	if stages {
-		fs.BoolVar(&pf.vsa, "vsa", false, "run the value-set analysis stage: verify the layout against statically provable access offsets")
+		fs.BoolVar(&pf.vsa, "vsa", false, "run the value-set analysis stage: count the verified access offsets and hand the fixpoints to type recovery and the optimizer's alias oracle")
 		fs.BoolVar(&pf.types, "types", false, "run the type-recovery stage: infer a type for every recovered frame slot")
 		fs.BoolVar(&pf.static, "static-recover", false, "statically recover untraced functions, admitting only VSA-verified layouts")
 	}

@@ -1,8 +1,9 @@
 // Lint: run the static verification stage on a recovered program and see
-// how it reacts to a corrupted layout. The linter (internal/analysis) is
-// the static gate over WYTIWYG's dynamic recovery: it re-derives stack
-// heights by abstract interpretation, proves stack accesses stay inside
-// their recovered objects, and cross-checks the layout table against the
+// how it reacts to a corrupted layout. The linter (vsa.LintModule over the
+// checks of internal/analysis) is the static gate over WYTIWYG's dynamic
+// recovery: it re-derives stack heights by abstract interpretation, proves
+// stack accesses stay inside their recovered objects on the value-set
+// analysis's fixpoint, and cross-checks the layout table against the
 // symbolized IR — so an unsound recovery is caught before codegen rather
 // than as a crash in a recompiled binary.
 package main
@@ -15,6 +16,7 @@ import (
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/vsa"
 )
 
 const src = `
@@ -67,7 +69,7 @@ func main() {
 	fmt.Printf("\ncorrupting %s: shifting %q to offset %d in the layout table\n",
 		frame.Func, v.Name, v.Offset)
 	var rep analysis.Report
-	analysis.LintModule(p.Mod, p.Recovered, p.Heights, &rep)
+	vsa.LintModule(p.Mod, p.Recovered, p.Heights, &rep)
 	for _, d := range rep.Diags {
 		if d.Severity == analysis.Error {
 			fmt.Println(d)

@@ -8,24 +8,24 @@
 // recovered stack layouts before code generation instead of discovering
 // problems as crashes in the interpreter or the recompiled binary.
 //
-// The layer has four clients wired into the pipeline:
+// The layer has three clients wired into the pipeline:
 //
 //   - stack-height analysis (stackheight.go) re-derives every function's
 //     sp0-relative reference offsets by abstract interpretation and rejects
 //     frames whose recovered extent disagrees with them;
-//   - the bounds checker (bounds.go) runs an interval analysis over the
-//     symbolized IR and proves every stack load/store lands inside its
-//     recovered object, or reports where it cannot;
 //   - definite-initialization (initcheck.go) flags loads from stack slots
 //     that no path has stored to;
 //   - escape and dead-store analysis (escape.go, deadstore.go) compute the
 //     facts that make the optimizer's promotion and store-elimination
 //     decisions provably safe rather than heuristic.
 //
-// Diagnostics carry stable func:block:idx locations (ir.Value.Location) and
-// render as text or JSON (diag.go); Lint (lint.go) bundles the checks into
-// the pipeline's post-refinement verification stage and the `wytiwyg lint`
-// subcommand.
+// That every stack load/store lands inside its recovered object is proven
+// on the value-set analysis's fixpoint (vsa.Check), the one abstract
+// domain for stack accesses. Diagnostics carry stable func:block:idx
+// locations (ir.Value.Location) and render as text or JSON (diag.go);
+// lint.go holds the layout-table checks, and vsa.LintFunc bundles every
+// check into the pipeline's post-refinement verification stage and the
+// `wytiwyg lint` subcommand.
 package analysis
 
 import "wytiwyg/internal/ir"

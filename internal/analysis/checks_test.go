@@ -97,91 +97,6 @@ func TestEscapeConflictBothEscape(t *testing.T) {
 	}
 }
 
-func TestBoundsProvenAndViolation(t *testing.T) {
-	_, f, b := mkFunc("f")
-	a := alloca(f, b, "a", -8, 8)
-	k4 := konst(f, b, 4)
-	in := f.NewValue(ir.OpAdd, a, k4)
-	b.Append(in)
-	_ = load(f, b, in) // [4,8): inside
-	k12 := konst(f, b, 12)
-	out := f.NewValue(ir.OpAdd, a, k12)
-	b.Append(out)
-	oob := load(f, b, out) // [12,16): outside [0,8)
-	b.Append(f.NewValue(ir.OpRet, oob))
-
-	var rep Report
-	st := CheckBounds(f, &rep)
-	if st.Proven != 1 || st.Violations != 1 || st.Unproven != 0 {
-		t.Fatalf("stats: %+v\n%s", st, rep.String())
-	}
-	if rep.Errors() != 1 {
-		t.Fatalf("want 1 error, got report:\n%s", rep.String())
-	}
-	if !strings.Contains(rep.Diags[0].Msg, "out of bounds") {
-		t.Errorf("unexpected message %q", rep.Diags[0].Msg)
-	}
-}
-
-func TestBoundsLoopIndexUnproven(t *testing.T) {
-	// i = phi(0, i+4); load a[i] — the widened interval leaks past the
-	// object, so the access is unprovable (Warn), not a proven violation.
-	_, f, entry := mkFunc("f")
-	a := alloca(f, entry, "a", -16, 16)
-	zero := konst(f, entry, 0)
-	header := f.NewBlock(0)
-	body := f.NewBlock(0)
-	exit := f.NewBlock(0)
-	edge(entry, header)
-	edge(header, body)
-	edge(header, exit)
-	edge(body, header)
-	entry.Append(f.NewValue(ir.OpJmp))
-
-	phi := f.NewValue(ir.OpPhi, zero, nil)
-	header.AddPhi(phi)
-	header.Append(f.NewValue(ir.OpBr, konst(f, header, 1)))
-
-	addr := f.NewValue(ir.OpAdd, a, phi)
-	body.Append(addr)
-	_ = load(f, body, addr)
-	next := f.NewValue(ir.OpAdd, phi, konst(f, body, 4))
-	body.Append(next)
-	phi.Args[1] = next
-	body.Append(f.NewValue(ir.OpJmp))
-	exit.Append(f.NewValue(ir.OpRet, phi))
-
-	var rep Report
-	st := CheckBounds(f, &rep)
-	if st.Violations != 0 {
-		t.Fatalf("no violation expected:\n%s", rep.String())
-	}
-	if st.Unproven != 1 {
-		t.Fatalf("want 1 unproven access, got %+v\n%s", st, rep.String())
-	}
-}
-
-func TestBoundsMaskedIndexProven(t *testing.T) {
-	// An index masked to [0, 12] keeps a 4-byte access inside a 16-byte
-	// object even when the index source is unknown.
-	_, f, b := mkFunc("f")
-	a := alloca(f, b, "a", -16, 16)
-	raw := load(f, b, a) // unknown number
-	mask := konst(f, b, 12)
-	idx := f.NewValue(ir.OpAnd, raw, mask)
-	b.Append(idx)
-	addr := f.NewValue(ir.OpAdd, a, idx)
-	b.Append(addr)
-	_ = load(f, b, addr)
-	b.Append(f.NewValue(ir.OpRet, raw))
-
-	var rep Report
-	st := CheckBounds(f, &rep)
-	if st.Proven != 2 || st.Violations != 0 || st.Unproven != 0 {
-		t.Fatalf("stats: %+v\n%s", st, rep.String())
-	}
-}
-
 func TestInitCheck(t *testing.T) {
 	// Diamond: only one arm stores to the slot — the load after the join
 	// may read uninitialized memory; after a store on both arms it may not.

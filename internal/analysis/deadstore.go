@@ -82,11 +82,10 @@ func DeadStores(f *ir.Func, esc EscapeFacts) []*ir.Value {
 	res := Solve(f, deadStoreProblem(esc))
 	var dead []*ir.Value
 	for _, b := range f.Blocks {
-		out, ok := res.Out[b]
+		live, ok := res[b] // block exit: a backward problem's transfer input
 		if !ok {
 			continue
 		}
-		live := copyLive(nil, out)
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			v := b.Insts[i]
 			if v.Op == ir.OpStore {

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"wytiwyg/internal/irexec"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/vsa"
 )
 
 // Differential testing of the linter over the benchmark suite. Two
@@ -82,9 +84,11 @@ func TestLintCleanLayoutsNoFalsePositives(t *testing.T) {
 	}
 }
 
-// mutation is one seeded layout corruption.
+// mutation is one seeded layout corruption. When check is set, the
+// catching Error must come from that check.
 type mutation struct {
 	name  string
+	check string
 	apply func(pl *core.Pipeline, fn string, v *layout.Var, a *ir.Value) (undo func())
 }
 
@@ -135,6 +139,50 @@ var mutations = []mutation{
 			return func() { v.Offset += 4; a.Const += 4 }
 		},
 	},
+	{
+		// Move one access past its object's end, leaving layout table,
+		// objects and traced references intact: only the stack-access
+		// check on the VSA fixpoint can see it.
+		name:  "access-past-end",
+		check: "vsa",
+		apply: func(pl *core.Pipeline, fn string, v *layout.Var, a *ir.Value) func() {
+			if a == nil {
+				return nil
+			}
+			return movePastEnd(pl.Mod.FuncByName(fn), a)
+		},
+	},
+}
+
+// movePastEnd rewrites the first load or store of f whose address is a or
+// a+k (k constant) to address a+AllocSize+k instead, through a new
+// constant and add inserted before it, and returns the undo; nil when no
+// access has that shape.
+func movePastEnd(f *ir.Func, a *ir.Value) func() {
+	for _, b := range f.Blocks {
+		for i, v := range b.Insts {
+			if v.Op != ir.OpLoad && v.Op != ir.OpStore {
+				continue
+			}
+			addr, off := v.Args[0], int32(0)
+			if addr.Op == ir.OpAdd && addr.Args[0] == a && addr.Args[1].Op == ir.OpConst {
+				off = addr.Args[1].Const
+			} else if addr != a {
+				continue
+			}
+			k := f.NewValue(ir.OpConst)
+			k.Const = off + int32(a.AllocSize)
+			moved := f.NewValue(ir.OpAdd, a, k)
+			k.Block, moved.Block = b, b
+			b.Insts = slices.Insert(b.Insts, i, k, moved)
+			v.Args[0] = moved
+			return func() {
+				v.Args[0] = addr
+				b.Insts = slices.Delete(b.Insts, i, i+2)
+			}
+		}
+	}
+	return nil
 }
 
 // findAlloca locates the stack object matching a layout entry.
@@ -170,10 +218,10 @@ func TestLintCatchesSeededMutations(t *testing.T) {
 						continue // mutation not applicable to this object
 					}
 					var rep analysis.Report
-					analysis.LintModule(pl.Mod, pl.Recovered, pl.Heights, &rep)
+					vsa.LintModule(pl.Mod, pl.Recovered, pl.Heights, &rep)
 					undo()
 					seeded++
-					if rep.Errors() > 0 {
+					if caughtBy(&rep, mut.check) {
 						caught++
 					} else {
 						missed = append(missed,
@@ -192,4 +240,14 @@ func TestLintCatchesSeededMutations(t *testing.T) {
 		t.Errorf("mutation catch rate %.1f%% below 90%%; missed:\n  %s",
 			rate*100, strings.Join(missed, "\n  "))
 	}
+}
+
+// caughtBy reports whether rep has an Error, from check when it is set.
+func caughtBy(rep *analysis.Report, check string) bool {
+	for _, d := range rep.Diags {
+		if d.Severity == analysis.Error && (check == "" || d.Check == check) {
+			return true
+		}
+	}
+	return false
 }

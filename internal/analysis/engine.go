@@ -28,7 +28,9 @@ type Problem[S any] struct {
 
 	// Transfer computes a block's out-state (forward) or in-state
 	// (backward) from the given boundary state. The argument is a private
-	// copy the transfer function may mutate freely (and return).
+	// copy the transfer function may mutate freely (and return). Solve
+	// runs it again whenever a successor's join needs the result, so it
+	// must be deterministic.
 	Transfer func(b *ir.Block, in S) S
 
 	// Copy makes dst an independent copy of src and returns it, reusing
@@ -55,19 +57,16 @@ type Problem[S any] struct {
 	WidenAfter int
 }
 
-// Result carries the fixpoint: the state at each block's entry and exit (in
-// execution order, regardless of analysis direction). No two of its states
-// share storage, so a consumer may mutate the one it reads.
-type Result[S any] struct {
-	In  map[*ir.Block]S // state at block entry
-	Out map[*ir.Block]S // state at block exit
-}
-
 // Solve runs the worklist algorithm to a fixpoint over f's reachable
-// blocks. Blocks are processed in reverse post order (post order for
-// backward problems) so that acyclic regions converge in one pass; loops
-// iterate until their states stabilize or widening forces termination.
-func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
+// blocks and returns, for each of them, the state its transfer reads: the
+// state at block entry for forward problems and at block exit for
+// backward ones; a consumer that needs the other side of a block replays
+// the block's transfer from that state. No two returned states share
+// storage, so a consumer may mutate (replay into) the one it reads.
+// Blocks are processed in reverse post order (post order for backward
+// problems) so that acyclic regions converge in one pass; loops iterate
+// until their states stabilize or widening forces termination.
+func Solve[S any](f *ir.Func, p Problem[S]) map[*ir.Block]S {
 	order := ir.RPO(f)
 	if !p.Forward {
 		rev := make([]*ir.Block, len(order))
@@ -82,7 +81,7 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 	}
 
 	// All per-block state is indexed by position in order. sources[i] are
-	// the positions whose post-transfer states feed block i, sinks[i] the
+	// the positions whose transferred states feed block i, sinks[i] the
 	// positions to reenqueue when its state changes; edges to unreachable
 	// blocks are dropped (those blocks never produce a state).
 	idx := make(map[*ir.Block]int, len(order))
@@ -118,18 +117,18 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 		return len(order[i].Succs) == 0
 	}
 
-	// pre[i] is the state flowing into the transfer, post[i] the state it
-	// produced (valid once visited[i]). They map onto Result.In/Out
-	// according to direction.
-	pre := make([]S, len(order))
-	post := make([]S, len(order))
+	// state[i] is the state flowing into block i's transfer (valid once
+	// visited[i]). A block's transferred state is not kept, which halves
+	// the live states: a sink's visit replays the transfer from state[i],
+	// and that gives exactly the state the last visit of i produced.
+	state := make([]S, len(order))
 	visited := make([]bool, len(order))
 	// grows[i] counts joins that enlarged block i's boundary state; it is
 	// the widening clock (see Problem.WidenAfter).
 	grows := make([]int, len(order))
 
 	// free holds discarded states whose storage Copy may overwrite; no
-	// live state (pre, post or the visit's temporaries) is ever in it.
+	// live state (state or the visit's temporaries) is ever in it.
 	var free []S
 	spare := func() S {
 		if n := len(free); n > 0 {
@@ -162,49 +161,69 @@ func Solve[S any](f *ir.Func, p Problem[S]) Result[S] {
 		i := queue[0]
 		queue = queue[1:]
 		inQueue[i] = false
-		b := order[i]
 
-		next := p.Copy(spare(), bottom)
+		// next joins the states flowing into block i. The first one
+		// stands in for its join with Bottom, Join's identity.
+		var next S
+		have := false
 		if isBoundary(i) {
 			if !haveBnd {
 				bnd, haveBnd = p.Boundary(f), true
 			}
-			next, _ = p.Join(next, bnd)
+			next, have = p.Copy(spare(), bnd), true
 		}
 		for _, s := range sources[i] {
-			if visited[s] {
-				next, _ = p.Join(next, post[s])
-			}
-		}
-		if visited[i] {
-			merged, changed := p.Join(p.Copy(spare(), pre[i]), next)
-			if !changed {
-				free = append(free, merged, next)
+			if !visited[s] {
 				continue
 			}
-			grows[i]++
-			if p.Widen != nil && grows[i] > widenAfter {
-				merged = p.Widen(pre[i], merged)
+			out := p.Transfer(order[s], p.Copy(spare(), state[s]))
+			if !have {
+				next, have = out, true
+				continue
 			}
-			free = append(free, next, pre[i], post[i])
-			next = merged
+			next, _ = p.Join(next, out)
+			free = append(free, out)
 		}
-		visited[i] = true
-		pre[i] = next
-		post[i] = p.Transfer(b, p.Copy(spare(), next))
+		if !have {
+			next = p.Copy(spare(), bottom)
+		}
+		if visited[i] {
+			if p.Widen == nil || grows[i] < widenAfter {
+				// No widening on this join: merge into the state in
+				// place, which a join that changes nothing leaves as it
+				// was.
+				merged, changed := p.Join(state[i], next)
+				state[i] = merged
+				free = append(free, next)
+				if !changed {
+					continue
+				}
+				grows[i]++
+			} else {
+				merged, changed := p.Join(p.Copy(spare(), state[i]), next)
+				if !changed {
+					free = append(free, merged, next)
+					continue
+				}
+				grows[i]++
+				widened := p.Widen(state[i], merged)
+				free = append(free, next, state[i])
+				state[i] = widened
+			}
+		} else {
+			visited[i] = true
+			state[i] = next
+		}
 		for _, s := range sinks[i] {
 			push(s)
 		}
 	}
 
-	res := Result[S]{In: make(map[*ir.Block]S, len(order)), Out: make(map[*ir.Block]S, len(order))}
+	res := make(map[*ir.Block]S, len(order))
 	for i, b := range order {
 		if visited[i] {
-			res.In[b], res.Out[b] = pre[i], post[i]
+			res[b] = state[i]
 		}
-	}
-	if !p.Forward {
-		res.In, res.Out = res.Out, res.In
 	}
 	return res
 }

@@ -75,12 +75,18 @@ func pathSets(forward bool) Problem[map[int]bool] {
 	}
 }
 
+// Solve keeps one state per block: for a forward problem the state at
+// block entry, from which a consumer replays the block's exit.
 func TestSolveForwardDiamond(t *testing.T) {
 	_, f, entry := mkFunc("f")
 	thenB, elseB, exit := diamond(f, entry)
 
-	res := Solve(f, pathSets(true))
-	in := res.In[exit]
+	p := pathSets(true)
+	res := Solve(f, p)
+	if len(res) != 4 {
+		t.Fatalf("fixpoint has %d states, want one per block (4)", len(res))
+	}
+	in := res[exit]
 	for _, b := range []*ir.Block{entry, thenB, elseB} {
 		if !in[b.ID] {
 			t.Errorf("exit in-state missing block %d", b.ID)
@@ -89,29 +95,40 @@ func TestSolveForwardDiamond(t *testing.T) {
 	if in[exit.ID] {
 		t.Error("exit in-state contains exit itself")
 	}
-	if !res.Out[exit][exit.ID] {
-		t.Error("exit out-state missing exit")
+	if len(res[entry]) != 0 {
+		t.Errorf("entry in-state should be boundary-empty, got %v", res[entry])
 	}
-	if len(res.In[entry]) != 0 {
-		t.Errorf("entry in-state should be boundary-empty, got %v", res.In[entry])
+	if out := p.Transfer(exit, in); !out[exit.ID] {
+		t.Error("exit out-state replayed from its in-state missing exit")
 	}
 }
 
+// For a backward problem the one state per block is the state at block
+// exit, the input of the backward transfer.
 func TestSolveBackwardDiamond(t *testing.T) {
 	_, f, entry := mkFunc("f")
 	thenB, elseB, exit := diamond(f, entry)
 
-	res := Solve(f, pathSets(false))
-	// In execution order, the entry's In is what flows out of the backward
-	// transfer chain: every block below it.
-	in := res.In[entry]
-	for _, b := range []*ir.Block{entry, thenB, elseB, exit} {
-		if !in[b.ID] {
-			t.Errorf("entry backward state missing block %d", b.ID)
+	p := pathSets(false)
+	res := Solve(f, p)
+	if len(res) != 4 {
+		t.Fatalf("fixpoint has %d states, want one per block (4)", len(res))
+	}
+	// The entry's exit state is what flows back from every block below it.
+	out := res[entry]
+	for _, b := range []*ir.Block{thenB, elseB, exit} {
+		if !out[b.ID] {
+			t.Errorf("entry exit-state missing block %d", b.ID)
 		}
 	}
-	if len(res.Out[exit]) != 0 {
-		t.Errorf("exit boundary state should be empty, got %v", res.Out[exit])
+	if out[entry.ID] {
+		t.Error("entry exit-state contains entry itself")
+	}
+	if len(res[exit]) != 0 {
+		t.Errorf("exit boundary state should be empty, got %v", res[exit])
+	}
+	if in := p.Transfer(entry, out); !in[entry.ID] {
+		t.Error("entry in-state replayed from its exit-state missing entry")
 	}
 }
 
@@ -128,10 +145,10 @@ func TestSolveLoopConverges(t *testing.T) {
 	edge(body, header)
 
 	res := Solve(f, pathSets(true))
-	if !res.In[header][body.ID] {
+	if !res[header][body.ID] {
 		t.Error("loop header in-state never absorbed the back edge")
 	}
-	if !res.In[exit][body.ID] {
+	if !res[exit][body.ID] {
 		t.Error("exit in-state missing loop body")
 	}
 }
@@ -141,7 +158,7 @@ func TestSolveSkipsUnreachable(t *testing.T) {
 	dead := f.NewBlock(0) // no preds, not reachable
 	_ = entry
 	res := Solve(f, pathSets(true))
-	if _, ok := res.In[dead]; ok {
+	if _, ok := res[dead]; ok {
 		t.Error("unreachable block was analyzed")
 	}
 }
@@ -199,14 +216,17 @@ func TestHeightsLoop(t *testing.T) {
 // state. Counting those no-change dequeues toward the widening trigger (as
 // the engine once did) widens the provably-bounded [0,9] to [0,+inf].
 type ivState struct {
-	set bool
-	iv  Interval
+	set    bool
+	lo, hi int64
 }
+
+// unbounded is the widened upper bound.
+const unbounded = int64(1) << 40
 
 func boundedCounter(capped bool, cBlock *ir.Block) Problem[ivState] {
 	return Problem[ivState]{
 		Forward:  true,
-		Boundary: func(*ir.Func) ivState { return ivState{set: true, iv: Const(0)} },
+		Boundary: func(*ir.Func) ivState { return ivState{set: true} },
 		Bottom:   func() ivState { return ivState{} },
 		Join: func(dst, src ivState) (ivState, bool) {
 			if !src.set {
@@ -215,25 +235,28 @@ func boundedCounter(capped bool, cBlock *ir.Block) Problem[ivState] {
 			if !dst.set {
 				return src, true
 			}
-			u := dst.iv.Union(src.iv)
-			return ivState{set: true, iv: u}, u != dst.iv
+			u := ivState{set: true, lo: min(dst.lo, src.lo), hi: max(dst.hi, src.hi)}
+			return u, u != dst
 		},
 		Copy: func(_, src ivState) ivState { return src },
 		Transfer: func(b *ir.Block, in ivState) ivState {
 			if b != cBlock || !in.set {
 				return in
 			}
-			next := in.iv.Add(Const(3))
-			if capped && next.Hi > 9 {
-				next.Hi = 9
+			next := ivState{set: true, lo: in.lo + 3, hi: min(in.hi+3, unbounded)}
+			if capped && next.hi > 9 {
+				next.hi = 9
 			}
-			return ivState{set: true, iv: next}
+			return next
 		},
 		Widen: func(prev, next ivState) ivState {
 			if !prev.set || !next.set {
 				return next
 			}
-			return ivState{set: true, iv: next.iv.WidenFrom(prev.iv)}
+			if next.hi > prev.hi {
+				next.hi = unbounded
+			}
+			return next
 		},
 	}
 }
@@ -260,10 +283,10 @@ func TestWideningDelayKeepsBoundedLoop(t *testing.T) {
 	h, c := loopTwoBackEdges(f, entry)
 
 	res := Solve(f, boundedCounter(true, c))
-	got := res.In[h]
-	if !got.set || got.iv != Span(0, 9) {
-		t.Errorf("capped counter at loop head = %v, want [0,9]; "+
-			"no-change dequeues must not trigger widening", got.iv)
+	got := res[h]
+	if want := (ivState{set: true, lo: 0, hi: 9}); got != want {
+		t.Errorf("capped counter at loop head = %+v, want [0,9]; "+
+			"no-change dequeues must not trigger widening", got)
 	}
 }
 
@@ -272,8 +295,8 @@ func TestWideningStillTerminatesDivergingLoop(t *testing.T) {
 	h, c := loopTwoBackEdges(f, entry)
 
 	res := Solve(f, boundedCounter(false, c))
-	got := res.In[h]
-	if !got.set || got.iv.Hi < PosInf {
-		t.Errorf("diverging counter at loop head = %v, want widened Hi=+inf", got.iv)
+	got := res[h]
+	if !got.set || got.hi < unbounded {
+		t.Errorf("diverging counter at loop head = %+v, want widened hi=+inf", got)
 	}
 }

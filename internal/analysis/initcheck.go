@@ -94,11 +94,10 @@ func CheckInit(f *ir.Func, esc EscapeFacts, rep *Report) int {
 	res := Solve(f, initProblem(esc))
 	flagged := 0
 	for _, b := range f.Blocks {
-		in, ok := res.In[b]
-		if !ok || in.all {
+		st, ok := res[b]
+		if !ok || st.all {
 			continue
 		}
-		st := copyInit(initState{}, in)
 		for _, v := range b.Insts {
 			if v.Op == ir.OpLoad {
 				if root, ok := esc.Roots[v.Args[0]]; ok && !st.set[root] {

@@ -7,11 +7,13 @@ import (
 	"wytiwyg/internal/layout"
 )
 
-// Lint orchestration: the post-refinement verification stage. It audits a
-// symbolized module against its recovered layout table with every check in
-// the package and collects the findings into one Report. The severity
-// contract is the one diag.go documents — an Error is a proven violation
-// of a layout invariant and means the recompiled program may be broken.
+// The lint's layout-table checks. The post-refinement verification stage
+// (vsa.LintFunc, which adds the stack-access check on the function's VSA
+// fixpoint) audits a symbolized module against its recovered layout table
+// with these and the package's dataflow checks and collects the findings
+// into one Report. The severity contract is the one diag.go documents — an
+// Error is a proven violation of a layout invariant and means the
+// recompiled program may be broken.
 
 // cpPrefix marks call-plumbing allocas (outgoing argument slots); the
 // symbolizer excludes them from the recovered layout table.
@@ -69,39 +71,10 @@ func CheckFrame(f *ir.Func, frame *layout.Frame, rep *Report) {
 	}
 }
 
-// LintFunc runs every per-function check against f. frame may be nil
-// (function absent from the layout table) and facts may be the zero value
-// (no pre-symbolization height capture available).
-func LintFunc(f *ir.Func, frame *layout.Frame, facts HeightFacts, rep *Report) {
-	esc := Escape(f)
-	CheckFrame(f, frame, rep)
-	CheckRefCoverage(f, facts, rep)
-	CheckBounds(f, rep)
-	CheckInit(f, esc, rep)
-	CheckDeadStores(f, esc, rep)
-}
-
-// LintIR runs only the layout-independent checks: IR well-formedness,
-// bounds, initialization and dead stores. Suitable between optimization
-// passes, where stack objects may legitimately have been promoted away and
-// the layout table no longer describes the IR.
-func LintIR(m *ir.Module, rep *Report) {
-	if err := ir.Verify(m); err != nil {
-		rep.Add(Diag{Check: "verify", Severity: Error, Func: m.Name, Msg: err.Error()})
-	}
-	for _, f := range m.Funcs {
-		esc := Escape(f)
-		CheckBounds(f, rep)
-		CheckInit(f, esc, rep)
-		CheckDeadStores(f, esc, rep)
-	}
-	rep.Sort()
-}
-
 // CheckModule runs only the module-level checks — IR well-formedness and
-// emulated-stack removal. The per-function checks are LintFunc's job; the
-// core pipeline separates the two so it can fan the per-function half out
-// over a worker pool.
+// emulated-stack removal. The per-function checks are vsa.LintFunc's job;
+// the core pipeline separates the two so it can fan the per-function half
+// out over a worker pool.
 func CheckModule(m *ir.Module, rep *Report) {
 	if err := ir.Verify(m); err != nil {
 		rep.Add(Diag{Check: "verify", Severity: Error, Func: m.Name, Msg: err.Error()})
@@ -110,19 +83,4 @@ func CheckModule(m *ir.Module, rep *Report) {
 		rep.Add(Diag{Check: "frame", Severity: Warn, Func: m.Name,
 			Msg: "module still carries an emulated stack after symbolization"})
 	}
-}
-
-// LintModule audits a symbolized module against its recovered layout.
-// heights carries the per-function stack-height facts captured before
-// symbolization (nil when unavailable). The report is returned sorted.
-func LintModule(m *ir.Module, recovered *layout.Program, heights map[*ir.Func]HeightFacts, rep *Report) {
-	CheckModule(m, rep)
-	for _, f := range m.Funcs {
-		var frame *layout.Frame
-		if recovered != nil {
-			frame = recovered.Frame(f.Name)
-		}
-		LintFunc(f, frame, heights[f], rep)
-	}
-	rep.Sort()
 }

@@ -60,7 +60,6 @@ func TestSolveRecyclingMatchesFreshCopies(t *testing.T) {
 	}
 	for _, f := range append(append([]*ir.Func(nil), random...), refined...) {
 		esc := analysis.Escape(f)
-		check("bounds", f, solvetest.Check(f, analysis.BoundsProblem(f)))
 		check("deadstore", f, solvetest.Check(f, analysis.DeadStoreProblem(esc)))
 		check("initcheck", f, solvetest.Check(f, analysis.InitProblem(esc)))
 		if len(f.Params) > 0 {

@@ -15,8 +15,8 @@ import (
 // Check solves p over f twice, once as given and once with a Copy that
 // always allocates (so no state storage is ever reused), and reports the
 // first difference between the two fixpoints. It also reports any two
-// states of the recycled Result (In and Out of every block) that share a
-// backing array or map: consumers may mutate the states they read.
+// states of the recycled fixpoint that share a backing array or map:
+// consumers may mutate (replay into) the states they read.
 func Check[S any](f *ir.Func, p analysis.Problem[S]) error {
 	got := analysis.Solve(f, p)
 	fresh := p
@@ -25,31 +25,25 @@ func Check[S any](f *ir.Func, p analysis.Problem[S]) error {
 		return p.Copy(zero, src)
 	}
 	want := analysis.Solve(f, fresh)
-	if len(got.In) != len(want.In) || len(got.Out) != len(want.Out) {
-		return fmt.Errorf("%s: recycled fixpoint covers %d/%d blocks, fresh %d/%d",
-			f.Name, len(got.In), len(got.Out), len(want.In), len(want.Out))
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: recycled fixpoint covers %d blocks, fresh %d", f.Name, len(got), len(want))
 	}
 	owner := make(map[uintptr]string)
 	for _, b := range f.Blocks {
-		for _, side := range []struct {
-			name      string
-			got, want map[*ir.Block]S
-		}{{"in", got.In, want.In}, {"out", got.Out, want.Out}} {
-			g, ok := side.got[b]
-			if !ok {
-				continue
+		g, ok := got[b]
+		if !ok {
+			continue
+		}
+		if !reflect.DeepEqual(g, want[b]) {
+			return fmt.Errorf("%s: block %d state differs:\nrecycled %+v\nfresh    %+v",
+				f.Name, b.ID, g, want[b])
+		}
+		at := fmt.Sprintf("block %d", b.ID)
+		for _, ptr := range storage(reflect.ValueOf(g)) {
+			if prev, dup := owner[ptr]; dup {
+				return fmt.Errorf("%s: %s state shares storage with %s", f.Name, at, prev)
 			}
-			if !reflect.DeepEqual(g, side.want[b]) {
-				return fmt.Errorf("%s: block %d %s-state differs:\nrecycled %+v\nfresh    %+v",
-					f.Name, b.ID, side.name, g, side.want[b])
-			}
-			at := fmt.Sprintf("block %d %s", b.ID, side.name)
-			for _, ptr := range storage(reflect.ValueOf(g)) {
-				if prev, dup := owner[ptr]; dup {
-					return fmt.Errorf("%s: %s-state shares storage with %s", f.Name, at, prev)
-				}
-				owner[ptr] = at
-			}
+			owner[ptr] = at
 		}
 	}
 	return nil

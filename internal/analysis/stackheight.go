@@ -191,12 +191,16 @@ func Heights(f *ir.Func) HeightFacts {
 		return facts
 	}
 	facts.Known[esp] = 0
-	res := Solve(f, heightsProblem(f, esp))
+	prob := heightsProblem(f, esp)
+	res := Solve(f, prob)
 	for _, b := range f.Blocks {
-		env, ok := res.Out[b]
+		in, ok := res[b]
 		if !ok {
 			continue
 		}
+		// SSA values never change once defined, so the block's exit state
+		// holds every height its instructions saw.
+		env := prob.Transfer(b, in)
 		record := func(v *ir.Value) {
 			if h, ok := env.Get(v); ok && h.k == hKnown {
 				facts.Known[v] = h.c

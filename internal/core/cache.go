@@ -14,7 +14,7 @@ import (
 // of every cache key: bumping it when a refinement, the lifter or a
 // verification check changes behaviour invalidates all prior entries
 // without touching the cache on disk.
-const PassVersion = "refine-6"
+const PassVersion = "refine-7"
 
 // encodeInputs serializes an input set deterministically for hashing.
 func encodeInputs(inputs []machine.Input) []byte {

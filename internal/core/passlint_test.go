@@ -10,11 +10,12 @@ import (
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/opt"
+	"wytiwyg/internal/vsa"
 )
 
 // Every optimizer pass keeps the refined IR free of proven violations:
 // over the corpus at every Table 1 profile, refined once with the default
-// options and once with VSA and type recovery, analysis.LintIR reports no
+// options and once with VSA and type recovery, vsa.LintIR reports no
 // error after any pass of the optimizer the back end runs. Under -short
 // only mcf runs.
 func TestPassLintCorpus(t *testing.T) {
@@ -43,7 +44,7 @@ func TestPassLintCorpus(t *testing.T) {
 					opt.PipelineOpts{Oracle: pl.Oracle(), Typed: pl.TypedInfo()},
 					func(pass string) error {
 						var rep analysis.Report
-						analysis.LintIR(pl.Mod, &rep)
+						vsa.LintIR(pl.Mod, &rep)
 						if rep.Errors() > 0 {
 							return fmt.Errorf("after pass %s:\n%s", pass, rep.String())
 						}

@@ -156,8 +156,8 @@ type VSAStat struct {
 	Func string
 	// Elapsed is the analysis fixpoint's wall-clock cost.
 	Elapsed time.Duration
-	// Checked, CrossSlot and OutOfFrame mirror vsa.CheckStats.
-	Checked, CrossSlot, OutOfFrame int
+	// Checked, CrossSlot, OutOfSlot and OutOfFrame mirror vsa.CheckStats.
+	Checked, CrossSlot, OutOfSlot, OutOfFrame int
 }
 
 // StageTime records one pipeline stage's wall-clock cost.
@@ -673,7 +673,7 @@ func (p *Pipeline) admitCold() {
 			st.Reason = p.Degraded[f.Name].Error()
 		default:
 			start := time.Now()
-			res := vsa.Admit(f)
+			res := vsa.Admit(p.fix.get(f))
 			st.Elapsed = time.Since(start)
 			st.Admitted = res.OK
 			st.Reason = res.Reason
@@ -705,13 +705,15 @@ func (p *Pipeline) admitCold() {
 }
 
 // lintFuncs runs the per-function verification checks over the worker pool
-// and merges the findings in module function order.
+// and merges the findings in module function order. The stack-access check
+// runs on the pipeline's shared VSA fixpoints, which the VSA stage, type
+// recovery and the alias oracle then reuse.
 func (p *Pipeline) lintFuncs() {
 	funcs := p.Mod.Funcs
 	reps := make([]analysis.Report, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
-		analysis.LintFunc(f, p.Recovered.Frame(f.Name), p.Heights[f], &reps[i])
+		vsa.LintFunc(p.fix.get(f), p.Recovered.Frame(f.Name), p.Heights[f], &reps[i])
 		return nil
 	})
 	for i := range reps {
@@ -720,41 +722,35 @@ func (p *Pipeline) lintFuncs() {
 }
 
 // RefineVSA runs the value-set analysis stage: every function gets a
-// whole-function abstract interpretation whose fixpoint verifies the
-// recovered layout (cross-slot and out-of-frame accesses) and records the
-// per-function analysis cost. The fixpoints stay on the pipeline for type
-// recovery and the optimizer's alias oracle (see Fixpoints). Functions are
-// processed over the worker pool with findings and stats merged in module
-// function order, so the output is worker-count independent like every
-// other stage. The stage is a no-op unless Options.VSA was set.
+// whole-function abstract interpretation whose fixpoint the layout
+// verifier (vsa.Check) checks, and the stage records the per-function
+// verification counts and analysis cost. The fixpoints stay on the
+// pipeline for type recovery and the optimizer's alias oracle (see
+// Fixpoints); when the lint ran, it computed them and its report already
+// holds the verifier's findings. Functions are processed over the worker
+// pool with stats stored in module function order, so the output is
+// worker-count independent like every other stage. The stage is a no-op
+// unless Options.VSA was set.
 func (p *Pipeline) RefineVSA() error {
 	if !p.VSA {
 		return nil
 	}
 	funcs := p.Mod.Funcs
 	stats := make([]VSAStat, len(funcs))
-	reps := make([]analysis.Report, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
 		fr := p.fix.get(f)
-		st := vsa.Check(fr, &reps[i])
+		var scratch analysis.Report
+		st := vsa.Check(fr, &scratch)
 		stats[i] = VSAStat{
 			Func:    f.Name,
 			Elapsed: fr.Elapsed,
-			Checked: st.Checked, CrossSlot: st.CrossSlot, OutOfFrame: st.OutOfFrame,
+			Checked: st.Checked, CrossSlot: st.CrossSlot, OutOfSlot: st.OutOfSlot, OutOfFrame: st.OutOfFrame,
 		}
 		return nil
 	})
 	p.VSAStats = stats
-	if p.Lint == LintOff {
-		return nil
-	}
-	p.ensureReport()
-	for i := range funcs {
-		p.Report.Merge(&reps[i])
-	}
-	p.Report.Sort()
-	return p.lintGate("vsa")
+	return nil
 }
 
 // Oracle builds the optimizer's per-function alias-oracle factory from the

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"time"
 
-	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/layout"
 	"wytiwyg/internal/vsa"
@@ -184,7 +183,7 @@ func AnalyzeFunc(fix *vsa.FuncResult) *FuncResult {
 	// address that left the function's own arithmetic.
 	r.tainted = make(map[*ir.Value]bool)
 	if len(unattributed) > 0 {
-		ef := analysis.Escape(f)
+		ef := fix.Escape()
 		for _, v := range unattributed {
 			addr := v.Args[0]
 			if root := ef.Roots[addr]; root != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wytiwyg/internal/analysis"
-	"wytiwyg/internal/ir"
 )
 
 // Admission: the soundness gate for statically recovered (cold) functions.
@@ -25,27 +24,28 @@ type AdmitResult struct {
 	Stats CheckStats
 }
 
-// Admit runs value-set analysis over a lifted cold function and decides
-// admission. The rule is strict on purpose: every access that resolves to a
-// stack object must be proven inside its slot (no cross-slot, no
-// out-of-frame, no unbounded offset sets), and no alloca's address may
-// escape the frame — an escaped address could be dereferenced by code whose
-// layout assumptions the static recovery cannot see.
-func Admit(f *ir.Func) AdmitResult {
-	fr := Analyze(f)
+// Admit decides admission of a lifted cold function from its VSA
+// fixpoint fr. The rule is strict on purpose: every access that resolves
+// to a stack object must be proven inside its slot (no cross-slot,
+// out-of-slot, out-of-frame or unbounded offset sets), and no alloca's
+// address may escape the frame — an escaped address could be dereferenced
+// by code whose layout assumptions the static recovery cannot see.
+func Admit(fr *FuncResult) AdmitResult {
 	var scratch analysis.Report
 	st := Check(fr, &scratch)
 	switch {
 	case st.OutOfFrame > 0:
 		return AdmitResult{Reason: fmt.Sprintf("%d frame access(es) proven out of frame", st.OutOfFrame), Stats: st}
+	case st.OutOfSlot > 0:
+		return AdmitResult{Reason: fmt.Sprintf("%d frame access(es) proven to leave their slot", st.OutOfSlot), Stats: st}
 	case st.CrossSlot > 0:
 		return AdmitResult{Reason: fmt.Sprintf("%d frame access(es) may cross a slot boundary", st.CrossSlot), Stats: st}
 	case st.Unbounded > 0:
 		return AdmitResult{Reason: fmt.Sprintf("%d frame access(es) with unbounded offsets", st.Unbounded), Stats: st}
 	}
-	if esc := analysis.Escapes(f); len(esc) > 0 {
+	if esc := fr.esc.Escaped; len(esc) > 0 {
 		var name string
-		for _, b := range f.Blocks {
+		for _, b := range fr.fn.Blocks {
 			for _, v := range b.Insts {
 				if esc[v] {
 					name = slotName(v)

@@ -21,26 +21,26 @@ type aloc struct {
 
 // state is the abstract machine state at a program point: the value set
 // of every SSA value evaluated so far (missing = bottom, the optimistic
-// initial value) and the abstract store (nil map = bottom; a missing key
-// in a non-nil map = Top, so joins intersect key sets).
+// initial value) and the abstract store (a missing key = Top, so joins
+// intersect key sets). A bottom store (no path has reached the point yet)
+// is the flag bot over an empty map: the map's storage stays with the
+// state, so copies and joins refill it instead of allocating a new one.
 type state struct {
 	env analysis.Env[ValueSet]
 	mem map[aloc]ValueSet
+	bot bool
 }
 
 // copyState makes dst an independent copy of src, reusing dst's storage.
 func copyState(dst, src state) state {
 	dst.env = dst.env.CopyFrom(src.env)
-	if src.mem == nil {
-		dst.mem = nil
-		return dst
-	}
 	if dst.mem == nil {
 		dst.mem = make(map[aloc]ValueSet, len(src.mem))
 	} else {
 		clear(dst.mem)
 	}
 	maps.Copy(dst.mem, src.mem)
+	dst.bot = src.bot
 	return dst
 }
 
@@ -53,10 +53,11 @@ func joinVS(dv, sv ValueSet) (ValueSet, bool) {
 func joinState(dst, src state) (state, bool) {
 	changed := dst.env.JoinFrom(src.env, joinVS)
 	switch {
-	case src.mem == nil:
+	case src.bot:
 		// Bottom store contributes nothing.
-	case dst.mem == nil:
-		dst.mem = maps.Clone(src.mem)
+	case dst.bot:
+		maps.Copy(dst.mem, src.mem) // dst's bottom map is empty
+		dst.bot = false
 		changed = true
 	default:
 		for k, dv := range dst.mem {
@@ -147,21 +148,15 @@ func evalValue(v *ir.Value, env analysis.Env[ValueSet]) ValueSet {
 		return TopVS
 	case ir.OpCmp:
 		return NumVS(SpanSI(0, 1, 1))
-	case ir.OpZext:
-		b := analysis.ZextBound(v.Size)
-		if num, ok := get(v.Args[0]).NumPart(); ok && num.Lo >= 0 && num.Hi <= b.Hi {
+	case ir.OpZext, ir.OpSext:
+		lo, hi := extRange(v.Op, v.Size)
+		if num, ok := get(v.Args[0]).NumPart(); ok && num.Lo >= lo && num.Hi <= hi {
 			return NumVS(num)
 		}
-		return NumVS(SpanSI(b.Lo, b.Hi, 1))
-	case ir.OpSext:
-		b := analysis.SextBound(v.Size)
-		if num, ok := get(v.Args[0]).NumPart(); ok && num.Lo >= b.Lo && num.Hi <= b.Hi {
-			return NumVS(num)
-		}
-		return NumVS(SpanSI(b.Lo, b.Hi, 1))
+		return NumVS(SpanSI(lo, hi, 1))
 	case ir.OpCallExt:
 		if v.Sym == "malloc" || v.Sym == "calloc" {
-			return HeapVS(SpanSI(0, analysis.PosInf, 1))
+			return HeapVS(SpanSI(0, posInf, 1))
 		}
 		return TopVS
 	case ir.OpPhi:
@@ -184,6 +179,27 @@ func evalValue(v *ir.Value, env analysis.Env[ValueSet]) ValueSet {
 		return out
 	}
 	return TopVS
+}
+
+// extRange is the value range of a size-byte operand extended by op
+// (OpZext or OpSext); a 4-byte sign extension is the identity, Top.
+func extRange(op ir.Op, size uint8) (lo, hi int64) {
+	if op == ir.OpZext {
+		switch size {
+		case 1:
+			return 0, 0xFF
+		case 2:
+			return 0, 0xFFFF
+		}
+		return 0, 0xFFFFFFFF
+	}
+	switch size {
+	case 1:
+		return -0x80, 0x7F
+	case 2:
+		return -0x8000, 0x7FFF
+	}
+	return negInf, posInf
 }
 
 // evalAnd models bit masking: a positive mask bounds the result, and an
@@ -215,7 +231,7 @@ func evalAnd(a, b ValueSet) ValueSet {
 		out := make([]part, len(a.parts))
 		for i, p := range a.parts {
 			r, s := p.r, p.s
-			if s.Lo <= analysis.NegInf || s.Hi >= analysis.PosInf || !regionAligned(r, k) {
+			if s.Lo <= negInf || s.Hi >= posInf || !regionAligned(r, k) {
 				out[i] = part{r, TopSI}
 				continue
 			}
@@ -260,8 +276,10 @@ type FuncResult struct {
 	// vals is the value set of every SSA value at its definition (SSA
 	// values are immutable, so this is their set at every use).
 	vals map[*ir.Value]ValueSet
-	// escaped is the syntactic escape set used for call clobbering.
-	escaped map[*ir.Value]bool
+	// esc are fn's syntactic address-derivation and escape facts: the
+	// escape set drives call clobbering, and the lint's initialization
+	// and dead-store checks and the admission gate read them too.
+	esc analysis.EscapeFacts
 	// read records what the analysis read of fn (see Current).
 	read readSet
 	// Elapsed is the analysis wall time, for performance reporting.
@@ -270,6 +288,10 @@ type FuncResult struct {
 
 // Fn returns the analyzed function.
 func (fr *FuncResult) Fn() *ir.Func { return fr.fn }
+
+// Escape returns the function's address-derivation and escape facts, which
+// the analysis computed for call clobbering. They are shared: read only.
+func (fr *FuncResult) Escape() analysis.EscapeFacts { return fr.esc }
 
 // ValueSetOf returns the value set of v (Top when v was never reached).
 func (fr *FuncResult) ValueSetOf(v *ir.Value) ValueSet {
@@ -282,9 +304,7 @@ func (fr *FuncResult) ValueSetOf(v *ir.Value) ValueSet {
 // transfer interprets one block: phis, then instructions in order, with
 // loads reading and stores updating the abstract store.
 func transfer(b *ir.Block, st state, esc map[*ir.Value]bool) state {
-	if st.mem == nil {
-		st.mem = make(map[aloc]ValueSet) // bottom store: treat as all-Top
-	}
+	st.bot = false // a bottom store is empty: read it as all-Top
 	for _, v := range b.Phis {
 		st.env.Set(v, evalValue(v, st.env))
 	}
@@ -417,7 +437,7 @@ func problem(f *ir.Func, esc map[*ir.Value]bool) analysis.Problem[state] {
 		Boundary: func(*ir.Func) state {
 			return state{env: analysis.NewEnv[ValueSet](n), mem: map[aloc]ValueSet{}}
 		},
-		Bottom:   func() state { return state{env: analysis.NewEnv[ValueSet](n)} },
+		Bottom:   func() state { return state{env: analysis.NewEnv[ValueSet](n), mem: map[aloc]ValueSet{}, bot: true} },
 		Join:     joinState,
 		Copy:     copyState,
 		Transfer: func(b *ir.Block, in state) state { return transfer(b, in, esc) },
@@ -430,14 +450,18 @@ func problem(f *ir.Func, esc map[*ir.Value]bool) analysis.Problem[state] {
 // still describes f after passes ran (Current).
 func Analyze(f *ir.Func) *FuncResult {
 	start := time.Now()
-	esc := analysis.Escapes(f)
-	res := analysis.Solve(f, problem(f, esc))
+	esc := analysis.Escape(f)
+	prob := problem(f, esc.Escaped)
+	res := analysis.Solve(f, prob)
 	vals := make(map[*ir.Value]ValueSet)
 	for _, b := range f.Blocks {
-		out, ok := res.Out[b]
+		in, ok := res[b]
 		if !ok {
 			continue
 		}
+		// SSA values never change once defined, so the block's exit
+		// state holds the set of every value it defines.
+		out := prob.Transfer(b, in)
 		for _, v := range b.Phis {
 			if vs, ok := out.env.Get(v); ok {
 				vals[v] = vs
@@ -449,7 +473,7 @@ func Analyze(f *ir.Func) *FuncResult {
 			}
 		}
 	}
-	fr := &FuncResult{fn: f, vals: vals, escaped: esc, read: record(f)}
+	fr := &FuncResult{fn: f, vals: vals, esc: esc, read: record(f)}
 	fr.Elapsed = time.Since(start)
 	return fr
 }

@@ -165,8 +165,12 @@ func TestVerifyFlagsCrossSlotAndOutOfFrame(t *testing.T) {
 	_, f, b := mkFunc("f")
 	x := alloca(f, b, "x", 4, -8)
 	alloca(f, b, "y", 4, -4)
-	// Crosses from x into y: offsets [0,4] of a 4-byte slot.
-	cross := f.NewValue(ir.OpAdd, x, konst(f, b, 4))
+	// May cross from x into y: offsets [0,4] of a 4-byte slot.
+	raw := f.NewValue(ir.OpLoad, x)
+	b.Append(raw)
+	idx := f.NewValue(ir.OpAnd, raw, konst(f, b, 4))
+	b.Append(idx)
+	cross := f.NewValue(ir.OpAdd, x, idx)
 	b.Append(cross)
 	b.Append(f.NewValue(ir.OpStore, cross, konst(f, b, 1)))
 	// Proven outside the whole frame [-8, 0).

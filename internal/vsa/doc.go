@@ -7,10 +7,11 @@
 // The analysis serves four consumers. The alias Oracle answers the
 // optimizer's MustNotAlias queries, which keep forwarded values live
 // across accesses the syntactic escape analysis cannot separate. The
-// layout verifier (Check) flags recovered slots whose statically-proven
-// access region crosses a slot boundary — the over-splitting signature of
-// incomplete trace coverage — and accesses proven to land outside their
-// frame. Type recovery reads the Oracle's strided frame facts (StrideOf).
+// layout verifier (Check), the lint's stack-access check (LintFunc),
+// flags recovered slots whose statically-proven access region crosses a
+// slot boundary — the over-splitting signature of incomplete trace
+// coverage — or cannot be bounded, and accesses proven to leave their
+// slot or frame. Type recovery reads the Oracle's strided frame facts (StrideOf).
 // The admission gate (Admit) accepts a statically recovered cold function
 // only when every frame access is proven to stay inside a known slot.
 //

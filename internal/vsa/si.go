@@ -1,10 +1,6 @@
 package vsa
 
-import (
-	"fmt"
-
-	"wytiwyg/internal/analysis"
-)
+import "fmt"
 
 // SI is a strided interval: the set {Lo + k·Stride | k ≥ 0} ∩ [Lo, Hi].
 // Stride 0 means the singleton {Lo} (then Lo == Hi). The congruence is
@@ -17,8 +13,16 @@ type SI struct {
 	Lo, Hi, Stride int64 // inclusive bounds and step of the represented set
 }
 
+// The analysis infinities: a bound at or beyond one is unbounded. They are
+// kept far inside the int64 range so endpoint arithmetic (Lo+Lo, Hi+Hi)
+// cannot overflow.
+const (
+	negInf int64 = -(1 << 40)
+	posInf int64 = 1 << 40
+)
+
 // TopSI is the unconstrained strided interval.
-var TopSI = SI{Lo: analysis.NegInf, Hi: analysis.PosInf, Stride: 1}
+var TopSI = SI{Lo: negInf, Hi: posInf, Stride: 1}
 
 // ConstSI returns the singleton {c}.
 func ConstSI(c int64) SI { return SI{Lo: c, Hi: c} }
@@ -30,7 +34,7 @@ func SpanSI(lo, hi, stride int64) SI {
 }
 
 // IsTop reports whether the set is unconstrained.
-func (s SI) IsTop() bool { return s.Lo <= analysis.NegInf && s.Hi >= analysis.PosInf }
+func (s SI) IsTop() bool { return s.Lo <= negInf && s.Hi >= posInf }
 
 // Exact returns the single element of a singleton set.
 func (s SI) Exact() (int64, bool) {
@@ -44,11 +48,17 @@ func (s SI) String() string {
 	if s.IsTop() {
 		return "T"
 	}
-	iv := analysis.Span(s.Lo, s.Hi)
-	if s.Stride > 1 {
-		return fmt.Sprintf("%d%s", s.Stride, iv)
+	lo, hi := "-inf", "+inf"
+	if s.Lo > negInf {
+		lo = fmt.Sprint(s.Lo)
 	}
-	return iv.String()
+	if s.Hi < posInf {
+		hi = fmt.Sprint(s.Hi)
+	}
+	if s.Stride > 1 {
+		return fmt.Sprintf("%d[%s,%s]", s.Stride, lo, hi)
+	}
+	return fmt.Sprintf("[%s,%s]", lo, hi)
 }
 
 // norm restores the representation invariants: Lo ≤ Hi, singletons have
@@ -81,8 +91,8 @@ func (s SI) norm() SI {
 // concrete words re-enter low memory and only residues modulo divisors
 // of 2^32 survive; keeping an in-window bound would claim the wrapped
 // values stop there, which is unsound — a half-open ray never survives
-// norm (compare analysis.norm32, which goes to Top in the same
-// situation; the congruence class is the strided refinement of that).
+// norm (a plain interval would have to go to Top here; the congruence
+// class is the strided refinement of that).
 // With no exact bound left there is no anchor and the result is Top.
 func (s SI) wrap() SI {
 	a, ok := s.anchor()
@@ -109,21 +119,21 @@ func (s SI) wrap() SI {
 // analysis infinity is a saturation sentinel, not an element; sets with
 // no exact bound have no anchor and report false.
 func (s SI) anchor() (int64, bool) {
-	if s.Lo > analysis.NegInf && s.Lo < analysis.PosInf {
+	if s.Lo > negInf && s.Lo < posInf {
 		return s.Lo, true
 	}
-	if s.Hi < analysis.PosInf && s.Hi > analysis.NegInf {
+	if s.Hi < posInf && s.Hi > negInf {
 		return s.Hi, true
 	}
 	return 0, false
 }
 
 func clamp(x int64) int64 {
-	if x < analysis.NegInf {
-		return analysis.NegInf
+	if x < negInf {
+		return negInf
 	}
-	if x > analysis.PosInf {
-		return analysis.PosInf
+	if x > posInf {
+		return posInf
 	}
 	return x
 }
@@ -176,21 +186,21 @@ func (s SI) Join(o SI) SI {
 // and it is what separates interleaved field streams.
 func (s SI) WidenFrom(prev SI) SI {
 	if s.Lo < prev.Lo {
-		s.Lo = analysis.NegInf
+		s.Lo = negInf
 	}
 	if s.Hi > prev.Hi {
-		s.Hi = analysis.PosInf
+		s.Hi = posInf
 	}
 	return s.norm()
 }
 
 // addOvf adds endpoints, saturating at the infinities.
 func addOvf(a, b int64) int64 {
-	if a <= analysis.NegInf || b <= analysis.NegInf {
-		return analysis.NegInf
+	if a <= negInf || b <= negInf {
+		return negInf
 	}
-	if a >= analysis.PosInf || b >= analysis.PosInf {
-		return analysis.PosInf
+	if a >= posInf || b >= posInf {
+		return posInf
 	}
 	return clamp(a + b)
 }
@@ -230,7 +240,7 @@ func (s SI) MulConst(k int64) SI {
 	lo, ovf1 := mulOvf(s.Lo, k)
 	hi, ovf2 := mulOvf(s.Hi, k)
 	st, ovf3 := mulOvf(s.Stride, k)
-	if ovf1 || ovf2 || ovf3 || s.Lo <= analysis.NegInf || s.Hi >= analysis.PosInf {
+	if ovf1 || ovf2 || ovf3 || s.Lo <= negInf || s.Hi >= posInf {
 		return TopSI
 	}
 	if k < 0 {
@@ -303,10 +313,10 @@ func (s SI) DisjointAccess(szA int64, o SI, szB int64) bool {
 	if (s.Lo < 0 && o.Hi+szB > 1<<31) || (o.Lo < 0 && s.Hi+szA > 1<<31) {
 		return false
 	}
-	if s.Hi < analysis.PosInf && s.Hi+szA <= o.Lo {
+	if s.Hi < posInf && s.Hi+szA <= o.Lo {
 		return true
 	}
-	if o.Hi < analysis.PosInf && o.Hi+szB <= s.Lo {
+	if o.Hi < posInf && o.Hi+szB <= s.Lo {
 		return true
 	}
 	sa, okA := s.anchor()

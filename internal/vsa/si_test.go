@@ -1,10 +1,6 @@
 package vsa
 
-import (
-	"testing"
-
-	"wytiwyg/internal/analysis"
-)
+import "testing"
 
 func TestSINorm(t *testing.T) {
 	if s := SpanSI(3, 3, 7); s.Stride != 0 {
@@ -28,7 +24,7 @@ func TestSINorm(t *testing.T) {
 	if s := SpanSI(1<<33+4, 1<<33+4, 0); s != (SI{Lo: 4, Hi: 4}) {
 		t.Errorf("wrapped singleton = %v, want {4}", s)
 	}
-	if s := (SI{Lo: analysis.NegInf, Hi: analysis.PosInf, Stride: 8}).norm(); !s.IsTop() || s.Stride != 1 {
+	if s := (SI{Lo: negInf, Hi: posInf, Stride: 8}).norm(); !s.IsTop() || s.Stride != 1 {
 		t.Errorf("anchorless set not Top: %v", s)
 	}
 }
@@ -60,20 +56,20 @@ func TestSIDisjointAccess(t *testing.T) {
 		szB  int64
 		want bool
 	}{
-		// Interval separation.
+		// Range separation.
 		{ConstSI(0), 4, ConstSI(4), 4, true},
 		{ConstSI(0), 4, ConstSI(2), 4, false},
 		{SpanSI(0, 12, 4), 4, ConstSI(16), 4, true},
 		// Congruence separation: interleaved stride-8 streams.
-		{SpanSI(0, analysis.PosInf, 8), 4, SpanSI(4, analysis.PosInf, 8), 4, true},
-		{SpanSI(0, analysis.PosInf, 8), 8, SpanSI(4, analysis.PosInf, 8), 4, false},
-		{SpanSI(0, analysis.PosInf, 8), 4, SpanSI(2, analysis.PosInf, 8), 4, false},
+		{SpanSI(0, posInf, 8), 4, SpanSI(4, posInf, 8), 4, true},
+		{SpanSI(0, posInf, 8), 8, SpanSI(4, posInf, 8), 4, false},
+		{SpanSI(0, posInf, 8), 4, SpanSI(2, posInf, 8), 4, false},
 		// Stride 12 is not a power of two: residues do not survive the
 		// 2^32 wrap (gcd(12, 2^32) = 4), so 4-byte gaps cannot separate.
-		{SpanSI(0, analysis.PosInf, 12), 4, SpanSI(6, analysis.PosInf, 12), 4, false},
+		{SpanSI(0, posInf, 12), 4, SpanSI(6, posInf, 12), 4, false},
 		// ...but bounded stride-12 sets separate by plain congruence? No:
 		// bounded sets with disjoint residues still use the folded gcd.
-		// Interval separation still works when ranges cannot meet.
+		// Range separation still works when ranges cannot meet.
 		{SpanSI(0, 24, 12), 4, SpanSI(28, 52, 12), 4, true},
 		// Signed/unsigned window ambiguity: -16 and 2^32-16 are the same
 		// 32-bit address.
@@ -88,7 +84,7 @@ func TestSIDisjointAccess(t *testing.T) {
 		}
 	}
 	// Symmetry.
-	a, b := SpanSI(0, analysis.PosInf, 8), SpanSI(4, analysis.PosInf, 8)
+	a, b := SpanSI(0, posInf, 8), SpanSI(4, posInf, 8)
 	if a.DisjointAccess(4, b, 4) != b.DisjointAccess(4, a, 4) {
 		t.Error("DisjointAccess is not symmetric")
 	}
@@ -222,5 +218,64 @@ func TestSIOpsSound(t *testing.T) {
 	}
 	if got := ConstSI(1 << 39).MulConst(1 << 39); !got.IsTop() {
 		t.Errorf("overflowing MulConst = %v, want Top", got)
+	}
+}
+
+// siGrid is the endpoint set of TestSIOpsSoundAtBoundaries: the edges of
+// the 32-bit value window [−2^31, 2^32) and of its signed half, and
+// small values.
+var siGrid = []int64{
+	-(1 << 31), -(1 << 31) + 1, -(1 << 20), -3, -1, 0, 1, 3, 1 << 20,
+	(1 << 31) - 1, 1 << 31, (1 << 32) - 1,
+}
+
+// TestSIOpsSoundAtBoundaries checks containment of Add, Sub, Neg and
+// MulConst on sets whose bounds sit at the wrap boundaries: for concrete
+// operands in the inputs, the 32-bit word the runtime computes must lie
+// in the result. Results that leave the window wrap to a congruence
+// class rather than keep a bound, which is what this pins.
+func TestSIOpsSoundAtBoundaries(t *testing.T) {
+	word := func(x int64) int64 { return mod(x, 1<<32) }
+	var sets []SI
+	var elems [][]int64
+	for _, lo := range siGrid {
+		for _, hi := range siGrid {
+			if lo > hi {
+				continue
+			}
+			var e []int64
+			for _, g := range siGrid {
+				if g >= lo && g <= hi {
+					e = append(e, g)
+				}
+			}
+			sets = append(sets, SpanSI(lo, hi, 1))
+			elems = append(elems, e)
+		}
+	}
+	for i, a := range sets {
+		for _, x := range elems[i] {
+			if r := a.Neg(); !r.Contains(word(-x)) {
+				t.Fatalf("neg %v of %v misses %d", r, a, -x)
+			}
+			for _, k := range []int64{-3, 2, 1 << 16} {
+				if r := a.MulConst(k); !r.Contains(word(x * k)) {
+					t.Fatalf("mulconst %v of %v by %d misses %d", r, a, k, x*k)
+				}
+			}
+		}
+		for j, b := range sets {
+			add, sub := a.Add(b), a.Sub(b)
+			for _, x := range elems[i] {
+				for _, y := range elems[j] {
+					if !add.Contains(word(x + y)) {
+						t.Fatalf("add %v of %v,%v misses %d", add, a, b, x+y)
+					}
+					if !sub.Contains(word(x - y)) {
+						t.Fatalf("sub %v of %v,%v misses %d", sub, a, b, x-y)
+					}
+				}
+			}
+		}
 	}
 }

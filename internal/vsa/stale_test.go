@@ -62,9 +62,9 @@ func renderVSA(f *ir.Func) string {
 	return b.String()
 }
 
-func renderBounds(f *ir.Func) string {
+func renderCheck(f *ir.Func) string {
 	var rep analysis.Report
-	st := analysis.CheckBounds(f, &rep)
+	st := vsa.Check(vsa.Analyze(f), &rep)
 	return fmt.Sprintf("%+v\n%s", st, rep.String())
 }
 
@@ -89,7 +89,7 @@ func prependConst(f *ir.Func) {
 }
 
 // The slot-indexed analyses refresh a stale layout themselves: run right
-// after a value was created (before ir.Verify), VSA, the bounds checker
+// after a value was created (before ir.Verify), VSA, the layout verifier
 // and the stack-height analysis return exactly what they return on the
 // verified function.
 func TestAnalysesOnStaleLayout(t *testing.T) {
@@ -99,7 +99,7 @@ func TestAnalysesOnStaleLayout(t *testing.T) {
 		refine bool // whether the analysis runs on refined or lifted IR
 	}{
 		{"vsa.Analyze", renderVSA, true},
-		{"analysis.CheckBounds", renderBounds, true},
+		{"vsa.Check", renderCheck, true},
 		{"analysis.Heights", renderHeights, false},
 	}
 	for _, a := range analyses {
