@@ -66,9 +66,14 @@ step "examples" check_examples
 # (compiled interpreter against the reference tree-walker, the inputs of a
 # module running concurrently over one shared compiled Program) joins it
 # with -short: mcf of the corpus plus the random and failure-path modules,
-# unfiltered and under the replay tracers' observation filters. So does the
-# filter-soundness test (each refinement replay's results with its filter
-# equal to its results without, mcf only under -short). That is the set
+# with Generic actions and under the replay tracers' compiled actions,
+# including the action-path differential (diffTracers: regsave+varargs and
+# vartrack under compiled actions, Generic actions and the tree-walker),
+# and TestCallRetZeroAlloc, which pins a steady-state call/ret cycle under
+# either replay's tracers at zero allocations. So does the
+# filter-soundness test (each refinement replay's results under its
+# compiled actions equal to its results under Generic ones, mcf only
+# under -short). That is the set
 # the blanket step also runs; it is named here so every differential of
 # the emulator and the interpreter reports in one step. Last, four fuzz
 # targets run for 10 s each, without the race detector (each input runs on
@@ -81,7 +86,7 @@ step "examples" check_examples
 check_race_differentials() {
     go test -race -run 'TestSuperblock|TestStepInterleavesWithRun|TestTraceMatchesStepwise' -count=1 \
         ./internal/machine/ ./internal/tracer/
-    go test -race -short -run 'TestHookStream' -count=1 ./internal/irexec/
+    go test -race -short -run 'TestHookStream|TestCallRetZeroAlloc' -count=1 ./internal/irexec/
     go test -race -short -run 'TestReplayFilterSound' -count=1 ./internal/core/
     go test -run '^$' -fuzz '^FuzzHookStream$' -fuzztime 10s ./internal/irexec/
     go test -run '^$' -fuzz '^FuzzMiniC$' -fuzztime 10s ./internal/minicc/

@@ -48,8 +48,8 @@ func (r *typedRecorder) FnEnter(fr *irexec.Frame) {}
 func (r *typedRecorder) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) {
 	delete(r.live, fr)
 }
-func (r *typedRecorder) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32) {}
-func (r *typedRecorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
+func (r *typedRecorder) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, result uint32) {
+	v := s.V
 	if t, ok := r.slotType[v]; ok {
 		r.live[fr] = append(r.live[fr], liveSlot{
 			v: v, base: uint64(result), size: uint64(v.AllocSize), t: t,

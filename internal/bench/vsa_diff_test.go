@@ -50,13 +50,12 @@ func (r *vsaRecorder) add(e uint64, v *ir.Value, addr uint64) {
 
 func (r *vsaRecorder) FnEnter(fr *irexec.Frame)                           {}
 func (r *vsaRecorder) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) {}
-func (r *vsaRecorder) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32)     {}
-func (r *vsaRecorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
-	switch r.watch[v] {
+func (r *vsaRecorder) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, result uint32) {
+	switch r.watch[s.V] {
 	case watchAccess:
-		r.add(fr.Epoch, v, uint64(args[0]))
+		r.add(fr.Epoch, s.V, uint64(args[0]))
 	case watchAlloca:
-		r.add(fr.Epoch, v, uint64(result))
+		r.add(fr.Epoch, s.V, uint64(result))
 	}
 }
 

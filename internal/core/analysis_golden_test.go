@@ -108,8 +108,10 @@ func analysisDigest(t *testing.T, p progs.Program, prof gen.Profile) (digest, le
 // The same runs fill testdata/ledger.txt, the work ledger: per program
 // and profile, the tracer's instruction count over the trace inputs, the
 // IR values the regsave and symbolize replays evaluated over the same
-// inputs (Pipeline.ReplayValues) and the Exec and Phi hooks their
-// filtered tracers received (Pipeline.ReplayHooks), the VSA fixpoints
+// inputs (Pipeline.ReplayValues) and the Act calls their tracers'
+// compiled actions made (Pipeline.ReplayHooks; the header still names
+// the Exec and Phi hooks Act replaced, which fired at the same sites),
+// the VSA fixpoints
 // the pipeline computed and reused, the optimizer's
 // oracle-factory calls, the promoted slots, the recompiled instruction
 // count and the recompiled binary's cycles on the ref input. Every

@@ -15,8 +15,8 @@ func (p *Pipeline) ReplaySymbolize() error {
 	return err
 }
 
-// program returns a Program of the current module under tr's filter, or
-// observing everything when filtered is false.
+// program returns a Program of the current module under tr's compiled
+// actions, or with the Generic action everywhere when filtered is false.
 func (p *Pipeline) program(tr replayTracer, filtered bool) *irexec.Program {
 	if filtered {
 		return irexec.NewProgram(p.Mod, tr)
@@ -28,7 +28,7 @@ func (p *Pipeline) program(tr replayTracer, filtered bool) *irexec.Program {
 // signature rewrite, and returns the classification, the variadic-call
 // counts and the hooks called.
 func (p *Pipeline) ReplayRegSaveResults(filtered bool) (regsave.Classes, map[*ir.Value]int, uint64, error) {
-	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
+	tr := newRegsaveTracer(regsave.NewTracer(), varargs.NewTracer())
 	_, hooks, err := p.replay(p.program(tr, filtered), tr)
 	if err != nil {
 		return nil, nil, 0, err

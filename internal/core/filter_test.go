@@ -18,9 +18,10 @@ import (
 )
 
 // TestReplayFilterSound runs both refinement replays of every corpus
-// program under all four profiles twice, once with the replay's static
-// observation filter compiled in and once observing every instruction,
-// and requires identical results: regsave's classes and varargs' counts,
+// program under all four profiles twice, once with the replay tracer's
+// actions compiled in and once with the Generic action at every
+// instruction (the tracer working each action out as it runs), and
+// requires identical results: regsave's classes and varargs' counts,
 // and vartrack's variables (IDs, owners, offsets, bounds, alignment),
 // per-function variable order, linked pairs in order, and argument
 // slots. The filtered replays must also call fewer hooks. Inputs and

@@ -237,7 +237,7 @@ type Pipeline struct {
 	Recovered *layout.Program
 
 	// replayValues and replayHooks count the IR values the interpreter
-	// evaluated and the Exec and Phi hooks it called in the regsave (index
+	// evaluated and the Act hooks it called in the regsave (index
 	// 0) and symbolize (index 1) replays, summed over the inputs (see
 	// ReplayValues and ReplayHooks).
 	replayValues, replayHooks [2]uint64
@@ -252,10 +252,10 @@ func (p *Pipeline) ReplayValues() (regsave, symbolize uint64) {
 	return p.replayValues[0], p.replayValues[1]
 }
 
-// ReplayHooks returns the number of Exec and Phi hook calls the two
-// refinement replays made, summed over the inputs, in the order of
-// ReplayValues. Each replay's tracer observes only the instructions its
-// filter keeps, so these fall short of the value counts.
+// ReplayHooks returns the number of Act hook calls the two refinement
+// replays made, summed over the inputs, in the order of ReplayValues.
+// Each replay's tracer acts only where its compiled actions are not
+// Skip, so these fall short of the value counts.
 func (p *Pipeline) ReplayHooks() (regsave, symbolize uint64) {
 	return p.replayHooks[0], p.replayHooks[1]
 }
@@ -375,8 +375,8 @@ func (p *Pipeline) coldCands() []*coldrec.Candidate {
 }
 
 // replayTracer is a refinement tracer: it observes each input on a
-// private Fork, joins the forks back, and filters the hooks it acts on
-// statically (Observes, shared by every fork).
+// private Fork, joins the forks back, and compiles its actions into the
+// replay's code (Observes, shared by every fork).
 type replayTracer interface {
 	irexec.Tracer
 	irexec.Observer
@@ -387,7 +387,7 @@ type replayTracer interface {
 // runAll executes the current module under every input with a tracer
 // attached, discarding program output. Each input runs on a private fork
 // of tr; the forks run concurrently over the worker pool, sharing one
-// compiled Program of the module built with tr's filter, and join in
+// compiled Program of the module built with tr's actions, and join in
 // input order, so the merged observations are identical for every worker
 // count (including 1). It returns the IR values evaluated and the hooks
 // called, summed over the inputs.
@@ -434,7 +434,7 @@ func (p *Pipeline) RefineRegSave() error {
 		return fmt.Errorf("core: regsave: the refinements already ran on this pipeline; " +
 			"run them once, in order regsave → varargs → stackref → symbolize")
 	}
-	tr := &regsaveTracer{regsave.NewTracer(), varargs.NewTracer()}
+	tr := newRegsaveTracer(regsave.NewTracer(), varargs.NewTracer())
 	n, hooks, err := p.runAll(tr)
 	if err != nil {
 		return err
@@ -475,17 +475,26 @@ func (p *Pipeline) RefineVarArgs() error {
 // calls, extracts, parameters and returns: it never touches an
 // OpCallExtRaw value and preserves every executed path, so the variadic
 // observations taken before the rewrite are exactly those a separate
-// replay after it would take. The embedded regsave tracer receives every
-// hook the replay's filter passes; varargs observes nothing but
-// OpCallExtRaw executions, which is all Exec forwards to it. The filter
-// observes what either tracer's filter does.
+// replay after it would take. A site gets varargs' raw-call action where
+// varargs acts and regsave's action everywhere else, and varargs rides
+// regsave's Act (regsave.Tracer.Rider): regsave sees every site and
+// passes varargs the codes from varargs.RawCall up, which it does not
+// define, and the Generic ones. The interpreter thus calls regsave's Act
+// directly, with no dispatch of its own in between.
 type regsaveTracer struct {
 	*regsave.Tracer
 	va *varargs.Tracer
 }
 
+// newRegsaveTracer returns the two refinements' tracers, varargs riding
+// regsave's.
+func newRegsaveTracer(rs *regsave.Tracer, va *varargs.Tracer) *regsaveTracer {
+	rs.Rider = va
+	return &regsaveTracer{rs, va}
+}
+
 func (t *regsaveTracer) Fork() irexec.Tracer {
-	return &regsaveTracer{t.Tracer.Fork().(*regsave.Tracer), t.va.Fork().(*varargs.Tracer)}
+	return newRegsaveTracer(t.Tracer.Fork().(*regsave.Tracer), t.va.Fork().(*varargs.Tracer))
 }
 
 func (t *regsaveTracer) Join(o irexec.Tracer) {
@@ -494,16 +503,22 @@ func (t *regsaveTracer) Join(o irexec.Tracer) {
 	t.va.Join(ot.va)
 }
 
-func (t *regsaveTracer) Observes(f *ir.Func) irexec.Filter {
-	return irexec.Union(t.Tracer, t.va).Observes(f)
+func (t *regsaveTracer) Observes(f *ir.Func) irexec.Actions {
+	return bothActions{t.Tracer.Observes(f), t.va.Observes(f)}
 }
 
-func (t *regsaveTracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	t.Tracer.Exec(fr, v, args, res)
-	if v.Op == ir.OpCallExtRaw {
-		t.va.Exec(fr, v, args, res)
+// bothActions is regsaveTracer's actions: varargs' where it acts,
+// regsave's elsewhere.
+type bothActions struct{ rs, va irexec.Actions }
+
+func (a bothActions) Exec(v *ir.Value) (irexec.Action, uint32) {
+	if act, imm := a.va.Exec(v); act != irexec.Skip {
+		return act, imm
 	}
+	return a.rs.Exec(v)
 }
+
+func (a bothActions) Phi(phi, in *ir.Value) (irexec.Action, uint32) { return a.rs.Phi(phi, in) }
 
 // degrade replaces a function whose refinement failed with a trap stub: the
 // signature survives (callers keep working) but the body becomes a single

@@ -9,9 +9,7 @@ import (
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/regsave"
-	"wytiwyg/internal/stackref"
 	"wytiwyg/internal/varargs"
-	"wytiwyg/internal/vartrack"
 )
 
 // benchModule builds a two-level lifted call chain: wrapper calls leaf,
@@ -76,50 +74,68 @@ func BenchmarkIRCall(b *testing.B) {
 	}
 }
 
-// regsaveVarargs is the regsave refinement's replay tracer: the regsave
-// runtime observes every hook, and the varargs runtime the raw variadic
-// calls.
+// regsaveVarargs is the regsave refinement's replay tracer as the
+// pipeline combines it: a site gets varargs' raw-call action where
+// varargs acts and regsave's action everywhere else, and the varargs
+// runtime rides the regsave runtime's Act.
 type regsaveVarargs struct {
 	*regsave.Tracer
 	va *varargs.Tracer
 }
 
-func (t regsaveVarargs) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	t.Tracer.Exec(fr, v, args, res)
-	if v.Op == ir.OpCallExtRaw {
-		t.va.Exec(fr, v, args, res)
-	}
+func newRegsaveVarargs() regsaveVarargs {
+	t := regsaveVarargs{regsave.NewTracer(), varargs.NewTracer()}
+	t.Rider = t.va
+	return t
 }
+
+func (t regsaveVarargs) Observes(f *ir.Func) irexec.Actions {
+	return bothActions{t.Tracer.Observes(f), t.va.Observes(f)}
+}
+
+// bothActions is regsaveVarargs' actions: varargs' where it acts,
+// regsave's elsewhere.
+type bothActions struct{ rs, va irexec.Actions }
+
+func (a bothActions) Exec(v *ir.Value) (irexec.Action, uint32) {
+	if act, imm := a.va.Exec(v); act != irexec.Skip {
+		return act, imm
+	}
+	return a.rs.Exec(v)
+}
+
+func (a bothActions) Phi(phi, in *ir.Value) (irexec.Action, uint32) { return a.rs.Phi(phi, in) }
 
 // TestCallRetZeroAlloc pins the frame-recycling guarantee: once warm, a
 // lifted call/ret cycle (two frames deep here) performs no heap
 // allocation, neither bare nor under either refinement replay's tracers,
-// whose per-value metadata lives in recycled slot tables.
+// whose per-value metadata lives in recycled slot tables, with the
+// Generic action everywhere or with the tracers' compiled actions.
 func TestCallRetZeroAlloc(t *testing.T) {
 	tracers := []struct {
-		name string
-		tr   func(mod *ir.Module) irexec.Tracer
+		name    string
+		tr      func(mod *ir.Module) irexec.Tracer
+		actions bool // build the Program with the tracer's Observer
 	}{
-		{"bare", func(*ir.Module) irexec.Tracer { return nil }},
-		{"regsave+varargs", func(*ir.Module) irexec.Tracer {
-			return regsaveVarargs{regsave.NewTracer(), varargs.NewTracer()}
-		}},
-		{"vartrack", func(mod *ir.Module) irexec.Tracer {
-			offs := make(map[*ir.Func]stackref.Offsets)
-			for _, f := range mod.Funcs {
-				offs[f] = stackref.Analyze(f)
-			}
-			return vartrack.NewTracer(offs)
-		}},
+		{"bare", func(*ir.Module) irexec.Tracer { return nil }, false},
+		{"regsave+varargs", func(*ir.Module) irexec.Tracer { return newRegsaveVarargs() }, false},
+		{"vartrack", func(mod *ir.Module) irexec.Tracer { return newVartrack(mod) }, false},
+		{"regsave+varargs actions", func(*ir.Module) irexec.Tracer { return newRegsaveVarargs() }, true},
+		{"vartrack actions", func(mod *ir.Module) irexec.Tracer { return newVartrack(mod) }, true},
 	}
 	for _, tc := range tracers {
 		t.Run(tc.name, func(t *testing.T) {
 			mod, wrap := benchModule()
-			ip, err := irexec.New(mod, machine.Input{}, nil)
+			tr := tc.tr(mod)
+			var obs irexec.Observer
+			if tc.actions {
+				obs = tr.(irexec.Observer)
+			}
+			ip, err := irexec.NewProgram(mod, obs).NewInterp(machine.Input{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ip.Tr = tc.tr(mod)
+			ip.Tr = tr
 			ip.MaxSteps = ^uint64(0)
 			args := []uint32{isa.StackTop, 5, 7}
 			dest := make([]uint32, wrap.NumRet)

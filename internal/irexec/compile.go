@@ -17,13 +17,18 @@ import (
 // not change while any interpreter of the Program runs. A refinement that
 // rewrites the module builds a new Program for its next replay.
 //
-// A Program built with an Observer bakes each function's Filter into the
-// compiled code: Exec fires only for the instructions, and Phi only for
-// the phi moves, the filter observes. Without one, every instruction and
-// phi move is observed.
+// A Program built with an Observer compiles each function's Actions into
+// its sites: Act fires only at the instructions and phi moves whose
+// action is not Skip, with the operands resolved. Without one, every
+// instruction and phi move has the Generic action.
+//
+// Each function has a dense index in the Program (Frame.FnIndex): its
+// position in Module.Funcs, then the entry if Funcs misses it, then the
+// functions reached only through calls, in the order the Program first
+// met them.
 type Program struct {
 	mod *ir.Module
-	obs Observer // nil: observe everything
+	obs Observer // nil: the Generic action everywhere
 	// fns holds an entry for every function of the module; it is
 	// read-only after NewProgram.
 	fns map[*ir.Func]*fnCode
@@ -33,22 +38,25 @@ type Program struct {
 	extra map[*ir.Func]*fnCode
 }
 
-// fnCode is one function's slot in a Program: its compiled code, nil until
-// the first activation.
+// fnCode is one function's slot in a Program: its index and its compiled
+// code, nil until the first activation.
 type fnCode struct {
-	fn   *ir.Func
-	code atomic.Pointer[code]
+	fn    *ir.Func
+	index int
+	code  atomic.Pointer[code]
 }
 
-// NewProgram prepares mod for execution under the filters of obs, which
-// may be nil (observe everything). It compiles nothing yet.
+// NewProgram prepares mod for execution under the actions of obs, which
+// may be nil (the Generic action everywhere). It compiles nothing yet.
 func NewProgram(mod *ir.Module, obs Observer) *Program {
 	p := &Program{mod: mod, obs: obs, fns: make(map[*ir.Func]*fnCode, len(mod.Funcs)+1)}
 	for _, f := range mod.Funcs {
-		p.fns[f] = &fnCode{fn: f}
+		if p.fns[f] == nil {
+			p.fns[f] = &fnCode{fn: f, index: len(p.fns)}
+		}
 	}
 	if f := mod.Entry; f != nil && p.fns[f] == nil {
-		p.fns[f] = &fnCode{fn: f}
+		p.fns[f] = &fnCode{fn: f, index: len(p.fns)}
 	}
 	return p
 }
@@ -73,7 +81,7 @@ func (p *Program) entryLocked(f *ir.Func) *fnCode {
 		if p.extra == nil {
 			p.extra = make(map[*ir.Func]*fnCode)
 		}
-		e = &fnCode{fn: f}
+		e = &fnCode{fn: f, index: len(p.fns) + len(p.extra)}
 		p.extra[f] = e
 	}
 	return e
@@ -90,6 +98,7 @@ func (p *Program) code(e *fnCode) *code {
 		return c
 	}
 	c := p.compile(e.fn)
+	c.index = e.index
 	e.code.Store(c)
 	return c
 }
@@ -143,13 +152,14 @@ type flags uint8
 
 const (
 	flagSigned flags = 1 << iota // sign-extending load
-	flagHook                     // the filter observes it: Exec fires
+	flagHook                     // its site's action is not Skip: Act fires
 )
 
 // inst is one compiled instruction. Operands are register-file indices:
 // a value's Slot, or an index into the constant area behind the slots.
-// It is 48 bytes; the flags share the first word with the opcode, width
-// and condition.
+// It is 40 bytes; the flags share the first word with the opcode, width
+// and condition. Its site, with the source instruction, is at the same
+// index in code.sites.
 type inst struct {
 	op    op
 	size  uint8    // memory access width
@@ -172,8 +182,7 @@ type inst struct {
 	//                  in code.cases
 	//   opBad          x = the index of the error in code.errs
 	x, y   uint32
-	v      *ir.Value // the source instruction, for hooks and messages
-	callee *fnCode   // opCall's target
+	callee *fnCode // opCall's target
 }
 
 // edge is one control-flow edge: the target's first instruction and the
@@ -187,16 +196,16 @@ type edge struct {
 }
 
 // move is one phi assignment of an edge: register src into the phi's
-// slot dst.
+// slot dst. Its site is at the same index in code.msites.
 type move struct {
 	dst, src uint32
-	phi, in  *ir.Value // the phi and its incoming value on this edge
-	hook     bool      // the filter observes it: Phi fires
+	hook     bool // its site's action is not Skip: Act fires
 }
 
 // code is one compiled function.
 type code struct {
-	fn *ir.Func
+	fn    *ir.Func
+	index int // the function's index in the Program (Frame.FnIndex)
 	// nslots and tupleWords are the function's dense layout totals;
 	// maxArgs and maxPhis size the per-frame scratch buffers.
 	nslots, tupleWords int
@@ -209,19 +218,21 @@ type code struct {
 	params   []uint32
 	espParam int
 	insts    []inst
+	sites    []Site // by instruction
 	ops      []uint32
 	// edges[0] enters the entry block.
-	edges []edge
-	moves []move
-	cases []uint32
-	errs  []error
+	edges  []edge
+	moves  []move
+	msites []Site // by move
+	cases  []uint32
+	errs   []error
 }
 
 // compiler carries the state of one function's compilation.
 type compiler struct {
 	p      *Program
 	c      *code
-	flt    Filter            // nil: observe everything
+	acts   Actions           // nil: the Generic action everywhere
 	consts map[uint32]uint32 // constant value -> register
 	start  map[*ir.Block]uint32
 }
@@ -238,7 +249,7 @@ func (p *Program) compile(f *ir.Func) *code {
 	c := &code{fn: f, nslots: lay.NumSlots, tupleWords: lay.TupleWords, espParam: -1}
 	k := &compiler{p: p, c: c, consts: make(map[uint32]uint32), start: make(map[*ir.Block]uint32)}
 	if p.obs != nil {
-		k.flt = p.obs.Observes(f)
+		k.acts = p.obs.Observes(f)
 	}
 	for i, prm := range f.Params {
 		c.params = append(c.params, uint32(prm.Slot()))
@@ -272,19 +283,36 @@ func (p *Program) compile(f *ir.Func) *code {
 
 	if len(blocks) == 0 {
 		c.edges = append(c.edges, edge{})
-		c.insts = append(c.insts, k.bad(nil, fmt.Errorf("irexec: %s: function has no blocks", f.Name)))
+		k.add(k.bad(fmt.Errorf("irexec: %s: function has no blocks", f.Name)), nil)
 	} else {
 		c.edges = append(c.edges, k.edge(nil, f.Blocks[0]))
 	}
 	for _, b := range blocks {
 		for _, v := range b.Insts {
-			c.insts = append(c.insts, k.inst(b, v))
+			k.add(k.inst(b, v), v)
 		}
 		if fallsOff(b) {
-			c.insts = append(c.insts, k.bad(nil, fmt.Errorf("irexec: %s: b%d falls off its end", f.Name, b.ID)))
+			k.add(k.bad(fmt.Errorf("irexec: %s: b%d falls off its end", f.Name, b.ID)), nil)
 		}
 	}
 	return c
+}
+
+// add appends the compiled instruction in of v (nil for an instruction
+// without a source) and its site.
+func (k *compiler) add(in inst, v *ir.Value) {
+	s := Site{V: v}
+	if in.op != opBad {
+		s = SiteOf(v)
+		if k.acts != nil {
+			s.Act, s.Imm = k.acts.Exec(v)
+		}
+		if s.Act != Skip {
+			in.flags |= flagHook
+		}
+	}
+	k.c.insts = append(k.c.insts, in)
+	k.c.sites = append(k.c.sites, s)
 }
 
 // fallsOff reports whether control can run past b's last instruction.
@@ -315,9 +343,9 @@ func (k *compiler) reg(v *ir.Value) (uint32, bool) {
 }
 
 // bad returns an instruction that fails with err.
-func (k *compiler) bad(v *ir.Value, err error) inst {
+func (k *compiler) bad(err error) inst {
 	k.c.errs = append(k.c.errs, err)
-	return inst{op: opBad, v: v, x: uint32(len(k.c.errs) - 1)}
+	return inst{op: opBad, x: uint32(len(k.c.errs) - 1)}
 }
 
 // arity is the operand count each executable op needs at least.
@@ -339,20 +367,20 @@ var binOps = map[ir.Op]op{
 // inst compiles one instruction of block b.
 func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 	c, name := k.c, k.c.fn.Name
-	in := inst{v: v, dst: uint32(v.Slot()), ops: uint32(len(c.ops)), n: uint32(len(v.Args))}
+	in := inst{dst: uint32(v.Slot()), ops: uint32(len(c.ops)), n: uint32(len(v.Args))}
 	if s := v.Slot(); s < 0 || s >= c.nslots {
-		return k.bad(v, fmt.Errorf("irexec: %s: %s has no slot", name, v))
+		return k.bad(fmt.Errorf("irexec: %s: %s has no slot", name, v))
 	}
 	for i, a := range v.Args {
 		r, ok := k.reg(a)
 		if !ok {
 			c.ops = c.ops[:in.ops]
-			return k.bad(v, fmt.Errorf("irexec: %s: operand %d of %s is not executable", name, i, v))
+			return k.bad(fmt.Errorf("irexec: %s: operand %d of %s is not executable", name, i, v))
 		}
 		c.ops = append(c.ops, r)
 	}
 	if len(v.Args) < arity[v.Op] {
-		return k.bad(v, fmt.Errorf("irexec: %s: %s %s has %d operands", name, v.Op, v, len(v.Args)))
+		return k.bad(fmt.Errorf("irexec: %s: %s %s has %d operands", name, v.Op, v, len(v.Args)))
 	}
 	c.maxArgs = max(c.maxArgs, len(v.Args))
 	if len(v.Args) > 0 {
@@ -360,9 +388,6 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 	}
 	if len(v.Args) > 1 {
 		in.b = c.ops[in.ops+1]
-	}
-	if k.flt == nil || k.flt.Exec(v) {
-		in.flags |= flagHook
 	}
 	if o, ok := binOps[v.Op]; ok {
 		in.op, in.cond = o, v.Cond
@@ -403,7 +428,7 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 		if v.Op == ir.OpCallInd {
 			in.op = opCallInd
 		} else if v.Callee == nil {
-			return k.bad(v, fmt.Errorf("irexec: %s: call %s has no callee", name, v))
+			return k.bad(fmt.Errorf("irexec: %s: call %s has no callee", name, v))
 		} else {
 			in.callee = k.p.entryLocked(v.Callee)
 		}
@@ -416,7 +441,7 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 			in.op = opCallExtRaw
 		}
 		if v.TupleOff() < 0 {
-			return k.bad(v, fmt.Errorf("irexec: %s: %s has no tuple", name, v))
+			return k.bad(fmt.Errorf("irexec: %s: %s has no tuple", name, v))
 		}
 		in.x = uint32(v.TupleOff())
 	case ir.OpExtract:
@@ -426,7 +451,7 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 			w = 0
 		}
 		if v.Idx < 0 || v.Idx >= w {
-			return k.bad(v, fmt.Errorf("irexec: %s: extract %d of %d-tuple", name, v.Idx, w))
+			return k.bad(fmt.Errorf("irexec: %s: extract %d of %d-tuple", name, v.Idx, w))
 		}
 		in.op, in.x = opExtract, uint32(off+v.Idx)
 	case ir.OpJmp:
@@ -444,7 +469,7 @@ func (k *compiler) inst(b *ir.Block, v *ir.Value) inst {
 	case ir.OpTrap:
 		in.op = opTrap
 	default:
-		return k.bad(v, fmt.Errorf("irexec: %s: cannot execute %s", name, v.Op))
+		return k.bad(fmt.Errorf("irexec: %s: cannot execute %s", name, v.Op))
 	}
 	return in
 }
@@ -484,7 +509,7 @@ func (k *compiler) edge(prev, b *ir.Block) edge {
 	}
 	for _, phi := range b.Phis {
 		if s := phi.Slot(); s < 0 || s >= c.nslots {
-			c.moves = c.moves[:e.mv]
+			c.moves, c.msites = c.moves[:e.mv], c.msites[:e.mv]
 			return k.errEdge(fmt.Errorf("irexec: %s: %s has no slot", c.fn.Name, phi))
 		}
 		var in *ir.Value
@@ -493,11 +518,15 @@ func (k *compiler) edge(prev, b *ir.Block) edge {
 		}
 		src, ok := k.reg(in)
 		if !ok {
-			c.moves = c.moves[:e.mv]
+			c.moves, c.msites = c.moves[:e.mv], c.msites[:e.mv]
 			return k.errEdge(fmt.Errorf("irexec: %s: phi %s missing arg %d", c.fn.Name, phi, idx))
 		}
-		c.moves = append(c.moves, move{dst: uint32(phi.Slot()), src: src, phi: phi, in: in,
-			hook: k.flt == nil || k.flt.Phi(phi, in)})
+		s := PhiSite(phi, in)
+		if k.acts != nil {
+			s.Act, s.Imm = k.acts.Phi(phi, in)
+		}
+		c.moves = append(c.moves, move{dst: uint32(phi.Slot()), src: src, hook: s.Act != Skip})
+		c.msites = append(c.msites, s)
 	}
 	e.n = int32(len(b.Phis))
 	c.maxPhis = max(c.maxPhis, len(b.Phis))

@@ -2,69 +2,94 @@ package irexec
 
 import "wytiwyg/internal/ir"
 
-// Observer is implemented by a tracer whose Exec and Phi hooks act on only
-// some of a function's instructions and phi moves. A Program built with an
-// Observer asks it once per function, when it compiles the function, and
-// calls Exec and Phi only where the returned Filter says so; FnEnter and
-// FnExit always fire.
+// Action is what a tracer does at one site: a small code the tracer
+// defines, fixed when the function is compiled. The interpreter calls
+// Act at every site whose action is not Skip and passes the code along
+// in the Site; the tracer switches on it.
+type Action uint8
+
+const (
+	// Skip fires nothing: the tracer does not observe the site.
+	Skip Action = 0
+	// Generic is the action of every site of a Program built without an
+	// Observer. A tracer that receives it works out what to do from
+	// Site.V, as its Observer would have at compile time.
+	Generic Action = 0xFF
+)
+
+// Site is one instruction or phi move as the tracer sees it, with its
+// operands resolved when the function is compiled: the action, the
+// value slots (Value.Slot) the tracer's Slots tables are indexed by,
+// the access width and the action's immediate. A tracer acting on a
+// site reads no *ir.Value; V is there for Generic actions, for messages
+// and for rare actions that need more than two operands.
+type Site struct {
+	Act  Action // the tracer's action; Generic without an Observer
+	Size uint8  // a load's or store's access width
+	// A and B are the slots of the first two operands (a phi move's A is
+	// its incoming value's), -1 where the operand is missing. Dst is the
+	// result's slot (a phi move's: the phi's).
+	A, B, Dst int32
+	Imm       uint32    // the action's immediate, as the Observer set it
+	V         *ir.Value // the instruction, or a phi move's phi
+}
+
+// SiteOf returns instruction v's site under its function's current
+// layout, with the Generic action.
+func SiteOf(v *ir.Value) Site {
+	s := Site{Act: Generic, Size: v.Size, A: -1, B: -1, Dst: int32(v.Slot()), V: v}
+	if len(v.Args) > 0 {
+		s.A = slotOf(v.Args[0])
+	}
+	if len(v.Args) > 1 {
+		s.B = slotOf(v.Args[1])
+	}
+	return s
+}
+
+// PhiSite returns the site of moving in into phi, with the Generic
+// action.
+func PhiSite(phi, in *ir.Value) Site {
+	return Site{Act: Generic, A: slotOf(in), B: -1, Dst: int32(phi.Slot()), V: phi}
+}
+
+func slotOf(v *ir.Value) int32 {
+	if v == nil {
+		return -1
+	}
+	return int32(v.Slot())
+}
+
+// Observer is implemented by a tracer that acts on only some of a
+// function's instructions and phi moves, and knows what it will do at
+// each before the function runs. A Program built with an Observer asks
+// it once per function, when it compiles the function, and stores the
+// returned actions in the compiled sites; Act fires only at sites whose
+// action is not Skip. FnEnter and FnExit always fire.
 //
-// A Filter must be sound for every tracer the Program's interpreters run:
-// a hook it skips must be one that would have changed nothing. The usual
-// argument is a may-hold fixpoint over the function's SSA form: a skipped
-// hook would read only zero metadata and write zero into a slot that is
-// always zero.
+// Skip must be sound for every tracer the Program's interpreters run: a
+// skipped site must be one where acting would have changed nothing. The
+// usual argument is a may-hold fixpoint over the function's SSA form: a
+// skipped site would read only zero metadata and write zero into a slot
+// that is always zero. An action that is not Skip must do what the
+// tracer does with Generic at that site.
 type Observer interface {
-	// Observes returns f's filter. It runs under the Program's compile
+	// Observes returns f's actions. It runs under the Program's compile
 	// lock, with f's layout current, and must not change f.
-	Observes(f *ir.Func) Filter
+	Observes(f *ir.Func) Actions
 }
 
-// Filter is one function's static observation filter.
-type Filter interface {
-	// Exec reports whether the Exec hook can act on instruction v.
-	Exec(v *ir.Value) bool
-	// Phi reports whether the Phi hook can act on moving in into phi.
-	Phi(phi, in *ir.Value) bool
-}
-
-// Union returns an Observer that observes what any of obs observes, for
-// a tracer that forwards its hooks to several.
-func Union(obs ...Observer) Observer { return union(obs) }
-
-type union []Observer
-
-// unionFilter is the Filter of a union: one filter per member.
-type unionFilter []Filter
-
-func (u union) Observes(f *ir.Func) Filter {
-	fs := make(unionFilter, len(u))
-	for i, o := range u {
-		fs[i] = o.Observes(f)
-	}
-	return fs
-}
-
-func (fs unionFilter) Exec(v *ir.Value) bool {
-	for _, f := range fs {
-		if f.Exec(v) {
-			return true
-		}
-	}
-	return false
-}
-
-func (fs unionFilter) Phi(phi, in *ir.Value) bool {
-	for _, f := range fs {
-		if f.Phi(phi, in) {
-			return true
-		}
-	}
-	return false
+// Actions is one function's compiled actions.
+type Actions interface {
+	// Exec returns the action on instruction v and its immediate.
+	Exec(v *ir.Value) (Action, uint32)
+	// Phi returns the action on moving in into phi and its immediate.
+	Phi(phi, in *ir.Value) (Action, uint32)
 }
 
 // SlotSet is a set of one function's values, a bool per dense value slot
-// (Value.Slot): the table a Filter's fixpoint fills. Values without a slot
-// in the function's current layout are never members.
+// (Value.Slot): the table an Observer's fixpoint fills. Values without a
+// slot in the function's current layout are never members.
 type SlotSet []bool
 
 // NewSlotSet returns an empty set sized for f's current layout.

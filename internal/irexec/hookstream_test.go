@@ -18,15 +18,14 @@ import (
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
-	"wytiwyg/internal/regsave"
-	"wytiwyg/internal/varargs"
 	"wytiwyg/internal/vartrack"
 )
 
 // recorder is a Tracer that folds the full hook stream into a running
 // FNV-1a hash: per event its kind, the frame's function, epoch, depth,
-// SP0, call site and caller epoch, the value IDs, and every argument,
-// return and result word. In capture mode it also keeps each event's own
+// SP0, call site and caller epoch, the value ID, the site's action,
+// width, slots and immediate, and every argument, return and result
+// word. In capture mode it also keeps each event's own
 // hash, or its rendering for the events in [from, to), to locate and show
 // the first divergence between two streams.
 type recorder struct {
@@ -44,7 +43,7 @@ func (r *recorder) word(w uint64) {
 	r.h = (r.h ^ w) * 1099511628211
 }
 
-func (r *recorder) event(kind byte, fr *irexec.Frame, id, id2 int, vals []uint32, x uint32) {
+func (r *recorder) event(kind byte, fr *irexec.Frame, id int, s *irexec.Site, vals []uint32, x uint32) {
 	start := r.h
 	if fr.Fn != r.fn {
 		r.h = 14695981039346656037
@@ -56,9 +55,9 @@ func (r *recorder) event(kind byte, fr *irexec.Frame, id, id2 int, vals []uint32
 	r.h = 14695981039346656037
 	r.word(uint64(kind))
 	r.word(r.fnHash)
-	site, caller := -1, uint64(0)
+	callSite, caller := -1, uint64(0)
 	if fr.CallSite != nil {
-		site = fr.CallSite.ID
+		callSite = fr.CallSite.ID
 	}
 	if fr.Caller != nil {
 		caller = fr.Caller.Epoch
@@ -66,10 +65,19 @@ func (r *recorder) event(kind byte, fr *irexec.Frame, id, id2 int, vals []uint32
 	r.word(fr.Epoch)
 	r.word(uint64(fr.Depth))
 	r.word(uint64(fr.SP0))
-	r.word(uint64(site))
+	r.word(uint64(callSite))
 	r.word(caller)
 	r.word(uint64(id))
-	r.word(uint64(id2))
+	var site irexec.Site
+	if s != nil {
+		site = *s
+	}
+	r.word(uint64(site.Act))
+	r.word(uint64(site.Size))
+	r.word(uint64(site.A))
+	r.word(uint64(site.B))
+	r.word(uint64(site.Dst))
+	r.word(uint64(site.Imm))
 	r.word(uint64(len(vals)))
 	for _, v := range vals {
 		r.word(uint64(v))
@@ -82,24 +90,25 @@ func (r *recorder) event(kind byte, fr *irexec.Frame, id, id2 int, vals []uint32
 		r.hashes = append(r.hashes, one)
 	}
 	if r.n >= r.from && r.n < r.to {
-		r.lines = append(r.lines, fmt.Sprintf("#%d %c %s epoch=%d depth=%d sp0=%#x site=%d caller=%d ids=v%d,v%d vals=%v x=%#x",
-			r.n, kind, fr.Fn.Name, fr.Epoch, fr.Depth, fr.SP0, site, caller, id, id2, vals, x))
+		r.lines = append(r.lines, fmt.Sprintf("#%d %c %s epoch=%d depth=%d sp0=%#x site=%d caller=%d id=v%d act=%#x size=%d a=%d b=%d dst=%d imm=%#x vals=%v x=%#x",
+			r.n, kind, fr.Fn.Name, fr.Epoch, fr.Depth, fr.SP0, callSite, caller, id,
+			site.Act, site.Size, site.A, site.B, site.Dst, site.Imm, vals, x))
 	}
 	r.n++
 }
 
-func (r *recorder) FnEnter(fr *irexec.Frame) { r.event('E', fr, -1, -1, nil, 0) }
+func (r *recorder) FnEnter(fr *irexec.Frame) { r.event('E', fr, -1, nil, nil, 0) }
 
 func (r *recorder) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
-	r.event('X', fr, ret.ID, -1, rets, 0)
+	r.event('X', fr, ret.ID, nil, rets, 0)
 }
 
-func (r *recorder) Phi(fr *irexec.Frame, phi, in *ir.Value, val uint32) {
-	r.event('P', fr, phi.ID, in.ID, nil, val)
-}
-
-func (r *recorder) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	r.event('V', fr, v.ID, -1, args, res)
+func (r *recorder) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, res uint32) {
+	kind := byte('V')
+	if s.V.Op == ir.OpPhi {
+		kind = 'P'
+	}
+	r.event(kind, fr, s.V.ID, s, args, res)
 }
 
 // outcome is everything one interpreter run leaves behind.
@@ -231,10 +240,12 @@ func diffModule(t *testing.T, name string, mod *ir.Module, obs irexec.Observer, 
 // calls) and as symbolized (allocas, SP0, promoted stack arguments). Each
 // run must produce the same hook stream, value and hook counts, result,
 // error, output and memory. The two refinement replays' module states
-// also run under their tracers' filters (the lifted module under regsave's
+// also run under their tracers' actions (the lifted module under regsave's
 // and varargs', the stack-referenced one under vartrack's), the reference
-// asking the filter before each Exec and Phi hook where the compiled code
-// reads the bits compiled from it. The lifted module additionally runs with a step
+// building each site and asking the Observer for its action where the
+// compiled code reads the sites compiled from it, and the real tracers
+// run there through the action-path differential (diffTracers). The
+// lifted module additionally runs with a step
 // budget that cuts the train input in half, and a module lifted from the
 // tiny input 1 alone replays the ref input, which reaches trap stubs where
 // it leaves that input's coverage. The ref input is scaled to 6, as in the
@@ -278,13 +289,17 @@ func diffProgram(t *testing.T, p progs.Program, prof gen.Profile) bool {
 	}
 	outs := diffModule(t, name+" lifted", pl.Mod, nil, p.Inputs())
 	diff(t, name+" lifted, half budget", pl.Mod, nil, p.Train, outs[0].steps/2)
-	diffModule(t, name+" lifted, regsave filter", pl.Mod, irexec.Union(regsave.NewTracer(), varargs.NewTracer()), p.Inputs())
+	diffModule(t, name+" lifted, regsave actions", pl.Mod, newRegsaveVarargs(), p.Inputs())
+	diffTracers(t, name+" lifted, regsave+varargs", pl.Mod, func() resultTracer { return newRegsaveVarargs() }, p.Inputs(), 0)
 	for _, stage := range []func() error{pl.RefineRegSave, pl.RefineVarArgs, pl.RefineStackRef} {
 		if err := stage(); err != nil {
 			t.Fatalf("%s: refine: %v", name, err)
 		}
 	}
-	diffModule(t, name+" stackref, vartrack filter", pl.Mod, vartrack.NewTracer(pl.SPOffsets), p.Inputs())
+	diffModule(t, name+" stackref, vartrack actions", pl.Mod, vartrack.NewTracer(pl.SPOffsets), p.Inputs())
+	diffTracers(t, name+" stackref, vartrack", pl.Mod, func() resultTracer {
+		return vartrackResult{vartrack.NewTracer(pl.SPOffsets)}
+	}, p.Inputs(), 0)
 	if _, err := pl.RefineSymbolize(); err != nil {
 		t.Fatalf("%s: symbolize: %v", name, err)
 	}
@@ -299,7 +314,8 @@ func diffProgram(t *testing.T, p progs.Program, prof gen.Profile) bool {
 
 // TestHookStreamRandomModules checks 200 random irgen modules the same
 // way, each under the default budget and under budgets that stop it at
-// its second value, halfway and one value short.
+// its second value, halfway and one value short, and runs both replays'
+// tracers on each through the action-path differential.
 func TestHookStreamRandomModules(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		mod := irgen.Build(seed, int32(seed*7-300), int32(seed%13-6))
@@ -308,6 +324,7 @@ func TestHookStreamRandomModules(t *testing.T) {
 		for _, budget := range []uint64{1, o.steps / 2, o.steps - 1} {
 			diff(t, name, mod, nil, machine.Input{}, budget)
 		}
+		diffBothTracers(t, name, mod, []machine.Input{{}}, 0)
 	}
 }
 
@@ -315,9 +332,10 @@ func TestHookStreamRandomModules(t *testing.T) {
 // target: the fuzzer picks the irgen seed, the arguments _start passes to
 // f and a step budget of at most 65,536 values, which cuts some runs short
 // and keeps every input fast. Each module runs on both interpreters
-// unfiltered and under regsave's and varargs' filters. The seed corpus
-// holds seeds of TestHookStreamRandomModules, run to completion and cut
-// after one value.
+// with Generic actions and under regsave's and varargs' actions, and
+// through the action-path differential of both replays' tracers. The
+// seed corpus holds seeds of TestHookStreamRandomModules, run to
+// completion and cut after one value.
 func FuzzHookStream(f *testing.F) {
 	for _, seed := range []int64{1, 2, 17, 64, 200} {
 		f.Add(seed, int32(seed*7-300), int32(seed%13-6), uint16(0xFFFF))
@@ -328,7 +346,8 @@ func FuzzHookStream(f *testing.F) {
 		name := fmt.Sprintf("irgen seed %d f(%d, %d)", seed, a, b)
 		budget := uint64(cut) + 1
 		diff(t, name, mod, nil, machine.Input{}, budget)
-		diff(t, name+", regsave filter", mod, irexec.Union(regsave.NewTracer(), varargs.NewTracer()), machine.Input{}, budget)
+		diff(t, name+", regsave actions", mod, newRegsaveVarargs(), machine.Input{}, budget)
+		diffBothTracers(t, name, mod, []machine.Input{{}}, budget)
 	})
 }
 

@@ -1,10 +1,11 @@
 // Package irexec interprets lifted IR modules. It plays the role of
 // compiling and running the instrumented lifted program in the paper's
-// refinement loop (Figure 4): the Tracer hook receives every executed
-// instruction together with its operand values, which is how the dynamic
-// analyses (saved-register identification, stack-variable tracking) observe
-// the program. Library calls dispatch into the exact same simulated libc
-// the machine uses, so behaviour matches the original binary bit for bit.
+// refinement loop (Figure 4): the Tracer's Act hook receives executed
+// instructions together with their operand values, which is how the
+// dynamic analyses (saved-register identification, stack-variable
+// tracking) observe the program. Library calls dispatch into the exact
+// same simulated libc the machine uses, so behaviour matches the original
+// binary bit for bit.
 //
 // The interpreter does not walk the IR. A Program compiles each function
 // lazily, on its first activation, into a flat instruction array
@@ -17,11 +18,15 @@
 // nothing. Tracers keep their per-value metadata in typed Slots tables,
 // indexed by the same dense value slots (ir/layout.go).
 //
-// A refinement tracer acts on few of the instructions it sees, so a
-// Program can be built with the tracer's static observation filter
-// (Observer, filter.go): the compiled code then calls Exec and Phi only
-// for the instructions and phi moves the tracer can act on. Without a
-// filter every executed instruction reaches the tracer.
+// A refinement tracer acts on few of the instructions it sees, and knows
+// before the program runs what it will do at each, as the paper's
+// instrumentation is placed per operation with its operands fixed. A
+// Program built with the tracer's Observer (filter.go) therefore compiles
+// a tracer-defined action into every instruction and phi move, beside
+// the operand and result slots the action reads (a Site): Act fires only
+// where the action is not Skip, and the tracer switches on the code.
+// Without an Observer every executed instruction and phi move reaches Act
+// with the Generic action.
 package irexec
 
 import (
@@ -61,6 +66,10 @@ type Frame struct {
 	// caller's depth plus one otherwise. Live activations have distinct
 	// depths, which is how Slots keeps one table window per activation.
 	Depth int
+	// FnIndex is Fn's dense index in the Program (see Program), for
+	// tracers that keep per-function tables in slices. It is the same for
+	// every activation of Fn in one Program.
+	FnIndex int
 	// Mem is the address space the activation runs in, for tracers that
 	// read program memory (C strings, variadic arguments).
 	Mem *machine.Memory
@@ -106,9 +115,9 @@ func (fr *Frame) layout() (slots, words int) {
 
 // Tracer observes execution. All methods may be no-ops. Slices passed to
 // the hooks (args, rets) alias interpreter scratch buffers and must not be
-// retained past the call. Under a Program built with an Observer, Exec and
-// Phi fire only where the function's Filter observes; FnEnter and FnExit
-// always fire.
+// retained past the call. Under a Program built with an Observer, Act
+// fires only at the sites whose compiled action is not Skip; FnEnter and
+// FnExit always fire.
 //
 // An internal call (OpCall/OpCallInd) reaches the tracer as the callee's
 // FnEnter and FnExit, in which fr.Caller and fr.CallSite name the calling
@@ -123,12 +132,13 @@ type Tracer interface {
 	// FnExit fires just before the frame is popped, with the OpRet
 	// instruction and the return values.
 	FnExit(fr *Frame, ret *ir.Value, rets []uint32)
-	// Phi fires for each phi when control enters a block, with the selected
-	// incoming SSA value and its runtime value.
-	Phi(fr *Frame, phi *ir.Value, incoming *ir.Value, val uint32)
-	// Exec fires after an instruction computed its result. For calls, args
-	// holds the evaluated arguments and result the first return value.
-	Exec(fr *Frame, v *ir.Value, args []uint32, result uint32)
+	// Act fires at a site: after an instruction computed its result, with
+	// its evaluated operands in args (for calls, result is the first
+	// return value), and for each phi move when control enters a block,
+	// after the phi took the incoming value, with args nil and result the
+	// moved value. s points into the compiled code and must not be
+	// changed.
+	Act(fr *Frame, s *Site, args []uint32, result uint32)
 }
 
 // Interp executes a module.
@@ -139,7 +149,7 @@ type Interp struct {
 	Tr  Tracer            // observation hook, may be nil
 
 	Steps    uint64 // IR values evaluated
-	Hooks    uint64 // Exec and Phi calls made to Tr
+	Hooks    uint64 // Act calls made to Tr
 	MaxSteps uint64 // execution budget; 0 means the default of 4·10⁹
 
 	// StubHits counts executions of trap instructions, keyed by the name
@@ -158,7 +168,7 @@ type Interp struct {
 type Result struct {
 	ExitCode int32  // the program's exit status
 	Steps    uint64 // IR values evaluated
-	Hooks    uint64 // Exec and Phi calls made to the tracer
+	Hooks    uint64 // Act calls made to the tracer
 }
 
 var errHalted = errors.New("halted")
@@ -171,7 +181,7 @@ var ErrTrap = errors.New("irexec: trap: input exercised an untraced path")
 var ErrMaxSteps = errors.New("irexec: step budget exceeded")
 
 // New prepares an interpreter over fresh memory, with a private Program
-// for mod that observes everything.
+// for mod without an Observer.
 func New(mod *ir.Module, input machine.Input, out io.Writer) (*Interp, error) {
 	return NewProgram(mod, nil).NewInterp(input, out)
 }
@@ -240,7 +250,7 @@ func (ip *Interp) newFrame(c *code, args []uint32, caller *Frame, site *ir.Value
 	fr := ip.frames[depth]
 	ip.epoch++
 	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch, fr.Depth = c.fn, caller, site, ip.epoch, depth
-	fr.code = c
+	fr.FnIndex, fr.code = c.index, c
 	fr.SP0 = 0
 	fr.regs = resize(fr.regs, c.nslots+len(c.consts))
 	clear(fr.regs[:c.nslots])
@@ -394,8 +404,14 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 				}
 				target, args = ip.prog.entry(f), argv[1:]
 			}
+			// Only a tracer sees the callee's frame, so only a traced run
+			// fetches the call for Frame.CallSite.
+			var call *ir.Value
+			if tr != nil {
+				call = c.sites[pc-1].V
+			}
 			dest := fr.tuples[in.x : in.x+in.y]
-			if err := ip.call(target, args, fr, in.v, dest); err != nil {
+			if err := ip.call(target, args, fr, call, dest); err != nil {
 				return err
 			}
 			if len(dest) > 0 {
@@ -404,12 +420,12 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 			regs[in.dst] = res
 			if tr != nil && in.flags&flagHook != 0 {
 				ip.Hooks++
-				tr.Exec(fr, in.v, argv, res)
+				tr.Act(fr, &c.sites[pc-1], argv, res)
 			}
 			continue
 		case opCallExt, opCallExtRaw:
 			argv := fr.operands(in)
-			ret, err := ip.extCall(fr, in, argv)
+			ret, err := ip.extCall(fr, in.op, c.sites[pc-1].V, argv)
 			if err != nil {
 				return err
 			}
@@ -418,7 +434,7 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 			if ip.Lib.Halted {
 				if tr != nil && in.flags&flagHook != 0 {
 					ip.Hooks++
-					tr.Exec(fr, in.v, argv, res)
+					tr.Act(fr, &c.sites[pc-1], argv, res)
 				}
 				return errHalted
 			}
@@ -445,7 +461,7 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 				dest[i] = regs[r]
 			}
 			if tr != nil {
-				tr.FnExit(fr, in.v, dest[:n])
+				tr.FnExit(fr, c.sites[pc-1].V, dest[:n])
 			}
 			return nil
 		case opTrap:
@@ -461,7 +477,7 @@ func (ip *Interp) run(fr *Frame, dest []uint32) error {
 			argv := fr.operands(in)
 			regs[in.dst] = res
 			ip.Hooks++
-			tr.Exec(fr, in.v, argv, res)
+			tr.Act(fr, &c.sites[pc-1], argv, res)
 		} else {
 			regs[in.dst] = res
 		}
@@ -497,12 +513,13 @@ func caseIndex(cases []uint32, sel uint32) uint32 {
 }
 
 // phis performs an edge's simultaneous phi assignment, or reports the
-// edge's error. Phi fires for the observed moves.
+// edge's error. Act fires for the moves whose action is not Skip.
 func (ip *Interp) phis(fr *Frame, e *edge) error {
+	c := fr.code
 	if e.n < 0 {
-		return fr.code.errs[e.mv]
+		return c.errs[e.mv]
 	}
-	moves := fr.code.moves[e.mv : e.mv+uint32(e.n)]
+	moves := c.moves[e.mv : e.mv+uint32(e.n)]
 	tmp := fr.phibuf[:len(moves)]
 	for i, m := range moves {
 		tmp[i] = fr.regs[m.src]
@@ -511,25 +528,25 @@ func (ip *Interp) phis(fr *Frame, e *edge) error {
 		fr.regs[m.dst] = tmp[i]
 		if m.hook && ip.Tr != nil {
 			ip.Hooks++
-			ip.Tr.Phi(fr, m.phi, m.in, tmp[i])
+			ip.Tr.Act(fr, &c.msites[e.mv+uint32(i)], nil, tmp[i])
 		}
 	}
 	return nil
 }
 
-// extCall runs a library call: OpCallExt passes its operands, OpCallExtRaw
-// the emulated-stack words at its single operand.
-func (ip *Interp) extCall(fr *Frame, in *inst, argv []uint32) (uint32, error) {
-	if in.op == opCallExtRaw {
+// extCall runs the library call v: OpCallExt passes its operands,
+// OpCallExtRaw the emulated-stack words at its single operand.
+func (ip *Interp) extCall(fr *Frame, o op, v *ir.Value, argv []uint32) (uint32, error) {
+	if o == opCallExtRaw {
 		base := argv[0]
-		return ip.Lib.Call(in.v.Sym, func(i int) (uint32, error) {
+		return ip.Lib.Call(v.Sym, func(i int) (uint32, error) {
 			return ip.Mem.Load(base+uint32(4*i), 4)
 		})
 	}
-	return ip.Lib.Call(in.v.Sym, func(i int) (uint32, error) {
+	return ip.Lib.Call(v.Sym, func(i int) (uint32, error) {
 		if i >= len(argv) {
 			return 0, fmt.Errorf("irexec: %s: %s reads arg %d beyond %d",
-				fr.Fn.Name, in.v.Sym, i, len(argv))
+				fr.Fn.Name, v.Sym, i, len(argv))
 		}
 		return argv[i], nil
 	})

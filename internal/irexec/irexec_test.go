@@ -106,7 +106,7 @@ func TestAllocaAndMemory(t *testing.T) {
 
 // countingTracer verifies the hook contract: FnEnter/FnExit pairing, the
 // internal calls FnEnter sees through Frame.CallSite with the memory set,
-// and Exec/Phi invocations.
+// and Act invocations at instructions and phi moves.
 type countingTracer struct {
 	enters, exits, execs, phis, calls int
 }
@@ -118,9 +118,12 @@ func (c *countingTracer) FnEnter(fr *irexec.Frame) {
 	}
 }
 func (c *countingTracer) FnExit(fr *irexec.Frame, ret *ir.Value, _ []uint32) { c.exits++ }
-func (c *countingTracer) Phi(fr *irexec.Frame, _, _ *ir.Value, _ uint32)     { c.phis++ }
-func (c *countingTracer) Exec(fr *irexec.Frame, _ *ir.Value, _ []uint32, _ uint32) {
-	c.execs++
+func (c *countingTracer) Act(fr *irexec.Frame, s *irexec.Site, _ []uint32, _ uint32) {
+	if s.V.Op == ir.OpPhi {
+		c.phis++
+	} else {
+		c.execs++
+	}
 }
 
 func TestTracerHooks(t *testing.T) {
@@ -172,7 +175,7 @@ func TestTracerHooks(t *testing.T) {
 		t.Errorf("calls = %d, want 1", tr.calls)
 	}
 	if tr.execs == 0 {
-		t.Error("no Exec events")
+		t.Error("no Act events")
 	}
 }
 

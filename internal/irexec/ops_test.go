@@ -493,17 +493,16 @@ func TestCallExtRaw(t *testing.T) {
 	}
 }
 
-// tupleTracer records Frame.Tuple contents observed at Exec hooks.
+// tupleTracer records Frame.Tuple contents observed at Act hooks.
 type tupleTracer struct {
 	got []uint32
 }
 
-func (tr *tupleTracer) FnEnter(fr *irexec.Frame)                                            {}
-func (tr *tupleTracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32)               {}
-func (tr *tupleTracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {}
-func (tr *tupleTracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, result uint32) {
-	if v.Op == ir.OpCall {
-		tr.got = append(tr.got, fr.Tuple(v)...)
+func (tr *tupleTracer) FnEnter(fr *irexec.Frame)                              {}
+func (tr *tupleTracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {}
+func (tr *tupleTracer) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, result uint32) {
+	if s.V.Op == ir.OpCall {
+		tr.got = append(tr.got, fr.Tuple(s.V)...)
 	}
 }
 

@@ -1,10 +1,12 @@
 package irexec
 
-// Shadow page geometry: 4096 entries per page, one entry per byte address.
+// Shadow page geometry: 4096 entries per page, one entry per byte address,
+// and a direct-mapped memo of 16 page lookups.
 const (
 	shadowPageBits = 12
 	shadowPageSize = 1 << shadowPageBits
 	shadowPageMask = shadowPageSize - 1
+	shadowMemo     = 16
 )
 
 // Shadow is a tracer-side shadow of the 32-bit address space: one entry of
@@ -14,26 +16,32 @@ const (
 // Go map keyed by address costs a hash and a delete per byte touched.
 //
 // Pages of 4096 entries are materialized on the first Set into them. A
-// one-entry memo remembers the last page looked up — including a page
-// found missing — so accesses that stay within one page, and clears of
-// addresses that were never written, skip the map lookup. The zero Shadow
-// is empty and ready to use; it is not safe for concurrent use.
+// memo of page lookups, direct-mapped by page number, remembers pages
+// looked up — including pages found missing — so accesses that move
+// between a few pages (the stack's and the data section's), and clears
+// of addresses that were never written, skip the map lookup. The zero
+// Shadow is empty and ready to use; it is not safe for concurrent use.
 type Shadow[E any] struct {
 	pages map[uint32]*[shadowPageSize]E
-	// memo is the memoized page number plus one (0 means nothing is
-	// memoized); memoPage is that page, nil when it does not exist.
-	memo     uint32
-	memoPage *[shadowPageSize]E
+	memo  [shadowMemo]shadowLookup[E]
+}
+
+// shadowLookup is one memoized page lookup: the page number plus one (0
+// means nothing is memoized) and that page, nil when it does not exist.
+type shadowLookup[E any] struct {
+	pn   uint32
+	page *[shadowPageSize]E
 }
 
 // lookup returns the page holding page number pn, or nil when no entry of
 // that page was ever set.
 func (s *Shadow[E]) lookup(pn uint32) *[shadowPageSize]E {
-	if pn+1 == s.memo {
-		return s.memoPage
+	m := &s.memo[pn%shadowMemo]
+	if m.pn == pn+1 {
+		return m.page
 	}
 	p := s.pages[pn]
-	s.memo, s.memoPage = pn+1, p
+	m.pn, m.page = pn+1, p
 	return p
 }
 
@@ -56,7 +64,7 @@ func (s *Shadow[E]) Set(addr uint32, e E) {
 		}
 		p = new([shadowPageSize]E)
 		s.pages[pn] = p
-		s.memoPage = p
+		s.memo[pn%shadowMemo].page = p
 	}
 	p[addr&shadowPageMask] = e
 }

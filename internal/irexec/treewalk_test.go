@@ -15,19 +15,24 @@ import (
 // against: it walks the IR itself, evaluating each block's phis against
 // the incoming edge (a scan of Preds), fetching every operand through
 // Frame.Get (declared here, as only the reference uses it) and
-// dispatching on ir.Op. Apart from setting Frame.Depth and Frame.Mem,
-// which the tracers need, dropping the old per-frame
-// metadata file, and asking an Observer's filters before each Exec and
-// Phi hook, its code is the interpreter as it was before compilation.
+// dispatching on ir.Op. Apart from setting Frame.Depth, Frame.Mem and
+// Frame.FnIndex, which the tracers need, dropping the old per-frame
+// metadata file, and building each hook's Site when it executes (SiteOf
+// or PhiSite, with an Observer's action), its code is the interpreter as
+// it was before compilation.
 type treeWalker struct {
 	Mod *ir.Module
 	Mem *machine.Memory
 	Lib *machine.LibState
 	Tr  Tracer
-	// Obs filters the Exec and Phi hooks (nil: every one fires); filters
-	// memoizes its per-function filters.
-	Obs     Observer
-	filters map[*ir.Func]Filter
+	// Obs gives the sites their actions (nil: Generic everywhere); acts
+	// memoizes its per-function actions, and site is the one Act is
+	// running on.
+	Obs  Observer
+	acts map[*ir.Func]Actions
+	site Site
+	// fnIndex numbers the functions as a Program does.
+	fnIndex map[*ir.Func]int
 
 	Steps    uint64
 	Hooks    uint64
@@ -53,7 +58,7 @@ func (fr *Frame) Get(v *ir.Value) uint32 {
 var treeFramePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // RunReference runs mod under one input on the reference tree-walker with
-// the step budget maxSteps and the hook filters of obs (nil: none),
+// the step budget maxSteps and the actions of obs (nil: Generic),
 // returning what the compiled interpreter's Run returns plus the final
 // Steps, Hooks, StubHits and memory.
 func RunReference(mod *ir.Module, input machine.Input, out io.Writer, tr Tracer, obs Observer, maxSteps uint64) (Result, uint64, uint64, map[string]int, *machine.Memory, error) {
@@ -70,33 +75,61 @@ func RunReference(mod *ir.Module, input machine.Input, out io.Writer, tr Tracer,
 	return res, ip.Steps, ip.Hooks, ip.StubHits, mem, err
 }
 
-// filter returns f's filter, nil when every hook fires.
-func (ip *treeWalker) filter(f *ir.Func) Filter {
+// actions returns f's actions, nil when every site is Generic.
+func (ip *treeWalker) actions(f *ir.Func) Actions {
 	if ip.Obs == nil {
 		return nil
 	}
-	flt, ok := ip.filters[f]
+	acts, ok := ip.acts[f]
 	if !ok {
-		if ip.filters == nil {
-			ip.filters = make(map[*ir.Func]Filter)
+		if ip.acts == nil {
+			ip.acts = make(map[*ir.Func]Actions)
 		}
 		f.EnsureLayout()
-		flt = ip.Obs.Observes(f)
-		ip.filters[f] = flt
+		acts = ip.Obs.Observes(f)
+		ip.acts[f] = acts
 	}
-	return flt
+	return acts
 }
 
-// hookExec fires the Exec hook if the filter observes v.
+// index returns f's index as a Program numbers it: Module.Funcs, the
+// entry, then the other functions in the order they are first called.
+func (ip *treeWalker) index(f *ir.Func) int {
+	if ip.fnIndex == nil {
+		ip.fnIndex = make(map[*ir.Func]int, len(ip.Mod.Funcs)+1)
+		for _, g := range append(ip.Mod.Funcs, ip.Mod.Entry) {
+			if _, ok := ip.fnIndex[g]; !ok {
+				ip.fnIndex[g] = len(ip.fnIndex)
+			}
+		}
+	}
+	i, ok := ip.fnIndex[f]
+	if !ok {
+		i = len(ip.fnIndex)
+		ip.fnIndex[f] = i
+	}
+	return i
+}
+
+// hookExec fires Act at v's site unless its action is Skip.
 func (ip *treeWalker) hookExec(fr *Frame, v *ir.Value, argv []uint32, res uint32) {
 	if ip.Tr == nil {
 		return
 	}
-	if flt := ip.filter(fr.Fn); flt != nil && !flt.Exec(v) {
+	ip.site = SiteOf(v)
+	if acts := ip.actions(fr.Fn); acts != nil {
+		ip.site.Act, ip.site.Imm = acts.Exec(v)
+	}
+	ip.fire(fr, argv, res)
+}
+
+// fire calls Act at ip.site unless its action is Skip.
+func (ip *treeWalker) fire(fr *Frame, argv []uint32, res uint32) {
+	if ip.site.Act == Skip {
 		return
 	}
 	ip.Hooks++
-	ip.Tr.Exec(fr, v, argv, res)
+	ip.Tr.Act(fr, &ip.site, argv, res)
 }
 
 // Run executes from the module entry until exit.
@@ -128,6 +161,7 @@ func (ip *treeWalker) newFrame(f *ir.Func, args []uint32, caller *Frame, site *i
 	fr := treeFramePool.Get().(*Frame)
 	ip.epoch++
 	fr.Fn, fr.Caller, fr.CallSite, fr.Epoch, fr.Mem = f, caller, site, ip.epoch, ip.Mem
+	fr.FnIndex = ip.index(f)
 	fr.Depth = 0
 	if caller != nil {
 		fr.Depth = caller.Depth + 1
@@ -222,10 +256,11 @@ func (ip *treeWalker) run(fr *Frame, dest []uint32) error {
 				if ip.Tr == nil {
 					continue
 				}
-				if flt := ip.filter(f); flt == nil || flt.Phi(phi, phi.Args[idx]) {
-					ip.Hooks++
-					ip.Tr.Phi(fr, phi, phi.Args[idx], tmp[i])
+				ip.site = PhiSite(phi, phi.Args[idx])
+				if acts := ip.actions(f); acts != nil {
+					ip.site.Act, ip.site.Imm = acts.Phi(phi, phi.Args[idx])
 				}
+				ip.fire(fr, nil, tmp[i])
 			}
 		}
 		for _, v := range cur.Insts {

@@ -24,6 +24,7 @@ package regsave
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/irexec"
@@ -76,9 +77,19 @@ func (s sym) reg() isa.Reg { return isa.Reg(s - 1) }
 
 // Tracer is the instrumentation runtime of the first refinement.
 type Tracer struct {
+	// Rider, when set, is a tracer riding this one's replay, as core runs
+	// the variadic-call refinement's: its action codes lie outside
+	// regsave's, and Act, besides acting itself, passes it every site
+	// with such a code and every Generic site. Fork leaves it unset.
+	Rider irexec.Tracer
+
+	// The result sets, by function. A run records into runs; fold moves
+	// those tables here.
 	arg      map[fnReg]bool
 	violated map[fnReg]bool
 	forwards map[forward]bool
+	// runs holds this tracer's observations by Frame.FnIndex.
+	runs []fnRun
 	// shadow holds the symbols spilled to memory, by address: the storing
 	// activation's epoch shifted left by 8, or'ed with the symbol (0 means
 	// absent).
@@ -87,6 +98,17 @@ type Tracer struct {
 	// words of a call site hold its forwarding record: the symbol passed
 	// in each register, which an extract of that register inherits.
 	syms irexec.Slots[sym]
+}
+
+// fnRun is what a run observed of one function: the registers whose
+// symbols it used as arguments and those it did not return intact, a bit
+// per register, and at each of its call sites, by the call's slot, the
+// union of the site's forwarding records: byte r of the word holds a bit
+// per caller register whose symbol the site passed in callee register r.
+type fnRun struct {
+	fn            *ir.Func
+	arg, violated uint8
+	fwd           []uint64
 }
 
 // NewTracer returns an empty analysis.
@@ -133,9 +155,78 @@ func (t *Tracer) Fork() irexec.Tracer { return NewTracer() }
 // tracer observing all inputs sequentially.
 func (t *Tracer) Join(o irexec.Tracer) {
 	ot := o.(*Tracer)
+	ot.fold()
 	maps.Copy(t.arg, ot.arg)
 	maps.Copy(t.violated, ot.violated)
 	maps.Copy(t.forwards, ot.forwards)
+}
+
+// run returns the table of fr's function, starting it on the function's
+// first activation. A frame built outside the interpreter may reuse
+// another function's index; the tables recorded so far are folded first.
+func (t *Tracer) run(fr *irexec.Frame) *fnRun {
+	i := fr.FnIndex
+	if i < len(t.runs) && t.runs[i].fn == fr.Fn {
+		return &t.runs[i]
+	}
+	if i >= len(t.runs) {
+		t.runs = append(t.runs, make([]fnRun, i+1-len(t.runs))...)
+	} else if t.runs[i].fn != nil {
+		t.fold()
+	}
+	t.runs[i].fn = fr.Fn
+	return &t.runs[i]
+}
+
+// fold moves the per-run tables into the result sets. A forwarding
+// record's callees are the call's static ones: its callee, or every
+// target of an indirect call.
+func (t *Tracer) fold() {
+	for i := range t.runs {
+		r := &t.runs[i]
+		if r.fn == nil {
+			continue
+		}
+		for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
+			if r.arg&(1<<reg) != 0 {
+				t.arg[fnReg{r.fn, reg}] = true
+			}
+			if r.violated&(1<<reg) != 0 {
+				t.violated[fnReg{r.fn, reg}] = true
+			}
+		}
+		if r.fwd != nil {
+			for _, b := range r.fn.Blocks {
+				for _, v := range b.Insts {
+					slot := v.Slot()
+					if (v.Op == ir.OpCall || v.Op == ir.OpCallInd) && uint(slot) < uint(len(r.fwd)) && r.fwd[slot] != 0 {
+						t.foldForwards(r.fn, v, r.fwd[slot])
+					}
+				}
+			}
+		}
+		*r = fnRun{}
+	}
+}
+
+// foldForwards adds the forwarding constraints of call site v in f, whose
+// records' union is rec.
+func (t *Tracer) foldForwards(f *ir.Func, v *ir.Value, rec uint64) {
+	callees := v.Targets
+	if v.Op == ir.OpCall {
+		callees = []*ir.Func{v.Callee}
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		from := uint8(rec >> (8 * r))
+		for s := isa.Reg(0); s < isa.NumRegs; s++ {
+			if from&(1<<s) == 0 {
+				continue
+			}
+			for _, c := range callees {
+				t.forwards[forward{fnReg{f, s}, fnReg{c, r}}] = true
+			}
+		}
+	}
 }
 
 const frameLimit = 1 << 16
@@ -148,17 +239,27 @@ func at(w []sym, v *ir.Value) sym {
 	return 0
 }
 
-func (t *Tracer) markArg(f *ir.Func, s sym) {
-	t.arg[fnReg{f, s.reg()}] = true
+// get returns the symbol in slot i of the window w, 0 for a missing
+// operand (i = -1).
+func get(w []sym, i int32) sym {
+	if uint(i) < uint(len(w)) {
+		return w[i]
+	}
+	return 0
 }
 
-func (t *Tracer) addForward(f *ir.Func, s sym, callee *ir.Func, r isa.Reg) {
-	t.forwards[forward{fnReg{f, s.reg()}, fnReg{callee, r}}] = true
+// markArg records an argument use of the symbol s, if any, in fr's
+// function.
+func (t *Tracer) markArg(fr *irexec.Frame, s sym) {
+	if s != 0 {
+		t.run(fr).arg |= 1 << s.reg()
+	}
 }
 
 // FnEnter records the internal call that entered fr in its caller, then
 // assigns symbols to the incoming registers.
 func (t *Tracer) FnEnter(fr *irexec.Frame) {
+	t.run(fr)
 	if fr.Caller != nil {
 		t.call(fr.Caller, fr.CallSite)
 	}
@@ -174,22 +275,15 @@ func (t *Tracer) FnEnter(fr *irexec.Frame) {
 // own symbol at return.
 func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
 	w := t.syms.Window(fr)
+	run := t.run(fr)
 	for i, a := range ret.Args {
 		r := isa.Reg(i)
 		if r == isa.ESP {
 			continue
 		}
 		if at(w, a) != symOf(r) {
-			t.violated[fnReg{fr.Fn, r}] = true
+			run.violated |= 1 << r
 		}
-	}
-}
-
-// Phi propagates symbols through SSA joins.
-func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
-	w := t.syms.Window(fr)
-	if s := at(w, incoming); s != 0 {
-		w[phi.Slot()] = s
 	}
 }
 
@@ -205,95 +299,139 @@ func (t *Tracer) invalidateShadow(addr uint32, size uint8) {
 
 // call observes the internal call v in fr as control enters its callee:
 // an indirect call's target symbol is an argument use, and each symbol
-// passed in a register is forwarded to every static callee and recorded
-// in the call's tuple words for the extracts.
+// passed in a register joins the site's forwarding constraints (fold
+// turns them into one per static callee) and is recorded in the call's
+// tuple words for the extracts.
 func (t *Tracer) call(fr *irexec.Frame, v *ir.Value) {
 	w := t.syms.Window(fr)
-	base, callees := 0, v.Targets
-	if v.Op == ir.OpCall {
-		callees = nil
-	} else {
+	base := 0
+	if v.Op == ir.OpCallInd {
 		base = 1
-		if s := at(w, v.Args[0]); s != 0 {
-			t.markArg(fr.Fn, s) // symbol used as a call target
-		}
+		t.markArg(fr, at(w, v.Args[0])) // symbol used as a call target
 	}
 	rec := t.syms.Tuple(fr, v)
 	clear(rec)
+	var fwd uint64
 	for i := base; i < len(v.Args); i++ {
 		r := isa.Reg(i - base)
 		s := at(w, v.Args[i])
 		if s == 0 || r == isa.ESP {
 			continue
 		}
-		if v.Op == ir.OpCall {
-			t.addForward(fr.Fn, s, v.Callee, r)
-		}
-		for _, c := range callees {
-			t.addForward(fr.Fn, s, c, r)
-		}
+		fwd |= 1 << (8*uint(r) + uint(s.reg()))
 		if int(r) < len(rec) {
 			rec[r] = s
 		}
 	}
+	if fwd != 0 {
+		run := t.run(fr)
+		if run.fwd == nil {
+			run.fwd = make([]uint64, fr.Fn.Layout().NumSlots)
+		}
+		run.fwd[v.Slot()] |= fwd
+	}
 }
 
-// Exec observes one executed instruction.
-func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	w := t.syms.Window(fr)
+// regsave's actions.
+const (
+	actSpill    irexec.Action = 1 + iota // Store: A the address, B the value
+	actReload                            // Load: A the address
+	actExtract                           // Extract: Imm the window index of the forwarding record's word
+	actPhi                               // phi move: A the incoming value
+	actMarkArg                           // any other instruction with at most two operands, A and B
+	actMarkArgs                          // any other instruction, its operands read from V
+)
+
+// action returns the action on v in f (on a phi move when v is the phi):
+// what the Generic action does at v's site.
+func action(f *ir.Func, v *ir.Value) (irexec.Action, uint32) {
 	switch v.Op {
+	case ir.OpPhi:
+		return actPhi, 0
 	case ir.OpStore:
-		if s := at(w, v.Args[0]); s != 0 {
-			t.markArg(fr.Fn, s) // symbol used as an address
+		return actSpill, 0
+	case ir.OpLoad:
+		return actReload, 0
+	case ir.OpCall, ir.OpCallInd:
+		// Handled by the callee's FnEnter. Acting here would mark every
+		// symbol passed to a callee an argument.
+		return irexec.Skip, 0
+	case ir.OpExtract:
+		// Only an internal call's extract can inherit a symbol; any other
+		// extract's slot is always zero.
+		call := v.Args[0]
+		if (call.Op != ir.OpCall && call.Op != ir.OpCallInd) || call.TupleOff() < 0 || v.Idx < 0 || v.Idx >= call.TupleWidth() {
+			return irexec.Skip, 0
 		}
+		return actExtract, uint32(f.Layout().NumSlots + call.TupleOff() + v.Idx)
+	}
+	if len(v.Args) <= 2 {
+		return actMarkArg, 0
+	}
+	return actMarkArgs, 0
+}
+
+// Act performs the action at one site. A code regsave does not define is
+// the Rider's; regsave marks the operands' symbols as argument uses
+// there, its own action on any instruction but a load, store, extract or
+// internal call, and passes the site on.
+func (t *Tracer) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, res uint32) {
+	act, imm := s.Act, s.Imm
+	if act == irexec.Generic {
+		if t.Rider != nil {
+			t.Rider.Act(fr, s, args, res)
+		}
+		act, imm = action(fr.Fn, s.V)
+	}
+	w := t.syms.Window(fr)
+	switch act {
+	case irexec.Skip:
+	case actSpill:
+		t.markArg(fr, get(w, s.A)) // symbol used as an address
 		addr := args[0]
-		t.invalidateShadow(addr, v.Size)
-		if s := at(w, v.Args[1]); s != 0 {
-			if t.inOwnFrame(fr, addr) && v.Size == 4 {
-				t.shadow.Set(addr, fr.Epoch<<8|uint64(s))
+		t.invalidateShadow(addr, s.Size)
+		if sy := get(w, s.B); sy != 0 {
+			if t.inOwnFrame(fr, addr) && s.Size == 4 {
+				t.shadow.Set(addr, fr.Epoch<<8|uint64(sy))
 			} else {
-				t.markArg(fr.Fn, s) // written somewhere else
+				t.markArg(fr, sy) // written somewhere else
 			}
 		}
-	case ir.OpLoad:
-		if s := at(w, v.Args[0]); s != 0 {
-			t.markArg(fr.Fn, s)
-		}
+	case actReload:
+		t.markArg(fr, get(w, s.A))
 		// Each execution recomputes the symbol: a reload that once read a
 		// spill keeps nothing when it reads another address.
-		w[v.Slot()] = 0
-		if e := t.shadow.Get(args[0]); e != 0 && e>>8 == fr.Epoch && v.Size == 4 {
-			w[v.Slot()] = sym(e)
+		w[s.Dst] = 0
+		if e := t.shadow.Get(args[0]); e != 0 && e>>8 == fr.Epoch && s.Size == 4 {
+			w[s.Dst] = sym(e)
 		}
-	case ir.OpCall, ir.OpCallInd:
-		// Handled by the callee's FnEnter. Without this case an unfiltered
-		// replay would mark every symbol passed to a callee an argument.
-	case ir.OpExtract:
-		w[v.Slot()] = 0
-		if call := v.Args[0]; call.Op == ir.OpCall || call.Op == ir.OpCallInd {
-			if rec := t.syms.Tuple(fr, call); v.Idx < len(rec) {
-				w[v.Slot()] = rec[v.Idx]
-			}
+	case actExtract:
+		w[s.Dst] = w[imm]
+	case actPhi:
+		if sy := get(w, s.A); sy != 0 {
+			w[s.Dst] = sy
 		}
-	case ir.OpPhi:
-		// Handled by the Phi hook.
-	default:
-		for _, a := range v.Args {
-			if s := at(w, a); s != 0 {
-				t.markArg(fr.Fn, s)
-			}
+	case actMarkArg:
+		t.markArg(fr, get(w, s.A))
+		t.markArg(fr, get(w, s.B))
+	default: // actMarkArgs, or a code of the Rider's
+		for _, a := range s.V.Args {
+			t.markArg(fr, at(w, a))
+		}
+		if act != actMarkArgs && t.Rider != nil {
+			t.Rider.Act(fr, s, args, res)
 		}
 	}
 }
 
 // Observes implements irexec.Observer with a may-hold-symbol fixpoint over
 // f's SSA form. Symbols enter an activation's table only through FnEnter
-// (non-ESP parameters), Phi (from the incoming value), a 4-byte Load of
-// the activation's own spill (so only in a function that stores a
+// (non-ESP parameters), a phi move (from the incoming value), a 4-byte
+// Load of the activation's own spill (so only in a function that stores a
 // may-symbol value) and an Extract of an internal call's forwarding
 // record (so only for a register whose argument may hold a symbol). Every
 // other slot stays zero. Internal calls act in the callee's FnEnter, which
-// always fires. The filter observes:
+// always fires. Act fires at:
 //
 //   - Store, always (it updates the shadow);
 //   - Load, when its address or its result may hold a symbol;
@@ -302,37 +440,42 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 //     operands may (markArg);
 //   - a phi move, when its incoming value may.
 //
-// A skipped hook would read only zero symbols and write zero into a slot
+// A skipped site would read only zero symbols and write zero into a slot
 // that is always zero.
-func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
-	may := maySymbol(f)
-	obs := irexec.NewSlotSet(f)
-	for _, b := range f.Blocks {
-		for _, v := range b.Insts {
-			switch v.Op {
-			case ir.OpStore:
-				obs.Add(v)
-			case ir.OpCall, ir.OpCallInd:
-				// Acts in the callee's FnEnter.
-			case ir.OpLoad:
-				if may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0]) {
-					obs.Add(v)
-				}
-			case ir.OpExtract:
-				if may.Has(v) {
-					obs.Add(v)
-				}
-			default:
-				for _, a := range v.Args {
-					if may.Has(a) {
-						obs.Add(v)
-						break
-					}
-				}
-			}
+func (t *Tracer) Observes(f *ir.Func) irexec.Actions {
+	return &actions{f: f, may: maySymbol(f)}
+}
+
+// actions is regsave's compiled actions for one function.
+type actions struct {
+	f   *ir.Func
+	may irexec.SlotSet // values that may hold a symbol
+}
+
+func (a *actions) Exec(v *ir.Value) (irexec.Action, uint32) {
+	switch v.Op {
+	case ir.OpStore:
+	case ir.OpLoad:
+		if !a.may.Has(v) && (len(v.Args) == 0 || !a.may.Has(v.Args[0])) {
+			return irexec.Skip, 0
+		}
+	case ir.OpExtract:
+		if !a.may.Has(v) {
+			return irexec.Skip, 0
+		}
+	default:
+		if !slices.ContainsFunc(v.Args, a.may.Has) {
+			return irexec.Skip, 0
 		}
 	}
-	return &filter{may: may, obs: obs}
+	return action(a.f, v)
+}
+
+func (a *actions) Phi(phi, in *ir.Value) (irexec.Action, uint32) {
+	if !a.may.Has(in) {
+		return irexec.Skip, 0
+	}
+	return actPhi, 0
 }
 
 // maySymbol returns the values of f that may hold a register symbol.
@@ -397,16 +540,6 @@ func forwards(call *ir.Value, idx int, may irexec.SlotSet) bool {
 	return idx >= 0 && isa.Reg(idx) != isa.ESP && i < len(call.Args) && may.Has(call.Args[i])
 }
 
-// filter is regsave's observation filter for one function.
-type filter struct {
-	may irexec.SlotSet // values that may hold a symbol
-	obs irexec.SlotSet // instructions whose Exec can act
-}
-
-func (fl *filter) Exec(v *ir.Value) bool { return fl.obs.Has(v) }
-
-func (fl *filter) Phi(phi, in *ir.Value) bool { return fl.may.Has(in) }
-
 // Classes holds the per-function classification of every register.
 type Classes map[*ir.Func]*[isa.NumRegs]Class
 
@@ -414,6 +547,7 @@ type Classes map[*ir.Func]*[isa.NumRegs]Class
 // final classification for every function in the module. Indirect-call
 // target groups are unified so they share one signature.
 func (t *Tracer) Classify(mod *ir.Module) Classes {
+	t.fold()
 	out := make(Classes, len(mod.Funcs))
 	state := make(map[fnReg]Class)
 	for _, f := range mod.Funcs {

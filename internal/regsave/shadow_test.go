@@ -8,6 +8,16 @@ import (
 	"wytiwyg/internal/isa"
 )
 
+// act runs the tracer's compiled action at instruction v, as a Program
+// built with the tracer's Observer would.
+func act(tr *Tracer, fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	s := irexec.SiteOf(v)
+	s.Act, s.Imm = tr.Observes(fr.Fn).Exec(v)
+	if s.Act != irexec.Skip {
+		tr.Act(fr, &s, args, res)
+	}
+}
+
 // A saved register spilled into the frame must lose its symbol when a
 // later store overlaps the spill slot, including a store whose
 // invalidation range straddles a shadow page boundary (addr&4095 >= 4093)
@@ -43,12 +53,12 @@ func TestShadowInvalidationAcrossPages(t *testing.T) {
 		tr := NewTracer()
 		fr := &irexec.Frame{Fn: f, SP0: c.sp0, Epoch: 1}
 		tr.FnEnter(fr)
-		tr.Exec(fr, spill, []uint32{c.slot, 0}, 0)
+		act(tr, fr, spill, []uint32{c.slot, 0}, 0)
 		if c.store != c.slot {
-			tr.Exec(fr, clobber, []uint32{c.store, 0}, 0)
+			act(tr, fr, clobber, []uint32{c.store, 0}, 0)
 		}
 		tr.syms.Window(fr)[reload.Slot()] = 0
-		tr.Exec(fr, reload, []uint32{c.slot}, 0)
+		act(tr, fr, reload, []uint32{c.slot}, 0)
 		kept := tr.syms.Window(fr)[reload.Slot()] != 0
 		if kept == c.lost {
 			t.Errorf("sp0 %#x: spill at %#x, store at %#x: symbol kept = %v, want %v",
@@ -85,9 +95,9 @@ func TestReloadDropsStaleSymbol(t *testing.T) {
 	tr := NewTracer()
 	fr := &irexec.Frame{Fn: f, SP0: sp0, Epoch: 1}
 	tr.FnEnter(fr)
-	tr.Exec(fr, spill, []uint32{slot, 7}, 0)
-	tr.Exec(fr, reload, []uint32{slot}, 7)
-	tr.Exec(fr, reload, []uint32{other}, 0)
+	act(tr, fr, spill, []uint32{slot, 7}, 0)
+	act(tr, fr, reload, []uint32{slot}, 7)
+	act(tr, fr, reload, []uint32{other}, 0)
 	tr.FnExit(fr, ret, nil)
 	if c := tr.Classify(mod)[f][isa.EBX]; c == Saved {
 		t.Errorf("ebx returned from a reload of another address classifies as %v", c)

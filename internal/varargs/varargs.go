@@ -60,23 +60,32 @@ func (t *Tracer) FnEnter(fr *irexec.Frame) {}
 // FnExit implements irexec.Tracer.
 func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {}
 
-// Phi implements irexec.Tracer.
-func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {}
+// RawCall is varargs' one action, on an OpCallExtRaw. Its code lies far
+// from the small codes regsave defines, so varargs can ride regsave's
+// replay (regsave.Tracer.Rider), which passes it the codes it does not
+// define.
+const RawCall irexec.Action = 0x80
 
-// Observes implements irexec.Observer: Exec acts on OpCallExtRaw only,
-// Phi on nothing.
-func (t *Tracer) Observes(f *ir.Func) irexec.Filter { return rawCalls{} }
+// Observes implements irexec.Observer: the raw-call action on every
+// OpCallExtRaw, Skip everywhere else.
+func (t *Tracer) Observes(f *ir.Func) irexec.Actions { return rawCalls{} }
 
-// rawCalls is varargs' observation filter, the same for every function.
+// rawCalls is varargs' actions, the same for every function.
 type rawCalls struct{}
 
-func (rawCalls) Exec(v *ir.Value) bool { return v.Op == ir.OpCallExtRaw }
+func (rawCalls) Exec(v *ir.Value) (irexec.Action, uint32) {
+	if v.Op == ir.OpCallExtRaw {
+		return RawCall, 0
+	}
+	return irexec.Skip, 0
+}
 
-func (rawCalls) Phi(phi, in *ir.Value) bool { return false }
+func (rawCalls) Phi(phi, in *ir.Value) (irexec.Action, uint32) { return irexec.Skip, 0 }
 
-// Exec watches raw variadic calls and derives their exact signatures.
-func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
-	if v.Op != ir.OpCallExtRaw {
+// Act watches raw variadic calls and derives their exact signatures.
+func (t *Tracer) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, res uint32) {
+	v := s.V
+	if s.Act != RawCall && (s.Act != irexec.Generic || v.Op != ir.OpCallExtRaw) {
 		return
 	}
 	sig, ok := extdb.Lookup(v.Sym)

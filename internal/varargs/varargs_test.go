@@ -147,7 +147,9 @@ int main() {
 		t.Fatal(err)
 	}
 	tr := varargs.NewTracer()
-	tr.Exec(&irexec.Frame{Fn: fn, Mem: ip.Mem}, site, []uint32{0x1000}, 0)
+	s := irexec.SiteOf(site)
+	s.Act, s.Imm = tr.Observes(fn).Exec(site)
+	tr.Act(&irexec.Frame{Fn: fn, Mem: ip.Mem}, &s, []uint32{0x1000}, 0)
 	err = varargs.Apply(p.Mod, tr)
 	if err == nil {
 		t.Fatal("raw call to an unknown extern accepted")

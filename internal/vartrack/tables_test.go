@@ -11,14 +11,21 @@ import (
 )
 
 // hookFixture is a one-function module driven through the tracer's hooks
-// directly: ref is a direct stack reference (sp0-64), ptrStore stores it
-// to the address in its first operand, and byteStore/wordStore store a
-// non-pointer of one and four bytes.
+// directly, each instruction's site carrying the action the tracer's
+// Observer compiles for it: ref is a direct stack reference (sp0-64),
+// ptrStore stores it to the address in its first operand, and
+// byteStore/wordStore store a non-pointer of one and four bytes.
 type hookFixture struct {
 	tr                                  *Tracer
 	fr                                  *irexec.Frame
 	ref, ptrStore, byteStore, wordStore *ir.Value
 	memset, memcpy                      *ir.Value
+	sites                               map[*ir.Value]*irexec.Site
+}
+
+// act runs the compiled action at v's site.
+func (h *hookFixture) act(v *ir.Value, args []uint32, res uint32) {
+	h.tr.Act(h.fr, h.sites[v], args, res)
 }
 
 func newHookFixture() *hookFixture {
@@ -45,13 +52,21 @@ func newHookFixture() *hookFixture {
 	b.Append(f.NewValue(ir.OpRet, sp))
 	f.EnsureLayout()
 	h.tr = NewTracer(map[*ir.Func]stackref.Offsets{f: {h.ref: -64}})
-	h.tr.Exec(h.fr, h.ref, []uint32{isa.StackTop, uint32(0xffffffc0)}, isa.StackTop-64)
+	acts := h.tr.Observes(f)
+	h.sites = make(map[*ir.Value]*irexec.Site)
+	for _, v := range b.Insts {
+		s := irexec.SiteOf(v)
+		s.Act, s.Imm = acts.Exec(v)
+		h.sites[v] = &s
+	}
+	h.tr.FnEnter(h.fr)
+	h.act(h.ref, []uint32{isa.StackTop, uint32(0xffffffc0)}, isa.StackTop-64)
 	return h
 }
 
 // storePtr records the direct reference as stored at addr.
 func (h *hookFixture) storePtr(addr uint32) {
-	h.tr.Exec(h.fr, h.ptrStore, []uint32{addr, isa.StackTop - 64}, 0)
+	h.act(h.ptrStore, []uint32{addr, isa.StackTop - 64}, 0)
 }
 
 // has reports whether the address map holds a pointer at addr.
@@ -80,7 +95,7 @@ func TestAddrMapStraddlingStore(t *testing.T) {
 			h.storePtr(a)
 		}
 		h.expect(t, "setup", []uint32{0x2ff4, 0x2ffc, 0x3000, 0x3004}, nil)
-		h.tr.Exec(h.fr, h.wordStore, []uint32{addr, 7}, 0)
+		h.act(h.wordStore, []uint32{addr, 7}, 0)
 		h.expect(t, "straddling store", []uint32{0x2ff4, 0x3004}, []uint32{0x2ffc, 0x3000})
 	}
 }
@@ -93,9 +108,9 @@ func TestAddrMapInvalidationWraps(t *testing.T) {
 	h.storePtr(0xfffffffe)
 	h.storePtr(0x2)
 	h.expect(t, "setup", []uint32{0xfffffffa, 0xfffffffe, 0x2}, nil)
-	h.tr.Exec(h.fr, h.byteStore, []uint32{0x1, 7}, 0)
+	h.act(h.byteStore, []uint32{0x1, 7}, 0)
 	h.expect(t, "byte store at 1", []uint32{0xfffffffa, 0x2}, []uint32{0xfffffffe})
-	h.tr.Exec(h.fr, h.byteStore, []uint32{0x4, 7}, 0)
+	h.act(h.byteStore, []uint32{0x4, 7}, 0)
 	h.expect(t, "byte store at 4", []uint32{0xfffffffa}, []uint32{0x2})
 }
 
@@ -107,7 +122,7 @@ func TestAddrMapExternEffectsAcrossPages(t *testing.T) {
 		h.storePtr(a)
 	}
 	// memset(0x2ff0, 0, 0x20) clears 0x2ff0..0x300f.
-	h.tr.Exec(h.fr, h.memset, []uint32{0x2ff0, 0, 0x20}, 0x2ff0)
+	h.act(h.memset, []uint32{0x2ff0, 0, 0x20}, 0x2ff0)
 	h.expect(t, "memset", []uint32{0x2fec, 0x3010}, []uint32{0x2ff8, 0x2ffc, 0x3004})
 
 	// memcpy(0x4ff8, 0x1ff8, 16) copies words 0x1ff8..0x2007 to
@@ -118,25 +133,25 @@ func TestAddrMapExternEffectsAcrossPages(t *testing.T) {
 	for _, a := range []uint32{0x4ffc, 0x5004, 0x5008} {
 		h.storePtr(a)
 	}
-	h.tr.Exec(h.fr, h.memcpy, []uint32{0x4ff8, 0x1ff8, 16}, 0x4ff8)
+	h.act(h.memcpy, []uint32{0x4ff8, 0x1ff8, 16}, 0x4ff8)
 	h.expect(t, "memcpy", []uint32{0x4ff8, 0x5000, 0x5008}, []uint32{0x4ffc, 0x5004})
 	if got := h.tr.addrMap.Get(0x5000); got.id == 0 || h.tr.varOf(got).SPOff != -64 || got.off != 0 {
 		t.Errorf("memcpy: copied pointer = %+v, want the sp0-64 base", got)
 	}
 }
 
-// Re-executing a direct stack reference, storing it into the frame and
-// invalidating an untouched page allocates nothing in steady state: the
-// direct-reference table caches the base-pointer metadata and the paged
-// address map writes in place.
+// Re-executing a direct stack reference (its compiled base action),
+// storing it into the frame and invalidating an untouched page allocates
+// nothing in steady state: the direct-reference table caches the
+// base-pointer metadata and the paged address map writes in place.
 func TestDirectRefZeroAlloc(t *testing.T) {
 	h := newHookFixture()
 	h.storePtr(isa.StackTop - 128) // materialize the frame's page
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(10000, func() {
-		h.tr.Exec(h.fr, h.ref, []uint32{isa.StackTop, uint32(0xffffffc0)}, isa.StackTop-64)
+		h.act(h.ref, []uint32{isa.StackTop, uint32(0xffffffc0)}, isa.StackTop-64)
 		h.storePtr(isa.StackTop - 128)
-		h.tr.Exec(h.fr, h.wordStore, []uint32{0x08000000, 7}, 0)
+		h.act(h.wordStore, []uint32{0x08000000, 7}, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state direct reference allocates: %v allocs/op, want 0", allocs)

@@ -26,6 +26,7 @@ package vartrack
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"wytiwyg/internal/extdb"
@@ -95,6 +96,10 @@ type Tracer struct {
 	// a sequential run would have.
 	vars  []*StackVar
 	order []*ir.Value
+	// argSlots holds, by StackVar ID, the incoming stack-argument slots
+	// its accesses touched, a bit per slot; Result turns them into
+	// Result.ArgSlots.
+	argSlots [][]uint64
 	// addrMap records the pointers stored to memory, by address.
 	addrMap irexec.Shadow[ptr]
 	// pis holds each live activation's pointer metadata by value slot. The
@@ -102,18 +107,23 @@ type Tracer struct {
 	// values, for the extracts.
 	pis irexec.Slots[ptr]
 
-	// tabs holds each executed function's direct-reference table, built on
-	// first use; lastFn/lastTab memoize the most recent lookup.
-	tabs    map[*ir.Func][]directRef
-	lastFn  *ir.Func
-	lastTab []directRef
+	// tabs holds the direct-reference table of each executed function, by
+	// Frame.FnIndex, built on its first activation.
+	tabs []fnTable
 }
 
-// directRef is one slot of a function's direct-reference table, indexed by
-// Value.Slot: whether the value is a direct stack reference, its sp0
-// displacement, and the ID plus one of its StackVar. The variable is
-// allocated on the value's first execution (exactly when an uncached
-// lookup would allocate it); id is 0 until then.
+// fnTable is one function's direct-reference table, indexed by
+// Value.Slot.
+type fnTable struct {
+	fn   *ir.Func
+	refs []directRef
+}
+
+// directRef is one slot of a function's direct-reference table: whether
+// the value is a direct stack reference, its sp0 displacement, and the ID
+// plus one of its StackVar. The variable is allocated on the value's
+// first execution (exactly when an uncached lookup would allocate it); id
+// is 0 until then.
 type directRef struct {
 	ok  bool
 	off int32
@@ -126,16 +136,30 @@ func NewTracer(offs map[*ir.Func]stackref.Offsets) *Tracer {
 	return &Tracer{
 		offs: offs,
 		res: &Result{
-			Vars:     make(map[*ir.Value]*StackVar),
-			ByFn:     make(map[*ir.Func][]*StackVar),
-			ArgSlots: make(map[*ir.Func]map[int]bool),
+			Vars: make(map[*ir.Value]*StackVar),
+			ByFn: make(map[*ir.Func][]*StackVar),
 		},
-		tabs: make(map[*ir.Func][]directRef),
 	}
 }
 
 // Result returns the accumulated analysis results.
-func (t *Tracer) Result() *Result { return t.res }
+func (t *Tracer) Result() *Result {
+	t.res.ArgSlots = make(map[*ir.Func]map[int]bool)
+	for id, words := range t.argSlots {
+		fn := t.vars[id].Fn
+		for i, word := range words {
+			for ; word != 0; word &= word - 1 {
+				slots := t.res.ArgSlots[fn]
+				if slots == nil {
+					slots = make(map[int]bool)
+					t.res.ArgSlots[fn] = slots
+				}
+				slots[64*i+bits.TrailingZeros64(word)] = true
+			}
+		}
+	}
+	return t.res
+}
 
 // varFor returns (allocating on demand) the StackVar of a base pointer.
 func (t *Tracer) varFor(fn *ir.Func, v *ir.Value, spoff int32) *StackVar {
@@ -144,6 +168,7 @@ func (t *Tracer) varFor(fn *ir.Func, v *ir.Value, spoff int32) *StackVar {
 	}
 	sv := &StackVar{ID: len(t.vars), Fn: fn, SPOff: spoff}
 	t.vars = append(t.vars, sv)
+	t.argSlots = append(t.argSlots, nil)
 	t.res.Vars[v] = sv
 	t.res.ByFn[fn] = append(t.res.ByFn[fn], sv)
 	t.order = append(t.order, v)
@@ -186,20 +211,23 @@ func (t *Tracer) Join(o irexec.Tracer) {
 		if osv.Align > sv.Align {
 			sv.Align = osv.Align
 		}
+		for i, word := range ot.argSlots[osv.ID] {
+			t.argWord(sv.ID, i, word)
+		}
 	}
 	for _, pair := range ot.res.Linked {
 		t.res.Linked = append(t.res.Linked, [2]*StackVar{remap[pair[0]], remap[pair[1]]})
 	}
-	for fn, slots := range ot.res.ArgSlots {
-		dst := t.res.ArgSlots[fn]
-		if dst == nil {
-			dst = make(map[int]bool, len(slots))
-			t.res.ArgSlots[fn] = dst
-		}
-		for s := range slots {
-			dst[s] = true
-		}
+}
+
+// argWord sets the argument-slot bits word in word i of variable id's set.
+func (t *Tracer) argWord(id, i int, word uint64) {
+	words := t.argSlots[id]
+	if i >= len(words) {
+		words = append(words, make([]uint64, i+1-len(words))...)
+		t.argSlots[id] = words
 	}
+	words[i] |= word
 }
 
 // at returns v's pointer metadata in the window w.
@@ -210,43 +238,45 @@ func at(w []ptr, v *ir.Value) ptr {
 	return ptr{}
 }
 
+// get returns the metadata in slot i of the window w, none for a missing
+// operand (i = -1).
+func get(w []ptr, i int32) ptr {
+	if uint(i) < uint(len(w)) {
+		return w[i]
+	}
+	return ptr{}
+}
+
 // varOf returns the StackVar p points into; p must be a pointer.
 func (t *Tracer) varOf(p ptr) *StackVar { return t.vars[p.id-1] }
 
-// direct returns the base-pointer metadata when v is a direct stack
-// reference of the executing function.
-func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) (ptr, bool) {
-	tab := t.lastTab
-	if fr.Fn != t.lastFn {
-		tab = t.table(fr.Fn)
+// table returns the direct-reference table of fr's function (nil refs
+// when it has none), building it on the function's first activation. A
+// frame built outside the interpreter may reuse another function's
+// index, which rebuilds the entry. Slots index the layout the function
+// executes under; the module must not change while the tracer observes
+// it, which holds for a refinement replay.
+func (t *Tracer) table(fr *irexec.Frame) []directRef {
+	i := fr.FnIndex
+	if i < len(t.tabs) && t.tabs[i].fn == fr.Fn {
+		return t.tabs[i].refs
 	}
-	if i := v.Slot(); uint(i) >= uint(len(tab)) || !tab[i].ok {
-		return ptr{}, false
+	if i >= len(t.tabs) {
+		t.tabs = append(t.tabs, make([]fnTable, i+1-len(t.tabs))...)
 	}
-	return t.base(fr, v, &tab[v.Slot()]), true
+	t.tabs[i] = fnTable{fn: fr.Fn, refs: buildTable(fr.Fn, t.offs[fr.Fn])}
+	return t.tabs[i].refs
 }
 
-// base returns the base-pointer metadata of the direct reference v,
-// allocating its StackVar on the first execution.
-func (t *Tracer) base(fr *irexec.Frame, v *ir.Value, d *directRef) ptr {
+// base returns the base-pointer metadata of the direct reference v in
+// slot i of fr's function, allocating its StackVar on the first
+// execution.
+func (t *Tracer) base(fr *irexec.Frame, v *ir.Value, i int32) ptr {
+	d := &t.tabs[fr.FnIndex].refs[i]
 	if d.id == 0 {
 		d.id = int32(t.varFor(fr.Fn, v, d.off).ID) + 1
 	}
 	return ptr{id: d.id}
-}
-
-// table returns f's direct-reference table (nil when f has no direct
-// references) and memoizes it as the last lookup. Slots index the layout f executes under; the module must
-// not change while the tracer observes it, which holds for a refinement
-// replay.
-func (t *Tracer) table(f *ir.Func) []directRef {
-	tab, ok := t.tabs[f]
-	if !ok {
-		tab = buildTable(f, t.offs[f])
-		t.tabs[f] = tab
-	}
-	t.lastFn, t.lastTab = f, tab
-	return tab
 }
 
 // buildTable indexes f's live direct references by slot. It walks the
@@ -277,12 +307,81 @@ func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
 	return tab
 }
 
+// vartrack's actions. The derive family's codes name the operation, for
+// the rules that differ between them.
+const (
+	actBase       irexec.Action = 1 + iota // a direct stack reference: the base pointer of its own variable
+	actAdd                                 // derive through an Add, A and B
+	actSub                                 // derive through a Sub; link a pointer difference
+	actAnd                                 // derive through an And; Imm a constant operand's value (the alignment mask), or 0
+	actSubreg8                             // derive through a Subreg8
+	actLink                                // Cmp: A and B belong to the same object
+	actLoad                                // Load: A the address
+	actStore                               // Store: A the address, B the value
+	actExtract                             // Extract of an internal call: Imm the window index of the tuple word
+	actExtractExt                          // Extract of an external call's result: A the call
+	actExtCall                             // CallExt: the §5.3 constraint database, operands read from V
+	actClear                               // any other observed instruction: its metadata is none
+	actPhi                                 // phi move: A the incoming value
+)
+
+// action returns the action on v in f (on a phi move when v is the phi),
+// given whether v is a direct reference: what the Generic action does at
+// v's site.
+func action(f *ir.Func, v *ir.Value, direct bool) (irexec.Action, uint32) {
+	if direct {
+		// Direct stack references are base pointers of their own
+		// variables and are never treated as derived (§4.1 produced them;
+		// §4.2 starts here).
+		return actBase, 0
+	}
+	switch v.Op {
+	case ir.OpPhi:
+		return actPhi, 0
+	case ir.OpAdd:
+		return actAdd, 0
+	case ir.OpSub:
+		return actSub, 0
+	case ir.OpAnd:
+		for _, a := range v.Args[:min(len(v.Args), 2)] {
+			if a.Op == ir.OpConst {
+				return actAnd, uint32(a.Const)
+			}
+		}
+		return actAnd, 0
+	case ir.OpSubreg8:
+		return actSubreg8, 0
+	case ir.OpCmp:
+		return actLink, 0
+	case ir.OpLoad:
+		return actLoad, 0
+	case ir.OpStore:
+		return actStore, 0
+	case ir.OpExtract:
+		switch call := v.Args[0]; call.Op {
+		case ir.OpCallExt, ir.OpCallExtRaw:
+			// External calls carry their (single) result metadata
+			// directly on the call value (the DeriveRet constraint).
+			if v.Idx == 0 {
+				return actExtractExt, 0
+			}
+		case ir.OpCall, ir.OpCallInd:
+			if call.TupleOff() >= 0 && v.Idx >= 0 && v.Idx < call.TupleWidth() {
+				return actExtract, uint32(f.Layout().NumSlots + call.TupleOff() + v.Idx)
+			}
+		}
+	case ir.OpCallExt:
+		return actExtCall, 0
+	}
+	return actClear, 0
+}
+
 // Observes implements irexec.Observer with a may-hold-pointer fixpoint
 // over f's SSA form. Pointer metadata enters an activation's table only
 // for parameters, direct references, Add/Sub/And/Subreg8 with a may
 // operand, phis of may values, 4-byte loads (from the address map),
 // extracts (from a call's returned metadata) and CallExt (the DeriveRet
-// constraint); every other slot stays zero. The filter observes:
+// constraint); every other slot stays zero. Act fires at:
 //
 //   - direct references, Store, CallExt, CallExtRaw and Extract, always;
 //   - Load, when its address or its result may hold a pointer;
@@ -291,31 +390,15 @@ func buildTable(f *ir.Func, offs stackref.Offsets) []directRef {
 //   - a phi move, when the phi is a direct reference or may hold a
 //     pointer;
 //
-// and nothing else. A skipped hook would read only zero metadata and
-// write zero into a slot that is always zero. The filter depends only on
-// the direct-reference table, so it holds for every fork.
-func (t *Tracer) Observes(f *ir.Func) irexec.Filter {
+// and nowhere else. A skipped site would read only zero metadata and
+// write zero into a slot that is always zero. The actions depend only on
+// the direct-reference table, so they hold for every fork.
+func (t *Tracer) Observes(f *ir.Func) irexec.Actions {
 	direct := irexec.NewSlotSet(f)
 	for i, d := range buildTable(f, t.offs[f]) {
 		direct[i] = d.ok
 	}
-	may := mayPointer(f, direct)
-	obs := irexec.NewSlotSet(f)
-	for _, b := range f.Blocks {
-		for _, v := range b.Insts {
-			switch {
-			case direct.Has(v):
-			case v.Op == ir.OpStore, v.Op == ir.OpCallExt, v.Op == ir.OpCallExtRaw, v.Op == ir.OpExtract:
-			case v.Op == ir.OpLoad && (may.Has(v) || len(v.Args) > 0 && may.Has(v.Args[0])):
-			case v.Op == ir.OpCmp && len(v.Args) > 1 && may.Has(v.Args[0]) && may.Has(v.Args[1]):
-			case derives(v.Op) && may.Has(v):
-			default:
-				continue
-			}
-			obs.Add(v)
-		}
-	}
-	return &filter{may: may, obs: obs}
+	return &actions{f: f, direct: direct, may: mayPointer(f, direct)}
 }
 
 // derives reports whether op propagates a pointer operand's metadata.
@@ -355,15 +438,32 @@ func mayPointer(f *ir.Func, direct irexec.SlotSet) irexec.SlotSet {
 	return may
 }
 
-// filter is vartrack's observation filter for one function.
-type filter struct {
-	may irexec.SlotSet // values that may hold pointer metadata
-	obs irexec.SlotSet // instructions whose Exec can act
+// actions is vartrack's compiled actions for one function.
+type actions struct {
+	f      *ir.Func
+	direct irexec.SlotSet // direct references
+	may    irexec.SlotSet // values that may hold pointer metadata
 }
 
-func (fl *filter) Exec(v *ir.Value) bool { return fl.obs.Has(v) }
+func (a *actions) Exec(v *ir.Value) (irexec.Action, uint32) {
+	switch {
+	case a.direct.Has(v):
+	case v.Op == ir.OpStore, v.Op == ir.OpCallExt, v.Op == ir.OpCallExtRaw, v.Op == ir.OpExtract:
+	case v.Op == ir.OpLoad && (a.may.Has(v) || len(v.Args) > 0 && a.may.Has(v.Args[0])):
+	case v.Op == ir.OpCmp && len(v.Args) > 1 && a.may.Has(v.Args[0]) && a.may.Has(v.Args[1]):
+	case derives(v.Op) && a.may.Has(v):
+	default:
+		return irexec.Skip, 0
+	}
+	return action(a.f, v, a.direct.Has(v))
+}
 
-func (fl *filter) Phi(phi, in *ir.Value) bool { return fl.may.Has(phi) }
+func (a *actions) Phi(phi, in *ir.Value) (irexec.Action, uint32) {
+	if !a.may.Has(phi) {
+		return irexec.Skip, 0
+	}
+	return action(a.f, phi, a.direct.Has(phi))
+}
 
 func (t *Tracer) link(a, b ptr) {
 	if a.id == b.id {
@@ -390,12 +490,13 @@ func (t *Tracer) FnEnter(fr *irexec.Frame) {
 			args = args[1:]
 		}
 	}
+	tab := t.table(fr)
 	w := t.pis.Enter(fr)
 	for i, p := range fr.Fn.Params {
-		if d, ok := t.direct(fr, p); ok {
-			w[p.Slot()] = d
+		if s := p.Slot(); s < len(tab) && tab[s].ok {
+			w[s] = t.base(fr, p, int32(s))
 		} else if i < len(args) {
-			w[p.Slot()] = at(caller, args[i])
+			w[s] = at(caller, args[i])
 		}
 	}
 }
@@ -414,35 +515,30 @@ func (t *Tracer) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
 	}
 }
 
-// Phi is the copy operation: metadata follows the selected incoming value.
-func (t *Tracer) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
-	w := t.pis.Window(fr)
-	if d, ok := t.direct(fr, phi); ok {
-		w[phi.Slot()] = d
-		return
+// Act dispatches the core tracing operations.
+func (t *Tracer) Act(fr *irexec.Frame, s *irexec.Site, args []uint32, res uint32) {
+	act, imm := s.Act, s.Imm
+	if act == irexec.Generic {
+		tab := t.table(fr)
+		act, imm = action(fr.Fn, s.V, s.Dst < int32(len(tab)) && tab[s.Dst].ok)
 	}
-	w[phi.Slot()] = at(w, incoming)
-}
-
-// Exec dispatches the core tracing operations.
-func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
 	w := t.pis.Window(fr)
-	// Direct stack references are base pointers of their own variables and
-	// are never treated as derived (§4.1 produced them; §4.2 starts here).
-	if d, ok := t.direct(fr, v); ok {
-		w[v.Slot()] = d
-		return
-	}
-	// Clear any metadata from a previous execution of this value (loops):
-	// each execution recomputes it from scratch.
-	w[v.Slot()] = ptr{}
-	switch v.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpSubreg8:
-		a := at(w, v.Args[0])
-		b := at(w, v.Args[1])
+	switch act {
+	case actBase:
+		// Only this action writes the slot, always the same base pointer,
+		// so a repeat execution in the activation (a loop) finds it set.
+		if w[s.Dst].id == 0 {
+			w[s.Dst] = t.base(fr, s.V, s.Dst)
+		}
+	case actPhi:
+		w[s.Dst] = get(w, s.A)
+	case actAdd, actSub, actAnd, actSubreg8:
+		// Each execution recomputes the metadata from scratch (loops).
+		w[s.Dst] = ptr{}
+		a, b := get(w, s.A), get(w, s.B)
 		switch {
 		case a.id != 0 && b.id != 0:
-			if v.Op == ir.OpSub {
+			if act == actSub {
 				// Pointer difference: both operands belong to the same
 				// object (link).
 				t.link(a, b)
@@ -451,61 +547,51 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		case a.id != 0:
 			// derive/derive2: offset advances by the value delta, which is
 			// exact for every arithmetic form.
-			w[v.Slot()] = ptr{id: a.id, off: a.off + int32(res-args[0])}
-			if v.Op == ir.OpAnd && v.Args[1].Op == ir.OpConst {
-				t.align(a, uint32(v.Args[1].Const))
+			w[s.Dst] = ptr{id: a.id, off: a.off + int32(res-args[0])}
+			if act == actAnd {
+				t.align(a, imm)
 			}
-		case b.id != 0 && v.Op == ir.OpAdd:
-			w[v.Slot()] = ptr{id: b.id, off: b.off + int32(res-args[1])}
-		case b.id != 0 && v.Op == ir.OpAnd:
-			w[v.Slot()] = ptr{id: b.id, off: b.off + int32(res-args[1])}
-			if v.Args[0].Op == ir.OpConst {
-				t.align(b, uint32(v.Args[0].Const))
+		case b.id != 0 && (act == actAdd || act == actAnd):
+			w[s.Dst] = ptr{id: b.id, off: b.off + int32(res-args[1])}
+			if act == actAnd {
+				t.align(b, imm)
 			}
 		}
-	case ir.OpCmp:
-		a := at(w, v.Args[0])
-		b := at(w, v.Args[1])
-		if a.id != 0 && b.id != 0 {
+	case actLink:
+		if a, b := get(w, s.A), get(w, s.B); a.id != 0 && b.id != 0 {
 			t.link(a, b)
 		}
-	case ir.OpLoad:
-		if p := at(w, v.Args[0]); p.id != 0 {
-			t.boundRange(p, int64(v.Size))
+	case actLoad:
+		w[s.Dst] = ptr{}
+		if p := get(w, s.A); p.id != 0 {
+			t.boundRange(p, int64(s.Size))
 		}
-		if e := t.addrMap.Get(args[0]); e.id != 0 && v.Size == 4 {
-			w[v.Slot()] = e
+		if e := t.addrMap.Get(args[0]); e.id != 0 && s.Size == 4 {
+			w[s.Dst] = e
 		}
-	case ir.OpStore:
+	case actStore:
 		addr := args[0]
-		if p := at(w, v.Args[0]); p.id != 0 {
-			t.boundRange(p, int64(v.Size))
+		if p := get(w, s.A); p.id != 0 {
+			t.boundRange(p, int64(s.Size))
 		}
-		t.invalidate(addr, v.Size)
-		if p := at(w, v.Args[1]); p.id != 0 && v.Size == 4 {
+		t.invalidate(addr, s.Size)
+		if p := get(w, s.B); p.id != 0 && s.Size == 4 {
 			t.addrMap.Set(addr, p)
 		}
-	case ir.OpExtract:
-		parent := v.Args[0]
-		// External calls carry their (single) result metadata directly on
-		// the call value (the DeriveRet constraint).
-		if parent.Op == ir.OpCallExt || parent.Op == ir.OpCallExtRaw {
-			if p := at(w, parent); p.id != 0 && v.Idx == 0 {
-				w[v.Slot()] = p
-			}
-			return
-		}
-		if parent.Op == ir.OpCall || parent.Op == ir.OpCallInd {
-			if rets := t.pis.Tuple(fr, parent); v.Idx < len(rets) {
-				w[v.Slot()] = rets[v.Idx]
-			}
-		}
-	case ir.OpCallExt:
-		t.extCall(fr, w, v, args, res)
+	case actExtract:
+		w[s.Dst] = w[imm]
+	case actExtractExt:
+		w[s.Dst] = get(w, s.A)
+	case actExtCall:
+		w[s.Dst] = ptr{}
+		t.extCall(fr, w, s.V, args, res)
+	case actClear:
+		w[s.Dst] = ptr{}
 	}
 }
 
-// align records the alignment an AND with mask imposes on p's variable.
+// align records the alignment an AND with mask imposes on p's variable. A
+// mask that is no alignment (0 among them) records nothing.
 func (t *Tracer) align(p ptr, mask uint32) {
 	if al, sv := alignOf(mask), t.varOf(p); al > sv.Align {
 		sv.Align = al
@@ -654,15 +740,11 @@ func (t *Tracer) boundRange(p ptr, n int64) {
 		}
 	}
 	if v.SPOff+p.off >= 4 {
-		slots := t.res.ArgSlots[v.Fn]
-		if slots == nil {
-			slots = make(map[int]bool)
-			t.res.ArgSlots[v.Fn] = slots
-		}
-		for a := v.SPOff + lo; a < v.SPOff+hi; a++ {
-			if a >= 4 {
-				slots[int((a-4)/4)] = true
-			}
+		// The argument slots the bytes [SPOff+lo, SPOff+hi) touch, one per
+		// 4-byte word at sp0+4 and above.
+		first, last := (max(v.SPOff+lo, 4)-4)/4, (v.SPOff+hi-1-4)/4
+		for i := first; i <= last; i++ {
+			t.argWord(v.ID, int(i/64), 1<<(i%64))
 		}
 	}
 }
