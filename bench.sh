@@ -16,10 +16,11 @@
 #     of one contiguous window whose host load decides its min.
 #
 # The value-set analysis benchmark (BenchmarkVSAAnalyze) analyzes a whole
-# refined program per iteration and the refinement-replay benchmark
-# (BenchmarkReplay) replays one per iteration, so they run under their
-# own, much smaller fixed -benchtime (20x) and are fed to the same
-# benchjson run: the artifact holds only `go test -bench` numbers.
+# refined program per iteration, the refinement-replay benchmark
+# (BenchmarkReplay) replays one and the optimizer benchmark
+# (BenchmarkOptimize) optimizes one, so they run under their own, much
+# smaller fixed -benchtime (20x) and are fed to the same benchjson run:
+# the artifact holds only `go test -bench` numbers.
 #
 # Environment knobs: COUNT (samples per benchmark), BENCHTIME (go test
 # -benchtime value for the interpreter/emulator benchmarks). Run on an
@@ -37,14 +38,14 @@ for pkg in machine irexec vsa core; do
     go test -c -o "$bin/$pkg.test" "./internal/$pkg/"
 done
 
-echo "== bench: ${COUNT} interleaved rounds x ${BENCHTIME} (analyses and replay: x 20x)"
+echo "== bench: ${COUNT} interleaved rounds x ${BENCHTIME} (analyses, replay and optimizer: x 20x)"
 i=0
 while [ "$i" -lt "$COUNT" ]; do
     for pkg in machine irexec; do
         "$bin/$pkg.test" -test.run '^$' -test.bench . -test.benchtime "$BENCHTIME" -test.count 1
     done
     "$bin/vsa.test" -test.run '^$' -test.bench 'VSAAnalyze' -test.benchtime 20x -test.count 1
-    "$bin/core.test" -test.run '^$' -test.bench 'Replay$' -test.benchtime 20x -test.count 1
+    "$bin/core.test" -test.run '^$' -test.bench 'Replay$|Optimize$' -test.benchtime 20x -test.count 1
     i=$((i + 1))
 done | go run ./cmd/benchjson -mode full -o BENCH_interp.json
 

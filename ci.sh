@@ -106,10 +106,10 @@ check_bench() {
     go test -bench=. -benchtime=1x -run '^$' \
         ./internal/machine/ ./internal/irexec/ |
         go run ./cmd/benchjson -mode smoke -o /tmp/wytiwyg-bench-smoke.json
-    # The analysis and replay benchmarks only have to keep compiling and
-    # running; their smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
+    # The analysis, replay and optimizer benchmarks only have to keep compiling
+    # and running; their smoke numbers go nowhere (bench.sh publishes the full-protocol ones).
     go test -bench='VSAAnalyze' -benchtime=1x -run '^$' ./internal/vsa/ >/dev/null
-    go test -bench='Replay$' -benchtime=1x -run '^$' ./internal/core/ >/dev/null
+    go test -bench='Replay$|Optimize$' -benchtime=1x -run '^$' ./internal/core/ >/dev/null
     go run ./cmd/benchjson -check -o /tmp/wytiwyg-bench-smoke.json
     go run ./cmd/benchjson -check -o BENCH_interp.json
 }

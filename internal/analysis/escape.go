@@ -89,7 +89,7 @@ func Escape(f *ir.Func) EscapeFacts {
 	}
 	u := ir.BuildUses(f)
 	for v, root := range roots {
-		for _, use := range u[v] {
+		for _, use := range u.Of(v) {
 			switch use.Op {
 			case ir.OpLoad:
 				// Address position: fine.

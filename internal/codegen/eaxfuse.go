@@ -103,7 +103,7 @@ func (c *fnCG) computeEAXFusion() {
 			if h := c.homes[v]; h.inReg || h.konst || h.frameAddr {
 				continue
 			}
-			if len(uses[v]) != 1 || uses[v][0] != u {
+			if us := uses.Of(v); len(us) != 1 || us[0] != u {
 				continue
 			}
 			// Exactly one operand slot must reference v.

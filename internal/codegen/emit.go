@@ -123,7 +123,7 @@ func (c *fnCG) cmpFusable(uses ir.Uses, v *ir.Value) bool {
 	if v.Op != ir.OpCmp {
 		return false
 	}
-	us := uses[v]
+	us := uses.Of(v)
 	if len(us) != 1 {
 		return false
 	}

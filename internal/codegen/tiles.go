@@ -128,7 +128,7 @@ func (c *fnCG) computeTiles() {
 				continue
 			}
 			ok := true
-			for _, u := range uses[v] {
+			for _, u := range uses.Of(v) {
 				if (u.Op == ir.OpLoad || u.Op == ir.OpStore) && u.Args[0] == v {
 					if _, tiled := c.tiles[v]; tiled {
 						continue
@@ -140,7 +140,7 @@ func (c *fnCG) computeTiles() {
 				ok = false
 				break
 			}
-			if ok && len(uses[v]) > 0 {
+			if ok && len(uses.Of(v)) > 0 {
 				c.skipped[v] = true
 				changed = true
 			}

@@ -11,6 +11,7 @@ import (
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
 	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/opt"
 	"wytiwyg/internal/refcache"
 )
 
@@ -273,5 +274,32 @@ func BenchmarkReplay(b *testing.B) {
 		if err := pl.ReplaySymbolize(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOptimize measures the optimizer the back end runs
+// (opt.PipelineWith with the pipeline's oracle and typed partitions) over
+// h264ref at gcc12-O3, refined with the default options. The optimizer
+// rewrites the module in place, so every iteration optimizes a fresh
+// refinement, made outside the timer.
+func BenchmarkOptimize(b *testing.B) {
+	p, _ := progs.ByName("h264ref")
+	img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pl, err := core.LiftBinaryOpts(img, p.Inputs(), core.Options{Jobs: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.Refine(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		opt.PipelineWith(pl.Mod, opt.PipelineOpts{Oracle: pl.Oracle(), Typed: pl.TypedInfo()})
 	}
 }

@@ -185,8 +185,6 @@ type Value struct {
 
 	// Cases holds OpSwitch case constants (parallel to Succs[0:len]).
 	Cases []SwitchCase
-
-	uses int
 }
 
 // AddArg appends an argument.
@@ -288,28 +286,83 @@ func rpo(f *Func, all bool) []*Block {
 	return post
 }
 
-// Uses maps each value to the instructions that consume it, within one
-// function.
-type Uses map[*Value][]*Value
+// Uses is a snapshot of one function's use lists: for every value, the
+// instructions (phis included) that consume it, in block order with one
+// entry per operand position, so a user that reads a value twice appears
+// twice. It is a dense index keyed by Value.ID: users of the value with ID
+// i are users[off[i]:off[i+1]]. IDs stay dense below Func.NumValueIDs
+// whatever the passes create or delete, unlike slots, which every NewValue
+// invalidates. The index is not maintained: a pass that rewrites operands
+// must call BuildUses again before it reads the lists, and a value created
+// after the index was built has no users in it.
+type Uses struct {
+	off   []int32
+	users []*Value
+}
 
-// BuildUses scans a function and returns its use lists.
+// BuildUses scans a function and returns its use lists. Operands must
+// belong to f (ir.Verify's rule); nil operands are skipped.
 func BuildUses(f *Func) Uses {
-	u := make(Uses)
-	add := func(user *Value) {
+	n := f.nextValueID
+	// Count each value's uses into off[id], make off[id] the end of its
+	// range, then fill backwards over the users in reverse order: every
+	// range comes out in block order and off[id] ends as its start.
+	off := make([]int32, n+1)
+	count := func(user *Value) {
 		for _, a := range user.Args {
-			u[a] = append(u[a], user)
+			if a != nil {
+				off[a.ID]++
+			}
 		}
 	}
 	for _, b := range f.Blocks {
 		for _, v := range b.Phis {
-			add(v)
+			count(v)
 		}
 		for _, v := range b.Insts {
-			add(v)
+			count(v)
 		}
 	}
-	return u
+	var total int32
+	for i, c := range off {
+		total += c
+		off[i] = total
+	}
+	users := make([]*Value, total)
+	fill := func(user *Value) {
+		for i := len(user.Args) - 1; i >= 0; i-- {
+			if a := user.Args[i]; a != nil {
+				off[a.ID]--
+				users[off[a.ID]] = user
+			}
+		}
+	}
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
+		b := f.Blocks[i]
+		for j := len(b.Insts) - 1; j >= 0; j-- {
+			fill(b.Insts[j])
+		}
+		for j := len(b.Phis) - 1; j >= 0; j-- {
+			fill(b.Phis[j])
+		}
+	}
+	return Uses{off: off, users: users}
 }
+
+// Of returns the users of v, in block order. The slice aliases the index
+// and must not be modified. A value created after the index was built has
+// none.
+func (u Uses) Of(v *Value) []*Value {
+	if v.ID+1 >= len(u.off) {
+		return nil
+	}
+	return u.users[u.off[v.ID]:u.off[v.ID+1]:u.off[v.ID+1]]
+}
+
+// NumValueIDs returns the bound on f's value IDs: every value f.NewValue
+// has created has an ID in [0, NumValueIDs). Dense per-value tables such
+// as Uses are sized by it.
+func (f *Func) NumValueIDs() int { return f.nextValueID }
 
 // NewBlock appends a new block.
 func (f *Func) NewBlock(addr uint32) *Block {

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Verify checks structural invariants of a module: every block ends in
 // exactly one terminator, successor/predecessor edges are symmetric, phi
@@ -24,20 +27,15 @@ func verifyFunc(f *Func) error {
 	// Refresh the dense execution layout (layout.go): Verify runs after
 	// every transformation pass, so execution always sees current slots.
 	f.EnsureLayout()
-	owned := map[*Value]bool{}
 	for _, p := range f.Params {
 		if p.Op != OpParam {
 			return fmt.Errorf("param %s has op %s", p, p.Op)
 		}
-		owned[p] = true
 	}
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			owned[v] = true
-		}
-		for _, v := range b.Insts {
-			owned[v] = true
-		}
+	bySlot := f.valuesBySlot()
+	owned := func(v *Value) bool {
+		s := v.Slot()
+		return s >= 0 && s < len(bySlot) && bySlot[s] == v
 	}
 	for _, b := range f.Blocks {
 		if b.Func != f {
@@ -109,7 +107,7 @@ func verifyFunc(f *Func) error {
 				if a == nil {
 					return fmt.Errorf("block b%d: %s(%s) has nil arg", b.ID, v, v.Op)
 				}
-				if !owned[a] {
+				if !owned(a) {
 					return fmt.Errorf("block b%d: %s(%s) uses foreign value %s(%s)",
 						b.ID, v, v.Op, a, a.Op)
 				}
@@ -159,6 +157,40 @@ func verifyFunc(f *Func) error {
 	return verifyDominance(f)
 }
 
+// valuesBySlot returns f's parameters, phis and instructions indexed by
+// their dense slots. A value that entered f without f.NewValue (and so
+// without invalidating the layout) can hold a stale or foreign slot; the
+// layout is then recomputed once.
+func (f *Func) valuesBySlot() []*Value {
+	for try := 0; ; try++ {
+		bySlot := make([]*Value, f.layout.NumSlots)
+		ok := true
+		put := func(v *Value) {
+			if s := v.Slot(); s >= 0 && s < len(bySlot) && (bySlot[s] == nil || bySlot[s] == v) {
+				bySlot[s] = v
+			} else {
+				ok = false
+			}
+		}
+		for _, p := range f.Params {
+			put(p)
+		}
+		for _, b := range f.Blocks {
+			for _, v := range b.Phis {
+				put(v)
+			}
+			for _, v := range b.Insts {
+				put(v)
+			}
+		}
+		if ok || try > 0 {
+			return bySlot
+		}
+		f.layoutOK.Store(false)
+		f.EnsureLayout()
+	}
+}
+
 // verifyDominance checks that every value use is dominated by its
 // definition. Parameters dominate everything; a phi's i-th argument must be
 // defined by the end of the i-th predecessor. Unreachable blocks are
@@ -166,20 +198,22 @@ func verifyFunc(f *Func) error {
 // undefined there.
 func verifyDominance(f *Func) error {
 	idom := Dominators(f)
-	// Definition order within a block: phis first (they all "define at the
-	// top"), then instructions in list order.
-	defIdx := map[*Value]int{}
+	// Definition order within a block by slot: phis first (they all
+	// "define at the top"), then instructions in list order; parameters
+	// are marked apart. Every operand is owned by f (verifyFunc checked),
+	// so its slot indexes defIdx.
+	const param = math.MinInt32
+	defIdx := make([]int32, f.layout.NumSlots)
 	for _, b := range f.Blocks {
 		for _, v := range b.Phis {
-			defIdx[v] = -1
+			defIdx[v.slot] = -1
 		}
 		for i, v := range b.Insts {
-			defIdx[v] = i
+			defIdx[v.slot] = int32(i)
 		}
 	}
-	isParam := map[*Value]bool{}
 	for _, p := range f.Params {
-		isParam[p] = true
+		defIdx[p.slot] = param
 	}
 	// dominates reports whether block a dominates block b (both reachable).
 	dominates := func(a, b *Block) bool {
@@ -195,7 +229,7 @@ func verifyDominance(f *Func) error {
 	}
 	// defReaches reports whether def's value is available at (useBlock, pos).
 	defReaches := func(def *Value, useBlock *Block, pos int) bool {
-		if isParam[def] || def.Op == OpConst && def.Block == nil {
+		if defIdx[def.slot] == param || def.Op == OpConst && def.Block == nil {
 			return true
 		}
 		db := def.Block
@@ -203,7 +237,7 @@ func verifyDominance(f *Func) error {
 			return false
 		}
 		if db == useBlock {
-			return defIdx[def] < pos
+			return int(defIdx[def.slot]) < pos
 		}
 		return dominates(db, useBlock)
 	}

@@ -326,3 +326,41 @@ func TestValueLocation(t *testing.T) {
 		t.Errorf("param location = %q, want param0", got)
 	}
 }
+
+// Verify's ownership table is indexed by slot. A value moved into another
+// function keeps the slot of its old layout, which collides with one of
+// the new owner's: Verify must relayout and accept it, and still reject a
+// value that belongs to another function.
+func TestVerifyMovedValue(t *testing.T) {
+	m := ir.NewModule("t")
+	f1 := buildRetConst(m, "f1", 1)
+	f2 := m.NewFunc("f2", 0x2000)
+	f2.NumRet = 1
+	e2 := f2.NewBlock(0)
+	k2 := e2.Append(f2.NewValue(ir.OpConst))
+	sum := e2.Append(f2.NewValue(ir.OpAdd, k2, k2))
+	e2.Append(f2.NewValue(ir.OpRet, sum))
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	// Move f1's constant (slot 0) to the top of f2, whose own constant
+	// also has slot 0, and add it there.
+	e1 := f1.Entry()
+	k := e1.Insts[0]
+	e1.Insts = e1.Insts[1:]
+	k.Block = e2
+	e2.Insts = append([]*ir.Value{k}, e2.Insts...)
+	sum.Args[0] = k
+	repl := f1.NewValue(ir.OpConst)
+	repl.Block = e1
+	e1.Insts = append([]*ir.Value{repl}, e1.Insts...)
+	e1.Term().Args[0] = repl
+	if err := ir.Verify(m); err != nil {
+		t.Fatalf("moved value rejected: %v", err)
+	}
+	e1.Term().Args[0] = k2
+	err := ir.Verify(m)
+	if err == nil || !strings.Contains(err.Error(), "func f1") || !strings.Contains(err.Error(), "foreign value") {
+		t.Fatalf("f1 returning f2's constant: got %v, want a foreign-value error", err)
+	}
+}

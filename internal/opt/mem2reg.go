@@ -37,12 +37,17 @@ func Mem2RegLog(f *ir.Func, log *layout.Program) int {
 	// (an escaped slot may be written behind the optimizer's back).
 	escaped := analysis.Escapes(f)
 	promoted := 0
+	var uses ir.Uses
+	stale := true
 	for _, a := range allocas {
 		if escaped[a] {
 			continue
 		}
-		// Recompute uses per promotion: earlier rewrites change them.
-		if size, ok := promotable(a, ir.BuildUses(f)); ok {
+		// A promotion rewrites uses; only then is the index rebuilt.
+		if stale {
+			uses, stale = ir.BuildUses(f), false
+		}
+		if size, ok := promotable(a, uses); ok {
 			if log != nil && a.Const < 0 && !strings.HasPrefix(a.Name, "cp_") {
 				fr := log.Frame(f.Name)
 				if fr == nil {
@@ -55,6 +60,7 @@ func Mem2RegLog(f *ir.Func, log *layout.Program) int {
 			}
 			promoteAlloca(f, a, size)
 			promoted++
+			stale = true
 		}
 	}
 	if promoted > 0 {
@@ -79,7 +85,7 @@ func promotable(a *ir.Value, uses ir.Uses) (uint8, bool) {
 		return 0, false
 	}
 	var size uint8
-	for _, u := range uses[a] {
+	for _, u := range uses.Of(a) {
 		switch u.Op {
 		case ir.OpLoad:
 			if u.Args[0] != a {
@@ -223,5 +229,5 @@ func promoteAlloca(f *ir.Func, a *ir.Value, size uint8) {
 		}
 	}
 	// Fix phi argument order: AddArg appended in b.Preds order already.
-	RemoveDeadAllocas(f)
+	// The dead alloca goes with Mem2RegLog's sweep after the last promotion.
 }

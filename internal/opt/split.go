@@ -127,7 +127,7 @@ func splitOne(f *ir.Func, entry *ir.Block, a *ir.Value, fields [][2]int64, uses 
 		accs = append(accs, acc{v, i})
 		return true
 	}
-	for _, u := range uses[a] {
+	for _, u := range uses.Of(a) {
 		switch u.Op {
 		case ir.OpLoad, ir.OpStore:
 			if !check(u, a, 0) {
@@ -142,7 +142,7 @@ func splitOne(f *ir.Func, entry *ir.Block, a *ir.Value, fields [][2]int64, uses 
 				return false
 			}
 			off := int64(k.Const)
-			for _, uu := range uses[u] {
+			for _, uu := range uses.Of(u) {
 				if !check(uu, u, off) {
 					return false
 				}

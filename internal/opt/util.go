@@ -2,26 +2,30 @@
 // the analogue of the LLVM pass pipeline in the paper's toolchain. It also
 // provides the shared SSA utilities (use replacement, dead-code
 // elimination) that the refinement passes build on; use lists are
-// ir.BuildUses.
+// ir.BuildUses, a dense index by value ID.
 package opt
 
 import "wytiwyg/internal/ir"
 
 // ReplaceUses rewrites every use of old inside f to new.
 func ReplaceUses(f *ir.Func, old, new *ir.Value) {
-	rewrite := func(v *ir.Value) {
+	forEachValue(f, func(v *ir.Value) {
 		for i, a := range v.Args {
 			if a == old {
 				v.Args[i] = new
 			}
 		}
-	}
+	})
+}
+
+// forEachValue calls fn on every phi and instruction of f, in block order.
+func forEachValue(f *ir.Func, fn func(*ir.Value)) {
 	for _, b := range f.Blocks {
 		for _, v := range b.Phis {
-			rewrite(v)
+			fn(v)
 		}
 		for _, v := range b.Insts {
-			rewrite(v)
+			fn(v)
 		}
 	}
 }
@@ -44,42 +48,70 @@ func hasSideEffects(v *ir.Value) bool {
 	return false
 }
 
-// DCE removes pure instructions whose results are never used. Returns the
-// number of removed values.
+// DCE removes pure instructions whose results are never used, and those
+// whose only users it removes. Returns the number of removed values.
+//
+// It is one worklist pass over use counts (by Value.ID): a pure value
+// whose count reaches zero dies and releases one use of each operand. That
+// reaches the fixpoint of repeatedly deleting every unused pure value, so
+// pure values that only feed each other in a cycle survive.
 func DCE(f *ir.Func) int {
-	removed := 0
-	for {
-		uses := ir.BuildUses(f)
-		live := func(v *ir.Value) bool {
-			return hasSideEffects(v) || len(uses[v]) > 0
-		}
-		changed := false
-		for _, b := range f.Blocks {
-			phis := b.Phis[:0]
-			for _, v := range b.Phis {
-				if live(v) {
-					phis = append(phis, v)
-				} else {
-					changed = true
-					removed++
-				}
+	type state struct {
+		uses         int32
+		member, dead bool
+	}
+	st := make([]state, f.NumValueIDs())
+	members := 0
+	forEachValue(f, func(v *ir.Value) {
+		st[v.ID].member = true
+		members++
+		for _, a := range v.Args {
+			if a != nil {
+				st[a.ID].uses++
 			}
-			b.Phis = phis
-			insts := b.Insts[:0]
-			for _, v := range b.Insts {
-				if live(v) {
-					insts = append(insts, v)
-				} else {
-					changed = true
-					removed++
-				}
-			}
-			b.Insts = insts
 		}
-		if !changed {
-			return removed
+	})
+	var work []*ir.Value
+	kill := func(v *ir.Value) {
+		if s := &st[v.ID]; s.member && !s.dead && s.uses == 0 && !hasSideEffects(v) {
+			s.dead = true
+			if work == nil {
+				work = make([]*ir.Value, 0, members)
+			}
+			work = append(work, v)
 		}
 	}
+	forEachValue(f, kill)
+	if work == nil {
+		return 0
+	}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, a := range v.Args {
+			if a != nil {
+				st[a.ID].uses--
+				kill(a)
+			}
+		}
+	}
+	removed := 0
+	sweep := func(list []*ir.Value) []*ir.Value {
+		out := list[:0]
+		for _, v := range list {
+			if st[v.ID].dead {
+				removed++
+			} else {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for _, b := range f.Blocks {
+		b.Phis = sweep(b.Phis)
+		b.Insts = sweep(b.Insts)
+	}
+	return removed
 }
 
 // DCEModule runs DCE over every function.
@@ -94,12 +126,22 @@ func DCEModule(m *ir.Module) int {
 // RemoveDeadAllocas deletes allocas with no remaining uses (typically after
 // mem2reg promoted them). Returns the number removed.
 func RemoveDeadAllocas(f *ir.Func) int {
-	uses := ir.BuildUses(f)
+	if !hasAlloca(f) {
+		return 0
+	}
+	uses := make([]int32, f.NumValueIDs())
+	forEachValue(f, func(v *ir.Value) {
+		for _, a := range v.Args {
+			if a != nil {
+				uses[a.ID]++
+			}
+		}
+	})
 	removed := 0
 	for _, b := range f.Blocks {
 		insts := b.Insts[:0]
 		for _, v := range b.Insts {
-			if v.Op == ir.OpAlloca && len(uses[v]) == 0 {
+			if v.Op == ir.OpAlloca && uses[v.ID] == 0 {
 				removed++
 				continue
 			}
@@ -108,4 +150,16 @@ func RemoveDeadAllocas(f *ir.Func) int {
 		b.Insts = insts
 	}
 	return removed
+}
+
+// hasAlloca reports whether f holds an alloca.
+func hasAlloca(f *ir.Func) bool {
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			if v.Op == ir.OpAlloca {
+				return true
+			}
+		}
+	}
+	return false
 }

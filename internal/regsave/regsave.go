@@ -643,14 +643,14 @@ func Apply(mod *ir.Module, classes Classes) error {
 	for _, f := range mod.Funcs {
 		rets[f] = map[isa.Reg]bool{isa.EAX: true, isa.ESP: true}
 	}
-	usesByFunc := make(map[*ir.Func]ir.Uses, len(mod.Funcs))
-	for _, f := range mod.Funcs {
-		usesByFunc[f] = ir.BuildUses(f)
+	usesByFunc := make([]ir.Uses, len(mod.Funcs))
+	for i, f := range mod.Funcs {
+		usesByFunc[i] = ir.BuildUses(f)
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, f := range mod.Funcs {
-			uses := usesByFunc[f]
+		for i, f := range mod.Funcs {
+			uses := usesByFunc[i]
 			for _, b := range f.Blocks {
 				for _, v := range b.Insts {
 					if v.Op != ir.OpExtract {
@@ -668,7 +668,7 @@ func Apply(mod *ir.Module, classes Classes) error {
 					}
 					r := isa.Reg(v.Idx)
 					demanded := false
-					for _, u := range uses[v] {
+					for _, u := range uses.Of(v) {
 						if u.Op != ir.OpRet {
 							demanded = true
 							break

@@ -683,7 +683,7 @@ func replaceRefs(fi *fnInfo, offs stackref.Offsets) error {
 			if !ok || v.Op == ir.OpParam || v.Op == ir.OpAlloca {
 				continue
 			}
-			if len(uses[v]) == 0 {
+			if len(uses.Of(v)) == 0 {
 				continue // dead; DCE will take it
 			}
 			base, delta, err := fi.addrForValue(v, c)
