@@ -120,6 +120,12 @@ step "bench smoke" check_bench
 # is checked against the original's output inside the run.
 step "ablation smoke" go run ./cmd/experiments -exp ablation -progs mcf -scale 2
 
+# Paper-suite smoke: the functionality check, Table 1 and Figures 6 and 7
+# on two programs at every profile, in the pipeline's default
+# configuration. The driver fails on any recompiled binary whose output
+# differs from the original's.
+step "paper-suite smoke" go run ./cmd/experiments -exp all -progs mcf,h264ref -scale 2
+
 # Partial-coverage smoke: static recovery of untraced code end to end.
 # examples/coverage (run above) performs the differential check against the
 # original binary; this step re-runs the acceptance tests for the admission

@@ -75,6 +75,18 @@ int main() {
 		}
 	})
 
+	t.Run("wytiwyg-timings", func(t *testing.T) {
+		// The lint computes every function's VSA fixpoint, so the count
+		// prints without -vsa or -types.
+		out, err := exec.Command(wytiwyg, "-bench", "mcf", "-timings").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "vsa fixpoints: ") {
+			t.Errorf("no fixpoint line:\n%s", out)
+		}
+	})
+
 	t.Run("wytiwyg-sanitize", func(t *testing.T) {
 		out, err := exec.Command(wytiwyg, "-src", srcFile, "-sanitize").CombinedOutput()
 		if err != nil {

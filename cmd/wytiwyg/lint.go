@@ -117,8 +117,8 @@ func degradedFns(rep *analysis.Report) []degradedFn {
 	return out
 }
 
-// lintOne builds, lifts and refines one program with linting enabled and
-// returns the verification report. With a cache, an unchanged program is
+// lintOne builds, lifts and refines one program and returns the
+// verification report. With a cache, an unchanged program is
 // served from its recorded entry without re-running the pipeline.
 func lintOne(job *serve.Job, jobs int, cache *refcache.Cache) (*analysis.Report, error) {
 	img, inputs, _, err := job.Build()

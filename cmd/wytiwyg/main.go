@@ -27,15 +27,16 @@
 //
 // Steps and outputs mirror the paper's Figure 4: the tool reports the trace
 // size, recovered functions, refined signatures, recovered stack layout and
-// the performance of the recompiled binary. The lint subcommand runs the
-// pipeline up to symbolization and prints the static verification report
-// (internal/analysis) instead of recompiling.
+// the performance of the recompiled binary. Every run verifies the
+// recovered layout statically after symbolization and prints the count of
+// findings; -lint fail aborts on a proven violation. The lint subcommand
+// runs the pipeline up to symbolization and prints the static
+// verification report (internal/analysis) instead of recompiling.
 //
-// -vsa runs the value-set analysis stage after refinement: the recovered
-// layout is verified against the statically provable access offsets, and
-// the optimizer gains a per-function alias oracle that promotes and
-// forwards address-taken stack slots the syntactic escape analysis must
-// leave in memory.
+// -vsa runs the value-set analysis stage after refinement: it prints the
+// per-function counts of the layout verification, and the optimizer gains
+// a per-function alias oracle that promotes and forwards address-taken
+// stack slots the syntactic escape analysis must leave in memory.
 //
 // -types runs the type-recovery stage after refinement: every recovered
 // frame slot gets a type from a small lattice (integers by width,
@@ -48,12 +49,12 @@
 //
 // -j bounds the refinement worker pool (0, the default, means one worker
 // per CPU); every output is byte-identical regardless of the worker count.
-// -timings prints the per-stage wall-clock breakdown and, with -vsa or
-// -types, how many VSA fixpoints were computed and reused. The lint
-// subcommand's -cache memoizes its layout and report in a
-// content-addressed on-disk cache so repeat runs on unchanged binaries
-// skip recomputation; -cache-dir overrides its location ($WYTIWYG_CACHE
-// or the user cache directory by default).
+// -timings prints the per-stage wall-clock breakdown and how many VSA
+// fixpoints were computed and reused. The lint subcommand's -cache
+// memoizes its layout and report in a content-addressed on-disk cache so
+// repeat runs on unchanged binaries skip recomputation; -cache-dir
+// overrides its location ($WYTIWYG_CACHE or the user cache directory by
+// default).
 package main
 
 import (
@@ -92,7 +93,7 @@ func main() {
 	pf := addProgramFlags(flag.CommandLine, true)
 	emit := flag.String("emit", "", "additionally print: ir, asm, layout")
 	sanitizeFlag := flag.Bool("sanitize", false, "retrofit stack-bounds checks onto the recompiled binary")
-	lintMode := flag.String("lint", "warn", "post-refinement verification: off, warn, fail")
+	lintMode := flag.String("lint", "warn", "what the post-refinement verification does with proven violations: warn, fail")
 	emitTypes := flag.String("emit-types", "", "write the compiler's declared slot types (ground truth) to this JSON file")
 	jobs := flag.Int("j", 0, "refinement worker pool size (0 = one per CPU)")
 	timings := flag.Bool("timings", false, "print the per-stage wall-clock breakdown")
@@ -158,10 +159,8 @@ func main() {
 	for _, name := range degraded {
 		fmt.Printf("degraded: %s replaced by a trap stub (%v)\n", name, p.Degraded[name])
 	}
-	if p.Report != nil {
-		fmt.Printf("lint: %d error(s), %d warning(s), %d info\n",
-			p.Report.Errors(), p.Report.Count(analysis.Warn), p.Report.Count(analysis.Info))
-	}
+	fmt.Printf("lint: %d error(s), %d warning(s), %d info\n",
+		p.Report.Errors(), p.Report.Count(analysis.Warn), p.Report.Count(analysis.Info))
 	if job.VSA {
 		printVSAStats(p.VSAStats, *timings)
 	}
@@ -182,9 +181,9 @@ func main() {
 	if err != nil {
 		fail("recompile: %v", err)
 	}
-	if *timings && (job.VSA || job.Types) {
+	if *timings {
 		// Deterministic counts, printed once the optimizer's oracle has
-		// made its requests.
+		// made its requests; the lint computes every function's fixpoint.
 		fp := p.Fixpoints()
 		fmt.Printf("vsa fixpoints: %d computed, %d reused\n", fp.Computed, fp.Reused)
 	}

@@ -19,7 +19,7 @@ func submitMain(args []string) int {
 	addr := fs.String("addr", defaultSocket(), "daemon address: unix:/path/to.sock or host:port")
 	kind := fs.String("kind", "recompile", "job kind: lift, lint, recompile")
 	pf := addProgramFlags(fs, true)
-	lintMode := fs.String("lint", "", "verification mode: off, warn, fail")
+	lintMode := fs.String("lint", "", "verification mode: warn, fail")
 	local := fs.Bool("local", false, "run the job in-process instead of contacting a daemon")
 	jobs := fs.Int("j", 0, "with -local: refinement worker pool size (0 = one per CPU)")
 	cacheOn := fs.Bool("cache", false, "with -local: memoize results in the on-disk cache")

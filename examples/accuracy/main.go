@@ -89,8 +89,7 @@ func typedCorpus() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pl, err := core.LiftBinaryOpts(img, p.Inputs(),
-			core.Options{Lint: core.LintWarn, Types: true})
+		pl, err := core.LiftBinaryOpts(img, p.Inputs(), core.Options{Types: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -48,9 +48,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Refine with the verification stage enabled: every refinement's
-	// output is audited and the findings accumulate in p.Report.
-	p.Lint = core.LintWarn
+	// Refine: every refinement's output is audited and the findings
+	// accumulate in p.Report.
 	if err := p.Refine(); err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 // it seeds, so the cached pipeline stays clean.
 var pipeCache = map[string]*core.Pipeline{}
 
-// refined runs the pipeline through refinement with linting enabled.
+// refined runs the pipeline through refinement, which lints.
 func refined(t *testing.T, p progs.Program) *core.Pipeline {
 	t.Helper()
 	if pl, ok := pipeCache[p.Name]; ok {
@@ -46,7 +46,6 @@ func refined(t *testing.T, p progs.Program) *core.Pipeline {
 	if err != nil {
 		t.Fatalf("%s: lift: %v", p.Name, err)
 	}
-	pl.Lint = core.LintWarn
 	if err := pl.Refine(); err != nil {
 		t.Fatalf("%s: refine: %v", p.Name, err)
 	}

@@ -147,6 +147,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			if err := p.Refine(); err != nil {
 				t.Fatalf("refine: %v\n%s", err, src)
 			}
+			if n := p.Report.Errors(); n != 0 {
+				t.Errorf("lint found %d proven violation(s) (%s):\n%s\n%s", n, prof.Name, p.Report, src)
+			}
 			out, _, err := p.Recompile("fuzz-rec")
 			if err != nil {
 				t.Fatalf("codegen: %v\n%s", err, src)

@@ -48,10 +48,8 @@ func fingerprint(p *core.Pipeline) string {
 	for _, name := range p.Recovered.FuncNames() {
 		fmt.Fprintf(&b, "%s\n", p.Recovered.Frame(name))
 	}
-	if p.Report != nil {
-		p.Report.Sort()
-		b.WriteString(p.Report.String())
-	}
+	p.Report.Sort()
+	b.WriteString(p.Report.String())
 	// The typed layout (when the type-recovery stage ran) is part of the
 	// contract: the `wytiwyg types` JSON must be byte-identical too.
 	if p.TypeReport != nil {

@@ -59,11 +59,12 @@ func encodeImage(img *obj.Image) []byte {
 // under opts: it covers the pass version, the options that change the
 // outcome, the input set and the full image. This is the one place that
 // decides which options are part of the key: the verification mode (an
-// entry records the report of the mode it ran under), the value-set
-// analysis and type-recovery stages (their findings are part of the
-// report) and static cold-code recovery (it changes the recovered layout
-// and the report). Jobs, Cache and Observer never change the outcome and
-// stay out of the key.
+// entry records the report of the mode it ran under), type recovery (its
+// typed-conflict findings are part of the report) and static cold-code
+// recovery (it changes the recovered layout and the report). The
+// value-set analysis stage adds no finding and no frame (the lint runs
+// the layout verification on every run), so VSA stays out of the key
+// with Jobs, Cache and Observer, which never change the outcome.
 func ProgramKey(img *obj.Image, inputs []machine.Input, opts Options) refcache.Key {
 	flag := func(b bool) byte {
 		if b {
@@ -73,7 +74,7 @@ func ProgramKey(img *obj.Image, inputs []machine.Input, opts Options) refcache.K
 	}
 	return refcache.NewKey("program",
 		[]byte(PassVersion),
-		[]byte{byte(opts.Lint), flag(opts.VSA), flag(opts.StaticRecover), flag(opts.Types)},
+		[]byte{byte(opts.Lint), flag(opts.StaticRecover), flag(opts.Types)},
 		encodeInputs(inputs),
 		encodeImage(img),
 	)
@@ -101,12 +102,9 @@ func RecoverLayout(img *obj.Image, inputs []machine.Input, opts Options) (*Pipel
 			p := newPipeline(img, inputs, opts)
 			p.FromCache = true
 			prog, rep := refcache.LayoutFromProgram(e)
-			p.Recovered = prog
-			if opts.Lint != LintOff {
-				p.Report = rep
-				if err := p.lintGate("cached"); err != nil {
-					return p, err
-				}
+			p.Recovered, p.Report = prog, rep
+			if err := p.lintGate("cached"); err != nil {
+				return p, err
 			}
 			return p, nil
 		}

@@ -189,3 +189,29 @@ func TestObserverEventsFollowTimes(t *testing.T) {
 		}
 	}
 }
+
+// Verification always runs: the lint mode only chooses between keeping
+// proven violations as findings (warn, the zero value) and failing on
+// them. There is no mode that skips it.
+func TestParseLintMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want core.LintMode
+		ok   bool
+	}{
+		{"warn", core.LintWarn, true},
+		{"fail", core.LintFail, true},
+		{"off", 0, false},
+		{"", 0, false},
+		{"Warn", 0, false},
+		{"destructive", 0, false},
+	} {
+		got, err := core.ParseLintMode(c.name)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseLintMode(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
+	}
+	if (core.Options{}).Lint != core.LintWarn {
+		t.Error("the zero Options do not verify in warn mode")
+	}
+}

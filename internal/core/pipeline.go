@@ -47,29 +47,27 @@ import (
 	"wytiwyg/internal/vsa"
 )
 
-// LintMode selects how the post-refinement verification stage behaves.
+// LintMode selects what the post-refinement verification stage does with
+// its findings. The stage itself always runs.
 type LintMode int
 
-// Verification modes: LintOff skips the stage, LintWarn runs every check
-// and keeps the findings in Pipeline.Report, LintFail additionally turns
-// proven violations (Error findings) into a pipeline failure.
+// Verification modes: LintWarn, the default, keeps the findings in
+// Pipeline.Report; LintFail additionally turns proven violations (Error
+// findings) into a pipeline failure.
 const (
-	LintOff LintMode = iota
-	LintWarn
+	LintWarn LintMode = iota
 	LintFail
 )
 
-// ParseLintMode parses a verification mode name: off, warn or fail.
+// ParseLintMode parses a verification mode name: warn or fail.
 func ParseLintMode(s string) (LintMode, error) {
 	switch s {
-	case "off":
-		return LintOff, nil
 	case "warn":
 		return LintWarn, nil
 	case "fail":
 		return LintFail, nil
 	}
-	return LintOff, fmt.Errorf("unknown lint mode %q", s)
+	return LintWarn, fmt.Errorf("unknown lint mode %q", s)
 }
 
 // Options configures a pipeline run.
@@ -77,15 +75,16 @@ type Options struct {
 	// Jobs bounds the worker pool used for refinement runs and
 	// per-function passes; values < 1 mean one worker per CPU.
 	Jobs int
-	// Lint selects the post-refinement verification behaviour.
+	// Lint selects what the post-refinement verification does with its
+	// proven violations.
 	Lint LintMode
 	// Cache, when non-nil, receives the finished program's layout and
 	// report under its program key; RecoverLayout serves them back.
 	Cache *refcache.Cache
-	// VSA enables the value-set analysis stage after symbolization: every
-	// function's recovered layout is verified against a static
-	// over-approximation of its pointer values, and the per-function
-	// results are kept for the optimizer's alias oracle.
+	// VSA enables the value-set analysis stage after symbolization: it
+	// publishes the per-function counts of the layout verification the
+	// lint ran on each function's VSA fixpoint, and the optimizer gets an
+	// alias oracle answering from those fixpoints.
 	VSA bool
 	// Types enables the type-recovery stage after symbolization (and after
 	// VSA when both are on): every recovered frame slot gets a type from
@@ -131,9 +130,8 @@ type ColdStat struct {
 	Reason string
 	// Elapsed is the admission analysis's wall-clock cost.
 	Elapsed time.Duration
-	// Checked, CrossSlot and Unbounded mirror vsa.CheckStats for the
-	// admission run.
-	Checked, CrossSlot, Unbounded int
+	// CheckStats are the layout-verifier counters of the admission run.
+	vsa.CheckStats
 }
 
 // TypeStat records one function's type-recovery outcome.
@@ -156,8 +154,9 @@ type VSAStat struct {
 	Func string
 	// Elapsed is the analysis fixpoint's wall-clock cost.
 	Elapsed time.Duration
-	// Checked, CrossSlot, OutOfSlot and OutOfFrame mirror vsa.CheckStats.
-	Checked, CrossSlot, OutOfSlot, OutOfFrame int
+	// CheckStats are the layout-verifier counters of the lint's check of
+	// the function.
+	vsa.CheckStats
 }
 
 // StageTime records one pipeline stage's wall-clock cost.
@@ -198,11 +197,16 @@ type Pipeline struct {
 	// typeResults indexes the per-function inference results for the
 	// optimizer's typed-info factory.
 	typeResults map[*ir.Func]*typerec.FuncResult
-	// fix holds the VSA fixpoints shared by the VSA stage, type recovery
-	// and the optimizer's alias oracle.
+	// fix holds the VSA fixpoints shared by the lint, the VSA stage, type
+	// recovery and the optimizer's alias oracle.
 	fix fixpoints
-	// Report accumulates the verification findings (nil until a lint-enabled
-	// refinement stage has run).
+	// checks holds the layout-verifier counters of each function's lint
+	// check, in module function order (nil until symbolization has run);
+	// the VSA stage publishes them.
+	checks []vsa.CheckStats
+	// Report accumulates the verification findings. LiftBinaryOpts and
+	// RecoverLayout allocate it; a pipeline built by hand must set it
+	// before running a stage.
 	Report *analysis.Report
 	// Heights holds the per-function stack-height facts captured after the
 	// stack-reference refinement — they must be taken before symbolization
@@ -290,7 +294,7 @@ func LiftBinary(img *obj.Image, inputs []machine.Input) (*Pipeline, error) {
 
 // newPipeline builds an empty pipeline carrying the option set.
 func newPipeline(img *obj.Image, inputs []machine.Input, opts Options) *Pipeline {
-	return &Pipeline{Img: img, Inputs: inputs, Options: opts}
+	return &Pipeline{Img: img, Inputs: inputs, Options: opts, Report: &analysis.Report{}}
 }
 
 // LiftBinaryOpts performs the front half of the pipeline with explicit
@@ -524,7 +528,7 @@ func (a bothActions) Phi(phi, in *ir.Value) (irexec.Action, uint32) { return a.r
 // signature survives (callers keep working) but the body becomes a single
 // trap, exactly like the lifter's untraced paths — executing the function
 // in the recompiled binary aborts, everything else is unaffected. The
-// failure is recorded in Degraded and, when linting, as a warning.
+// failure is recorded in Degraded and as a warning.
 func (p *Pipeline) degrade(f *ir.Func, cause error) {
 	if p.Degraded == nil {
 		p.Degraded = make(map[string]error)
@@ -533,20 +537,17 @@ func (p *Pipeline) degrade(f *ir.Func, cause error) {
 	f.Blocks = nil
 	b := f.NewBlock(f.Addr)
 	b.Append(f.NewValue(ir.OpTrap))
-	if p.Lint != LintOff {
-		p.ensureReport()
-		p.Report.Addf("pipeline", analysis.Warn, f.Name, nil,
-			"refinement failed (%v); function degraded to a trap stub", cause)
-	}
+	p.Report.Addf("pipeline", analysis.Warn, f.Name, nil,
+		"refinement failed (%v); function degraded to a trap stub", cause)
 }
 
 // RefineStackRef folds constant stack displacements into canonical
 // sp0+offset form (the static part of §4.1), processing functions over the
 // worker pool. A function whose canonicalization fails is degraded to a
 // trap stub instead of failing the binary; if a later refinement run still
-// reaches such a function, that run reports the trap. With linting enabled
-// the stage also captures the independent stack-height facts and
-// cross-checks them against the displacements just canonicalized.
+// reaches such a function, that run reports the trap. The stage also
+// captures the independent stack-height facts and cross-checks them
+// against the displacements just canonicalized.
 func (p *Pipeline) RefineStackRef() error {
 	offs, funcErrs := stackref.ApplyJobs(p.Mod, p.jobs())
 	for _, f := range p.Mod.Funcs {
@@ -559,10 +560,6 @@ func (p *Pipeline) RefineStackRef() error {
 		return fmt.Errorf("core: stackref: %w", err)
 	}
 	p.SPOffsets = offs
-	if p.Lint == LintOff {
-		return nil
-	}
-	p.ensureReport()
 	funcs := p.Mod.Funcs
 	facts := make([]analysis.HeightFacts, len(funcs))
 	reps := make([]analysis.Report, len(funcs))
@@ -577,12 +574,6 @@ func (p *Pipeline) RefineStackRef() error {
 		p.Report.Merge(&reps[i])
 	}
 	return p.lintGate("stackref")
-}
-
-func (p *Pipeline) ensureReport() {
-	if p.Report == nil {
-		p.Report = &analysis.Report{}
-	}
 }
 
 // lintGate fails the pipeline when verification proved a violation and the
@@ -616,14 +607,11 @@ func (p *Pipeline) RefineSymbolize() (*layout.Program, error) {
 	}
 	p.Recovered = prog
 	p.admitCold()
-	if p.Lint != LintOff {
-		p.ensureReport()
-		analysis.CheckModule(p.Mod, p.Report)
-		p.lintFuncs()
-		p.Report.Sort()
-		if err := p.lintGate("symbolize"); err != nil {
-			return nil, err
-		}
+	analysis.CheckModule(p.Mod, p.Report)
+	p.lintFuncs()
+	p.Report.Sort()
+	if err := p.lintGate("symbolize"); err != nil {
+		return nil, err
 	}
 	return prog, nil
 }
@@ -692,9 +680,7 @@ func (p *Pipeline) admitCold() {
 			st.Elapsed = time.Since(start)
 			st.Admitted = res.OK
 			st.Reason = res.Reason
-			st.Checked = res.Stats.Checked
-			st.CrossSlot = res.Stats.CrossSlot
-			st.Unbounded = res.Stats.Unbounded
+			st.CheckStats = res.Stats
 		}
 		stats[i] = st
 		return nil
@@ -720,15 +706,17 @@ func (p *Pipeline) admitCold() {
 }
 
 // lintFuncs runs the per-function verification checks over the worker pool
-// and merges the findings in module function order. The stack-access check
-// runs on the pipeline's shared VSA fixpoints, which the VSA stage, type
-// recovery and the alias oracle then reuse.
+// and merges the findings in module function order, keeping each
+// function's layout-verifier counters for the VSA stage. The stack-access
+// check runs on the pipeline's shared VSA fixpoints, which the VSA stage,
+// type recovery and the alias oracle then reuse.
 func (p *Pipeline) lintFuncs() {
 	funcs := p.Mod.Funcs
 	reps := make([]analysis.Report, len(funcs))
+	p.checks = make([]vsa.CheckStats, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
-		vsa.LintFunc(p.fix.get(f), p.Recovered.Frame(f.Name), p.Heights[f], &reps[i])
+		p.checks[i] = vsa.LintFunc(p.fix.get(f), p.Recovered.Frame(f.Name), p.Heights[f], &reps[i])
 		return nil
 	})
 	for i := range reps {
@@ -736,34 +724,27 @@ func (p *Pipeline) lintFuncs() {
 	}
 }
 
-// RefineVSA runs the value-set analysis stage: every function gets a
-// whole-function abstract interpretation whose fixpoint the layout
-// verifier (vsa.Check) checks, and the stage records the per-function
-// verification counts and analysis cost. The fixpoints stay on the
-// pipeline for type recovery and the optimizer's alias oracle (see
-// Fixpoints); when the lint ran, it computed them and its report already
-// holds the verifier's findings. Functions are processed over the worker
-// pool with stats stored in module function order, so the output is
-// worker-count independent like every other stage. The stage is a no-op
-// unless Options.VSA was set.
+// RefineVSA runs the value-set analysis stage: it records each function's
+// fixpoint cost and the counts of the layout verification (vsa.Check) the
+// lint ran on that fixpoint, whose findings are already in the report.
+// The fixpoints stay on the pipeline for type recovery and the optimizer's
+// alias oracle (see Fixpoints). Stats are stored in module function
+// order, so the output is worker-count independent like every other
+// stage. The stage runs after RefineSymbolize and is a no-op unless
+// Options.VSA was set.
 func (p *Pipeline) RefineVSA() error {
 	if !p.VSA {
 		return nil
 	}
 	funcs := p.Mod.Funcs
+	if len(p.checks) != len(funcs) {
+		return fmt.Errorf("core: vsa: RefineVSA publishes the checks of RefineSymbolize's lint; " +
+			"run it after the refinements")
+	}
 	stats := make([]VSAStat, len(funcs))
-	par.ForEach(p.jobs(), len(funcs), func(i int) error {
-		f := funcs[i]
-		fr := p.fix.get(f)
-		var scratch analysis.Report
-		st := vsa.Check(fr, &scratch)
-		stats[i] = VSAStat{
-			Func:    f.Name,
-			Elapsed: fr.Elapsed,
-			Checked: st.Checked, CrossSlot: st.CrossSlot, OutOfSlot: st.OutOfSlot, OutOfFrame: st.OutOfFrame,
-		}
-		return nil
-	})
+	for i, f := range funcs {
+		stats[i] = VSAStat{Func: f.Name, Elapsed: p.fix.get(f).Elapsed, CheckStats: p.checks[i]}
+	}
 	p.VSAStats = stats
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
@@ -200,7 +201,7 @@ func TestTypedWarmCacheDistinctKey(t *testing.T) {
 }
 
 // An irreconcilable-width slot must surface as a typed-conflict warning
-// in the pipeline report when linting is on.
+// in the pipeline report.
 func TestTypedConflictFinding(t *testing.T) {
 	m := ir.NewModule("t")
 	f := m.NewFunc("clash", 0x1000)
@@ -223,7 +224,7 @@ func TestTypedConflictFinding(t *testing.T) {
 	b.Append(st1)
 	b.Append(f.NewValue(ir.OpRet, k))
 
-	p := &core.Pipeline{Mod: m, Options: core.Options{Types: true, Lint: core.LintWarn}}
+	p := &core.Pipeline{Mod: m, Options: core.Options{Types: true}, Report: &analysis.Report{}}
 	if err := p.RefineTypes(); err != nil {
 		t.Fatalf("RefineTypes: %v", err)
 	}

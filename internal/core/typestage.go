@@ -11,12 +11,12 @@ import (
 // RefineTypes runs the type-recovery stage: every function's frame slots
 // get a type inferred from access widths and strided-interval facts
 // (per-function, over the worker pool, results landing in module function
-// order; the VSA fixpoints come from the pipeline, shared with the VSA
-// stage when it ran), then a single sequential unification pass
-// propagates evidence across call boundaries. The typed layout, report
-// and per-function stats are recorded on the pipeline; with linting
-// enabled, every irreconcilable-evidence event becomes a typed-conflict
-// warning. The stage is a no-op unless Options.Types was set.
+// order; the VSA fixpoints come from the pipeline, shared with the lint),
+// then a single sequential unification pass propagates evidence across
+// call boundaries. The typed layout, report and per-function stats are
+// recorded on the pipeline, and every irreconcilable-evidence event
+// becomes a typed-conflict warning. The stage is a no-op unless
+// Options.Types was set.
 func (p *Pipeline) RefineTypes() error {
 	if !p.Types {
 		return nil
@@ -47,10 +47,6 @@ func (p *Pipeline) RefineTypes() error {
 	p.TypeStats = stats
 	p.Typed = typerec.TypedLayout(results)
 	p.TypeReport = typerec.BuildReport(results)
-	if p.Lint == LintOff {
-		return nil
-	}
-	p.ensureReport()
 	for i, r := range results {
 		for _, c := range r.Conflicts {
 			name := "<unnamed>"

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
@@ -72,7 +73,9 @@ func TestVSAStageDeterministic(t *testing.T) {
 
 // On correctly recovered corpus programs the verifier must not claim a
 // proven out-of-slot or out-of-frame access: those findings are Errors
-// and would be false miscompilation reports.
+// and would be false miscompilation reports. The VSA stage publishes the
+// counters of the lint's check, which must be those of a fresh check on
+// a fresh fixpoint.
 func TestVSAVerifierCleanOnCorpus(t *testing.T) {
 	corpus := progs.All
 	if testing.Short() {
@@ -80,19 +83,29 @@ func TestVSAVerifierCleanOnCorpus(t *testing.T) {
 	}
 	for _, p := range corpus {
 		pl := vsaRefinedAt(t, bench.Scaled(p, 6), 0)
-		for _, st := range pl.VSAStats {
+		if len(pl.VSAStats) != len(pl.Mod.Funcs) {
+			t.Fatalf("%s: %d VSA stats for %d functions", p.Name, len(pl.VSAStats), len(pl.Mod.Funcs))
+		}
+		for i, st := range pl.VSAStats {
 			if st.OutOfSlot+st.OutOfFrame != 0 {
 				t.Errorf("%s/%s: %d out-of-slot and %d out-of-frame errors on a correct layout\n%s",
 					p.Name, st.Func, st.OutOfSlot, st.OutOfFrame, pl.Report)
+			}
+			f := pl.Mod.Funcs[i]
+			var scratch analysis.Report
+			if want := vsa.Check(vsa.Analyze(f), &scratch); st.Func != f.Name || st.CheckStats != want {
+				t.Errorf("%s: VSAStats[%d] = %s %+v, a fresh check of %s gives %+v",
+					p.Name, i, st.Func, st.CheckStats, f.Name, want)
 			}
 		}
 	}
 }
 
-// A warm cache serves a VSA-enabled run from its program key, and the key
-// is distinct from the plain run's: enabling VSA must not reuse a report
-// computed without its findings.
-func TestVSAWarmCacheDistinctKey(t *testing.T) {
+// The VSA stage adds no finding and no frame (the lint runs the layout
+// verification on every pipeline), so a VSA run is served from the plain
+// run's program entry, and that entry's report is byte-identical to the
+// one a cold VSA run computes.
+func TestVSAWarmCacheSharedKey(t *testing.T) {
 	cache, err := refcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -102,35 +115,31 @@ func TestVSAWarmCacheDistinctKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Lint: core.LintWarn, Cache: cache, VSA: true}
-	cold, err := core.RecoverLayout(img, p.Inputs(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.FromCache {
-		t.Fatal("first run reported a cache hit")
-	}
-	warm, err := core.RecoverLayout(img, p.Inputs(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.FromCache {
-		t.Fatal("second VSA run missed the cache")
-	}
-	cold.Report.Sort()
-	warm.Report.Sort()
-	if warm.Report.String() != cold.Report.String() {
-		t.Errorf("cached VSA report differs:\n%s\nvs\n%s", warm.Report, cold.Report)
-	}
-	// Disabling VSA must change the key: the recorded report includes VSA
-	// findings the plain pipeline never computes.
-	plain, err := core.RecoverLayout(img, p.Inputs(),
-		core.Options{Lint: core.LintWarn, Cache: cache})
+	plain, err := core.RecoverLayout(img, p.Inputs(), core.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.FromCache {
-		t.Error("plain run hit the VSA run's cache entry")
+		t.Fatal("first run reported a cache hit")
+	}
+	warm, err := core.RecoverLayout(img, p.Inputs(), core.Options{Cache: cache, VSA: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.FromCache {
+		t.Fatal("VSA run missed the plain run's cache entry")
+	}
+	cold, err := core.RecoverLayout(img, p.Inputs(), core.Options{VSA: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Report.Sort()
+	warm.Report.Sort()
+	if warm.Report.String() != cold.Report.String() {
+		t.Errorf("cached report differs from a cold VSA run's:\n%s\nvs\n%s", warm.Report, cold.Report)
+	}
+	if got, want := renderFrames(warm.Recovered), renderFrames(cold.Recovered); got != want {
+		t.Errorf("cached layout differs from a cold VSA run's:\n%s\nvs\n%s", got, want)
 	}
 }
 

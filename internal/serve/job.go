@@ -116,14 +116,12 @@ func (r *Runner) Run(job *Job) (*Payload, []core.StageTime, error) {
 		pay.Funcs++
 		pay.Layout = append(pay.Layout, p.Recovered.Frame(fn).String())
 	}
-	if p.Report != nil {
-		p.Report.Sort()
-		pay.Errors = p.Report.Errors()
-		pay.Warnings = p.Report.Count(analysis.Warn)
-		if job.Kind != KindLift {
-			for _, d := range p.Report.Diags {
-				pay.Diags = append(pay.Diags, d.String())
-			}
+	p.Report.Sort()
+	pay.Errors = p.Report.Errors()
+	pay.Warnings = p.Report.Count(analysis.Warn)
+	if job.Kind != KindLift {
+		for _, d := range p.Report.Diags {
+			pay.Diags = append(pay.Diags, d.String())
 		}
 	}
 	if job.Kind == KindRecompile {

@@ -79,7 +79,8 @@ type Job struct {
 	// Inputs are the integer trace inputs, one per run (a benchmark's own
 	// input set when empty and Bench is set).
 	Inputs []int32 `json:"inputs,omitempty"`
-	// Lint selects the verification mode: off, warn (default) or fail.
+	// Lint selects what the verification, which every job runs, does
+	// with proven violations: warn (default) or fail.
 	Lint string `json:"lint,omitempty"`
 	// VSA enables the value-set analysis stage.
 	VSA bool `json:"vsa,omitempty"`

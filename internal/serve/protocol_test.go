@@ -12,7 +12,7 @@ import (
 // Digest, unchanged. Inputs arrive as little-endian int32s.
 func FuzzJobDigest(f *testing.F) {
 	f.Add("", "mcf", "", "", "", false, false, false, []byte{})
-	f.Add(KindLift, "astar", "", "gcc44-O3", "off", true, false, false, []byte{5, 0, 0, 0})
+	f.Add(KindLift, "astar", "", "gcc44-O3", "off", true, false, false, []byte{5, 0, 0, 0}) // "off" is no mode
 	f.Add(KindLint, "", "int main() { return 0; }", "clang16-O3", "fail", true, true, true,
 		[]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add(KindRecompile, "", inlineSrc, "gcc12-O0", "warn", false, true, false, []byte{5, 0, 0, 0})

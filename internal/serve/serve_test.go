@@ -172,6 +172,7 @@ func TestServeRejectsBadJobs(t *testing.T) {
 		{Kind: KindLint, Bench: "no-such-benchmark"},        // unknown program
 		{Kind: KindLint, Bench: "mcf", Profile: "tcc-O9"},   // unknown profile
 		{Kind: KindLint, Bench: "mcf", Lint: "destructive"}, // unknown lint mode
+		{Kind: KindLint, Bench: "mcf", Lint: "off"},         // verification always runs
 	} {
 		resp, err := c.Submit(job)
 		if err != nil {

@@ -12,22 +12,25 @@ import (
 // function's VSA fixpoint — the one the VSA stage, type recovery and the
 // alias oracle share — so the lint adds no abstract domain of its own.
 
-// LintFunc runs every per-function check against fr's function. frame may
-// be nil (function absent from the layout table) and facts may be the zero
-// value (no pre-symbolization height capture available).
-func LintFunc(fr *FuncResult, frame *layout.Frame, facts analysis.HeightFacts, rep *analysis.Report) {
+// LintFunc runs every per-function check against fr's function and
+// returns the stack-access check's counters. frame may be nil (function
+// absent from the layout table) and facts may be the zero value (no
+// pre-symbolization height capture available).
+func LintFunc(fr *FuncResult, frame *layout.Frame, facts analysis.HeightFacts, rep *analysis.Report) CheckStats {
 	f := fr.Fn()
 	analysis.CheckFrame(f, frame, rep)
 	analysis.CheckRefCoverage(f, facts, rep)
-	lintDataflow(fr, rep)
+	return lintDataflow(fr, rep)
 }
 
 // lintDataflow runs the layout-independent per-function checks: stack
-// accesses, initialization and dead stores.
-func lintDataflow(fr *FuncResult, rep *analysis.Report) {
-	Check(fr, rep)
+// accesses, initialization and dead stores. It returns the stack-access
+// check's counters.
+func lintDataflow(fr *FuncResult, rep *analysis.Report) CheckStats {
+	st := Check(fr, rep)
 	analysis.CheckInit(fr.fn, fr.esc, rep)
 	analysis.CheckDeadStores(fr.fn, fr.esc, rep)
+	return st
 }
 
 // LintIR runs only the layout-independent checks: IR well-formedness,
